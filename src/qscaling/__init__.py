@@ -73,7 +73,6 @@ from .scaling import (
     certify_positive_on_orthant,
     d_epsilon,
     sample_refute,
-    scaled_matrix_symbolic,
     scaled_square_symbolic,
     symbolic_q_invariants,
 )

@@ -5,6 +5,14 @@ order-j principal-minor sums of (D*A)^2 are polynomials p_j(d1..dn),
 homogeneous of degree 2j. "(D*A)^2 is a Q-matrix for every positive D"
 is exactly "every p_j is positive on the open positive orthant".
 
+Every p_j comes from one identity. With f(t) = det(I + t*D*A) =
+sum_k c_k t^k, where c_k = sum over |S| = k of det(A[S]) * prod_{i in S} d_i,
+one has f(t)*f(-t) = det(I - t^2 (D*A)^2), so
+p_j = (-1)^j * sum over a+b=2j of (-1)^b c_a c_b. Only the 2^n principal
+minors of A enter, and they are plain numbers: symbolic_q_invariants
+multiplies the c_k out as polynomials, and sample_refute evaluates them
+in integers at each drawn point.
+
 That positivity question is handled honestly: cheap certificates prove
 it where they apply (nonnegative coefficients; the two-variable
 homogeneous quadratic, which is decided completely), exact sampling
@@ -18,13 +26,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
+    _bareiss_int,
     _coerce_rational,
-    _det_rows,
     check_enumeration_dim,
     index_sets,
     minor,
@@ -32,8 +41,9 @@ from .matrices import (
 )
 from .polynomial import SparsePolynomial
 
-#: symbolic expansion refuses dimensions above this bound by default; the
-#: polynomials p_j carry up to C(n,j)^2 monomials of degree 2j.
+#: symbolic expansion refuses dimensions above this bound by default. It bounds
+#: the size of the output: p_j has a monomial for every exponent vector with
+#: entries at most 2 summing to 2j, up to 141 monomials for p_3 at n = 6.
 DEFAULT_SYMBOLIC_GUARD = 6
 
 
@@ -105,73 +115,94 @@ def d_epsilon(n: int, alpha: IndexSet, epsilon) -> DiagonalScaling:
 # ---------------------------------------------------------------------------
 # Symbolic invariants
 
-PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
+def _principal_minors_by_order(matrix: RationalMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The nonzero principal minors of q*A, keyed by subset, grouped by order.
 
-def scaled_matrix_symbolic(matrix: RationalMatrix) -> PolyMatrix:
-    """D*A with the diagonal of D left as indeterminates d1..dn."""
+    q is the least common denominator of A's entries, so every minor of q*A
+    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k lists
+    (mask, minor) for the order-k index sets S, where bit i-1 of mask marks
+    row i; entry 0 is the empty set with minor 1.
+    """
     n = matrix.n
-    out = []
-    for i, row in enumerate(matrix.rows):
+    q = lcm(*(x.denominator for row in matrix.rows for x in row))
+    scaled = [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
+    by_order: list[list[tuple[int, int]]] = [[(0, 1)]] + [[] for _ in range(n)]
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        value = _bareiss_int([[scaled[i][j] for j in members] for i in members])
+        if value:
+            by_order[len(members)].append((mask, value))
+    return q, by_order
+
+
+def _pair_weights(n: int, j: int) -> list[tuple[int, int, int]]:
+    """(a, b, w) with p_j = sum of w * c_a * c_b, from f(t)*f(-t) = det(I - t^2 (DA)^2).
+
+    The t^(2j) coefficient of f(t)*f(-t) is sum over a+b=2j of (-1)^b c_a c_b,
+    and that of det(I - t^2 M) is (-1)^j e_j(M); a and b share a parity, so
+    the pairs (a, b) and (b, a) fold into one with weight 2.
+    """
+    return [
+        (a, 2 * j - a, 1 if a == j else 2 * (-1) ** (j + a))
+        for a in range(max(0, 2 * j - n), j + 1)
+    ]
+
+
+def scaled_square_symbolic(matrix: RationalMatrix) -> tuple[tuple[SparsePolynomial, ...], ...]:
+    """(D*A)^2 entrywise: entry (i,k) is the sum over j of a_ij*a_jk*d_i*d_j."""
+    n = matrix.n
+    rows = matrix.rows
+
+    def exponents(i: int, j: int) -> tuple[int, ...]:
         exps = [0] * n
-        exps[i] = 1
-        out.append(tuple(SparsePolynomial(n, {tuple(exps): a}) for a in row))
-    return tuple(out)
+        exps[i] += 1
+        exps[j] += 1
+        return tuple(exps)
 
-
-def poly_mat_mul(left: PolyMatrix, right: PolyMatrix) -> PolyMatrix:
-    cols = tuple(zip(*right))
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), SparsePolynomial.zero(row[0].n_vars)) for col in cols)
-        for row in left
+        tuple(
+            SparsePolynomial(n, {exponents(i, j): rows[i][j] * rows[j][k] for j in range(n)})
+            for k in range(n)
+        )
+        for i in range(n)
     )
 
 
-def scaled_square_symbolic(matrix: RationalMatrix) -> PolyMatrix:
-    """(D*A)^2 entrywise, as polynomials in d1..dn."""
-    scaled = scaled_matrix_symbolic(matrix)
-    return poly_mat_mul(scaled, scaled)
-
-
-def _poly_det(entries: list[tuple[SparsePolynomial, ...]]) -> SparsePolynomial:
-    """Division-free determinant via Laplace expansion over column masks."""
-    k = len(entries)
-    n_vars = entries[0][0].n_vars
-    table: dict[int, SparsePolynomial] = {0: SparsePolynomial.constant(n_vars, 1)}
-    for r in range(k):
-        row = entries[r]
-        new_table: dict[int, SparsePolynomial] = {}
-        for mask, sub_det in table.items():
-            for j in range(k):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = row[j]
-                if entry.is_zero:
-                    continue
-                position = (mask & (bit - 1)).bit_count()
-                signed = entry * sub_det if (r + position) % 2 == 0 else -(entry * sub_det)
-                key = mask | bit
-                acc = new_table.get(key)
-                new_table[key] = signed if acc is None else acc + signed
-        table = new_table
-        if not table:
-            return SparsePolynomial.zero(n_vars)
-    return table.get((1 << k) - 1, SparsePolynomial.zero(n_vars))
-
-
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
-    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2."""
+    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
+
+    With f(t) = det(I + t*D*A) = sum_k c_k t^k, where c_k is the squarefree
+    polynomial sum over |S| = k of det(A[S]) * prod_{i in S} d_i, one has
+    f(t)*f(-t) = det(I - t^2 (D*A)^2), so p_j = (-1)^j sum over a+b=2j of
+    (-1)^b c_a c_b. Only the 2^n principal minors of A enter. They are taken
+    from q*A with integer entries; p_j then carries the factor q^(2j), which
+    is divided out at the end.
+    """
     n = matrix.n
     check_symbolic_dim(n, max_dim)
-    squared = scaled_square_symbolic(matrix)
+    q, by_order = _principal_minors_by_order(matrix)
     invariants = []
     for j in range(1, n + 1):
-        total = SparsePolynomial.zero(n)
-        for selection in combinations(range(n), j):
-            sub = [tuple(squared[i][jj] for jj in selection) for i in selection]
-            total = total + _poly_det(sub)
-        invariants.append(total)
+        # a monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
+        # first set, 1 on the second
+        coefficients: dict[tuple[int, int], int] = {}
+        for a, b, weight in _pair_weights(n, j):
+            for s, x in by_order[a]:
+                for t, y in by_order[b]:
+                    key = (s & t, s ^ t)
+                    coefficients[key] = coefficients.get(key, 0) + weight * x * y
+        scale = q ** (2 * j)
+        invariants.append(
+            SparsePolynomial(
+                n,
+                {
+                    tuple(2 * (twice >> i & 1) + (once >> i & 1) for i in range(n)): Fraction(value, scale)
+                    for (twice, once), value in coefficients.items()
+                    if value
+                },
+            )
+        )
     return invariants
 
 
@@ -334,8 +365,6 @@ def _as_two_var_quadratic(p: SparsePolynomial) -> tuple[Fraction, Fraction, Frac
 
 def _reduce_direction(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Scale a positive direction to coprime integer coordinates."""
-    from math import gcd, lcm
-
     denominators = lcm(*(x.denominator for x in point))
     integers = [x.numerator * (denominators // x.denominator) for x in point]
     divisor = gcd(*integers)
@@ -452,16 +481,6 @@ def certify_positive_on_orthant(p: SparsePolynomial, grid_budget: int = 2000) ->
 # Sampling refutation
 
 
-def _is_q_matrix_rows(rows, subset_lists) -> bool:
-    for subsets in subset_lists:
-        total = Fraction(0)
-        for s in subsets:
-            total += _det_rows(tuple(tuple(rows[i][j] for j in s) for i in s))
-        if total <= 0:
-            return False
-    return True
-
-
 def sample_refute(
     matrix: RationalMatrix,
     budget: int = 10_000,
@@ -477,6 +496,13 @@ def sample_refute(
     uniformly from [-exponent_range, exponent_range]; draws are consumed
     mantissa-then-exponent, coordinate by coordinate, which is part of
     the determinism contract. Returns the first witness found, or None.
+
+    Each draw is tested in integers, through the identity described in
+    :func:`symbolic_q_invariants`. Every p_j is homogeneous of degree 2j
+    in d and in A, so evaluating it at the integer point
+    8 * 10^exponent_range * d for the integer matrix q*A multiplies it by
+    a positive factor and keeps its sign. The subset products of the point
+    are built by bitmask, then c_k, then each p_j.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -485,21 +511,22 @@ def sample_refute(
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     rng = random.Random(seed)
-    powers = {e: Fraction(10) ** e for e in range(-exponent_range, exponent_range + 1)}
-    subset_lists = [list(combinations(range(n), k)) for k in range(1, n + 1)]
-    base_rows = matrix.rows
+    randint = rng.randint
+    _, by_order = _principal_minors_by_order(matrix)
+    weights = [_pair_weights(n, j) for j in range(1, n + 1)]
+    lowest = [(mask & -mask).bit_length() - 1 for mask in range(1 << n)]
+    powers = {e: 10 ** (e + exponent_range) for e in range(-exponent_range, exponent_range + 1)}
+    products = [1] * (1 << n)
     for _ in range(budget):
-        diag = tuple(
-            Fraction(rng.randint(8, 16), 8) * powers[rng.randint(-exponent_range, exponent_range)]
-            for _ in range(n)
-        )
-        scaled = [tuple(d * a for a in row) for d, row in zip(diag, base_rows)]
-        cols = tuple(zip(*scaled))
-        squared = [
-            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in scaled
-        ]
-        if not _is_q_matrix_rows(squared, subset_lists):
-            return DiagonalScaling(diag)
+        point = [randint(8, 16) * powers[randint(-exponent_range, exponent_range)] for _ in range(n)]
+        # products[mask] = prod of point[i] over the bits i of mask
+        for mask in range(1, 1 << n):
+            products[mask] = products[mask & (mask - 1)] * point[lowest[mask]]
+        c = [sum(value * products[mask] for mask, value in terms) for terms in by_order]
+        for pairs in weights:
+            if sum(w * c[a] * c[b] for a, b, w in pairs) <= 0:
+                denominator = 8 * 10**exponent_range
+                return DiagonalScaling(tuple(Fraction(x, denominator) for x in point))
     return None
 
 

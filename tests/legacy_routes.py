@@ -1,0 +1,120 @@
+"""The routes the package used before its characteristic-polynomial core.
+
+They are kept here, unchanged in substance, as references for the property
+tests: ``symbolic_q_invariants_by_expansion`` multiplies out (D*A)^2 as a
+polynomial matrix and sums mask-Laplace determinants of its principal
+submatrices, and ``sample_refute_by_fractions`` squares each drawn D*A in
+Fractions and sums its principal minors. Both are slow, which is why the
+package no longer uses them.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from qscaling import DiagonalScaling, RationalMatrix, SparsePolynomial
+from qscaling.matrices import _det_rows
+
+PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
+
+
+def scaled_matrix_symbolic(matrix: RationalMatrix) -> PolyMatrix:
+    """D*A with the diagonal of D left as indeterminates d1..dn."""
+    n = matrix.n
+    out = []
+    for i, row in enumerate(matrix.rows):
+        exps = [0] * n
+        exps[i] = 1
+        out.append(tuple(SparsePolynomial(n, {tuple(exps): a}) for a in row))
+    return tuple(out)
+
+
+def poly_mat_mul(left: PolyMatrix, right: PolyMatrix) -> PolyMatrix:
+    cols = tuple(zip(*right))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), SparsePolynomial.zero(row[0].n_vars)) for col in cols)
+        for row in left
+    )
+
+
+def scaled_square_by_product(matrix: RationalMatrix) -> PolyMatrix:
+    """(D*A)^2 entrywise, as the product of two polynomial matrices."""
+    scaled = scaled_matrix_symbolic(matrix)
+    return poly_mat_mul(scaled, scaled)
+
+
+def poly_det(entries: list[tuple[SparsePolynomial, ...]]) -> SparsePolynomial:
+    """Division-free determinant via Laplace expansion over column masks."""
+    k = len(entries)
+    n_vars = entries[0][0].n_vars
+    table: dict[int, SparsePolynomial] = {0: SparsePolynomial.constant(n_vars, 1)}
+    for r in range(k):
+        row = entries[r]
+        new_table: dict[int, SparsePolynomial] = {}
+        for mask, sub_det in table.items():
+            for j in range(k):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                entry = row[j]
+                if entry.is_zero:
+                    continue
+                position = (mask & (bit - 1)).bit_count()
+                signed = entry * sub_det if (r + position) % 2 == 0 else -(entry * sub_det)
+                key = mask | bit
+                acc = new_table.get(key)
+                new_table[key] = signed if acc is None else acc + signed
+        table = new_table
+        if not table:
+            return SparsePolynomial.zero(n_vars)
+    return table.get((1 << k) - 1, SparsePolynomial.zero(n_vars))
+
+
+def symbolic_q_invariants_by_expansion(matrix: RationalMatrix) -> list[SparsePolynomial]:
+    """p_1..p_n as sums of polynomial principal minors of the expanded (D*A)^2."""
+    n = matrix.n
+    squared = scaled_square_by_product(matrix)
+    invariants = []
+    for j in range(1, n + 1):
+        total = SparsePolynomial.zero(n)
+        for selection in combinations(range(n), j):
+            sub = [tuple(squared[i][jj] for jj in selection) for i in selection]
+            total = total + poly_det(sub)
+        invariants.append(total)
+    return invariants
+
+
+def _is_q_matrix_rows(rows, subset_lists) -> bool:
+    for subsets in subset_lists:
+        total = Fraction(0)
+        for s in subsets:
+            total += _det_rows(tuple(tuple(rows[i][j] for j in s) for i in s))
+        if total <= 0:
+            return False
+    return True
+
+
+def sample_refute_by_fractions(
+    matrix: RationalMatrix, budget: int, seed: int, exponent_range: int
+) -> DiagonalScaling | None:
+    """The Fraction sampling loop, with the same draw order as ``sample_refute``."""
+    n = matrix.n
+    rng = random.Random(seed)
+    powers = {e: Fraction(10) ** e for e in range(-exponent_range, exponent_range + 1)}
+    subset_lists = [list(combinations(range(n), k)) for k in range(1, n + 1)]
+    base_rows = matrix.rows
+    for _ in range(budget):
+        diag = tuple(
+            Fraction(rng.randint(8, 16), 8) * powers[rng.randint(-exponent_range, exponent_range)]
+            for _ in range(n)
+        )
+        scaled = [tuple(d * a for a in row) for d, row in zip(diag, base_rows)]
+        cols = tuple(zip(*scaled))
+        squared = [
+            tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in scaled
+        ]
+        if not _is_q_matrix_rows(squared, subset_lists):
+            return DiagonalScaling(diag)
+    return None

@@ -1,0 +1,94 @@
+"""The characteristic-polynomial route for p_j against the routes it replaced.
+
+``symbolic_q_invariants`` builds p_j from the principal minors of A through
+f(t)*f(-t) = det(I - t^2 (D*A)^2), and ``sample_refute`` evaluates the same
+identity in integers. The references are the polynomial-matrix expansion
+and the Fraction sampling loop in ``legacy_routes``, plus Faddeev-LeVerrier
+on (D*A)^2 at concrete points.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qscaling import DiagonalScaling, RationalMatrix, sample_refute, scaled_square_symbolic, symbolic_q_invariants
+
+from legacy_routes import sample_refute_by_fractions, scaled_square_by_product, symbolic_q_invariants_by_expansion
+from oracles import faddeev_leverrier, list_matmul
+
+NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
+HITS_AT_DRAW_45 = RationalMatrix(((-3, 5, 1), (-2, 4, Fraction(5, 3)), (-4, Fraction(1, 2), -3)))
+
+# fixed example order, so a run never depends on a saved example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
+positive = st.builds(Fraction, st.integers(1, 200), st.integers(1, 200))
+
+
+@st.composite
+def matrices(draw, min_n=1, max_n=5, singular=False):
+    n = draw(st.integers(min_n, max_n))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if singular:
+        # last row a multiple of the first (the zero row when n = 1)
+        factor = draw(entries) if n > 1 else Fraction(0)
+        rows[-1] = [factor * x for x in rows[0]]
+    return RationalMatrix(tuple(tuple(row) for row in rows))
+
+
+@PROPERTY
+@given(st.one_of(matrices(), matrices(singular=True)))
+def test_invariants_equal_polynomial_matrix_expansion(matrix):
+    assert symbolic_q_invariants(matrix) == symbolic_q_invariants_by_expansion(matrix)
+
+
+@settings(PROPERTY, max_examples=3)
+@given(matrices(min_n=6, max_n=6))
+def test_invariants_equal_polynomial_matrix_expansion_at_six(matrix):
+    assert symbolic_q_invariants(matrix) == symbolic_q_invariants_by_expansion(matrix)
+
+
+@PROPERTY
+@given(matrices(singular=True))
+def test_top_invariant_of_singular_matrix_vanishes(matrix):
+    assert symbolic_q_invariants(matrix)[-1].is_zero
+
+
+@PROPERTY
+@given(st.data(), matrices())
+def test_invariants_evaluate_to_principal_minor_sums(data, matrix):
+    point = data.draw(st.lists(positive, min_size=matrix.n, max_size=matrix.n))
+    scaled = [[d * a for a in row] for d, row in zip(point, matrix.rows)]
+    sums = faddeev_leverrier(list_matmul(scaled, scaled))
+    assert [p.evaluate(point) for p in symbolic_q_invariants(matrix)] == sums
+
+
+@PROPERTY
+@given(matrices())
+def test_scaled_square_equals_polynomial_matrix_product(matrix):
+    assert scaled_square_symbolic(matrix) == scaled_square_by_product(matrix)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    st.one_of(matrices(max_n=4), matrices(max_n=4, singular=True)),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+)
+def test_integer_sampling_returns_the_fraction_loops_witness(matrix, budget, seed, exponent_range):
+    expected = sample_refute_by_fractions(matrix, budget, seed, exponent_range)
+    assert sample_refute(matrix, budget=budget, seed=seed, exponent_range=exponent_range) == expected
+
+
+def test_sampling_witness_for_nilpotent_is_pinned():
+    witness = sample_refute(NILPOTENT, budget=10, seed=13)
+    assert witness == DiagonalScaling((Fraction(3, 20), Fraction(125)))
+
+
+def test_sampling_witness_for_rational_three_by_three_is_pinned():
+    assert sample_refute(HITS_AT_DRAW_45, budget=44, seed=7) is None
+    witness = sample_refute(HITS_AT_DRAW_45, budget=300, seed=7)
+    assert witness == DiagonalScaling((Fraction(9, 800), Fraction(9, 800), Fraction(3, 160)))
