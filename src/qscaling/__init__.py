@@ -13,7 +13,6 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     MatrixParseError,
-    Rational,
     RationalMatrix,
     cofactor_determinant,
     compound,
@@ -66,12 +65,10 @@ from .scaling import (
     CoefficientEvidence,
     DEFAULT_SYMBOLIC_GUARD,
     DiagonalScaling,
-    EpsilonScaling,
     QuadraticEvidence,
     WitnessEvidence,
     cauchy_binet_terms,
     certify_positive_on_orthant,
-    d_epsilon,
     sample_refute,
     scaled_square_symbolic,
     symbolic_q_invariants,

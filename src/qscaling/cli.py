@@ -17,23 +17,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from .matrices import (
     DimensionGuardError,
     MatrixParseError,
     RationalMatrix,
+    matrix_to_dict,
     parse_matrix,
     render_rational,
 )
 from .matrix_classes import ClassReport, classify
+from .polynomial import SparsePolynomial
 from .refute import (
     HuntConfig,
+    HypothesisStatus,
     NoCounterexampleFound,
     RefutationReport,
     RefutedAt,
     VerdictKind,
     evaluate_hypothesis,
     hunt,
+    invariants_to_dict,
 )
 from .reproduction import run_reproduction
 from .scaling import Certificate, CertificateVerdict, QuadraticEvidence, WitnessEvidence
@@ -90,10 +95,7 @@ def render_certificate(cert: Certificate) -> str:
 def render_refutation_report(report: RefutationReport) -> str:
     lines = [f"matrix: {_inline(report.matrix)}"]
     lines.append(f"A^2:    {_inline(report.squared)}")
-    for j, (poly, cert) in enumerate(zip(report.polynomials, report.certificates), start=1):
-        lines.append(f"p{j} = {poly.to_text()}")
-        lines.append(f"  {render_certificate(cert)}")
-    lines.append(f"hypothesis: {_describe_hypothesis(report.hypothesis)}")
+    lines.extend(_render_hypothesis(report.polynomials, report.hypothesis))
     lines.append("conclusion (classes of A^2):")
     for name, verdict in report.conclusion.verdicts().items():
         lines.append("  " + _render_verdict_line(name, verdict))
@@ -110,6 +112,16 @@ def render_refutation_report(report: RefutationReport) -> str:
 
 def _inline(matrix: RationalMatrix) -> str:
     return "[" + "; ".join(" ".join(render_rational(e) for e in row) for row in matrix.rows) + "]"
+
+
+def _render_hypothesis(polynomials: Sequence[SparsePolynomial], hypothesis: HypothesisStatus) -> list[str]:
+    """Each p_j with its certificate, then the hypothesis status."""
+    lines = []
+    for j, (poly, cert) in enumerate(zip(polynomials, hypothesis.certificates), start=1):
+        lines.append(f"p{j} = {poly.to_text()}")
+        lines.append(f"  {render_certificate(cert)}")
+    lines.append(f"hypothesis: {_describe_hypothesis(hypothesis)}")
+    return lines
 
 
 def _describe_hypothesis(hypothesis) -> str:
@@ -175,19 +187,13 @@ def cmd_q2scaling(args) -> int:
     )
     if args.format == "structured":
         payload = {
-            "matrix": {"n": matrix.n, "rows": [[render_rational(e) for e in row] for row in matrix.rows]},
-            "invariants": [
-                {"order": j, "polynomial": p.to_text(), "certificate": c.to_dict()}
-                for j, (p, c) in enumerate(zip(polys, hypothesis.certificates), start=1)
-            ],
+            "matrix": matrix_to_dict(matrix),
+            "invariants": invariants_to_dict(polys, hypothesis.certificates),
             "hypothesis": hypothesis.to_dict(),
         }
         print(_structured("q2scaling", payload))
     else:
-        for j, (poly, cert) in enumerate(zip(polys, hypothesis.certificates), start=1):
-            print(f"p{j} = {poly.to_text()}")
-            print(f"  {render_certificate(cert)}")
-        print(f"hypothesis: {_describe_hypothesis(hypothesis)}")
+        print("\n".join(_render_hypothesis(polys, hypothesis)))
     return EXIT_FOUND if isinstance(hypothesis, RefutedAt) else EXIT_OK
 
 

@@ -19,10 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Iterator, Sequence
-
-Rational = Fraction
 
 #: Operations that enumerate all minors refuse dimensions above this bound
 #: unless the caller overrides it; the minor count grows as sum_k C(n,k)^2.
@@ -115,21 +113,6 @@ class IndexSet:
     def of(cls, n: int, *members: int) -> "IndexSet":
         return cls(n, tuple(sorted(members)))
 
-    def rank(self) -> int:
-        """1-based position in the lexicographic order of equal-size subsets."""
-        r = 0
-        k = len(self.members)
-        prev = 0
-        for i, m in enumerate(self.members, start=1):
-            for skipped in range(prev + 1, m):
-                r += comb(self.n - skipped, k - i)
-            prev = m
-        return r + 1
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.members)
-        return IndexSet(self.n, tuple(i for i in range(1, self.n + 1) if i not in inside))
-
     def zero_based(self) -> tuple[int, ...]:
         return tuple(m - 1 for m in self.members)
 
@@ -197,14 +180,6 @@ class RationalMatrix:
         coerced = [_coerce_rational(f) for f in factors]
         return RationalMatrix(tuple(tuple(f * e for e in row) for f, row in zip(coerced, self.rows)))
 
-    def submatrix(self, row_set: IndexSet, col_set: IndexSet) -> "RationalMatrix":
-        if not row_set.members or not col_set.members:
-            raise ValueError("submatrix selection must be nonempty")
-        _check_in_range(self, row_set, col_set)
-        return RationalMatrix(
-            tuple(tuple(self.rows[i][j] for j in col_set.zero_based()) for i in row_set.zero_based())
-        )
-
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -213,9 +188,6 @@ class RationalMatrix:
         return RationalMatrix(
             tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return mat_mul(self, other)
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -340,28 +312,13 @@ def minor(matrix: RationalMatrix, row_set: IndexSet, col_set: IndexSet) -> Fract
 class CompoundMatrix:
     """All order-j minors of a source matrix, indexed lexicographically.
 
-    Entry (rank(a), rank(b)) is the minor on rows a, columns b, where rank
-    is the 1-based lexicographic rank among size-j subsets.
+    Row a and column b of ``entries`` hold the minor on the a-th and b-th
+    size-j subsets of {1..n}, in the order of :func:`index_sets`.
     """
 
     source_n: int
     order: int
     entries: RationalMatrix
-
-    @property
-    def size(self) -> int:
-        return self.entries.n
-
-    def index_sets(self) -> tuple[IndexSet, ...]:
-        return tuple(index_sets(self.source_n, self.order))
-
-    def minor_at(self, row_set: IndexSet, col_set: IndexSet) -> Fraction:
-        for index_set in (row_set, col_set):
-            if index_set.n != self.source_n or len(index_set) != self.order:
-                raise ValueError(
-                    f"index sets must have size {self.order} in ambient dimension {self.source_n}"
-                )
-        return self.entries.rows[row_set.rank() - 1][col_set.rank() - 1]
 
     def trace(self) -> Fraction:
         return self.entries.trace()

@@ -200,11 +200,32 @@ def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> 
     return direct
 
 
+def _first_positive_pair(matrix: RationalMatrix, subsets: list[tuple[int, ...]]) -> MinorPairWitness | None:
+    """The first mirrored pair of minors with positive product among equal-size ``subsets``.
+
+    Pairs (a, b) with a before b are visited in lexicographic order; a
+    principal minor is never paired with itself.
+    """
+    n = matrix.n
+    rows = matrix.rows
+    for a, row_sel in enumerate(subsets):
+        for col_sel in subsets[a + 1:]:
+            forward = _det_rows(tuple(tuple(rows[i][j] for j in col_sel) for i in row_sel))
+            backward = _det_rows(tuple(tuple(rows[i][j] for j in row_sel) for i in col_sel))
+            if forward * backward > 0:
+                return MinorPairWitness(
+                    IndexSet(n, tuple(i + 1 for i in row_sel)),
+                    IndexSet(n, tuple(i + 1 for i in col_sel)),
+                    forward,
+                    backward,
+                )
+    return None
+
+
 def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     """Evaluate all five class predicates in one minor-enumeration pass."""
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    rows = matrix.rows
 
     p_witness: PrincipalMinorWitness | None = None
     p0_witness: PrincipalMinorWitness | None = None
@@ -230,22 +251,7 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
                 p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), m)
 
         if pair_witness is None:
-            for a in range(len(subsets)):
-                row_sel = subsets[a]
-                for b in range(a + 1, len(subsets)):
-                    col_sel = subsets[b]
-                    forward = _det_rows(tuple(tuple(rows[i][j] for j in col_sel) for i in row_sel))
-                    backward = _det_rows(tuple(tuple(rows[i][j] for j in row_sel) for i in col_sel))
-                    if forward * backward > 0:
-                        pair_witness = MinorPairWitness(
-                            IndexSet(n, tuple(i + 1 for i in row_sel)),
-                            IndexSet(n, tuple(i + 1 for i in col_sel)),
-                            forward,
-                            backward,
-                        )
-                        break
-                if pair_witness is not None:
-                    break
+            pair_witness = _first_positive_pair(matrix, subsets)
 
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:
@@ -275,21 +281,8 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
     """
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    rows = matrix.rows
     for k in range(1, n + 1):
-        subsets = list(combinations(range(n), k))
-        for a in range(len(subsets)):
-            row_sel = subsets[a]
-            for b in range(a + 1, len(subsets)):
-                col_sel = subsets[b]
-                forward = _det_rows(tuple(tuple(rows[i][j] for j in col_sel) for i in row_sel))
-                backward = _det_rows(tuple(tuple(rows[i][j] for j in row_sel) for i in col_sel))
-                if forward * backward > 0:
-                    witness = MinorPairWitness(
-                        IndexSet(n, tuple(i + 1 for i in row_sel)),
-                        IndexSet(n, tuple(i + 1 for i in col_sel)),
-                        forward,
-                        backward,
-                    )
-                    return Verdict(False, witness)
+        witness = _first_positive_pair(matrix, list(combinations(range(n), k)))
+        if witness is not None:
+            return Verdict(False, witness)
     return Verdict(True)

@@ -59,19 +59,6 @@ class SparsePolynomial:
     def constant(cls, n_vars: int, value) -> "SparsePolynomial":
         return cls(n_vars, {tuple([0] * n_vars): value})
 
-    @classmethod
-    def variable(cls, n_vars: int, index: int) -> "SparsePolynomial":
-        """The variable d<index>, 1-based."""
-        if not 1 <= index <= n_vars:
-            raise ValueError(f"variable index must be in 1..{n_vars}, got {index}")
-        exps = [0] * n_vars
-        exps[index - 1] = 1
-        return cls(n_vars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, n_vars: int, exponents: Sequence[int], coefficient) -> "SparsePolynomial":
-        return cls(n_vars, {tuple(exponents): coefficient})
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -84,12 +71,6 @@ class SparsePolynomial:
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))
-
-    def total_degree(self) -> int:
-        """Highest total degree among the terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """Whether all terms share one total degree (vacuously true when zero)."""
@@ -157,14 +138,6 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = SparsePolynomial.constant(self.n_vars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
@@ -208,22 +181,3 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"<SparsePolynomial {self.to_text()}>"
-
-    # -- structured form -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "terms": [
-                {"exponents": list(exps), "coefficient": str(coeff)}
-                for exps, coeff in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "SparsePolynomial":
-        terms = {
-            tuple(item["exponents"]): Fraction(item["coefficient"])
-            for item in document["terms"]
-        }
-        return cls(document["n_vars"], terms)

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .matrices import RationalMatrix, determinant, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
@@ -114,16 +115,23 @@ class RefutationReport:
         return {
             "matrix": matrix_to_dict(self.matrix),
             "squared": matrix_to_dict(self.squared),
-            "invariants": [
-                {"order": j, "polynomial": p.to_text(), "certificate": cert.to_dict()}
-                for j, (p, cert) in enumerate(zip(self.polynomials, self.certificates), start=1)
-            ],
+            "invariants": invariants_to_dict(self.polynomials, self.certificates),
             "hypothesis": self.hypothesis.to_dict(),
             "conclusion": self.conclusion.to_dict(),
             "anti_sign_symmetric": self.anti_sign.to_dict(),
             "two_by_two": self.matrix.n == 2,
             "verdict": self.verdict.to_dict(),
         }
+
+
+def invariants_to_dict(
+    polynomials: Sequence[SparsePolynomial], certificates: Sequence[Certificate]
+) -> list[dict]:
+    """The structured form of p_1..p_n, each with its certificate."""
+    return [
+        {"order": j, "polynomial": p.to_text(), "certificate": cert.to_dict()}
+        for j, (p, cert) in enumerate(zip(polynomials, certificates), start=1)
+    ]
 
 
 def derive_verdict(
@@ -181,21 +189,23 @@ def verify_refutation(
     budget: int = 10_000,
     seed: int = 0,
     exponent_range: int = 3,
-    max_dim: int | None = None,
     symbolic_max_dim: int | None = None,
 ) -> RefutationReport:
-    """Test whether ``matrix`` refutes the implication (see module docstring)."""
+    """Test whether ``matrix`` refutes the implication (see module docstring).
+
+    Minor enumeration uses its default bound; ``symbolic_max_dim`` overrides
+    the symbolic-expansion bound.
+    """
     polys, hypothesis = evaluate_hypothesis(
         matrix,
         budget=budget,
         seed=seed,
         exponent_range=exponent_range,
-        max_dim=max_dim,
         symbolic_max_dim=symbolic_max_dim,
     )
     squared = mat_mul(matrix, matrix)
-    conclusion = classify(squared, max_dim=max_dim)
-    anti_sign = is_anti_sign_symmetric(matrix, max_dim=max_dim)
+    conclusion = classify(squared)
+    anti_sign = is_anti_sign_symmetric(matrix)
     verdict = derive_verdict(hypothesis, conclusion, matrix.n, anti_sign)
     return RefutationReport(
         matrix=matrix,

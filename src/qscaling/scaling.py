@@ -46,6 +46,9 @@ from .polynomial import SparsePolynomial
 #: entries at most 2 summing to 2j, up to 141 monomials for p_3 at n = 6.
 DEFAULT_SYMBOLIC_GUARD = 6
 
+#: the grid strategy of certify_positive_on_orthant evaluates at most this many points
+GRID_BUDGET = 2000
+
 
 def check_symbolic_dim(n: int, max_dim: int | None = None) -> None:
     limit = DEFAULT_SYMBOLIC_GUARD if max_dim is None else max_dim
@@ -74,42 +77,12 @@ class DiagonalScaling:
     def n(self) -> int:
         return len(self.diagonal)
 
-    def as_matrix(self) -> RationalMatrix:
-        return RationalMatrix.diagonal(self.diagonal)
-
     def apply_left(self, matrix: RationalMatrix) -> RationalMatrix:
         """D*A, i.e. row i of A scaled by the i-th diagonal entry."""
         return matrix.scale_rows(self.diagonal)
 
     def to_dict(self) -> dict:
         return {"diagonal": [render_rational(d) for d in self.diagonal]}
-
-
-@dataclass(frozen=True)
-class EpsilonScaling:
-    """The degenerate-direction scaling: 1 on ``alpha``, epsilon elsewhere."""
-
-    n: int
-    alpha: IndexSet
-    epsilon: Fraction
-
-    def __post_init__(self):
-        eps = _coerce_rational(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be strictly positive, got {eps}")
-        if self.alpha.members and self.alpha.members[-1] > self.n:
-            raise ValueError(f"alpha {self.alpha} does not fit in dimension {self.n}")
-
-    def to_scaling(self) -> DiagonalScaling:
-        inside = set(self.alpha.members)
-        one = Fraction(1)
-        return DiagonalScaling(tuple(one if i in inside else self.epsilon for i in range(1, self.n + 1)))
-
-
-def d_epsilon(n: int, alpha: IndexSet, epsilon) -> DiagonalScaling:
-    """Diagonal scaling with entry 1 on ``alpha`` and ``epsilon`` outside it."""
-    return EpsilonScaling(n, alpha, epsilon).to_scaling()
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +348,15 @@ def _quadratic_witness(p: SparsePolynomial, a: Fraction, b: Fraction, c: Fractio
     """Exact non-positivity witness for a failing two-variable quadratic."""
     one = Fraction(1)
     if a < 0 or c < 0:
-        # walk toward the axis where the negative square term dominates
+        # walk toward the axis where the negative square term dominates; the walk
+        # ends, since p(1, t) -> a < 0 (or p(t, 1) -> c < 0) as t -> 0
         t = one
-        for _ in range(512):
+        while True:
             point = (one, t) if a < 0 else (t, one)
             value = p.evaluate(point)
             if value <= 0:
                 return WitnessEvidence(point, value)
             t /= 2
-        raise AssertionError("axis walk failed to expose a negative square coefficient")
     if a == 0:
         # p = b*x*y + c*y^2 with b < 0: push x past c/(-b)
         x = c / (-b) + 1
@@ -428,15 +401,16 @@ def _grid_points(n_vars: int, budget: int):
         emitted += 1
 
 
-def certify_positive_on_orthant(p: SparsePolynomial, grid_budget: int = 2000) -> Certificate:
+def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """Decide positivity of ``p`` on the open positive orthant where possible.
 
     Strategies, in fixed order: (a) all coefficients nonnegative with one
     positive; (b) the homogeneous two-variable quadratic, decided
     completely, with a weighted square completion as evidence when it
     certifies and an exact witness when it refutes; (c) a deterministic
-    positive sample grid hunting for a point with p <= 0. Anything left
-    over is INCONCLUSIVE, which is a legitimate outcome, not an error.
+    positive sample grid of up to GRID_BUDGET points hunting for a point
+    with p <= 0. Anything left over is INCONCLUSIVE, which is a legitimate
+    outcome, not an error.
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
@@ -452,13 +426,8 @@ def certify_positive_on_orthant(p: SparsePolynomial, grid_budget: int = 2000) ->
     quadratic = _as_two_var_quadratic(p)
     if quadratic is not None:
         a, b, c = quadratic
-        if a > 0 and c > 0 and (b >= 0 or b * b < 4 * a * c):
-            if b >= 0:
-                # nonnegative coefficients; handled above, kept for completeness
-                positive = next((e, co) for e, co in terms if co > 0)
-                return Certificate(
-                    p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(*positive)
-                )
+        # if a, c > 0 then b < 0: otherwise every coefficient is positive and (a) applied
+        if a > 0 and c > 0 and b * b < 4 * a * c:
             half = b / (2 * a)
             first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
             second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
@@ -469,7 +438,7 @@ def certify_positive_on_orthant(p: SparsePolynomial, grid_budget: int = 2000) ->
         witness = _quadratic_witness(p, a, b, c)
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
 
-    for point in _grid_points(p.n_vars, grid_budget):
+    for point in _grid_points(p.n_vars, GRID_BUDGET):
         value = p.evaluate(point)
         if value <= 0:
             return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, value))

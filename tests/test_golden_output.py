@@ -1,9 +1,12 @@
-"""Byte-for-byte CLI output against files recorded before the p_j rewrite.
+"""Byte-for-byte CLI output against recordings.
 
-Each file under ``tests/golden/`` is the stdout of one command, recorded
-when p_j still came from the polynomial-matrix expansion and sampling
-still ran in Fractions. Faster routes must reproduce it exactly, along
-with the exit code.
+Each file under ``tests/golden/`` is the stdout of one command. The
+``reproduce``, ``hunt`` and text ``q2scaling`` files were recorded when p_j
+still came from the polynomial-matrix expansion and sampling still ran in
+Fractions; the ``analyze`` files and ``q2_ref.json`` were recorded before
+the anti-sign scan was merged into one routine and the q2scaling renderers
+were shared with the report. Later routes must reproduce every file
+exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from qscaling.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4"
 
 CASES = [
     ("reproduce.txt", 0, ["reproduce"]),
@@ -26,6 +30,12 @@ CASES = [
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),
     ("q2_inconclusive_d3.txt", 0, ["q2scaling", "--inline", "3; 3 0 3; -2 4 3; 4 -1 2"]),
+    ("q2_ref.json", 0, ["q2scaling", "--format", "structured", "--inline", "2; 1 2; -1 5"]),
+    # upper triangular: the anti-sign scan finds no violation and visits every pair
+    ("analyze_upper5.txt", 0, ["analyze", "--inline", UPPER_5]),
+    ("analyze_upper5.json", 0, ["analyze", "--format", "structured", "--inline", UPPER_5]),
+    # the first anti-sign violation is at order 3, ({1,2,3}, {2,3,4})
+    ("analyze_order3_pair.txt", 0, ["analyze", "--inline", "4; -2 3 0 0; -2 -2 0 -1; 1 -2 -1 0; 2 2 -3 0"]),
 ]
 
 

@@ -60,17 +60,12 @@ def test_index_set_validation():
     assert IndexSet.of(4, 3, 1).members == (1, 3)
 
 
-def test_index_set_rank_matches_lexicographic_enumeration():
+def test_index_sets_enumerate_lexicographically():
     for n in range(1, 7):
         for k in range(0, n + 1):
-            sets = list(index_sets(n, k))
-            for position, s in enumerate(sets, start=1):
-                assert s.rank() == position
-            assert len(sets) == comb(n, k)
-
-
-def test_index_set_complement():
-    assert IndexSet(5, (2, 4)).complement().members == (1, 3, 5)
+            members = [s.members for s in index_sets(n, k)]
+            assert members == sorted(members)
+            assert len(set(members)) == len(members) == comb(n, k)
 
 
 # -- minors and determinants -------------------------------------------------
@@ -145,7 +140,6 @@ def test_compound_entries_match_minor_oracle():
         for b, beta in enumerate(sets):
             expected = brute_force_minor(rows, alpha.zero_based(), beta.zero_based())
             assert c.entries.rows[a][b] == expected
-            assert c.minor_at(alpha, beta) == expected
             assert minor(m, alpha, beta) == expected
 
 

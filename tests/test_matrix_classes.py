@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from qscaling import (
     OrderGapWitness,
     PrincipalMinorWitness,
     RationalMatrix,
+    Verdict,
     classify,
     is_anti_sign_symmetric,
     mat_mul,
@@ -26,7 +28,7 @@ from helpers import (
     random_rational_matrix,
     random_upper_triangular_positive_diagonal,
 )
-from oracles import faddeev_leverrier
+from oracles import brute_force_minor, faddeev_leverrier
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
 A_REF_SQUARED = mat_mul(A_REF, A_REF)
@@ -112,11 +114,42 @@ def test_anti_sign_symmetry():
     assert witness.reverify(ones)
 
 
+def _first_anti_sign_violation(m: RationalMatrix) -> Verdict:
+    """Independent scan: the first pair (order, then a < b lexicographically) with positive product."""
+    rows = [list(row) for row in m.rows]
+    for k in range(1, m.n + 1):
+        for a, b in combinations(combinations(range(m.n), k), 2):
+            forward, backward = brute_force_minor(rows, a, b), brute_force_minor(rows, b, a)
+            if forward * backward > 0:
+                row_set = IndexSet(m.n, tuple(i + 1 for i in a))
+                col_set = IndexSet(m.n, tuple(i + 1 for i in b))
+                return Verdict(False, MinorPairWitness(row_set, col_set, forward, backward))
+    return Verdict(True)
+
+
+def _order_one_anti_sign(rng: random.Random, n: int) -> RationalMatrix:
+    """A random integer matrix with a_ij * a_ji <= 0, so any violation has order >= 2."""
+    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[j][i] = -rows[i][j] * rng.randint(0, 2)
+    return RationalMatrix(tuple(map(tuple, rows)))
+
+
 def test_classify_and_standalone_anti_sign_agree():
     rng = random.Random(113)
-    for _ in range(25):
-        m = random_int_matrix(rng, rng.randint(2, 4), bound=3)
-        assert classify(m).anti_sign_symmetric.holds == is_anti_sign_symmetric(m).holds
+    # first violation at order 3, at ({1,2,3}, {2,3,4})
+    cases = [RationalMatrix(((-2, 3, 0, 0), (-2, -2, 0, -1), (1, -2, -1, 0), (2, 2, -3, 0)))]
+    for n in range(1, 6):
+        upper = [random_upper_triangular_positive_diagonal(rng, n) for _ in range(2)]
+        assert all(is_anti_sign_symmetric(m) == Verdict(True) for m in upper)
+        cases += upper
+        cases += [random_int_matrix(rng, n, bound=3) for _ in range(6)]
+        cases += [_order_one_anti_sign(rng, n) for _ in range(4)]
+    for m in cases:
+        verdict = is_anti_sign_symmetric(m)
+        assert classify(m).anti_sign_symmetric == verdict
+        assert verdict == _first_anti_sign_violation(m)
 
 
 def test_witnesses_reverify():

@@ -17,7 +17,6 @@ from qscaling import (
     cauchy_binet_terms,
     certify_positive_on_orthant,
     classify,
-    d_epsilon,
     mat_mul,
     minor,
     principal_minor_sums,
@@ -37,37 +36,11 @@ NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
 # -- diagonal scalings ---------------------------------------------------------
 
 
-def test_d_epsilon_reference():
-    eps = Fraction(1, 100)
-    assert d_epsilon(3, IndexSet.of(3, 1, 2), eps).diagonal == (1, 1, eps)
-    assert d_epsilon(3, IndexSet.of(3, 1, 2, 3), eps).diagonal == (1, 1, 1)
-    assert d_epsilon(2, IndexSet.of(2, 2), Fraction(1, 7)).diagonal == (Fraction(1, 7), 1)
-
-
-def test_d_epsilon_rejects_nonpositive_epsilon():
-    with pytest.raises(ValueError):
-        d_epsilon(3, IndexSet.of(3, 1), Fraction(0))
-    with pytest.raises(ValueError):
-        d_epsilon(3, IndexSet.of(3, 1), Fraction(-1, 2))
-
-
 def test_diagonal_scaling_validation_and_product():
     with pytest.raises(ValueError):
         DiagonalScaling((Fraction(1), Fraction(0)))
     scaling = DiagonalScaling((Fraction(2), Fraction(3)))
     assert scaling.apply_left(A_REF) == RationalMatrix(((2, 4), (-3, 15)))
-    assert scaling.as_matrix() == RationalMatrix.diagonal((2, 3))
-
-
-def test_epsilon_scaling_type():
-    from qscaling import EpsilonScaling
-
-    eps = EpsilonScaling(3, IndexSet.of(3, 2), Fraction(1, 5))
-    assert eps.to_scaling().diagonal == (Fraction(1, 5), 1, Fraction(1, 5))
-    with pytest.raises(ValueError):
-        EpsilonScaling(3, IndexSet.of(3, 1), Fraction(0))
-    with pytest.raises(ValueError):
-        EpsilonScaling(2, IndexSet.of(3, 3), Fraction(1, 2))
 
 
 # -- symbolic invariants ---------------------------------------------------------
@@ -195,6 +168,8 @@ def test_certificate_zero_polynomial():
         {(1, 1): -1, (0, 2): 1},              # a = 0, b < 0
         {(2, 0): 1, (1, 1): -3},              # c = 0, b < 0
         {(2, 0): 3, (1, 1): -12, (0, 2): 12},  # boundary: b^2 = 4ac exactly
+        {(2, 0): -1, (1, 1): 2**600, (0, 2): 1},  # a < 0 outweighed until t < 2^-600
+        {(2, 0): 1, (1, 1): 2**600, (0, 2): -1},  # the mirror: c < 0
     ],
 )
 def test_failing_quadratics_get_exact_witnesses(terms):
