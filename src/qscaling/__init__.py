@@ -1,8 +1,8 @@
 """Exact-arithmetic matrix-class analysis and positive-diagonal-scaling certificates.
 
 The package classifies square rational matrices into the P / P0 / P0+ / Q
-hierarchy via principal minors and compound matrices, builds the
-invariant polynomials of (D*A)^2 over all positive diagonal scalings D,
+hierarchy from their principal minors, builds the invariant polynomials
+of (D*A)^2 over all positive diagonal scalings D,
 certifies or refutes their positivity on the open positive orthant, and
 packages the whole pipeline as a counterexample checker and hunter.
 """

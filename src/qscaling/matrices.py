@@ -56,6 +56,7 @@ def check_enumeration_dim(n: int, max_dim: int | None = None) -> None:
 
 
 _RATIONAL_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
+_DIMENSION_TOKEN = re.compile(r"[0-9]+\Z")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -250,6 +251,27 @@ def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_bareiss_int(int_rows), scale)
 
 
+def principal_minors(matrix: RationalMatrix) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
+    """Every principal minor of q*A, in integers, grouped by order.
+
+    q is the least common denominator of A's entries, so every minor of q*A
+    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k lists
+    (S, det((q*A)[S])) for the order-k index sets S in the order of
+    ``combinations(range(n), k)``, zeros included; entry 0 is the empty set
+    with minor 1. This is the one place the package computes principal
+    minors.
+    """
+    n = matrix.n
+    q = lcm(*(x.denominator for row in matrix.rows for x in row))
+    scaled = [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
+    by_order: list[list[tuple[tuple[int, ...], int]]] = [[((), 1)]]
+    for k in range(1, n + 1):
+        by_order.append(
+            [(s, _bareiss_int([[scaled[i][j] for j in s] for i in s])) for s in combinations(range(n), k)]
+        )
+    return q, by_order
+
+
 def determinant(matrix: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination.
 
@@ -379,7 +401,7 @@ def parse_matrix(text: str) -> RationalMatrix:
     if header_idx is None:
         raise MatrixParseError("empty input, expected a dimension line", line=1, column=1)
     header = lines[header_idx].strip()
-    if not header.isdigit() or int(header) < 1:
+    if not _DIMENSION_TOKEN.match(header) or int(header) < 1:
         raise MatrixParseError(f"expected a positive dimension, found {header!r}", line=header_idx + 1, column=1)
     n = int(header)
 
@@ -429,7 +451,7 @@ def matrix_from_dict(document: dict) -> RationalMatrix:
         raise MatrixParseError(f"expected an object, got {type(document).__name__}")
     n = document.get("n")
     rows = document.get("rows")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MatrixParseError(f"field 'n' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixParseError(f"field 'rows' must be a list of {n} rows")

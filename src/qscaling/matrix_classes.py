@@ -21,8 +21,8 @@ from .matrices import (
     RationalMatrix,
     _det_rows,
     check_enumeration_dim,
-    compound,
     minor,
+    principal_minors,
     render_rational,
 )
 
@@ -166,38 +166,11 @@ class ClassReport:
         }
 
 
-def _principal_minors_of_order(matrix: RationalMatrix, subsets) -> list[Fraction]:
-    rows = matrix.rows
-    return [_det_rows(tuple(tuple(rows[i][j] for j in s) for i in s)) for s in subsets]
-
-
-def _sums_by_enumeration(matrix: RationalMatrix) -> tuple[Fraction, ...]:
-    n = matrix.n
-    sums = []
-    for k in range(1, n + 1):
-        subsets = combinations(range(n), k)
-        sums.append(sum(_principal_minors_of_order(matrix, subsets), Fraction(0)))
-    return tuple(sums)
-
-
-def _sums_by_compound_trace(matrix: RationalMatrix, max_dim: int | None = None) -> tuple[Fraction, ...]:
-    return tuple(compound(matrix, k, max_dim=max_dim).trace() for k in range(1, matrix.n + 1))
-
-
 def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> tuple[Fraction, ...]:
-    """The vector c_1..c_n, where c_k sums all order-k principal minors.
-
-    Computed twice, by direct subset enumeration and as the trace of each
-    compound matrix, and cross-asserted before returning.
-    """
+    """The vector c_1..c_n, where c_k sums all order-k principal minors."""
     check_enumeration_dim(matrix.n, max_dim)
-    direct = _sums_by_enumeration(matrix)
-    via_compound = _sums_by_compound_trace(matrix, max_dim=max_dim)
-    if direct != via_compound:
-        raise ArithmeticError(
-            f"internal inconsistency: enumeration gave {direct}, compound traces gave {via_compound}"
-        )
-    return direct
+    q, by_order = principal_minors(matrix)
+    return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, matrix.n + 1))
 
 
 def _first_positive_pair(matrix: RationalMatrix, subsets: list[tuple[int, ...]]) -> MinorPairWitness | None:
@@ -234,24 +207,26 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     sums: list[Fraction] = []
     has_positive: list[bool] = []
 
+    q, by_order = principal_minors(matrix)
     for k in range(1, n + 1):
-        subsets = list(combinations(range(n), k))
-        minors = _principal_minors_of_order(matrix, subsets)
+        # integer minors of q*A; det(A[S]) is the minor over q^k
+        minors = by_order[k]
+        scale = q**k
 
-        c_k = sum(minors, Fraction(0))
+        c_k = Fraction(sum(v for _, v in minors), scale)
         sums.append(c_k)
-        has_positive.append(any(m > 0 for m in minors))
+        has_positive.append(any(v > 0 for _, v in minors))
         if q_witness is None and c_k <= 0:
             q_witness = MinorSumWitness(k, c_k)
 
-        for s, m in zip(subsets, minors):
-            if m <= 0 and p_witness is None:
-                p_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), m)
-            if m < 0 and p0_witness is None:
-                p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), m)
+        for s, v in minors:
+            if v <= 0 and p_witness is None:
+                p_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
+            if v < 0 and p0_witness is None:
+                p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
 
         if pair_witness is None:
-            pair_witness = _first_positive_pair(matrix, subsets)
+            pair_witness = _first_positive_pair(matrix, [s for s, _ in minors])
 
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import IndexSet, RationalMatrix, determinant, mat_mul, minor
-from .matrix_classes import PrincipalMinorWitness, classify, is_anti_sign_symmetric, principal_minor_sums
+from .matrices import IndexSet, RationalMatrix, determinant, minor
+from .matrix_classes import PrincipalMinorWitness
 from .refute import RefutationReport, VerdictKind, verify_refutation
 from .scaling import (
     CertificateVerdict,
     CoefficientEvidence,
     QuadraticEvidence,
     cauchy_binet_terms,
-    certify_positive_on_orthant,
     scaled_square_symbolic,
-    symbolic_q_invariants,
 )
 
 COUNTEREXAMPLE_MATRIX = RationalMatrix(((1, 2), (-1, 5)))
@@ -101,7 +99,9 @@ def _describe_verdict(report: RefutationReport) -> str:
 def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult:
     """Recompute the bundled analysis and compare it with the expected values.
 
-    Passing a different matrix (test harnesses only) exercises the
+    The pipeline runs once, through ``verify_refutation``; the checks on
+    A^2, the p_j, their certificates and the class verdicts read its
+    report. Passing a different matrix (test harnesses only) exercises the
     mismatch path: the same pipeline runs, but the frozen expectations
     no longer match and ``ok`` turns false.
     """
@@ -111,9 +111,10 @@ def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult
     def add(name: str, expected: str, actual: str) -> None:
         checks.append(Check(name, expected, actual))
 
-    add("det(A)", "7", str(determinant(a)))
+    report = verify_refutation(a)
+    squared = report.squared
 
-    squared = mat_mul(a, a)
+    add("det(A)", "7", str(determinant(a)))
     add("A^2", "[[-1, 12], [-6, 23]]", _matrix_inline(squared))
 
     symbolic = scaled_square_symbolic(a)
@@ -125,13 +126,12 @@ def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult
         for j in range(min(len(symbolic[i]), 2)):
             add(f"(D*A)^2 entry ({i + 1},{j + 1})", expected_entries[i][j], symbolic[i][j].to_text())
 
-    polys = symbolic_q_invariants(a)
     expected_polys = ("1*d1^2 - 4*d1*d2 + 25*d2^2", "49*d1^2*d2^2")
-    for j, poly in enumerate(polys, start=1):
+    for j, poly in enumerate(report.polynomials, start=1):
         expected = expected_polys[j - 1] if j <= len(expected_polys) else "<unexpected order>"
         add(f"p{j}", expected, poly.to_text())
 
-    certs = [certify_positive_on_orthant(p) for p in polys]
+    certs = report.certificates
     if certs:
         add(
             "p1 certificate",
@@ -147,14 +147,11 @@ def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult
     if len(certs) > 1:
         add("p2 certificate", "positive via nonnegative coefficients", _describe_certificate(certs[1]))
 
-    sums = principal_minor_sums(squared)
-    add("principal minor sums of A^2", "22, 49", ", ".join(str(c) for c in sums))
-
-    conclusion = classify(squared)
+    conclusion = report.conclusion
+    add("principal minor sums of A^2", "22, 49", ", ".join(str(c) for c in conclusion.minor_sums))
     add("A^2 P0 verdict", "fails at {1} with minor -1", _describe_p0(conclusion))
 
-    anti = is_anti_sign_symmetric(a)
-    add("anti-sign symmetry of A", "holds", "holds" if anti.holds else "fails")
+    add("anti-sign symmetry of A", "holds", "holds" if report.anti_sign.holds else "fails")
     if a.n >= 2:
         fwd = minor(a, IndexSet.of(a.n, 1), IndexSet.of(a.n, 2))
         back = minor(a, IndexSet.of(a.n, 2), IndexSet.of(a.n, 1))
@@ -165,7 +162,6 @@ def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult
     add("full-size product-minor expansion total", "49", str(expansion.total))
     add("det(A^2)", "49", str(determinant(squared)))
 
-    report = verify_refutation(a)
     add(
         "verdict",
         "counterexample (certified): general, two_by_two, anti_sign_symmetric",

@@ -32,11 +32,11 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
-    _bareiss_int,
     _coerce_rational,
     check_enumeration_dim,
     index_sets,
     minor,
+    principal_minors,
     render_rational,
 )
 from .polynomial import SparsePolynomial
@@ -90,23 +90,12 @@ class DiagonalScaling:
 
 
 def _principal_minors_by_order(matrix: RationalMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The nonzero principal minors of q*A, keyed by subset, grouped by order.
+    """The nonzero principal minors of q*A (see ``principal_minors``), keyed by subset bitmask.
 
-    q is the least common denominator of A's entries, so every minor of q*A
-    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k lists
-    (mask, minor) for the order-k index sets S, where bit i-1 of mask marks
-    row i; entry 0 is the empty set with minor 1.
+    Bit i-1 of a mask marks row i; entry 0 is the empty set with minor 1.
     """
-    n = matrix.n
-    q = lcm(*(x.denominator for row in matrix.rows for x in row))
-    scaled = [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
-    by_order: list[list[tuple[int, int]]] = [[(0, 1)]] + [[] for _ in range(n)]
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        value = _bareiss_int([[scaled[i][j] for j in members] for i in members])
-        if value:
-            by_order[len(members)].append((mask, value))
-    return q, by_order
+    q, by_order = principal_minors(matrix)
+    return q, [[(sum(1 << i for i in s), v) for s, v in minors if v] for minors in by_order]
 
 
 def _pair_weights(n: int, j: int) -> list[tuple[int, int, int]]:

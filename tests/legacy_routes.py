@@ -6,6 +6,11 @@ polynomial matrix and sums mask-Laplace determinants of its principal
 submatrices, and ``sample_refute_by_fractions`` squares each drawn D*A in
 Fractions and sums its principal minors. Both are slow, which is why the
 package no longer uses them.
+
+``sums_by_enumeration`` and ``sums_by_compound_trace`` are the two routes
+``principal_minor_sums`` used to run and cross-assert at every call: Fraction
+determinants of the principal submatrices, and the traces of the compound
+matrices. The package now sums the integer minors of ``principal_minors``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from qscaling import DiagonalScaling, RationalMatrix, SparsePolynomial
+from qscaling import DiagonalScaling, RationalMatrix, SparsePolynomial, compound
 from qscaling.matrices import _det_rows
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
@@ -86,14 +91,26 @@ def symbolic_q_invariants_by_expansion(matrix: RationalMatrix) -> list[SparsePol
     return invariants
 
 
+def _principal_minor_sum(rows, subsets) -> Fraction:
+    total = Fraction(0)
+    for s in subsets:
+        total += _det_rows(tuple(tuple(rows[i][j] for j in s) for i in s))
+    return total
+
+
+def sums_by_enumeration(matrix: RationalMatrix) -> tuple[Fraction, ...]:
+    """c_1..c_n as sums of Fraction determinants of the principal submatrices."""
+    n = matrix.n
+    return tuple(_principal_minor_sum(matrix.rows, combinations(range(n), k)) for k in range(1, n + 1))
+
+
+def sums_by_compound_trace(matrix: RationalMatrix) -> tuple[Fraction, ...]:
+    """c_1..c_n as the traces of the compound matrices of every order."""
+    return tuple(compound(matrix, k).trace() for k in range(1, matrix.n + 1))
+
+
 def _is_q_matrix_rows(rows, subset_lists) -> bool:
-    for subsets in subset_lists:
-        total = Fraction(0)
-        for s in subsets:
-            total += _det_rows(tuple(tuple(rows[i][j] for j in s) for i in s))
-        if total <= 0:
-            return False
-    return True
+    return all(_principal_minor_sum(rows, subsets) > 0 for subsets in subset_lists)
 
 
 def sample_refute_by_fractions(

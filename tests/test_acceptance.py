@@ -33,7 +33,6 @@ from qscaling import (
     zero_rows_outside,
 )
 from qscaling.cli import main
-from qscaling.matrix_classes import _sums_by_compound_trace, _sums_by_enumeration
 
 from helpers import (
     assert_class_lattice,
@@ -42,6 +41,7 @@ from helpers import (
     random_rational_matrix,
     random_upper_triangular_positive_diagonal,
 )
+from legacy_routes import sums_by_compound_trace, sums_by_enumeration
 from oracles import faddeev_leverrier
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -137,8 +137,8 @@ def test_criterion_4_minor_sum_triple_agreement():
     for n in (2, 3, 4, 5):
         for _ in range(100):
             m = random_rational_matrix(rng, n, num_bound=9, den_bound=3)
-            direct = _sums_by_enumeration(m)
-            via_compound = _sums_by_compound_trace(m)
+            direct = sums_by_enumeration(m)
+            via_compound = sums_by_compound_trace(m)
             via_recurrence = tuple(faddeev_leverrier([list(row) for row in m.rows]))
             assert direct == via_compound == via_recurrence
             assert principal_minor_sums(m) == direct

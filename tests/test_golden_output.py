@@ -5,8 +5,10 @@ Each file under ``tests/golden/`` is the stdout of one command. The
 still came from the polynomial-matrix expansion and sampling still ran in
 Fractions; the ``analyze`` files and ``q2_ref.json`` were recorded before
 the anti-sign scan was merged into one routine and the q2scaling renderers
-were shared with the report. Later routes must reproduce every file
-exactly, along with the exit code.
+were shared with the report; ``reproduce.json`` was recorded while
+``reproduce`` still ran each stage itself and then ``verify_refutation``
+again, and while principal minors were still enumerated in Fractions.
+Later routes must reproduce every file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -20,6 +22,7 @@ UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4
 
 CASES = [
     ("reproduce.txt", 0, ["reproduce"]),
+    ("reproduce.json", 0, ["reproduce", "--format", "structured"]),
     ("hunt_d2.txt", 1, ["hunt", "--dim", "2", "--count", "40", "--seed", "3", "--budget", "50"]),
     ("hunt_d3.txt", 1, ["hunt", "--dim", "3", "--count", "20", "--seed", "0", "--budget", "500"]),
     (

@@ -257,12 +257,22 @@ def test_parse_matrix_errors_carry_positions():
     with pytest.raises(MatrixParseError):
         parse_matrix("1\n5\nextra\n")
 
+    # digits outside ASCII: "²" is a digit to str.isdigit but not to int(),
+    # and "٣" (Arabic-Indic three) would be read as 3
+    for header in ("²", "٣"):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(f"{header}\n1 2 3\n4 5 6\n7 8 9\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+
 
 def test_matrix_from_dict_errors():
     with pytest.raises(MatrixParseError):
         matrix_from_dict({"n": 2, "rows": [["1", "2"]]})
     with pytest.raises(MatrixParseError):
         matrix_from_dict({"n": 1, "rows": [[1]]})
+    # bool is a subclass of int, but True is not a dimension
+    with pytest.raises(MatrixParseError):
+        matrix_from_dict({"n": True, "rows": [["3"]]})
 
 
 def test_matrix_rejects_floats_and_ragged_rows():

@@ -19,7 +19,6 @@ from qscaling import (
     mat_mul,
     principal_minor_sums,
 )
-from qscaling.matrix_classes import _sums_by_compound_trace, _sums_by_enumeration
 
 from helpers import (
     assert_class_lattice,
@@ -28,6 +27,7 @@ from helpers import (
     random_rational_matrix,
     random_upper_triangular_positive_diagonal,
 )
+from legacy_routes import sums_by_compound_trace
 from oracles import brute_force_minor, faddeev_leverrier
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -57,7 +57,7 @@ def test_sum_routes_agree_internally():
     rng = random.Random(112)
     for n in (2, 3, 4):
         m = random_rational_matrix(rng, n)
-        assert _sums_by_enumeration(m) == _sums_by_compound_trace(m)
+        assert principal_minor_sums(m) == sums_by_compound_trace(m)
 
 
 def test_classify_squared_reference():
