@@ -14,7 +14,6 @@ from .matrices import (
     IndexSet,
     MatrixParseError,
     RationalMatrix,
-    cofactor_determinant,
     compound,
     determinant,
     index_sets,

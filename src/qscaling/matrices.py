@@ -202,9 +202,12 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix."""
+    """Fraction-free Bareiss elimination on a nonempty integer matrix.
+
+    Overwrites ``rows``; every caller passes a freshly built list.
+    """
     n = len(rows)
-    a = [row[:] for row in rows]
+    a = rows
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -227,84 +230,45 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a small row tuple; direct formulas up to 3x3, Bareiss above."""
-    k = len(rows)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
-    scale = 1
-    int_rows = []
-    for row in rows:
-        row_lcm = 1
-        for e in row:
-            row_lcm = lcm(row_lcm, e.denominator)
-        scale *= row_lcm
-        int_rows.append([e.numerator * (row_lcm // e.denominator) for e in row])
-    return Fraction(_bareiss_int(int_rows), scale)
+def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """q, the least common denominator of A's entries, and the integer matrix q*A."""
+    q = lcm(*(x.denominator for row in matrix.rows for x in row))
+    return q, [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
 
 
-def principal_minors(matrix: RationalMatrix) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
-    """Every principal minor of q*A, in integers, grouped by order.
+def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
+    """det((q*A)[rows, cols]) for nonempty 0-based selections: q^k times the minor of A.
+
+    This is the one place the package evaluates a minor.
+    """
+    return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
+
+
+def principal_minors(
+    matrix: RationalMatrix,
+) -> tuple[int, list[list[int]], list[list[tuple[tuple[int, ...], int]]]]:
+    """q, q*A, and every principal minor of q*A in integers, grouped by order.
 
     q is the least common denominator of A's entries, so every minor of q*A
-    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k lists
-    (S, det((q*A)[S])) for the order-k index sets S in the order of
-    ``combinations(range(n), k)``, zeros included; entry 0 is the empty set
-    with minor 1. This is the one place the package computes principal
-    minors.
+    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k of the minor
+    list holds (S, det((q*A)[S])) for the order-k index sets S in the order
+    of ``combinations(range(n), k)``, zeros included; entry 0 is the empty
+    set with minor 1. The scaled rows are returned so a caller that also
+    needs other minors of q*A does not clear denominators again.
     """
     n = matrix.n
-    q = lcm(*(x.denominator for row in matrix.rows for x in row))
-    scaled = [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
+    q, scaled = _scaled(matrix)
     by_order: list[list[tuple[tuple[int, ...], int]]] = [[((), 1)]]
     for k in range(1, n + 1):
-        by_order.append(
-            [(s, _bareiss_int([[scaled[i][j] for j in s] for i in s])) for s in combinations(range(n), k)]
-        )
-    return q, by_order
+        by_order.append([(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)])
+    return q, scaled, by_order
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination.
-
-    Denominators are cleared row by row, the integer matrix is reduced with
-    Bareiss' identity-preserving recurrence, and the accumulated row scale
-    is divided back out at the end.
-    """
-    return _det_rows(matrix.rows)
-
-
-def cofactor_determinant(matrix: RationalMatrix) -> Fraction:
-    """Naive cofactor-expansion determinant, kept as an independent cross-check.
-
-    Exponential cost; intended for small matrices and for validating
-    :func:`determinant`, never for production paths.
-    """
-    return _cofactor(matrix.rows)
-
-
-def _cofactor(rows: Sequence[tuple[Fraction, ...]]) -> Fraction:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    head, tail = rows[0], rows[1:]
-    sign = 1
-    for j in range(k):
-        coeff = head[j]
-        if coeff:
-            sub = tuple(row[:j] + row[j + 1:] for row in tail)
-            total += sign * coeff * _cofactor(sub)
-        sign = -sign
-    return total
+    """Exact determinant: the Bareiss determinant of the integer matrix q*A over q^n."""
+    n = matrix.n
+    q, scaled = _scaled(matrix)
+    return Fraction(_int_minor(scaled, range(n), range(n)), q**n)
 
 
 def _check_in_range(matrix: RationalMatrix, *sets: IndexSet) -> None:
@@ -325,9 +289,8 @@ def minor(matrix: RationalMatrix, row_set: IndexSet, col_set: IndexSet) -> Fract
     _check_in_range(matrix, row_set, col_set)
     if not row_set.members:
         return Fraction(1)
-    rows = matrix.rows
-    sub = tuple(tuple(rows[i][j] for j in col_set.zero_based()) for i in row_set.zero_based())
-    return _det_rows(sub)
+    q, scaled = _scaled(matrix)
+    return Fraction(_int_minor(scaled, row_set.zero_based(), col_set.zero_based()), q ** len(row_set))
 
 
 @dataclass(frozen=True)
@@ -353,10 +316,10 @@ def compound(matrix: RationalMatrix, order: int, max_dim: int | None = None) -> 
         raise ValueError(f"compound order must be in 1..{n}, got {order}")
     check_enumeration_dim(n, max_dim)
     subsets = list(combinations(range(n), order))
-    rows = matrix.rows
+    q, scaled = _scaled(matrix)
+    scale = q**order
     entries = tuple(
-        tuple(_det_rows(tuple(tuple(rows[i][j] for j in cols) for i in rws)) for cols in subsets)
-        for rws in subsets
+        tuple(Fraction(_int_minor(scaled, rws, cols), scale) for cols in subsets) for rws in subsets
     )
     return CompoundMatrix(source_n=n, order=order, entries=RationalMatrix(entries))
 

@@ -19,7 +19,8 @@ from itertools import combinations
 from .matrices import (
     IndexSet,
     RationalMatrix,
-    _det_rows,
+    _int_minor,
+    _scaled,
     check_enumeration_dim,
     minor,
     principal_minors,
@@ -169,28 +170,33 @@ class ClassReport:
 def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> tuple[Fraction, ...]:
     """The vector c_1..c_n, where c_k sums all order-k principal minors."""
     check_enumeration_dim(matrix.n, max_dim)
-    q, by_order = principal_minors(matrix)
+    q, _, by_order = principal_minors(matrix)
     return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, matrix.n + 1))
 
 
-def _first_positive_pair(matrix: RationalMatrix, subsets: list[tuple[int, ...]]) -> MinorPairWitness | None:
+def _first_positive_pair(
+    q: int, scaled: list[list[int]], subsets: list[tuple[int, ...]]
+) -> MinorPairWitness | None:
     """The first mirrored pair of minors with positive product among equal-size ``subsets``.
 
-    Pairs (a, b) with a before b are visited in lexicographic order; a
-    principal minor is never paired with itself.
+    ``scaled`` is q*A. Both minors of a pair carry the same positive factor
+    q^k, so the sign of their product is read from the integer minors of
+    q*A; only the returned witness is divided back to minors of A. Pairs
+    (a, b) with a before b are visited in lexicographic order; a principal
+    minor is never paired with itself.
     """
-    n = matrix.n
-    rows = matrix.rows
+    n = len(scaled)
     for a, row_sel in enumerate(subsets):
         for col_sel in subsets[a + 1:]:
-            forward = _det_rows(tuple(tuple(rows[i][j] for j in col_sel) for i in row_sel))
-            backward = _det_rows(tuple(tuple(rows[i][j] for j in row_sel) for i in col_sel))
+            forward = _int_minor(scaled, row_sel, col_sel)
+            backward = _int_minor(scaled, col_sel, row_sel)
             if forward * backward > 0:
+                scale = q ** len(row_sel)
                 return MinorPairWitness(
                     IndexSet(n, tuple(i + 1 for i in row_sel)),
                     IndexSet(n, tuple(i + 1 for i in col_sel)),
-                    forward,
-                    backward,
+                    Fraction(forward, scale),
+                    Fraction(backward, scale),
                 )
     return None
 
@@ -207,7 +213,7 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     sums: list[Fraction] = []
     has_positive: list[bool] = []
 
-    q, by_order = principal_minors(matrix)
+    q, scaled, by_order = principal_minors(matrix)
     for k in range(1, n + 1):
         # integer minors of q*A; det(A[S]) is the minor over q^k
         minors = by_order[k]
@@ -226,7 +232,7 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
                 p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
 
         if pair_witness is None:
-            pair_witness = _first_positive_pair(matrix, [s for s, _ in minors])
+            pair_witness = _first_positive_pair(q, scaled, [s for s, _ in minors])
 
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:
@@ -256,8 +262,9 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
     """
     n = matrix.n
     check_enumeration_dim(n, max_dim)
+    q, scaled = _scaled(matrix)
     for k in range(1, n + 1):
-        witness = _first_positive_pair(matrix, list(combinations(range(n), k)))
+        witness = _first_positive_pair(q, scaled, list(combinations(range(n), k)))
         if witness is not None:
             return Verdict(False, witness)
     return Verdict(True)

@@ -25,6 +25,7 @@ from .scaling import (
     DiagonalScaling,
     WitnessEvidence,
     certify_positive_on_orthant,
+    check_sampling_args,
     sample_refute,
     symbolic_q_invariants,
 )
@@ -167,7 +168,12 @@ def evaluate_hypothesis(
     max_dim: int | None = None,
     symbolic_max_dim: int | None = None,
 ) -> tuple[list[SparsePolynomial], HypothesisStatus]:
-    """Certify or refute "(D*A)^2 is a Q-matrix for every positive diagonal D"."""
+    """Certify or refute "(D*A)^2 is a Q-matrix for every positive diagonal D".
+
+    The sampling arguments are checked up front, whether or not the
+    certificates leave sampling to do.
+    """
+    check_sampling_args(budget, exponent_range)
     polys = symbolic_q_invariants(matrix, max_dim=symbolic_max_dim)
     certs = tuple(certify_positive_on_orthant(p) for p in polys)
     for cert in certs:
@@ -246,8 +252,7 @@ class HuntConfig:
             raise ValueError("entry_range must be >= 1")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        check_sampling_args(self.budget, self.exponent_range)
         if self.mode not in _HUNT_MODES:
             raise ValueError(f"mode must be one of {_HUNT_MODES}, got {self.mode!r}")
 

@@ -32,6 +32,7 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
+    _check_in_range,
     _coerce_rational,
     check_enumeration_dim,
     index_sets,
@@ -94,7 +95,7 @@ def _principal_minors_by_order(matrix: RationalMatrix) -> tuple[int, list[list[t
 
     Bit i-1 of a mask marks row i; entry 0 is the empty set with minor 1.
     """
-    q, by_order = principal_minors(matrix)
+    q, _, by_order = principal_minors(matrix)
     return q, [[(sum(1 << i for i in s), v) for s, v in minors if v] for minors in by_order]
 
 
@@ -439,6 +440,14 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
 # Sampling refutation
 
 
+def check_sampling_args(budget: int, exponent_range: int) -> None:
+    """Raise ValueError for a sampling budget below 1 or a negative exponent range."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if exponent_range < 0:
+        raise ValueError("exponent_range must be >= 0")
+
+
 def sample_refute(
     matrix: RationalMatrix,
     budget: int = 10_000,
@@ -462,10 +471,7 @@ def sample_refute(
     a positive factor and keeps its sign. The subset products of the point
     are built by bitmask, then c_k, then each p_j.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if exponent_range < 0:
-        raise ValueError("exponent_range must be >= 0")
+    check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     rng = random.Random(seed)
@@ -534,8 +540,7 @@ def cauchy_binet_terms(
 ) -> CauchyBinetExpansion:
     """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|."""
     n = matrix.n
-    if alpha.members and alpha.members[-1] > n:
-        raise ValueError(f"index {alpha.members[-1]} out of range for a {n}x{n} matrix")
+    _check_in_range(matrix, alpha)
     check_enumeration_dim(n, max_dim)
     terms = []
     for beta in index_sets(n, len(alpha)):

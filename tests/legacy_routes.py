@@ -11,6 +11,9 @@ package no longer uses them.
 ``principal_minor_sums`` used to run and cross-assert at every call: Fraction
 determinants of the principal submatrices, and the traces of the compound
 matrices. The package now sums the integer minors of ``principal_minors``.
+``_det_rows`` is the Fraction determinant the package used for every
+non-principal minor before all minors came from Bareiss on q*A: direct
+formulas up to 3x3, then denominators cleared row by row.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Sequence
 
 from qscaling import DiagonalScaling, RationalMatrix, SparsePolynomial, compound
-from qscaling.matrices import _det_rows
+from qscaling.matrices import _bareiss_int
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -89,6 +94,30 @@ def symbolic_q_invariants_by_expansion(matrix: RationalMatrix) -> list[SparsePol
             total = total + poly_det(sub)
         invariants.append(total)
     return invariants
+
+
+def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a small row tuple; direct formulas up to 3x3, Bareiss above."""
+    k = len(rows)
+    if k == 0:
+        return Fraction(1)
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
+    scale = 1
+    int_rows = []
+    for row in rows:
+        row_lcm = 1
+        for e in row:
+            row_lcm = lcm(row_lcm, e.denominator)
+        scale *= row_lcm
+        int_rows.append([e.numerator * (row_lcm // e.denominator) for e in row])
+    return Fraction(_bareiss_int(int_rows), scale)
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

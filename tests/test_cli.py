@@ -115,6 +115,15 @@ def test_q2scaling_identity(capsys):
     assert out.count("all coefficients nonnegative") == 2
 
 
+def test_q2scaling_rejects_bad_sampling_flags(capsys):
+    # certificates decide the first matrix, sampling runs on the second; both reject the flags
+    for matrix in ("2; 1 2; -1 5", "3; 3 0 3; -2 4 3; 4 -1 2"):
+        for flag, value in (("--budget", "0"), ("--range", "-1")):
+            code, out, err = run_cli(capsys, "q2scaling", "--inline", matrix, flag, value)
+            assert (code, out) == (2, "")
+            assert "must be" in err
+
+
 def test_q2scaling_structured(tmp_path, capsys):
     path = write(tmp_path, "a.txt", A_REF_TEXT)
     code, out, _ = run_cli(capsys, "q2scaling", path, "--format", "structured")

@@ -7,7 +7,9 @@ Fractions; the ``analyze`` files and ``q2_ref.json`` were recorded before
 the anti-sign scan was merged into one routine and the q2scaling renderers
 were shared with the report; ``reproduce.json`` was recorded while
 ``reproduce`` still ran each stage itself and then ``verify_refutation``
-again, and while principal minors were still enumerated in Fractions.
+again, and while principal minors were still enumerated in Fractions; the
+``analyze_fractional_pair`` files were recorded while the anti-sign pair
+scan still evaluated Fraction determinants.
 Later routes must reproduce every file exactly, along with the exit code.
 """
 
@@ -19,6 +21,7 @@ from qscaling.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4"
+FRACTIONAL_2 = "2; 1/2 1/3; 1/5 1"
 
 CASES = [
     ("reproduce.txt", 0, ["reproduce"]),
@@ -39,6 +42,9 @@ CASES = [
     ("analyze_upper5.json", 0, ["analyze", "--format", "structured", "--inline", UPPER_5]),
     # the first anti-sign violation is at order 3, ({1,2,3}, {2,3,4})
     ("analyze_order3_pair.txt", 0, ["analyze", "--inline", "4; -2 3 0 0; -2 -2 0 -1; 1 -2 -1 0; 2 2 -3 0"]),
+    # rational entries: the pair ({1}, {2}) is found on q*A, and its minors 1/3 and 1/5 are divided back
+    ("analyze_fractional_pair.txt", 0, ["analyze", "--inline", FRACTIONAL_2]),
+    ("analyze_fractional_pair.json", 0, ["analyze", "--format", "structured", "--inline", FRACTIONAL_2]),
 ]
 
 

@@ -24,6 +24,7 @@ from helpers import (
     assert_class_lattice,
     permutation_similarity,
     random_int_matrix,
+    random_positive_rational,
     random_rational_matrix,
     random_upper_triangular_positive_diagonal,
 )
@@ -146,6 +147,15 @@ def test_classify_and_standalone_anti_sign_agree():
         cases += upper
         cases += [random_int_matrix(rng, n, bound=3) for _ in range(6)]
         cases += [_order_one_anti_sign(rng, n) for _ in range(4)]
+    # rational entries (common denominator q > 1): the scan decides on q*A, and its
+    # witness must be divided back to minors of A; positive row scalings keep the
+    # order-one anti-sign property, so their violations have order >= 2
+    for n in range(2, 6):
+        cases += [random_rational_matrix(rng, n, num_bound=3) for _ in range(4)]
+        cases += [
+            _order_one_anti_sign(rng, n).scale_rows([random_positive_rational(rng) for _ in range(n)])
+            for _ in range(4)
+        ]
     for m in cases:
         verdict = is_anti_sign_symmetric(m)
         assert classify(m).anti_sign_symmetric == verdict

@@ -46,9 +46,10 @@ def oracle_minors(matrix):
 @PROPERTY
 @given(matrices())
 def test_enumerator_equals_scaled_leibniz_minors(matrix):
-    q, by_order = principal_minors(matrix)
+    q, scaled, by_order = principal_minors(matrix)
     denominators = [x.denominator for row in matrix.rows for x in row]
     assert all(q % d == 0 for d in denominators)
+    assert scaled == [[q * x for x in row] for row in matrix.rows]
     assert by_order[0] == [((), 1)]
     listed = [(s, Fraction(v, q ** len(s))) for minors in by_order[1:] for s, v in minors]
     assert all(len(s) == k for k, minors in enumerate(by_order) for s, _ in minors)

@@ -147,6 +147,8 @@ def test_hunt_config_validation():
     with pytest.raises(ValueError):
         HuntConfig(dimension=2, entry_range=5, count=1, budget=0)
     with pytest.raises(ValueError):
+        HuntConfig(dimension=2, entry_range=5, count=1, exponent_range=-1)
+    with pytest.raises(ValueError):
         HuntConfig(dimension=2, entry_range=5, count=1, mode="weird")
 
 

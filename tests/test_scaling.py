@@ -17,6 +17,7 @@ from qscaling import (
     cauchy_binet_terms,
     certify_positive_on_orthant,
     classify,
+    evaluate_hypothesis,
     mat_mul,
     minor,
     principal_minor_sums,
@@ -263,6 +264,12 @@ def test_sample_refute_deterministic():
 def test_sample_refute_validates_budget():
     with pytest.raises(ValueError):
         sample_refute(A_REF, budget=0)
+    # the certificates of A_REF are conclusive, so sampling never runs: the
+    # arguments are still rejected
+    with pytest.raises(ValueError, match="budget"):
+        evaluate_hypothesis(A_REF, budget=0)
+    with pytest.raises(ValueError, match="exponent_range"):
+        evaluate_hypothesis(A_REF, exponent_range=-1)
 
 
 # -- product-minor expansion ---------------------------------------------------------
