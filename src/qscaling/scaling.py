@@ -34,9 +34,10 @@ from .matrices import (
     RationalMatrix,
     _check_in_range,
     _coerce_rational,
+    _int_minor,
+    _scaled,
     check_enumeration_dim,
     index_sets,
-    minor,
     principal_minors,
     render_rational,
 )
@@ -49,6 +50,14 @@ DEFAULT_SYMBOLIC_GUARD = 6
 
 #: the grid strategy of certify_positive_on_orthant evaluates at most this many points
 GRID_BUDGET = 2000
+
+#: the grid's coordinates: the value grid, and the small entry of the epsilon patterns
+_GRID_VALUES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 10), Fraction(10), Fraction(1, 100), Fraction(100))
+_GRID_EPSILONS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+
+#: the least common denominator of those coordinates; the grid is evaluated at
+#: the integer points GRID_SCALE * x
+GRID_SCALE = lcm(*(x.denominator for x in _GRID_VALUES + _GRID_EPSILONS))
 
 
 def check_symbolic_dim(n: int, max_dim: int | None = None) -> None:
@@ -361,29 +370,24 @@ def _quadratic_witness(p: SparsePolynomial, a: Fraction, b: Fraction, c: Fractio
 
 
 def _grid_points(n_vars: int, budget: int):
-    """Deterministic positive sample points: all-ones, epsilon patterns, a value grid."""
-    one = Fraction(1)
-    yield (one,) * n_vars
+    """Deterministic positive sample points, each as the integers GRID_SCALE * x.
+
+    All-ones comes first, then the epsilon patterns (skipped above ten
+    variables), then the value grid; at most ``budget`` points in all.
+    """
+    yield (GRID_SCALE,) * n_vars
     emitted = 1
     if n_vars <= 10:
-        epsilons = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+        epsilons = [int(GRID_SCALE * x) for x in _GRID_EPSILONS]
         for k in range(1, n_vars):
             for inside in combinations(range(n_vars), k):
                 chosen = set(inside)
                 for eps in epsilons:
                     if emitted >= budget:
                         return
-                    yield tuple(one if i in chosen else eps for i in range(n_vars))
+                    yield tuple(GRID_SCALE if i in chosen else eps for i in range(n_vars))
                     emitted += 1
-    values = (
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(2),
-        Fraction(1, 10),
-        Fraction(10),
-        Fraction(1, 100),
-        Fraction(100),
-    )
+    values = [int(GRID_SCALE * x) for x in _GRID_VALUES]
     for point in product(values, repeat=n_vars):
         if emitted >= budget:
             return
@@ -401,6 +405,10 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     positive sample grid of up to GRID_BUDGET points hunting for a point
     with p <= 0. Anything left over is INCONCLUSIVE, which is a legitimate
     outcome, not an error.
+
+    The grid decides each sign in integers, at GRID_SCALE times the point
+    with the coefficients scaled by one positive factor; only the first
+    nonpositive point and its value (from ``p.evaluate``) become Fractions.
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
@@ -428,10 +436,28 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
         witness = _quadratic_witness(p, a, b, c)
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
 
-    for point in _grid_points(p.n_vars, GRID_BUDGET):
-        value = p.evaluate(point)
-        if value <= 0:
-            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, value))
+    # with L the least common denominator of the coefficients and D the top
+    # degree, each term c*d^e becomes the integer c*L*S^(D-|e|); summed at the
+    # integer point S*x these give L*S^D*p(x), a positive multiple of p(x)
+    # whether or not p is homogeneous
+    top = max(sum(e) for e, _ in terms)
+    common = lcm(*(c.denominator for _, c in terms))
+    scaled_terms = [
+        (
+            c.numerator * (common // c.denominator) * GRID_SCALE ** (top - sum(e)),
+            [(i, k) for i, k in enumerate(e) if k],
+        )
+        for e, c in terms
+    ]
+    for scaled_point in _grid_points(p.n_vars, GRID_BUDGET):
+        total = 0
+        for value, powers in scaled_terms:
+            for i, k in powers:
+                value *= scaled_point[i] ** k
+            total += value
+        if total <= 0:
+            point = tuple(Fraction(x, GRID_SCALE) for x in scaled_point)
+            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
 
     return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
 
@@ -538,12 +564,20 @@ class CauchyBinetExpansion:
 def cauchy_binet_terms(
     matrix: RationalMatrix, alpha: IndexSet, max_dim: int | None = None
 ) -> CauchyBinetExpansion:
-    """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|."""
+    """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|.
+
+    The denominators of A are cleared once; each product is that of two
+    integer minors of q*A, which both carry q^|alpha|.
+    """
     n = matrix.n
     _check_in_range(matrix, alpha)
     check_enumeration_dim(n, max_dim)
+    k = len(alpha)
+    q, scaled = _scaled(matrix)
+    rows = alpha.zero_based()
     terms = []
-    for beta in index_sets(n, len(alpha)):
-        term = minor(matrix, alpha, beta) * minor(matrix, beta, alpha)
-        terms.append((beta, term))
+    for beta in index_sets(n, k):
+        cols = beta.zero_based()
+        pair = _int_minor(scaled, rows, cols) * _int_minor(scaled, cols, rows) if k else 1
+        terms.append((beta, Fraction(pair, q ** (2 * k))))
     return CauchyBinetExpansion(alpha=alpha, terms=tuple(terms))

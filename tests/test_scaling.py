@@ -18,6 +18,7 @@ from qscaling import (
     certify_positive_on_orthant,
     classify,
     evaluate_hypothesis,
+    index_sets,
     mat_mul,
     minor,
     principal_minor_sums,
@@ -28,6 +29,7 @@ from qscaling import (
 )
 
 from helpers import positive_points, random_int_matrix, random_rational_matrix
+from legacy_routes import minor_by_fractions
 from oracles import brute_force_minor
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -316,6 +318,22 @@ def test_cauchy_binet_random_identity_and_truncation():
         truncated_squared = mat_mul(truncated, truncated)
         assert expansion.principal_term == minor(m, alpha, alpha) ** 2
         assert expansion.principal_term == minor(truncated_squared, alpha, alpha)
+
+
+def test_cauchy_binet_terms_equal_products_of_fraction_minors():
+    rng = random.Random(512)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        m = random_rational_matrix(rng, n, num_bound=9, den_bound=5)
+        k = rng.randint(0, n)
+        alpha = IndexSet(n, tuple(sorted(rng.sample(range(1, n + 1), k))))
+        expansion = cauchy_binet_terms(m, alpha)
+        rows = alpha.zero_based()
+        expected = [
+            (beta, minor_by_fractions(m, rows, beta.zero_based()) * minor_by_fractions(m, beta.zero_based(), rows))
+            for beta in index_sets(n, k)
+        ]
+        assert list(expansion.terms) == expected
 
 
 def test_cauchy_binet_generic_shows_dropped_terms():
