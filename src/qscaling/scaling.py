@@ -17,6 +17,11 @@ That positivity question is handled honestly: cheap certificates prove
 it where they apply (nonnegative coefficients; the two-variable
 homogeneous quadratic, which is decided completely), exact sampling
 refutes it, and anything else is reported inconclusive.
+
+p_1 and p_{n-1} are quadratic forms in d and in 1/d. When their matrices
+are strictly copositive, p_1 and p_{n-1} are positive on the orthant, so
+no grid point and no draw can refute them. The grid and the sampling then
+skip a search whose outcome is already known, and the output is the same.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
 from .matrices import (
@@ -99,13 +104,15 @@ class DiagonalScaling:
 # Symbolic invariants
 
 
-def _principal_minors_by_order(matrix: RationalMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The nonzero principal minors of q*A (see ``principal_minors``), keyed by subset bitmask.
+def _principal_minors_by_order(
+    matrix: RationalMatrix,
+) -> tuple[int, list[list[int]], list[list[tuple[int, int]]]]:
+    """q, q*A, and the nonzero principal minors of q*A (see ``principal_minors``) keyed by subset bitmask.
 
     Bit i-1 of a mask marks row i; entry 0 is the empty set with minor 1.
     """
-    q, _, by_order = principal_minors(matrix)
-    return q, [[(sum(1 << i for i in s), v) for s, v in minors if v] for minors in by_order]
+    q, scaled, by_order = principal_minors(matrix)
+    return q, scaled, [[(sum(1 << i for i in s), v) for s, v in minors if v] for minors in by_order]
 
 
 def _pair_weights(n: int, j: int) -> list[tuple[int, int, int]]:
@@ -153,7 +160,7 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     """
     n = matrix.n
     check_symbolic_dim(n, max_dim)
-    q, by_order = _principal_minors_by_order(matrix)
+    q, _, by_order = _principal_minors_by_order(matrix)
     invariants = []
     for j in range(1, n + 1):
         # a monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
@@ -176,6 +183,92 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
             )
         )
     return invariants
+
+
+# ---------------------------------------------------------------------------
+# The quadratic forms behind p_1 and p_{n-1}, and strict copositivity
+#
+# p_1 = tr((DA)^2) = d^T (A o A^T) d, and since e_{n-1}(X) = tr(adj X) and
+# adj(DA) = adj(A) adj(D), p_{n-1} = (prod d)^2 * y^T (adj A o adj(A)^T) y with
+# y_i = 1/d_i (o is the entrywise product). A strictly copositive matrix makes
+# its form positive at every nonzero y >= 0, so that p_j is positive on the
+# open orthant.
+
+
+def _strictly_copositive(m: list[list[int]]) -> bool:
+    """Whether x^T m x > 0 for every nonzero x >= 0; ``m`` is a symmetric integer matrix.
+
+    Cottle-Habetler-Lemke: m fails exactly when some principal submatrix B
+    has det B <= 0 and adj B >= 0 with adj B != 0 (the adjugate of a 1x1
+    matrix is (1)). A nonzero column x of such an adj B has
+    x^T B x = det(B) x_k <= 0; conversely a smallest failing B is of this
+    form. The all-ones 3x3 matrix, with det 0 and adj 0, is strictly
+    copositive, hence the last condition.
+    """
+    n = len(m)
+    for k in range(1, n + 1):
+        for s in combinations(range(n), k):
+            if _int_minor(m, s, s) > 0:
+                continue
+            if k == 1:
+                return False
+            # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
+            nonzero = False
+            for i, l in combinations_with_replacement(range(k), 2):
+                cofactor = (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :])
+                if cofactor < 0:
+                    break
+                nonzero = nonzero or cofactor > 0
+            else:
+                if nonzero:
+                    return False
+    return True
+
+
+def _hadamard(b: list[list[int]]) -> list[list[int]]:
+    """B o B^T, the entrywise product of B with its transpose."""
+    n = len(b)
+    return [[b[i][k] * b[k][i] for k in range(n)] for i in range(n)]
+
+
+def _adjugate(b: list[list[int]]) -> list[list[int]]:
+    """adj B: entry (i, k) is (-1)^(i+k) det(B without row k and column i); adj of 1x1 is (1)."""
+    n = len(b)
+    if n == 1:
+        return [[1]]
+    rest = [[r for r in range(n) if r != i] for i in range(n)]
+    return [[(-1) ** (i + k) * _int_minor(b, rest[k], rest[i]) for k in range(n)] for i in range(n)]
+
+
+def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
+    """A symmetric integer M with p = c * x^T M x for some c > 0, or None.
+
+    x is d when p is a quadratic form, as p_1 is. x is 1/d when p is
+    (prod d)^2 times a quadratic form in 1/d, that is homogeneous of degree
+    2n-2 with every exponent at most 2, as p_{n-1} is: a term then lacks
+    2 from the exponent of one variable or 1 from each of two. The zero
+    polynomial has no degree and gives None.
+    """
+    n = p.n_vars
+    terms = p.terms()
+    if not terms:
+        return None
+    if p.is_homogeneous(2):
+        marks = [e for e, _ in terms]
+    elif p.is_homogeneous(2 * n - 2) and all(k <= 2 for e, _ in terms for k in e):
+        marks = [tuple(2 - k for k in e) for e, _ in terms]
+    else:
+        return None
+    common = lcm(*(c.denominator for _, c in terms))
+    m = [[0] * n for _ in range(n)]
+    for mark, (_, c) in zip(marks, terms):
+        value = c.numerator * (common // c.denominator)
+        i, k = [i for i, times in enumerate(mark) for _ in range(times)]
+        if i == k:
+            m[i][i] = 2 * value
+        else:
+            m[i][k] = m[k][i] = value
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +466,9 @@ def _grid_points(n_vars: int, budget: int):
     """Deterministic positive sample points, each as the integers GRID_SCALE * x.
 
     All-ones comes first, then the epsilon patterns (skipped above ten
-    variables), then the value grid; at most ``budget`` points in all.
+    variables), then the value grid; at most ``budget`` points in all. The
+    value grid starts with all-ones again: that repeat is not yielded, but
+    it still counts against the budget.
     """
     yield (GRID_SCALE,) * n_vars
     emitted = 1
@@ -388,11 +483,12 @@ def _grid_points(n_vars: int, budget: int):
                     yield tuple(GRID_SCALE if i in chosen else eps for i in range(n_vars))
                     emitted += 1
     values = [int(GRID_SCALE * x) for x in _GRID_VALUES]
-    for point in product(values, repeat=n_vars):
+    for index, point in enumerate(product(values, repeat=n_vars)):
         if emitted >= budget:
             return
-        yield point
         emitted += 1
+        if index:
+            yield point
 
 
 def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
@@ -409,6 +505,10 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     The grid decides each sign in integers, at GRID_SCALE times the point
     with the coefficients scaled by one positive factor; only the first
     nonpositive point and its value (from ``p.evaluate``) become Fractions.
+    When p is a quadratic form in d or (prod d)^2 times one in 1/d, as p_1
+    and p_{n-1} are, and its matrix is strictly copositive, p is positive on
+    the orthant, so no grid point can refute it: the grid is skipped and the
+    certificate is the INCONCLUSIVE one the grid would reach.
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
@@ -435,6 +535,10 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             )
         witness = _quadratic_witness(p, a, b, c)
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
+
+    form = _form_matrix(p)
+    if form is not None and _strictly_copositive(form):
+        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
 
     # with L the least common denominator of the coefficients and D the top
     # degree, each term c*d^e becomes the integer c*L*S^(D-|e|); summed at the
@@ -496,13 +600,25 @@ def sample_refute(
     8 * 10^exponent_range * d for the integer matrix q*A multiplies it by
     a positive factor and keeps its sign. The subset products of the point
     are built by bitmask, then c_k, then each p_j.
+
+    When copositivity proves that no draw can be a witness, None is
+    returned without drawing: for n <= 3 every p_j is p_1, p_{n-1} or
+    p_n = det(A)^2 (prod d)^2, so det A != 0 and strictly copositive
+    A o A^T and adj A o adj(A)^T (read from q*A) make every p_j positive.
     """
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
+    _, scaled, by_order = _principal_minors_by_order(matrix)
+    if (
+        n <= 3
+        and by_order[n]
+        and _strictly_copositive(_hadamard(scaled))
+        and _strictly_copositive(_hadamard(_adjugate(scaled)))
+    ):
+        return None
     rng = random.Random(seed)
     randint = rng.randint
-    _, by_order = _principal_minors_by_order(matrix)
     weights = [_pair_weights(n, j) for j in range(1, n + 1)]
     lowest = [(mask & -mask).bit_length() - 1 for mask in range(1 << n)]
     powers = {e: 10 ** (e + exponent_range) for e in range(-exponent_range, exponent_range + 1)}

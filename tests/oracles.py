@@ -8,7 +8,7 @@ oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 def leibniz_determinant(rows) -> Fraction:
@@ -83,3 +83,44 @@ def faddeev_leverrier(rows) -> list[Fraction]:
         am = list_matmul(rows, m)
         coeffs[n - k] = -list_trace(am) / k
     return [(-1) ** k * coeffs[n - k] for k in range(1, n + 1)]
+
+
+def solve_linear(rows, rhs) -> list[Fraction] | None:
+    """The solution of rows * x = rhs by Gauss-Jordan elimination, or None when singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def simplex_minimum(m) -> Fraction:
+    """The minimum of x^T m x over the simplex {x >= 0, sum x = 1}, for a symmetric m.
+
+    The minimum is a KKT point inside the face of its support S:
+    m[S] x = lam * 1 and sum x = 1, with value x^T m x = lam. Where that
+    bordered system is singular the form is constant along a line of such
+    points, which ends on a smaller face; so it suffices to list every
+    support, solve the nonsingular systems and keep the solutions with
+    x > 0 on S.
+    """
+    n = len(m)
+    best = None
+    for k in range(1, n + 1):
+        for support in combinations(range(n), k):
+            bordered = [[m[i][j] for j in support] + [-1] for i in support]
+            bordered.append([1] * k + [0])
+            solution = solve_linear(bordered, [0] * k + [1])
+            if solution is None or any(x <= 0 for x in solution[:k]):
+                continue
+            value = solution[k]
+            if best is None or value < best:
+                best = value
+    return best

@@ -1,0 +1,171 @@
+"""Strict copositivity, the forms behind p_1 and p_{n-1}, and the searches they skip.
+
+``_strictly_copositive`` decides x^T M x > 0 for every nonzero x >= 0 by
+the Cottle-Habetler-Lemke criterion on integer minors; the reference is
+``oracles.simplex_minimum``, the exact minimum of the form on the simplex.
+p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d; their
+matrices are read from q*A by ``_hadamard``/``_adjugate`` and from the
+polynomial by ``_form_matrix``. When the matrices are strictly copositive,
+``certify_positive_on_orthant`` skips its grid and ``sample_refute`` its
+draws, and both return what the search would.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qscaling import (
+    CertificateVerdict,
+    DimensionGuardError,
+    RationalMatrix,
+    SparsePolynomial,
+    certify_positive_on_orthant,
+    sample_refute,
+    scaling,
+    symbolic_q_invariants,
+)
+from qscaling.matrices import _scaled
+from qscaling.scaling import _adjugate, _form_matrix, _hadamard, _strictly_copositive
+
+from legacy_routes import grid_certificate_by_fractions, sample_refute_by_fractions
+from oracles import simplex_minimum
+
+# fixed example order, so a run never depends on a saved example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+#: the matrix of tests/golden/q2_inconclusive_d3.txt: p_1 and p_2 are INCONCLUSIVE
+Q2_INCONCLUSIVE_D3 = RationalMatrix(((3, 0, 3), (-2, 4, 3), (4, -1, 2)))
+
+#: hunt candidates that reach sampling: HuntConfig(dimension=3, entry_range=5,
+#: count=1, seed=k) for k = 2, 4, 19, 21
+SAMPLED_HUNT_CANDIDATES = (
+    RationalMatrix(((-5, -4, -4), (0, -3, 5), (-1, -1, 4))),
+    RationalMatrix(((-2, -1, -4), (1, 2, -3), (-4, -4, -5))),
+    RationalMatrix(((5, -5, 3), (-4, 3, -2), (1, 0, 3))),
+    RationalMatrix(((-3, 1, 1), (5, -1, 2), (-2, 2, 3))),
+)
+
+SHORTCUT_MATRICES = (Q2_INCONCLUSIVE_D3,) + SAMPLED_HUNT_CANDIDATES
+
+
+def _symmetric(n: int, entry) -> list[list[int]]:
+    return [[entry(i, k) for k in range(n)] for i in range(n)]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices: free entries, B^T B (with kernels), B^T B + N with N >= 0, and +-v v^T."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("entries", "gram", "gram_plus_nonnegative", "rank_one")))
+    if kind == "entries":
+        upper = {(i, k): draw(st.integers(-2, 9) if i == k else st.integers(-6, 6)) for i in range(n) for k in range(i, n)}
+        return _symmetric(n, lambda i, k: upper[min(i, k), max(i, k)])
+    if kind == "rank_one":
+        v = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+        sign = draw(st.sampled_from((1, -1)))
+        return _symmetric(n, lambda i, k: sign * v[i] * v[k])
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=n))
+    extra = {(i, k): 0 for i in range(n) for k in range(i, n)}
+    if kind == "gram_plus_nonnegative":
+        extra = {key: draw(st.integers(0, 3)) for key in extra}
+    return _symmetric(n, lambda i, k: sum(r[i] * r[k] for r in b) + extra[min(i, k), max(i, k)])
+
+
+# a zero diagonal entry: x = e_1 gives 0
+@example([[0, 1, 1], [1, 2, 1], [1, 1, 2]])
+# m_12 = -sqrt(m_11 m_22): copositive, but zero at (3, 2, 0)
+@example([[4, -6, 1], [-6, 9, 1], [1, 1, 1]])
+# the kernel holds the positive vector (1, 1, 1): copositive, not strictly
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+# det 0 and adj 0, yet (x1 + x2 + x3)^2 > 0: strictly copositive
+@example([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+@PROPERTY
+@given(symmetric_matrices())
+def test_strict_copositivity_matches_the_simplex_minimum(m):
+    assert _strictly_copositive(m) == (simplex_minimum(m) > 0)
+
+
+def _form(m: list[list[int]], inverse: bool) -> SparsePolynomial:
+    """sum of m_ik x_i x_k with x = d, or (prod d)^2 times it with x = 1/d."""
+    n = len(m)
+    terms: dict[tuple[int, ...], int] = {}
+    for i in range(n):
+        for k in range(n):
+            exponents = [0] * n
+            exponents[i] += 1
+            exponents[k] += 1
+            key = tuple(2 - e if inverse else e for e in exponents)
+            terms[key] = terms.get(key, 0) + m[i][k]
+    return SparsePolynomial(n, terms)
+
+
+entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return RationalMatrix(tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n)))
+
+
+@example(Q2_INCONCLUSIVE_D3)
+@settings(PROPERTY, max_examples=150)
+@given(rational_matrices())
+def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
+    n = matrix.n
+    polys = symbolic_q_invariants(matrix)
+    q, scaled = _scaled(matrix)
+    from_matrix = {1: _hadamard(scaled)}
+    assert _form(from_matrix[1], inverse=False) == polys[0] * q**2
+    if n > 1:
+        from_matrix[n - 1] = _hadamard(_adjugate(scaled))
+        assert _form(from_matrix[n - 1], inverse=True) == polys[n - 2] * q ** (2 * n - 2)
+    for j, p in enumerate(polys, start=1):
+        read = _form_matrix(p)
+        if p.is_zero or j not in from_matrix:
+            # the middle orders, p_n (for n > 1) and zero polynomials have no form
+            assert read is None
+            continue
+        # a positive multiple of p, and a positive multiple of the matrix read from q*A
+        rebuilt = _form(read, inverse=j > 1)
+        exponents, coefficient = rebuilt.terms()[0]
+        ratio = coefficient / p.coefficient(exponents)
+        assert ratio > 0 and p * ratio == rebuilt
+        assert _strictly_copositive(read) == _strictly_copositive(from_matrix[j])
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the search ran although copositivity rules out a witness")
+
+
+@pytest.mark.parametrize("matrix", SHORTCUT_MATRICES)
+def test_sampling_shortcut_draws_nothing_and_agrees_with_the_fraction_loop(matrix, monkeypatch):
+    expected = sample_refute_by_fractions(matrix, budget=60, seed=5, exponent_range=3)
+    assert expected is None
+    monkeypatch.setattr(scaling.random, "Random", _raise)
+    assert sample_refute(matrix, budget=500, seed=5) is None
+
+
+@pytest.mark.parametrize("matrix", SHORTCUT_MATRICES)
+def test_grid_shortcut_returns_the_fraction_grids_certificate(matrix, monkeypatch):
+    polys = symbolic_q_invariants(matrix)
+    expected = [grid_certificate_by_fractions(p) for p in polys]
+    # every p_j that reaches the grid must be decided by the shortcut, or this raises
+    monkeypatch.setattr(scaling, "_grid_points", _raise)
+    certs = [certify_positive_on_orthant(p) for p in polys]
+    skipped = [(cert, grid) for cert, grid in zip(certs, expected) if cert.verdict is CertificateVerdict.INCONCLUSIVE]
+    assert skipped
+    for cert, grid in skipped:
+        assert cert == grid
+
+
+def test_guards_raise_before_the_sampling_shortcut(monkeypatch):
+    monkeypatch.setattr(scaling.random, "Random", _raise)
+    with pytest.raises(ValueError, match="budget"):
+        sample_refute(Q2_INCONCLUSIVE_D3, budget=0)
+    with pytest.raises(ValueError, match="exponent_range"):
+        sample_refute(Q2_INCONCLUSIVE_D3, exponent_range=-1)
+    with pytest.raises(DimensionGuardError):
+        sample_refute(Q2_INCONCLUSIVE_D3, max_dim=2)

@@ -52,6 +52,22 @@ def reaches_grid(p: SparsePolynomial) -> bool:
 
 # d1^2 - d1*d4 + d4^2/2 is positive (discriminant 1 - 2 < 0): the budget runs out
 @example(SparsePolynomial(5, {(2, 0, 0, 0, 0): 1, (1, 0, 0, 1, 0): -1, (0, 0, 0, 2, 0): Fraction(1, 2)}))
+# p_1 and p_2 of [[3, 0, 3], [-2, 4, 3], [4, -1, 2]], a quadratic form in d and
+# (d1*d2*d3)^2 times one in 1/d, both with strictly copositive matrices: the
+# grid is skipped
+@example(SparsePolynomial(3, {(2, 0, 0): 9, (1, 0, 1): 24, (0, 2, 0): 16, (0, 1, 1): -6, (0, 0, 2): 4}))
+@example(
+    SparsePolynomial(
+        3,
+        {(2, 2, 0): 144, (2, 1, 1): -90, (2, 0, 2): 36, (1, 2, 1): 336, (1, 1, 2): -96, (0, 2, 2): 121},
+    )
+)
+# d1^2 + ... + d5^2 - d1*d4 is strictly copositive: the grid is skipped
+@example(
+    SparsePolynomial(
+        5, {(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): 1, (0, 0, 2, 0, 0): 1, (0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 2): 1, (1, 0, 0, 1, 0): -1}
+    )
+)
 # (d11 - 10)^2 is zero at the sixth point, the fifth of the value grid: no
 # epsilon patterns come first
 @example(SparsePolynomial(11, {(0,) * 10 + (2,): 1, (0,) * 10 + (1,): -20, (0,) * 11: 100}))

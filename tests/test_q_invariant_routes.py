@@ -9,7 +9,7 @@ on (D*A)^2 at concrete points.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import DiagonalScaling, RationalMatrix, sample_refute, scaled_square_symbolic, symbolic_q_invariants
@@ -71,6 +71,11 @@ def test_scaled_square_equals_polynomial_matrix_product(matrix):
     assert scaled_square_symbolic(matrix) == scaled_square_by_product(matrix)
 
 
+# det A != 0 and strictly copositive A o A^T and adj A o adj(A)^T: the loop
+# finds nothing, and sample_refute returns None without drawing
+@example(RationalMatrix(((3, 0, 3), (-2, 4, 3), (4, -1, 2))), 40, 0, 3)
+@example(RationalMatrix(((2, 1), (-1, Fraction(3, 2)))), 40, 5, 2)
+@example(RationalMatrix(((Fraction(-2, 3),),)), 40, 9, 3)
 @settings(PROPERTY, max_examples=200)
 @given(
     st.one_of(matrices(max_n=4), matrices(max_n=4, singular=True)),
