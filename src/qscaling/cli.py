@@ -89,7 +89,7 @@ def render_certificate(cert: Certificate) -> str:
         assert isinstance(cert.evidence, WitnessEvidence)
         point = ", ".join(render_rational(x) for x in cert.evidence.point)
         return f"not positive: value {cert.evidence.value} at d = ({point})"
-    return "inconclusive (no certificate applies; sampling found no witness)"
+    return "inconclusive (no certificate applies)"
 
 
 def render_refutation_report(report: RefutationReport) -> str:
@@ -119,7 +119,12 @@ def _render_hypothesis(polynomials: Sequence[SparsePolynomial], hypothesis: Hypo
     lines = []
     for j, (poly, cert) in enumerate(zip(polynomials, hypothesis.certificates), start=1):
         lines.append(f"p{j} = {poly.to_text()}")
-        lines.append(f"  {render_certificate(cert)}")
+        # only NoCounterexampleFound means sampling ran and found no witness; a
+        # refutation came from another p_j's certificate or from a draw
+        if cert.verdict is CertificateVerdict.INCONCLUSIVE and isinstance(hypothesis, NoCounterexampleFound):
+            lines.append("  inconclusive (no certificate applies; sampling found no witness)")
+        else:
+            lines.append(f"  {render_certificate(cert)}")
     lines.append(f"hypothesis: {_describe_hypothesis(hypothesis)}")
     return lines
 

@@ -202,9 +202,10 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on a nonempty integer matrix.
+    """Fraction-free Bareiss elimination on an integer matrix.
 
-    Overwrites ``rows``; every caller passes a freshly built list.
+    The empty matrix has determinant 1, which makes the order-0 minor 1
+    everywhere. Overwrites ``rows``; every caller passes a freshly built list.
     """
     n = len(rows)
     a = rows
@@ -227,7 +228,7 @@ def _bareiss_int(rows: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pkk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pkk
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
@@ -237,11 +238,17 @@ def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
 
 
 def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
-    """det((q*A)[rows, cols]) for nonempty 0-based selections: q^k times the minor of A.
+    """det((q*A)[rows, cols]) for 0-based selections of size k: q^k times the minor of A.
 
     This is the one place the package evaluates a minor.
     """
     return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
+
+
+def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
+    """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order."""
+    subsets = list(combinations(range(len(scaled)), k))
+    return [[_int_minor(scaled, rows, cols) for cols in subsets] for rows in subsets]
 
 
 def principal_minors(
@@ -258,9 +265,7 @@ def principal_minors(
     """
     n = matrix.n
     q, scaled = _scaled(matrix)
-    by_order: list[list[tuple[tuple[int, ...], int]]] = [[((), 1)]]
-    for k in range(1, n + 1):
-        by_order.append([(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)])
+    by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
     return q, scaled, by_order
 
 
@@ -287,8 +292,6 @@ def minor(matrix: RationalMatrix, row_set: IndexSet, col_set: IndexSet) -> Fract
     if len(row_set) != len(col_set):
         raise ValueError(f"row and column sets must have equal size, got {len(row_set)} and {len(col_set)}")
     _check_in_range(matrix, row_set, col_set)
-    if not row_set.members:
-        return Fraction(1)
     q, scaled = _scaled(matrix)
     return Fraction(_int_minor(scaled, row_set.zero_based(), col_set.zero_based()), q ** len(row_set))
 
@@ -315,12 +318,9 @@ def compound(matrix: RationalMatrix, order: int, max_dim: int | None = None) -> 
     if not 1 <= order <= n:
         raise ValueError(f"compound order must be in 1..{n}, got {order}")
     check_enumeration_dim(n, max_dim)
-    subsets = list(combinations(range(n), order))
     q, scaled = _scaled(matrix)
     scale = q**order
-    entries = tuple(
-        tuple(Fraction(_int_minor(scaled, rws, cols), scale) for cols in subsets) for rws in subsets
-    )
+    entries = tuple(tuple(Fraction(v, scale) for v in row) for row in _int_compound(scaled, order))
     return CompoundMatrix(source_n=n, order=order, entries=RationalMatrix(entries))
 
 

@@ -18,9 +18,9 @@ it where they apply (nonnegative coefficients; the two-variable
 homogeneous quadratic, which is decided completely), exact sampling
 refutes it, and anything else is reported inconclusive.
 
-p_1 and p_{n-1} are quadratic forms in d and in 1/d. When their matrices
-are strictly copositive, p_1 and p_{n-1} are positive on the orthant, so
-no grid point and no draw can refute them. The grid and the sampling then
+Each p_j is also a quadratic form z^T M_j z, where z lists the products
+of j of the d_i. When M_j is strictly copositive, p_j is positive on the orthant, so
+no grid point and no draw can refute it. The grid and the sampling then
 skip a search whose outcome is already known, and the output is the same.
 """
 
@@ -39,6 +39,7 @@ from .matrices import (
     RationalMatrix,
     _check_in_range,
     _coerce_rational,
+    _int_compound,
     _int_minor,
     _scaled,
     check_enumeration_dim,
@@ -186,13 +187,15 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# The quadratic forms behind p_1 and p_{n-1}, and strict copositivity
+# The Hadamard compounds M_j behind p_j, and strict copositivity
 #
-# p_1 = tr((DA)^2) = d^T (A o A^T) d, and since e_{n-1}(X) = tr(adj X) and
-# adj(DA) = adj(A) adj(D), p_{n-1} = (prod d)^2 * y^T (adj A o adj(A)^T) y with
-# y_i = 1/d_i (o is the entrywise product). A strictly copositive matrix makes
-# its form positive at every nonzero y >= 0, so that p_j is positive on the
-# open orthant.
+# By Cauchy-Binet, p_j(d) = z^T M_j z, where z_a = prod_{i in a} d_i runs over
+# the j-subsets a and M_j = C_j(A) o C_j(A)^T (o is the entrywise product), so
+# M_j[a][b] = A[a|b] * A[b|a]. Every such z is positive, so a strictly
+# copositive M_j makes p_j positive on the open orthant. p_1 = d^T M_1 d,
+# p_{n-1} = (prod d)^2 times a form in 1/d whose matrix is M_{n-1} with its
+# rows and columns reordered, and p_n = det(A)^2 (prod d)^2 with
+# M_n = [[det(A)^2]].
 
 
 def _strictly_copositive(m: list[list[int]]) -> bool:
@@ -200,7 +203,7 @@ def _strictly_copositive(m: list[list[int]]) -> bool:
 
     Cottle-Habetler-Lemke: m fails exactly when some principal submatrix B
     has det B <= 0 and adj B >= 0 with adj B != 0 (the adjugate of a 1x1
-    matrix is (1)). A nonzero column x of such an adj B has
+    matrix is (1), its order-0 minor). A nonzero column x of such an adj B has
     x^T B x = det(B) x_k <= 0; conversely a smallest failing B is of this
     form. The all-ones 3x3 matrix, with det 0 and adj 0, is strictly
     copositive, hence the last condition.
@@ -210,8 +213,6 @@ def _strictly_copositive(m: list[list[int]]) -> bool:
         for s in combinations(range(n), k):
             if _int_minor(m, s, s) > 0:
                 continue
-            if k == 1:
-                return False
             # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
             nonzero = False
             for i, l in combinations_with_replacement(range(k), 2):
@@ -229,15 +230,6 @@ def _hadamard(b: list[list[int]]) -> list[list[int]]:
     """B o B^T, the entrywise product of B with its transpose."""
     n = len(b)
     return [[b[i][k] * b[k][i] for k in range(n)] for i in range(n)]
-
-
-def _adjugate(b: list[list[int]]) -> list[list[int]]:
-    """adj B: entry (i, k) is (-1)^(i+k) det(B without row k and column i); adj of 1x1 is (1)."""
-    n = len(b)
-    if n == 1:
-        return [[1]]
-    rest = [[r for r in range(n) if r != i] for i in range(n)]
-    return [[(-1) ** (i + k) * _int_minor(b, rest[k], rest[i]) for k in range(n)] for i in range(n)]
 
 
 def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
@@ -602,20 +594,16 @@ def sample_refute(
     are built by bitmask, then c_k, then each p_j.
 
     When copositivity proves that no draw can be a witness, None is
-    returned without drawing: for n <= 3 every p_j is p_1, p_{n-1} or
-    p_n = det(A)^2 (prod d)^2, so det A != 0 and strictly copositive
-    A o A^T and adj A o adj(A)^T (read from q*A) make every p_j positive.
+    returned without drawing. For n <= 3, where every p_j is p_1, p_{n-1}
+    or p_n, each M_j of q*A (a positive multiple of M_j of A) is tested;
+    when all are strictly copositive, every p_j is positive.
+    M_n = [[det(q*A)^2]] is strictly copositive exactly when det A != 0.
     """
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     _, scaled, by_order = _principal_minors_by_order(matrix)
-    if (
-        n <= 3
-        and by_order[n]
-        and _strictly_copositive(_hadamard(scaled))
-        and _strictly_copositive(_hadamard(_adjugate(scaled)))
-    ):
+    if n <= 3 and all(_strictly_copositive(_hadamard(_int_compound(scaled, j))) for j in range(1, n + 1)):
         return None
     rng = random.Random(seed)
     randint = rng.randint
@@ -694,6 +682,6 @@ def cauchy_binet_terms(
     terms = []
     for beta in index_sets(n, k):
         cols = beta.zero_based()
-        pair = _int_minor(scaled, rows, cols) * _int_minor(scaled, cols, rows) if k else 1
+        pair = _int_minor(scaled, rows, cols) * _int_minor(scaled, cols, rows)
         terms.append((beta, Fraction(pair, q ** (2 * k))))
     return CauchyBinetExpansion(alpha=alpha, terms=tuple(terms))

@@ -109,6 +109,17 @@ def test_q2scaling_refuted(tmp_path, capsys):
     assert "refuted at D = diag(1, 1)" in out
 
 
+def test_q2scaling_refuted_by_a_certificate_claims_no_sampling(capsys):
+    # p1 is inconclusive and p2's certificate refutes the hypothesis, so sampling never runs
+    code, out, _ = run_cli(capsys, "q2scaling", "--inline", "3; -3 4 -4; -1 -4 2; 2 2 5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "  inconclusive (no certificate applies)"
+    assert lines[3] == "  not positive: value -4676 at d = (1, 1/2, 10)"
+    assert lines[-1] == "hypothesis: refuted at D = diag(1, 1/2, 10)"
+    assert "sampling" not in out
+
+
 def test_q2scaling_identity(capsys):
     code, out, _ = run_cli(capsys, "q2scaling", "--inline", "2; 1 0; 0 1")
     assert code == 0

@@ -1,13 +1,16 @@
-"""Strict copositivity, the forms behind p_1 and p_{n-1}, and the searches they skip.
+"""Strict copositivity, the Hadamard compounds M_j, and the searches they skip.
 
 ``_strictly_copositive`` decides x^T M x > 0 for every nonzero x >= 0 by
 the Cottle-Habetler-Lemke criterion on integer minors; the reference is
 ``oracles.simplex_minimum``, the exact minimum of the form on the simplex.
-p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d; their
-matrices are read from q*A by ``_hadamard``/``_adjugate`` and from the
-polynomial by ``_form_matrix``. When the matrices are strictly copositive,
-``certify_positive_on_orthant`` skips its grid and ``sample_refute`` its
-draws, and both return what the search would.
+p_j = z^T M_j z with z the products of j of the d_i, and
+M_j = C_j(A) o C_j(A)^T is read from q*A by ``_hadamard(_int_compound(q*A, j))``.
+p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
+``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial.
+When they are strictly copositive, ``certify_positive_on_orthant`` skips its
+grid; when every M_j is (n <= 3), ``sample_refute`` skips its draws. Both
+return what the search would. M_n = [[det(q*A)^2]] blocks the skip for a
+singular A.
 """
 
 from fractions import Fraction
@@ -26,8 +29,8 @@ from qscaling import (
     scaling,
     symbolic_q_invariants,
 )
-from qscaling.matrices import _scaled
-from qscaling.scaling import _adjugate, _form_matrix, _hadamard, _strictly_copositive
+from qscaling.matrices import _int_compound, _scaled
+from qscaling.scaling import _form_matrix, _hadamard, _strictly_copositive
 
 from legacy_routes import grid_certificate_by_fractions, sample_refute_by_fractions
 from oracles import simplex_minimum
@@ -48,6 +51,15 @@ SAMPLED_HUNT_CANDIDATES = (
 )
 
 SHORTCUT_MATRICES = (Q2_INCONCLUSIVE_D3,) + SAMPLED_HUNT_CANDIDATES
+
+#: the sampling skip also holds for 1x1 and 2x2 matrices, where certificates decide every p_j
+SAMPLING_SHORTCUT_MATRICES = SHORTCUT_MATRICES + (
+    RationalMatrix(((Fraction(-3, 2),),)),
+    RationalMatrix(((Fraction(1, 2), 2), (-1, 5))),
+)
+
+#: det = 0 while M_1 and M_2 are strictly copositive: only M_3 = [[0]] blocks the skip
+SINGULAR_D3 = RationalMatrix(((1, 1, -2), (0, -1, 1), (-2, 0, 2)))
 
 
 def _symmetric(n: int, entry) -> list[list[int]]:
@@ -117,10 +129,12 @@ def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
     n = matrix.n
     polys = symbolic_q_invariants(matrix)
     q, scaled = _scaled(matrix)
-    from_matrix = {1: _hadamard(scaled)}
+    from_matrix = {1: _hadamard(_int_compound(scaled, 1))}
     assert _form(from_matrix[1], inverse=False) == polys[0] * q**2
     if n > 1:
-        from_matrix[n - 1] = _hadamard(_adjugate(scaled))
+        # the a-th (n-1)-subset in lexicographic order omits index n-1-a, the variable
+        # whose reciprocal it carries in p_{n-1}
+        from_matrix[n - 1] = [row[::-1] for row in _hadamard(_int_compound(scaled, n - 1))[::-1]]
         assert _form(from_matrix[n - 1], inverse=True) == polys[n - 2] * q ** (2 * n - 2)
     for j, p in enumerate(polys, start=1):
         read = _form_matrix(p)
@@ -140,12 +154,22 @@ def _raise(*args, **kwargs):
     raise AssertionError("the search ran although copositivity rules out a witness")
 
 
-@pytest.mark.parametrize("matrix", SHORTCUT_MATRICES)
+@pytest.mark.parametrize("matrix", SAMPLING_SHORTCUT_MATRICES)
 def test_sampling_shortcut_draws_nothing_and_agrees_with_the_fraction_loop(matrix, monkeypatch):
     expected = sample_refute_by_fractions(matrix, budget=60, seed=5, exponent_range=3)
     assert expected is None
     monkeypatch.setattr(scaling.random, "Random", _raise)
     assert sample_refute(matrix, budget=500, seed=5) is None
+
+
+def test_singular_matrix_blocks_the_sampling_shortcut():
+    _, scaled = _scaled(SINGULAR_D3)
+    copositive = [_strictly_copositive(_hadamard(_int_compound(scaled, j))) for j in (1, 2, 3)]
+    assert copositive == [True, True, False]
+    # p_3 = det(A)^2 (prod d)^2 vanishes, so the first draw is a witness
+    expected = sample_refute_by_fractions(SINGULAR_D3, budget=60, seed=5, exponent_range=3)
+    assert expected is not None
+    assert sample_refute(SINGULAR_D3, budget=60, seed=5) == expected
 
 
 @pytest.mark.parametrize("matrix", SHORTCUT_MATRICES)

@@ -21,6 +21,7 @@ from qscaling import (
     render_matrix,
     zero_rows_outside,
 )
+from qscaling.matrices import _int_minor, _scaled
 
 from helpers import random_rational_matrix
 from oracles import brute_force_minor, leibniz_determinant, two_by_two_determinant
@@ -86,6 +87,9 @@ def test_minor_against_two_by_two_oracle():
 def test_minor_order_zero_convention():
     empty = IndexSet(2, ())
     assert minor(A_REF, empty, empty) == 1
+    # the kernel owns the convention: the empty matrix has determinant 1
+    _, scaled = _scaled(A_REF)
+    assert _int_minor(scaled, (), ()) == 1
 
 
 def test_minor_errors():

@@ -334,6 +334,9 @@ def test_cauchy_binet_terms_equal_products_of_fraction_minors():
             for beta in index_sets(n, k)
         ]
         assert list(expansion.terms) == expected
+        # the empty alpha has one beta, the empty set, and the order-0 minors are 1
+        empty = IndexSet(n, ())
+        assert cauchy_binet_terms(m, empty).terms == ((empty, 1),)
 
 
 def test_cauchy_binet_generic_shows_dropped_terms():
