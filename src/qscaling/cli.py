@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
 
 from .matrices import (
     DimensionGuardError,
@@ -28,7 +27,6 @@ from .matrices import (
     render_rational,
 )
 from .matrix_classes import ClassReport, classify
-from .polynomial import SparsePolynomial
 from .refute import (
     HuntConfig,
     HypothesisStatus,
@@ -95,7 +93,7 @@ def render_certificate(cert: Certificate) -> str:
 def render_refutation_report(report: RefutationReport) -> str:
     lines = [f"matrix: {_inline(report.matrix)}"]
     lines.append(f"A^2:    {_inline(report.squared)}")
-    lines.extend(_render_hypothesis(report.polynomials, report.hypothesis))
+    lines.extend(_render_hypothesis(report.hypothesis))
     lines.append("conclusion (classes of A^2):")
     for name, verdict in report.conclusion.verdicts().items():
         lines.append("  " + _render_verdict_line(name, verdict))
@@ -114,11 +112,11 @@ def _inline(matrix: RationalMatrix) -> str:
     return "[" + "; ".join(" ".join(render_rational(e) for e in row) for row in matrix.rows) + "]"
 
 
-def _render_hypothesis(polynomials: Sequence[SparsePolynomial], hypothesis: HypothesisStatus) -> list[str]:
+def _render_hypothesis(hypothesis: HypothesisStatus) -> list[str]:
     """Each p_j with its certificate, then the hypothesis status."""
     lines = []
-    for j, (poly, cert) in enumerate(zip(polynomials, hypothesis.certificates), start=1):
-        lines.append(f"p{j} = {poly.to_text()}")
+    for j, cert in enumerate(hypothesis.certificates, start=1):
+        lines.append(f"p{j} = {cert.polynomial.to_text()}")
         # only NoCounterexampleFound means sampling ran and found no witness; a
         # refutation came from another p_j's certificate or from a draw
         if cert.verdict is CertificateVerdict.INCONCLUSIVE and isinstance(hypothesis, NoCounterexampleFound):
@@ -182,23 +180,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_q2scaling(args) -> int:
     matrix = _load_matrix(args)
-    polys, hypothesis = evaluate_hypothesis(
+    hypothesis = evaluate_hypothesis(
         matrix,
         budget=args.budget,
         seed=args.seed,
         exponent_range=args.range,
         max_dim=args.max_dim,
-        symbolic_max_dim=args.max_dim,
     )
     if args.format == "structured":
         payload = {
             "matrix": matrix_to_dict(matrix),
-            "invariants": invariants_to_dict(polys, hypothesis.certificates),
+            "invariants": invariants_to_dict(hypothesis.certificates),
             "hypothesis": hypothesis.to_dict(),
         }
         print(_structured("q2scaling", payload))
     else:
-        print("\n".join(_render_hypothesis(polys, hypothesis)))
+        print("\n".join(_render_hypothesis(hypothesis)))
     return EXIT_FOUND if isinstance(hypothesis, RefutedAt) else EXIT_OK
 
 

@@ -100,12 +100,12 @@ class IndexSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        members = tuple(int(m) for m in self.members)
+        members = tuple(self.members)
         object.__setattr__(self, "members", members)
         prev = 0
         for m in members:
-            if m <= prev:
-                raise ValueError(f"members must be strictly increasing in 1..{self.n}, got {members}")
+            if type(m) is not int or m <= prev:
+                raise ValueError(f"members must be strictly increasing ints in 1..{self.n}, got {members}")
             prev = m
         if members and members[-1] > self.n:
             raise ValueError(f"member {members[-1]} out of range 1..{self.n}")

@@ -39,11 +39,11 @@ class SparsePolynomial:
         cleaned: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exponents, coeff in terms.items():
-                exps = tuple(int(e) for e in exponents)
+                exps = tuple(exponents)
                 if len(exps) != n_vars:
                     raise ValueError(f"exponent tuple {exps} does not have {n_vars} entries")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                if any(type(e) is not int or e < 0 for e in exps):
+                    raise ValueError(f"exponents must be nonnegative ints, got {exps}")
                 value = _coerce_coeff(coeff)
                 if value:
                     cleaned[exps] = value

@@ -102,7 +102,6 @@ class RefutationReport:
 
     matrix: RationalMatrix
     squared: RationalMatrix
-    polynomials: tuple[SparsePolynomial, ...]
     hypothesis: HypothesisStatus
     conclusion: ClassReport
     anti_sign: Verdict
@@ -112,11 +111,16 @@ class RefutationReport:
     def certificates(self) -> tuple[Certificate, ...]:
         return self.hypothesis.certificates
 
+    @property
+    def polynomials(self) -> tuple[SparsePolynomial, ...]:
+        """p_1..p_n, as carried by their certificates."""
+        return tuple(c.polynomial for c in self.certificates)
+
     def to_dict(self) -> dict:
         return {
             "matrix": matrix_to_dict(self.matrix),
             "squared": matrix_to_dict(self.squared),
-            "invariants": invariants_to_dict(self.polynomials, self.certificates),
+            "invariants": invariants_to_dict(self.certificates),
             "hypothesis": self.hypothesis.to_dict(),
             "conclusion": self.conclusion.to_dict(),
             "anti_sign_symmetric": self.anti_sign.to_dict(),
@@ -125,13 +129,11 @@ class RefutationReport:
         }
 
 
-def invariants_to_dict(
-    polynomials: Sequence[SparsePolynomial], certificates: Sequence[Certificate]
-) -> list[dict]:
+def invariants_to_dict(certificates: Sequence[Certificate]) -> list[dict]:
     """The structured form of p_1..p_n, each with its certificate."""
     return [
-        {"order": j, "polynomial": p.to_text(), "certificate": cert.to_dict()}
-        for j, (p, cert) in enumerate(zip(polynomials, certificates), start=1)
+        {"order": j, "polynomial": cert.polynomial.to_text(), "certificate": cert.to_dict()}
+        for j, cert in enumerate(certificates, start=1)
     ]
 
 
@@ -166,28 +168,28 @@ def evaluate_hypothesis(
     seed: int = 0,
     exponent_range: int = 3,
     max_dim: int | None = None,
-    symbolic_max_dim: int | None = None,
-) -> tuple[list[SparsePolynomial], HypothesisStatus]:
+) -> HypothesisStatus:
     """Certify or refute "(D*A)^2 is a Q-matrix for every positive diagonal D".
 
     The sampling arguments are checked up front, whether or not the
-    certificates leave sampling to do.
+    certificates leave sampling to do. ``max_dim`` overrides both the
+    symbolic-expansion and the sampling bound.
     """
     check_sampling_args(budget, exponent_range)
-    polys = symbolic_q_invariants(matrix, max_dim=symbolic_max_dim)
+    polys = symbolic_q_invariants(matrix, max_dim=max_dim)
     certs = tuple(certify_positive_on_orthant(p) for p in polys)
     for cert in certs:
         if cert.verdict is CertificateVerdict.NOT_POSITIVE:
             assert isinstance(cert.evidence, WitnessEvidence)
-            return list(polys), RefutedAt(DiagonalScaling(cert.evidence.point), certs)
+            return RefutedAt(DiagonalScaling(cert.evidence.point), certs)
     if all(c.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT for c in certs):
-        return list(polys), CertifiedForAll(certs)
+        return CertifiedForAll(certs)
     witness = sample_refute(
         matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim
     )
     if witness is not None:
-        return list(polys), RefutedAt(witness, certs)
-    return list(polys), NoCounterexampleFound(budget, certs)
+        return RefutedAt(witness, certs)
+    return NoCounterexampleFound(budget, certs)
 
 
 def verify_refutation(
@@ -199,15 +201,16 @@ def verify_refutation(
 ) -> RefutationReport:
     """Test whether ``matrix`` refutes the implication (see module docstring).
 
-    Minor enumeration uses its default bound; ``symbolic_max_dim`` overrides
-    the symbolic-expansion bound.
+    ``symbolic_max_dim`` is passed to ``evaluate_hypothesis`` as its
+    ``max_dim``; ``classify`` and the anti-sign scan keep their default
+    enumeration bound.
     """
-    polys, hypothesis = evaluate_hypothesis(
+    hypothesis = evaluate_hypothesis(
         matrix,
         budget=budget,
         seed=seed,
         exponent_range=exponent_range,
-        symbolic_max_dim=symbolic_max_dim,
+        max_dim=symbolic_max_dim,
     )
     squared = mat_mul(matrix, matrix)
     conclusion = classify(squared)
@@ -216,7 +219,6 @@ def verify_refutation(
     return RefutationReport(
         matrix=matrix,
         squared=squared,
-        polynomials=tuple(polys),
         hypothesis=hypothesis,
         conclusion=conclusion,
         anti_sign=anti_sign,

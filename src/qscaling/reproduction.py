@@ -96,16 +96,15 @@ def _describe_verdict(report: RefutationReport) -> str:
     return f"counterexample ({grade}): {claims}"
 
 
-def run_reproduction(matrix: RationalMatrix | None = None) -> ReproductionResult:
+def run_reproduction() -> ReproductionResult:
     """Recompute the bundled analysis and compare it with the expected values.
 
     The pipeline runs once, through ``verify_refutation``; the checks on
     A^2, the p_j, their certificates and the class verdicts read its
-    report. Passing a different matrix (test harnesses only) exercises the
-    mismatch path: the same pipeline runs, but the frozen expectations
-    no longer match and ``ok`` turns false.
+    report. The checks accept any matrix, so a replaced
+    ``COUNTEREXAMPLE_MATRIX`` shows up as mismatches, not as an error.
     """
-    a = COUNTEREXAMPLE_MATRIX if matrix is None else matrix
+    a = COUNTEREXAMPLE_MATRIX
     checks: list[Check] = []
 
     def add(name: str, expected: str, actual: str) -> None:

@@ -653,17 +653,6 @@ class CauchyBinetExpansion:
                 return term
         raise LookupError("expansion is missing its beta = alpha term")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": list(self.alpha.members),
-            "terms": [
-                {"beta": list(beta.members), "value": render_rational(term)}
-                for beta, term in self.terms
-            ],
-            "total": render_rational(self.total),
-            "principal_term": render_rational(self.principal_term),
-        }
-
 
 def cauchy_binet_terms(
     matrix: RationalMatrix, alpha: IndexSet, max_dim: int | None = None

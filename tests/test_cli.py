@@ -1,7 +1,7 @@
 import json
 import random
 
-from qscaling import RationalMatrix, render_matrix, run_reproduction
+from qscaling import RationalMatrix, render_matrix, reproduction, run_reproduction
 from qscaling.cli import main
 
 from helpers import random_rational_matrix
@@ -166,18 +166,15 @@ def test_reproduce_structured(capsys):
     assert all(check["ok"] for check in doc["checks"])
 
 
-def test_reproduction_self_check_catches_tampering():
-    tampered = RationalMatrix(((1, 2), (-1, 4)))
-    result = run_reproduction(tampered)
+def test_reproduction_self_check_catches_tampering(monkeypatch):
+    monkeypatch.setattr(reproduction, "COUNTEREXAMPLE_MATRIX", RationalMatrix(((1, 2), (-1, 4))))
+    result = run_reproduction()
     assert not result.ok
     assert result.first_mismatch is not None
 
 
-def test_reproduce_exits_nonzero_on_mismatch(tmp_path, capsys, monkeypatch):
-    import qscaling.cli as cli_module
-
-    tampered = RationalMatrix(((1, 2), (-1, 4)))
-    monkeypatch.setattr(cli_module, "run_reproduction", lambda: run_reproduction(tampered))
+def test_reproduce_exits_nonzero_on_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(reproduction, "COUNTEREXAMPLE_MATRIX", RationalMatrix(((1, 2), (-1, 4))))
     code, out, err = run_cli(capsys, "reproduce")
     assert code == 1
     assert "FAIL" in out

@@ -57,7 +57,15 @@ def test_index_set_validation():
         IndexSet(3, (3, 1))
     with pytest.raises(ValueError):
         IndexSet(3, (4,))
+    # members that are not ints: truncating them would read (1.9, 2.5) as
+    # {1,2}, ("2",) as {2}, and turn the minor below into the (1|2) minor
+    for members in ((1.9, 2.5), ("2",), (True,), (Fraction(2),)):
+        with pytest.raises(ValueError):
+            IndexSet(3, members)
+    with pytest.raises(ValueError):
+        minor(A_REF, IndexSet(2, (1.9,)), IndexSet(2, (2.2,)))
     assert IndexSet.of(4, 3, 1).members == (1, 3)
+    assert IndexSet(3, [1, 3]).members == (1, 3)
 
 
 def test_index_sets_enumerate_lexicographically():

@@ -26,6 +26,10 @@ def test_construction_validation():
         SparsePolynomial(2, {(-1, 0): 1})
     with pytest.raises(TypeError):
         SparsePolynomial(2, {(1, 0): 0.5})
+    # exponents that are not ints: truncating {(1.5, 0.7): 1} would give d1
+    for exponents in ((1.5, 0.7), (2.0, 0), ("1", 0), (True, 0)):
+        with pytest.raises(ValueError):
+            SparsePolynomial(2, {exponents: 1})
 
 
 def test_canonical_text():

@@ -5,6 +5,7 @@ import pytest
 from qscaling import (
     CertifiedForAll,
     Claim,
+    DimensionGuardError,
     EvidenceGrade,
     HuntConfig,
     NoCounterexampleFound,
@@ -13,9 +14,11 @@ from qscaling import (
     VerdictKind,
     classify,
     derive_verdict,
+    evaluate_hypothesis,
     generate_candidates,
     hunt,
     mat_mul,
+    symbolic_q_invariants,
     verify_refutation,
 )
 
@@ -40,6 +43,7 @@ def test_verify_refutation_reference():
     assert report.verdict.kind is VerdictKind.COUNTEREXAMPLE
     assert report.verdict.refuted_claims == (Claim.GENERAL, Claim.TWO_BY_TWO, Claim.ANTI_SIGN_SYMMETRIC)
     assert report.verdict.evidence_grade is EvidenceGrade.CERTIFIED
+    assert report.polynomials == tuple(symbolic_q_invariants(A_REF))
 
 
 def test_verify_refutation_identity_consistent():
@@ -56,6 +60,17 @@ def test_verify_refutation_nilpotent_refuted_hypothesis():
     assert report.verdict.kind is VerdictKind.CONSISTENT
     scaled = report.hypothesis.scaling.apply_left(NILPOTENT)
     assert not classify(mat_mul(scaled, scaled)).q.holds
+    assert report.polynomials == tuple(symbolic_q_invariants(NILPOTENT))
+
+
+def test_evaluate_hypothesis_max_dim_raises_both_bounds():
+    # max_dim raises the symbolic bound (6 by default) as well as sampling's
+    identity = RationalMatrix.identity(7)
+    with pytest.raises(DimensionGuardError):
+        evaluate_hypothesis(identity)
+    status = evaluate_hypothesis(identity, max_dim=7)
+    assert isinstance(status, CertifiedForAll)
+    assert [c.polynomial for c in status.certificates] == symbolic_q_invariants(identity, max_dim=7)
 
 
 def test_verdict_recomputes_from_report_parts():
@@ -171,3 +186,4 @@ def test_sampling_fallback_reaches_no_counterexample():
     report = verify_refutation(m, budget=150, seed=4)
     assert isinstance(report.hypothesis, (CertifiedForAll, NoCounterexampleFound))
     assert report.verdict.kind in (VerdictKind.CONSISTENT, VerdictKind.UNDETERMINED)
+    assert report.polynomials == tuple(symbolic_q_invariants(m))
