@@ -19,7 +19,7 @@ import json
 import sys
 
 from .matrices import (
-    DimensionGuardError,
+    DEFAULT_ENUMERATION_GUARD,
     MatrixParseError,
     RationalMatrix,
     matrix_to_dict,
@@ -39,7 +39,7 @@ from .refute import (
     invariants_to_dict,
 )
 from .reproduction import run_reproduction
-from .scaling import Certificate, CertificateVerdict, QuadraticEvidence, WitnessEvidence
+from .scaling import DEFAULT_SYMBOLIC_GUARD, Certificate, CertificateVerdict, QuadraticEvidence, WitnessEvidence
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -164,7 +164,16 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
         "--format",
         choices=("text", "structured"),
         default="text",
-        help="output format: human-readable text or a JSON document (default: text)",
+        help="output format: human-readable text or a JSON document (default: %(default)s)",
+    )
+
+
+def _add_max_dim_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-dim",
+        type=int,
+        help=f"override every dimension bound the command enforces (defaults: {DEFAULT_ENUMERATION_GUARD} for "
+        f"minor enumeration and sampling, {DEFAULT_SYMBOLIC_GUARD} for symbolic expansion)",
     )
 
 
@@ -226,13 +235,13 @@ def cmd_reproduce(args) -> int:
 def cmd_hunt(args) -> int:
     cfg = HuntConfig(
         dimension=args.dim,
-        entry_range=args.range,
+        entry_range=args.entry_range,
         count=args.count,
         budget=args.budget,
         seed=args.seed,
         mode=args.mode,
     )
-    reports = hunt(cfg, symbolic_max_dim=args.max_dim)
+    reports = hunt(cfg, max_dim=args.max_dim)
     counterexamples = sum(1 for r in reports if r.verdict.kind is VerdictKind.COUNTEREXAMPLE)
     undetermined = len(reports) - counterexamples
     if args.format == "structured":
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="classify a matrix into the P/P0/P0+/Q hierarchy")
     _add_input_arguments(analyze)
     _add_format_argument(analyze)
-    analyze.add_argument("--max-dim", type=int, default=None, help="override the enumeration bound (default 12)")
+    _add_max_dim_argument(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     q2 = sub.add_parser(
@@ -276,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_arguments(q2)
     _add_format_argument(q2)
-    q2.add_argument("--budget", type=int, default=10_000, help="sampling budget when certificates are inconclusive (default 10000)")
-    q2.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    q2.add_argument("--range", type=int, default=3, help="sampling exponent bound E: entries span 10^-E..10^E (default 3)")
-    q2.add_argument("--max-dim", type=int, default=None, help="override the symbolic-expansion bound (default 6)")
+    q2.add_argument("--budget", type=int, default=10_000, help="sampling budget when certificates are inconclusive (default %(default)s)")
+    q2.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
+    q2.add_argument("--range", type=int, default=3, help="sampling exponent bound E: entries span 10^-E..10^E (default %(default)s)")
+    _add_max_dim_argument(q2)
     q2.set_defaults(func=cmd_q2scaling)
 
     reproduce = sub.add_parser("reproduce", help="run and self-check the bundled counterexample analysis")
@@ -289,17 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_parser = sub.add_parser("hunt", help="search random integer matrices for counterexamples")
     _add_format_argument(hunt_parser)
     hunt_parser.add_argument("--dim", type=int, required=True, help="candidate dimension")
-    hunt_parser.add_argument("--range", type=int, default=5, help="integer entry bound (default 5)")
+    hunt_parser.add_argument("--entry-range", type=int, default=5, help="integer entry bound (default %(default)s)")
     hunt_parser.add_argument("--count", type=int, required=True, help="number of candidates to examine")
-    hunt_parser.add_argument("--budget", type=int, default=10_000, help="sampling budget per candidate (default 10000)")
-    hunt_parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    hunt_parser.add_argument("--budget", type=int, default=10_000, help="sampling budget per candidate (default %(default)s)")
+    hunt_parser.add_argument("--seed", type=int, default=0, help="generator seed (default %(default)s)")
     hunt_parser.add_argument(
         "--mode",
         choices=("all", "nonsingular", "spd"),
         default="all",
-        help="candidate family: any integer matrix, nonsingular only, or B^T*B + I (default: all)",
+        help="candidate family: any integer matrix, nonsingular only, or B^T*B + I (default: %(default)s)",
     )
-    hunt_parser.add_argument("--max-dim", type=int, default=None, help="override the symbolic-expansion bound (default 6)")
+    _add_max_dim_argument(hunt_parser)
     hunt_parser.set_defaults(func=cmd_hunt)
 
     return parser
@@ -313,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (MatrixParseError, DimensionGuardError, ValueError) as exc:
+    except ValueError as exc:  # MatrixParseError and DimensionGuardError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

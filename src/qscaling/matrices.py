@@ -79,10 +79,10 @@ def render_rational(value: Fraction) -> str:
 def _coerce_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(
-        f"matrix entries must be exact rationals (int or Fraction), got {type(value).__name__}"
+        f"expected an exact rational (int or Fraction), got {type(value).__name__}"
     )
 
 
@@ -119,12 +119,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.members
 
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"

@@ -14,13 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+from .matrices import _coerce_rational
 
 
 def _canonical_key(exponents: tuple[int, ...]) -> tuple:
@@ -44,7 +38,7 @@ class SparsePolynomial:
                     raise ValueError(f"exponent tuple {exps} does not have {n_vars} entries")
                 if any(type(e) is not int or e < 0 for e in exps):
                     raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-                value = _coerce_coeff(coeff)
+                value = _coerce_rational(coeff)
                 if value:
                     cleaned[exps] = value
         self._terms = cleaned
@@ -72,19 +66,14 @@ class SparsePolynomial:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """Whether all terms share one total degree (vacuously true when zero)."""
-        degrees = {sum(e) for e in self._terms}
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """Whether every term has total degree ``degree`` (vacuously true when zero)."""
+        return {sum(e) for e in self._terms} <= {degree}
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
-        coords = [_coerce_coeff(x) for x in point]
+        coords = [_coerce_rational(x) for x in point]
         total = Fraction(0)
         for exps, coeff in self._terms.items():
             value = coeff
@@ -117,14 +106,14 @@ class SparsePolynomial:
         return SparsePolynomial(self.n_vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SparsePolynomial) else -_coerce_coeff(other))
+        return self + (-other if isinstance(other, SparsePolynomial) else -_coerce_rational(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            factor = _coerce_coeff(other)
+            factor = _coerce_rational(other)
             return SparsePolynomial(self.n_vars, {e: c * factor for e, c in self._terms.items()})
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
@@ -145,13 +134,13 @@ class SparsePolynomial:
 
     # -- rendering ------------------------------------------------------------
 
-    def _render(self, natural: bool, var_prefix: str) -> str:
+    def _render(self, natural: bool) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.terms():
             mono = "*".join(
-                f"{var_prefix}{i}" if p == 1 else f"{var_prefix}{i}^{p}"
+                f"d{i}" if p == 1 else f"d{i}^{p}"
                 for i, p in enumerate(exps, start=1)
                 if p
             )
@@ -168,13 +157,13 @@ class SparsePolynomial:
                 parts.append(f" - {body}" if coeff < 0 else f" + {body}")
         return "".join(parts)
 
-    def to_text(self, var_prefix: str = "d") -> str:
+    def to_text(self) -> str:
         """Canonical text form with explicit coefficients."""
-        return self._render(natural=False, var_prefix=var_prefix)
+        return self._render(natural=False)
 
-    def to_natural_text(self, var_prefix: str = "d") -> str:
+    def to_natural_text(self) -> str:
         """Human form that omits unit coefficients, e.g. ``d1 - 2*d2``."""
-        return self._render(natural=True, var_prefix=var_prefix)
+        return self._render(natural=True)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -197,24 +197,23 @@ def verify_refutation(
     budget: int = 10_000,
     seed: int = 0,
     exponent_range: int = 3,
-    symbolic_max_dim: int | None = None,
+    max_dim: int | None = None,
 ) -> RefutationReport:
     """Test whether ``matrix`` refutes the implication (see module docstring).
 
-    ``symbolic_max_dim`` is passed to ``evaluate_hypothesis`` as its
-    ``max_dim``; ``classify`` and the anti-sign scan keep their default
-    enumeration bound.
+    ``max_dim`` overrides every dimension bound of the call: those of
+    ``evaluate_hypothesis``, ``classify(A^2)`` and the anti-sign scan.
     """
     hypothesis = evaluate_hypothesis(
         matrix,
         budget=budget,
         seed=seed,
         exponent_range=exponent_range,
-        max_dim=symbolic_max_dim,
+        max_dim=max_dim,
     )
     squared = mat_mul(matrix, matrix)
-    conclusion = classify(squared)
-    anti_sign = is_anti_sign_symmetric(matrix)
+    conclusion = classify(squared, max_dim=max_dim)
+    anti_sign = is_anti_sign_symmetric(matrix, max_dim=max_dim)
     verdict = derive_verdict(hypothesis, conclusion, matrix.n, anti_sign)
     return RefutationReport(
         matrix=matrix,
@@ -293,12 +292,13 @@ def generate_candidates(cfg: HuntConfig):
             yield mat_mul(factor.transpose(), factor) + RationalMatrix.identity(cfg.dimension)
 
 
-def hunt(cfg: HuntConfig, symbolic_max_dim: int | None = None) -> list[RefutationReport]:
+def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
     """Run verify_refutation over the candidate stream; keep non-consistent reports.
 
     Candidates are processed in stream order and each one's sampling seed
     is derived from (cfg.seed, index), so the report list is identical
-    across runs with the same config.
+    across runs with the same config. ``max_dim`` is passed on to each
+    ``verify_refutation`` call.
     """
     reports = []
     for index, candidate in enumerate(generate_candidates(cfg)):
@@ -307,7 +307,7 @@ def hunt(cfg: HuntConfig, symbolic_max_dim: int | None = None) -> list[Refutatio
             budget=cfg.budget,
             seed=cfg.seed * 1_000_003 + index,
             exponent_range=cfg.exponent_range,
-            symbolic_max_dim=symbolic_max_dim,
+            max_dim=max_dim,
         )
         if report.verdict.kind is not VerdictKind.CONSISTENT:
             reports.append(report)

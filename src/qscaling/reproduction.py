@@ -67,6 +67,8 @@ def _matrix_inline(matrix: RationalMatrix) -> str:
 
 
 def _describe_certificate(cert) -> str:
+    if not cert.verify():
+        return "certificate does not verify"
     if cert.verdict is not CertificateVerdict.POSITIVE_ON_ORTHANT:
         return f"verdict {cert.verdict.value}"
     if isinstance(cert.evidence, CoefficientEvidence):
@@ -77,12 +79,14 @@ def _describe_certificate(cert) -> str:
     return "positive via unknown evidence"
 
 
-def _describe_p0(report) -> str:
+def _describe_p0(report, squared: RationalMatrix) -> str:
     verdict = report.p0
     if verdict.holds:
         return "holds"
     witness = verdict.witness
     if isinstance(witness, PrincipalMinorWitness):
+        if not witness.reverify(squared):
+            return "witness does not re-verify"
         return f"fails at {witness.index_set} with minor {witness.value}"
     return "fails"
 
@@ -148,7 +152,7 @@ def run_reproduction() -> ReproductionResult:
 
     conclusion = report.conclusion
     add("principal minor sums of A^2", "22, 49", ", ".join(str(c) for c in conclusion.minor_sums))
-    add("A^2 P0 verdict", "fails at {1} with minor -1", _describe_p0(conclusion))
+    add("A^2 P0 verdict", "fails at {1} with minor -1", _describe_p0(conclusion, squared))
 
     add("anti-sign symmetry of A", "holds", "holds" if report.anti_sign.holds else "fails")
     if a.n >= 2:

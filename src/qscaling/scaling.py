@@ -454,11 +454,11 @@ def _quadratic_witness(p: SparsePolynomial, a: Fraction, b: Fraction, c: Fractio
     return WitnessEvidence(point, p.evaluate(point))
 
 
-def _grid_points(n_vars: int, budget: int):
+def _grid_points(n_vars: int):
     """Deterministic positive sample points, each as the integers GRID_SCALE * x.
 
     All-ones comes first, then the epsilon patterns (skipped above ten
-    variables), then the value grid; at most ``budget`` points in all. The
+    variables), then the value grid; at most GRID_BUDGET points in all. The
     value grid starts with all-ones again: that repeat is not yielded, but
     it still counts against the budget.
     """
@@ -470,13 +470,13 @@ def _grid_points(n_vars: int, budget: int):
             for inside in combinations(range(n_vars), k):
                 chosen = set(inside)
                 for eps in epsilons:
-                    if emitted >= budget:
+                    if emitted >= GRID_BUDGET:
                         return
                     yield tuple(GRID_SCALE if i in chosen else eps for i in range(n_vars))
                     emitted += 1
     values = [int(GRID_SCALE * x) for x in _GRID_VALUES]
     for index, point in enumerate(product(values, repeat=n_vars)):
-        if emitted >= budget:
+        if emitted >= GRID_BUDGET:
             return
         emitted += 1
         if index:
@@ -545,7 +545,7 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
         )
         for e, c in terms
     ]
-    for scaled_point in _grid_points(p.n_vars, GRID_BUDGET):
+    for scaled_point in _grid_points(p.n_vars):
         total = 0
         for value, powers in scaled_terms:
             for i, k in powers:

@@ -1,8 +1,20 @@
+import argparse
 import json
 import random
 
-from qscaling import RationalMatrix, render_matrix, reproduction, run_reproduction
-from qscaling.cli import main
+import pytest
+
+from qscaling import (
+    DEFAULT_ENUMERATION_GUARD,
+    DEFAULT_SYMBOLIC_GUARD,
+    Certificate,
+    PrincipalMinorWitness,
+    RationalMatrix,
+    render_matrix,
+    reproduction,
+    run_reproduction,
+)
+from qscaling.cli import build_parser, main
 
 from helpers import random_rational_matrix
 
@@ -173,6 +185,15 @@ def test_reproduction_self_check_catches_tampering(monkeypatch):
     assert result.first_mismatch is not None
 
 
+@pytest.mark.parametrize(
+    "cls, method, check",
+    [(Certificate, "verify", "p1 certificate"), (PrincipalMinorWitness, "reverify", "A^2 P0 verdict")],
+)
+def test_reproduction_rechecks_its_evidence(monkeypatch, cls, method, check):
+    monkeypatch.setattr(cls, method, lambda *args: False)
+    assert run_reproduction().first_mismatch.name == check
+
+
 def test_reproduce_exits_nonzero_on_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(reproduction, "COUNTEREXAMPLE_MATRIX", RationalMatrix(((1, 2), (-1, 4))))
     code, out, err = run_cli(capsys, "reproduce")
@@ -185,7 +206,7 @@ def test_reproduce_exits_nonzero_on_mismatch(capsys, monkeypatch):
 
 
 def test_hunt_deterministic_output(capsys):
-    args = ("hunt", "--dim", "2", "--range", "5", "--count", "40", "--seed", "3", "--budget", "50")
+    args = ("hunt", "--dim", "2", "--entry-range", "5", "--count", "40", "--seed", "3", "--budget", "50")
     code_one, out_one, _ = run_cli(capsys, *args)
     code_two, out_two, _ = run_cli(capsys, *args)
     assert code_one == code_two
@@ -196,7 +217,7 @@ def test_hunt_deterministic_output(capsys):
 def test_hunt_finds_reference_counterexample(capsys):
     code, out, _ = run_cli(
         capsys,
-        "hunt", "--dim", "2", "--range", "5", "--count", "128", "--seed", "52", "--budget", "50",
+        "hunt", "--dim", "2", "--entry-range", "5", "--count", "128", "--seed", "52", "--budget", "50",
     )
     assert code == 1
     assert "matrix: [1 2; -1 5]" in out
@@ -206,12 +227,28 @@ def test_hunt_finds_reference_counterexample(capsys):
 def test_hunt_structured(capsys):
     code, out, _ = run_cli(
         capsys,
-        "hunt", "--dim", "2", "--range", "2", "--count", "10", "--seed", "1",
+        "hunt", "--dim", "2", "--entry-range", "2", "--count", "10", "--seed", "1",
         "--format", "structured",
     )
     doc = json.loads(out)
     assert doc["summary"]["candidates"] == 10
+    assert doc["config"]["entry_range"] == 2
     assert code in (0, 1)
+
+
+def test_hunt_has_no_range_flag(capsys):
+    # --range is q2scaling's sampling exponent; hunt's entry bound is --entry-range
+    code, _, err = run_cli(capsys, "hunt", "--dim", "2", "--count", "1", "--range", "5")
+    assert code == 2
+    assert "--range" in err
+
+
+def test_hunt_max_dim_raises_every_bound(capsys, monkeypatch):
+    # classify(A^2) and the anti-sign scan enforce the enumeration bound too
+    monkeypatch.setattr("qscaling.matrices.DEFAULT_ENUMERATION_GUARD", 2)
+    assert run_cli(capsys, "hunt", "--dim", "3", "--count", "1", "--budget", "50")[0] == 2
+    code, _, err = run_cli(capsys, "hunt", "--dim", "3", "--count", "1", "--budget", "50", "--max-dim", "3")
+    assert code in (0, 1), err
 
 
 def test_hunt_guard_error(capsys):
@@ -235,6 +272,19 @@ def test_missing_command_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_max_dim_help_is_shared_and_names_both_bounds():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    helps = {
+        name: sub._option_string_actions["--max-dim"].help
+        for name, sub in commands.items()
+        if "--max-dim" in sub._option_string_actions
+    }
+    assert set(helps) == {"analyze", "q2scaling", "hunt"}
+    assert len(set(helps.values())) == 1
+    text = helps["hunt"]
+    assert f"{DEFAULT_ENUMERATION_GUARD} for" in text and f"{DEFAULT_SYMBOLIC_GUARD} for" in text
 
 
 def test_unknown_flag_is_usage_error(capsys):

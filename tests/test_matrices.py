@@ -287,5 +287,8 @@ def test_matrix_from_dict_errors():
 def test_matrix_rejects_floats_and_ragged_rows():
     with pytest.raises(TypeError):
         RationalMatrix(((0.5, 1), (1, 1)))
+    # bool is a subclass of int, but True is not the rational 1
+    with pytest.raises(TypeError):
+        RationalMatrix(((True, False), (False, True)))
     with pytest.raises(ValueError):
         RationalMatrix(((1, 2), (3,)))

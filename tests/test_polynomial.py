@@ -24,8 +24,9 @@ def test_construction_validation():
         SparsePolynomial(2, {(1,): 1})
     with pytest.raises(ValueError):
         SparsePolynomial(2, {(-1, 0): 1})
-    with pytest.raises(TypeError):
-        SparsePolynomial(2, {(1, 0): 0.5})
+    for coeff in (0.5, True):
+        with pytest.raises(TypeError):
+            SparsePolynomial(2, {(1, 0): coeff})
     # exponents that are not ints: truncating {(1.5, 0.7): 1} would give d1
     for exponents in ((1.5, 0.7), (2.0, 0), ("1", 0), (True, 0)):
         with pytest.raises(ValueError):
@@ -79,7 +80,7 @@ def test_homogeneity_helpers():
     assert p_ref().is_homogeneous(2)
     assert not p_ref().is_homogeneous(3)
     assert SparsePolynomial.zero(2).is_homogeneous(7)
-    assert not SparsePolynomial(1, {(1,): 1, (0,): 1}).is_homogeneous()
+    assert not SparsePolynomial(1, {(1,): 1, (0,): 1}).is_homogeneous(1)
 
 
 def test_evaluate_validates_arity():

@@ -73,6 +73,18 @@ def test_evaluate_hypothesis_max_dim_raises_both_bounds():
     assert [c.polynomial for c in status.certificates] == symbolic_q_invariants(identity, max_dim=7)
 
 
+def test_verify_refutation_max_dim_raises_every_bound(monkeypatch):
+    # with the enumeration bound lowered to 2, a 3x3 report needs max_dim to
+    # reach classify(A^2) and the anti-sign scan as well as the hypothesis
+    matrix = RationalMatrix(((3, 0, 3), (-2, 4, 3), (4, -1, 2)))
+    cfg = HuntConfig(dimension=3, entry_range=3, count=4, budget=50)
+    expected = verify_refutation(matrix, budget=50), hunt(cfg)
+    monkeypatch.setattr("qscaling.matrices.DEFAULT_ENUMERATION_GUARD", 2)
+    with pytest.raises(DimensionGuardError):
+        verify_refutation(matrix, budget=50)
+    assert (verify_refutation(matrix, budget=50, max_dim=3), hunt(cfg, max_dim=3)) == expected
+
+
 def test_verdict_recomputes_from_report_parts():
     rng = random.Random(31)
     matrices = [A_REF, NILPOTENT, RationalMatrix.identity(2)]

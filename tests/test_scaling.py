@@ -42,6 +42,8 @@ NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
 def test_diagonal_scaling_validation_and_product():
     with pytest.raises(ValueError):
         DiagonalScaling((Fraction(1), Fraction(0)))
+    with pytest.raises(TypeError):
+        DiagonalScaling((True, True))
     scaling = DiagonalScaling((Fraction(2), Fraction(3)))
     assert scaling.apply_left(A_REF) == RationalMatrix(((2, 4), (-3, 15)))
 
