@@ -186,12 +186,19 @@ class RationalMatrix:
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product; both operands must share the same dimension."""
+    """Exact matrix product; both operands must share the same dimension.
+
+    Each operand's denominators are cleared once: (q_a*A)(q_b*B) is an
+    integer product, and each entry is divided by q_a*q_b.
+    """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n}x{a.n} times {b.n}x{b.n}")
-    cols = tuple(zip(*b.rows))
+    qa, int_a = _scaled(a)
+    qb, int_b = _scaled(b)
+    q = qa * qb
+    cols = tuple(zip(*int_b))
     return RationalMatrix(
-        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows)
+        tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col)), q) for col in cols) for row in int_a)
     )
 
 

@@ -19,9 +19,10 @@ homogeneous quadratic, which is decided completely), exact sampling
 refutes it, and anything else is reported inconclusive.
 
 Each p_j is also a quadratic form z^T M_j z, where z lists the products
-of j of the d_i. When M_j is strictly copositive, p_j is positive on the orthant, so
-no grid point and no draw can refute it. The grid and the sampling then
-skip a search whose outcome is already known, and the output is the same.
+of j of the d_i. When M_j is copositive and no positive vector lies in its
+kernel, p_j is positive on the orthant, so no grid point and no draw can
+refute it. The grid and the sampling then skip a search whose outcome is
+already known, and the output is the same.
 """
 
 from __future__ import annotations
@@ -187,43 +188,77 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# The Hadamard compounds M_j behind p_j, and strict copositivity
+# The Hadamard compounds M_j behind p_j, and positivity of their forms
 #
 # By Cauchy-Binet, p_j(d) = z^T M_j z, where z_a = prod_{i in a} d_i runs over
 # the j-subsets a and M_j = C_j(A) o C_j(A)^T (o is the entrywise product), so
-# M_j[a][b] = A[a|b] * A[b|a]. Every such z is positive, so a strictly
-# copositive M_j makes p_j positive on the open orthant. p_1 = d^T M_1 d,
+# M_j[a][b] = A[a|b] * A[b|a]. Every such z is positive, so when z^T M_j z > 0
+# for every z > 0, p_j is positive on the open orthant. p_1 = d^T M_1 d,
 # p_{n-1} = (prod d)^2 times a form in 1/d whose matrix is M_{n-1} with its
 # rows and columns reordered, and p_n = det(A)^2 (prod d)^2 with
-# M_n = [[det(A)^2]].
+# M_n = [[det(A)^2]]. For these three the maps d -> z cover the open orthant,
+# so the converse holds as well.
 
 
-def _strictly_copositive(m: list[list[int]]) -> bool:
-    """Whether x^T m x > 0 for every nonzero x >= 0; ``m`` is a symmetric integer matrix.
+def _positive_on_orthant(m: list[list[int]]) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """Whether x^T m x > 0 for every x > 0, and a z > 0 with m z = 0 when that is why not.
 
-    Cottle-Habetler-Lemke: m fails exactly when some principal submatrix B
-    has det B <= 0 and adj B >= 0 with adj B != 0 (the adjugate of a 1x1
-    matrix is (1), its order-0 minor). A nonzero column x of such an adj B has
-    x^T B x = det(B) x_k <= 0; conversely a smallest failing B is of this
-    form. The all-ones 3x3 matrix, with det 0 and adj 0, is strictly
-    copositive, hence the last condition.
+    ``m`` is a symmetric integer matrix. The form is positive on the open
+    orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
+    of a copositive form at some z > 0 is an interior minimum, where the
+    gradient 2 m z vanishes. So the second entry is such a z when m is
+    copositive and not positive, and None otherwise; m is copositive
+    exactly when the first entry is True or the second is not None.
+
+    Copositivity (Cottle-Habetler-Lemke): visiting the principal
+    submatrices B in increasing order, m fails at the first B with
+    det B < 0 and adj B >= 0 (the adjugate of a 1x1 matrix is (1), its
+    order-0 minor); x = adj(B) 1 then gives x^T B x = det(B) 1^T adj(B) 1 < 0.
+
+    Positive kernel vector, for a copositive m with det m = 0: the z >= 0
+    with m z = 0 and sum z = 1 form a polytope. Its vertices are the x > 0
+    that solve [m on the columns S; 1^T] x = [0; 1] uniquely, for a support
+    S; each is found by Cramer's rule on integer minors. A positive z
+    exists exactly when the vertex supports cover every index, and the
+    average of the vertices is then one.
     """
     n = len(m)
     for k in range(1, n + 1):
         for s in combinations(range(n), k):
-            if _int_minor(m, s, s) > 0:
+            det = _int_minor(m, s, s)
+            if det >= 0:
                 continue
             # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
-            nonzero = False
-            for i, l in combinations_with_replacement(range(k), 2):
-                cofactor = (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :])
-                if cofactor < 0:
+            if all(
+                (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :]) >= 0
+                for i, l in combinations_with_replacement(range(k), 2)
+            ):
+                return False, None
+    # det is now det m, the last minor visited
+    if det:
+        return True, None
+    vertices = []
+    for k in range(1, n + 1):
+        cols = tuple(range(k))
+        for s in combinations(range(n), k):
+            # column k is the right-hand side
+            bordered = [[m[i][j] for j in s] + [0] for i in range(n)] + [[1] * (k + 1)]
+            # the first nonsingular rows in lexicographic order take each row that is
+            # independent of the rows above it, so their equations imply every other
+            # one; without the row of ones the right side is 0, and so is x
+            for rows in combinations(range(n + 1), k):
+                den = _int_minor(bordered, rows, cols)
+                if den:
                     break
-                nonzero = nonzero or cofactor > 0
             else:
-                if nonzero:
-                    return False
-    return True
+                continue  # dependent columns: the solution is not unique
+            num = [_int_minor(bordered, rows, cols[:i] + (k,) + cols[i + 1 :]) for i in range(k)]
+            if any(x * den <= 0 for x in num):
+                continue
+            vertices.append(dict(zip(s, (Fraction(x, den) for x in num))))
+    if len({i for v in vertices for i in v}) < n:
+        return True, None
+    return False, tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
 
 
 def _hadamard(b: list[list[int]]) -> list[list[int]]:
@@ -496,10 +531,11 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
 
     The grid decides each sign in integers, at GRID_SCALE times the point
     with the coefficients scaled by one positive factor; only the first
-    nonpositive point and its value (from ``p.evaluate``) become Fractions.
-    When p is a quadratic form in d or (prod d)^2 times one in 1/d, as p_1
-    and p_{n-1} are, and its matrix is strictly copositive, p is positive on
-    the orthant, so no grid point can refute it: the grid is skipped and the
+    nonpositive point becomes Fractions, and its value is that integer sum
+    divided by the same factor. When p is a quadratic form in d or
+    (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, and its matrix is
+    copositive with no positive kernel vector, p is positive on the
+    orthant, so no grid point can refute it: the grid is skipped and the
     certificate is the INCONCLUSIVE one the grid would reach.
     """
     if p.is_zero:
@@ -529,7 +565,7 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
 
     form = _form_matrix(p)
-    if form is not None and _strictly_copositive(form):
+    if form is not None and _positive_on_orthant(form)[0]:
         return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
 
     # with L the least common denominator of the coefficients and D the top
@@ -553,7 +589,9 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             total += value
         if total <= 0:
             point = tuple(Fraction(x, GRID_SCALE) for x in scaled_point)
-            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+            return Certificate(
+                p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(total, common * GRID_SCALE**top))
+            )
 
     return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
 
@@ -596,14 +634,14 @@ def sample_refute(
     When copositivity proves that no draw can be a witness, None is
     returned without drawing. For n <= 3, where every p_j is p_1, p_{n-1}
     or p_n, each M_j of q*A (a positive multiple of M_j of A) is tested;
-    when all are strictly copositive, every p_j is positive.
-    M_n = [[det(q*A)^2]] is strictly copositive exactly when det A != 0.
+    when every one is copositive with no positive kernel vector, every p_j
+    is positive. M_n = [[det(q*A)^2]] passes exactly when det A != 0.
     """
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     _, scaled, by_order = _principal_minors_by_order(matrix)
-    if n <= 3 and all(_strictly_copositive(_hadamard(_int_compound(scaled, j))) for j in range(1, n + 1)):
+    if n <= 3 and all(_positive_on_orthant(_hadamard(_int_compound(scaled, j)))[0] for j in range(1, n + 1)):
         return None
     rng = random.Random(seed)
     randint = rng.randint

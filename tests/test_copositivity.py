@@ -1,16 +1,18 @@
-"""Strict copositivity, the Hadamard compounds M_j, and the searches they skip.
+"""Positivity of forms on the orthant, the Hadamard compounds M_j, and the searches they skip.
 
-``_strictly_copositive`` decides x^T M x > 0 for every nonzero x >= 0 by
-the Cottle-Habetler-Lemke criterion on integer minors; the reference is
-``oracles.simplex_minimum``, the exact minimum of the form on the simplex.
+``_positive_on_orthant`` decides x^T M x > 0 for every x > 0: M is
+copositive (the Cottle-Habetler-Lemke criterion on integer minors) and no
+z > 0 has M z = 0 (the vertices of {z >= 0, M z = 0, sum z = 1}); when
+only the second fails it returns such a z. The reference for copositivity
+is ``oracles.simplex_minimum``, the exact minimum of the form on the simplex.
 p_j = z^T M_j z with z the products of j of the d_i, and
 M_j = C_j(A) o C_j(A)^T is read from q*A by ``_hadamard(_int_compound(q*A, j))``.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
 ``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial.
-When they are strictly copositive, ``certify_positive_on_orthant`` skips its
-grid; when every M_j is (n <= 3), ``sample_refute`` skips its draws. Both
-return what the search would. M_n = [[det(q*A)^2]] blocks the skip for a
-singular A.
+When their forms are positive on the orthant, ``certify_positive_on_orthant``
+skips its grid; when the form of every M_j is (n <= 3), ``sample_refute``
+skips its draws. Both return what the search would. M_n = [[det(q*A)^2]] blocks the
+skip for a singular A.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _form_matrix, _hadamard, _strictly_copositive
+from qscaling.scaling import _form_matrix, _hadamard, _positive_on_orthant
 
 from legacy_routes import grid_certificate_by_fractions, sample_refute_by_fractions
 from oracles import simplex_minimum
@@ -50,7 +52,11 @@ SAMPLED_HUNT_CANDIDATES = (
     RationalMatrix(((-3, 1, 1), (5, -1, 2), (-2, 2, 3))),
 )
 
-SHORTCUT_MATRICES = (Q2_INCONCLUSIVE_D3,) + SAMPLED_HUNT_CANDIDATES
+#: the matrix of tests/golden/q2_psd_singular_d3.txt: p_1 = d1^2 + (2 d2 - d3)^2, so M_1 is
+#: PSD and singular with kernel (0, 1, 2), and no positive vector lies in its kernel
+PSD_SINGULAR_D3 = RationalMatrix(((1, -2, -2), (0, -2, -2), (0, 1, -1)))
+
+SHORTCUT_MATRICES = (Q2_INCONCLUSIVE_D3, PSD_SINGULAR_D3) + SAMPLED_HUNT_CANDIDATES
 
 #: the sampling skip also holds for 1x1 and 2x2 matrices, where certificates decide every p_j
 SAMPLING_SHORTCUT_MATRICES = SHORTCUT_MATRICES + (
@@ -58,7 +64,7 @@ SAMPLING_SHORTCUT_MATRICES = SHORTCUT_MATRICES + (
     RationalMatrix(((Fraction(1, 2), 2), (-1, 5))),
 )
 
-#: det = 0 while M_1 and M_2 are strictly copositive: only M_3 = [[0]] blocks the skip
+#: det = 0 while the forms of M_1 and M_2 are positive: only M_3 = [[0]] blocks the skip
 SINGULAR_D3 = RationalMatrix(((1, 1, -2), (0, -1, 1), (-2, 0, 2)))
 
 
@@ -85,18 +91,34 @@ def symmetric_matrices(draw):
     return _symmetric(n, lambda i, k: sum(r[i] * r[k] for r in b) + extra[min(i, k), max(i, k)])
 
 
-# a zero diagonal entry: x = e_1 gives 0
+# a zero diagonal entry: x = e_1 gives 0 on the boundary, and every x > 0 a positive value
 @example([[0, 1, 1], [1, 2, 1], [1, 1, 2]])
-# m_12 = -sqrt(m_11 m_22): copositive, but zero at (3, 2, 0)
+# m_12 = -sqrt(m_11 m_22): copositive, zero at (3, 2, 0) on the boundary
 @example([[4, -6, 1], [-6, 9, 1], [1, 1, 1]])
-# the kernel holds the positive vector (1, 1, 1): copositive, not strictly
+# the kernel holds the positive vector (1, 1, 1): copositive, not positive
 @example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-# det 0 and adj 0, yet (x1 + x2 + x3)^2 > 0: strictly copositive
+# det 0 and adj 0, yet (x1 + x2 + x3)^2 > 0
 @example([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+# 2 (x1^2 + (2 x2 - x3)^2): PSD and singular, with the kernel (0, 1, 2) on the boundary
+@example([[2, 0, 0], [0, 8, -4], [0, -4, 2]])
+# the 1x1 zero form: its kernel vector is (1)
+@example([[0]])
 @PROPERTY
 @given(symmetric_matrices())
-def test_strict_copositivity_matches_the_simplex_minimum(m):
-    assert _strictly_copositive(m) == (simplex_minimum(m) > 0)
+def test_positivity_on_the_orthant_agrees_with_the_simplex_minimum(m):
+    positive, kernel = _positive_on_orthant(m)
+    minimum = simplex_minimum(m)
+    # copositive exactly when the form is positive or a positive kernel vector is returned
+    assert (positive or kernel is not None) == (minimum >= 0)
+    if minimum > 0:
+        assert positive
+    if positive:
+        # the all-ones point is one x > 0
+        assert sum(map(sum, m)) > 0
+    if kernel is not None:
+        assert not positive
+        assert all(x > 0 for x in kernel)
+        assert all(sum(entry * x for entry, x in zip(row, kernel)) == 0 for row in m)
 
 
 def _form(m: list[list[int]], inverse: bool) -> SparsePolynomial:
@@ -147,7 +169,7 @@ def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
         exponents, coefficient = rebuilt.terms()[0]
         ratio = coefficient / p.coefficient(exponents)
         assert ratio > 0 and p * ratio == rebuilt
-        assert _strictly_copositive(read) == _strictly_copositive(from_matrix[j])
+        assert _positive_on_orthant(read)[0] == _positive_on_orthant(from_matrix[j])[0]
 
 
 def _raise(*args, **kwargs):
@@ -164,8 +186,8 @@ def test_sampling_shortcut_draws_nothing_and_agrees_with_the_fraction_loop(matri
 
 def test_singular_matrix_blocks_the_sampling_shortcut():
     _, scaled = _scaled(SINGULAR_D3)
-    copositive = [_strictly_copositive(_hadamard(_int_compound(scaled, j))) for j in (1, 2, 3)]
-    assert copositive == [True, True, False]
+    positive = [_positive_on_orthant(_hadamard(_int_compound(scaled, j))) for j in (1, 2, 3)]
+    assert positive == [(True, None), (True, None), (False, (Fraction(1),))]
     # p_3 = det(A)^2 (prod d)^2 vanishes, so the first draw is a witness
     expected = sample_refute_by_fractions(SINGULAR_D3, budget=60, seed=5, exponent_range=3)
     assert expected is not None

@@ -9,7 +9,9 @@ were shared with the report; ``reproduce.json`` was recorded while
 ``reproduce`` still ran each stage itself and then ``verify_refutation``
 again, and while principal minors were still enumerated in Fractions; the
 ``analyze_fractional_pair`` files were recorded while the anti-sign pair
-scan still evaluated Fraction determinants.
+scan still evaluated Fraction determinants; ``q2_psd_singular_d3.txt`` was
+recorded while only strict copositivity let the grid and the sampling skip
+their search, so both still ran on its p_1 and p_2.
 Later routes must reproduce every file exactly, along with the exit code.
 """
 
@@ -36,6 +38,8 @@ CASES = [
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),
     ("q2_inconclusive_d3.txt", 0, ["q2scaling", "--inline", "3; 3 0 3; -2 4 3; 4 -1 2"]),
+    # p_1 = d1^2 + (2*d2 - d3)^2: M_1 is PSD and singular, with no positive kernel vector
+    ("q2_psd_singular_d3.txt", 0, ["q2scaling", "--inline", "3; 1 -2 -2; 0 -2 -2; 0 1 -1"]),
     ("q2_ref.json", 0, ["q2scaling", "--format", "structured", "--inline", "2; 1 2; -1 5"]),
     # upper triangular: the anti-sign scan finds no violation and visits every pair
     ("analyze_upper5.txt", 0, ["analyze", "--inline", UPPER_5]),

@@ -53,8 +53,8 @@ def reaches_grid(p: SparsePolynomial) -> bool:
 # d1^2 - d1*d4 + d4^2/2 is positive (discriminant 1 - 2 < 0): the budget runs out
 @example(SparsePolynomial(5, {(2, 0, 0, 0, 0): 1, (1, 0, 0, 1, 0): -1, (0, 0, 0, 2, 0): Fraction(1, 2)}))
 # p_1 and p_2 of [[3, 0, 3], [-2, 4, 3], [4, -1, 2]], a quadratic form in d and
-# (d1*d2*d3)^2 times one in 1/d, both with strictly copositive matrices: the
-# grid is skipped
+# (d1*d2*d3)^2 times one in 1/d, both with strictly copositive matrices, so
+# positive on the orthant: the grid is skipped
 @example(SparsePolynomial(3, {(2, 0, 0): 9, (1, 0, 1): 24, (0, 2, 0): 16, (0, 1, 1): -6, (0, 0, 2): 4}))
 @example(
     SparsePolynomial(
@@ -62,7 +62,7 @@ def reaches_grid(p: SparsePolynomial) -> bool:
         {(2, 2, 0): 144, (2, 1, 1): -90, (2, 0, 2): 36, (1, 2, 1): 336, (1, 1, 2): -96, (0, 2, 2): 121},
     )
 )
-# d1^2 + ... + d5^2 - d1*d4 is strictly copositive: the grid is skipped
+# d1^2 + ... + d5^2 - d1*d4 is positive on the orthant: the grid is skipped
 @example(
     SparsePolynomial(
         5, {(2, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): 1, (0, 0, 2, 0, 0): 1, (0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 2): 1, (1, 0, 0, 1, 0): -1}

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscaling import (
     DimensionGuardError,
@@ -24,7 +26,7 @@ from qscaling import (
 from qscaling.matrices import _int_minor, _scaled
 
 from helpers import random_rational_matrix
-from oracles import brute_force_minor, leibniz_determinant, two_by_two_determinant
+from oracles import brute_force_minor, leibniz_determinant, list_matmul, two_by_two_determinant
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
 M_335 = RationalMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
@@ -203,6 +205,27 @@ def test_mat_mul_reference_values():
     scaled = A_REF.scale_rows((Fraction(2), Fraction(3)))
     assert scaled == RationalMatrix(((2, 4), (-3, 15)))
     assert scaled == mat_mul(RationalMatrix.diagonal((2, 3)), A_REF)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two n x n matrices whose entries draw their denominators from different sets."""
+    n = draw(st.integers(1, 5))
+
+    def operand(denominators):
+        entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denominators))
+        return RationalMatrix(tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n)))
+
+    return operand((1, 2, 3, 7)), operand((1, 4, 5, 9, 11))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(operand_pairs())
+def test_mat_mul_matches_the_fraction_product(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert [list(row) for row in product.rows] == list_matmul(a.rows, b.rows)
+    assert all(type(x) is Fraction for row in product.rows for x in row)
 
 
 def test_mat_mul_dimension_mismatch():

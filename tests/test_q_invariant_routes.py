@@ -71,8 +71,8 @@ def test_scaled_square_equals_polynomial_matrix_product(matrix):
     assert scaled_square_symbolic(matrix) == scaled_square_by_product(matrix)
 
 
-# det A != 0 and strictly copositive A o A^T and adj A o adj(A)^T: the loop
-# finds nothing, and sample_refute returns None without drawing
+# det A != 0, and the forms of A o A^T and adj A o adj(A)^T are positive on the
+# orthant: the loop finds nothing, and sample_refute returns None without drawing
 @example(RationalMatrix(((3, 0, 3), (-2, 4, 3), (4, -1, 2))), 40, 0, 3)
 @example(RationalMatrix(((2, 1), (-1, Fraction(3, 2)))), 40, 5, 2)
 @example(RationalMatrix(((Fraction(-2, 3),),)), 40, 9, 3)
