@@ -13,16 +13,18 @@ minors of A enter, and they are plain numbers: symbolic_q_invariants
 multiplies the c_k out as polynomials, and sample_refute evaluates them
 in integers at each drawn point.
 
-That positivity question is handled honestly: cheap certificates prove
-it where they apply (nonnegative coefficients; the two-variable
-homogeneous quadratic, which is decided completely), exact sampling
-refutes it, and anything else is reported inconclusive.
+That positivity question is handled honestly: exact decisions prove or
+refute it where they apply (nonnegative coefficients; the two-variable
+homogeneous quadratic; the copositivity of p_1 and p_{n-1}, below),
+exact sampling is the one search for a refuting point, and anything else
+is reported inconclusive.
 
 Each p_j is also a quadratic form z^T M_j z, where z lists the products
 of j of the d_i. When M_j is copositive and no positive vector lies in its
-kernel, p_j is positive on the orthant, so no grid point and no draw can
-refute it. The grid and the sampling then skip a search whose outcome is
-already known, and the output is the same.
+kernel, p_j is positive on the orthant, so no draw can refute it, and the
+sampling skips a search whose outcome is already known. For p_1 and
+p_{n-1} the converse holds too: a failure of either condition gives an
+exact witness point.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 from .matrices import (
@@ -54,18 +56,6 @@ from .polynomial import SparsePolynomial
 #: the size of the output: p_j has a monomial for every exponent vector with
 #: entries at most 2 summing to 2j, up to 141 monomials for p_3 at n = 6.
 DEFAULT_SYMBOLIC_GUARD = 6
-
-#: the grid strategy of certify_positive_on_orthant evaluates at most this many points
-GRID_BUDGET = 2000
-
-#: the grid's coordinates: the value grid, and the small entry of the epsilon patterns
-_GRID_VALUES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 10), Fraction(10), Fraction(1, 100), Fraction(100))
-_GRID_EPSILONS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-
-#: the least common denominator of those coordinates; the grid is evaluated at
-#: the integer points GRID_SCALE * x
-GRID_SCALE = lcm(*(x.denominator for x in _GRID_VALUES + _GRID_EPSILONS))
-
 
 def check_symbolic_dim(n: int, max_dim: int | None = None) -> None:
     limit = DEFAULT_SYMBOLIC_GUARD if max_dim is None else max_dim
@@ -200,27 +190,28 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 # so the converse holds as well.
 
 
-def _positive_on_orthant(m: list[list[int]]) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Whether x^T m x > 0 for every x > 0, and a z > 0 with m z = 0 when that is why not.
+def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
+    """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
 
     ``m`` is a symmetric integer matrix. The form is positive on the open
     orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
     of a copositive form at some z > 0 is an interior minimum, where the
-    gradient 2 m z vanishes. So the second entry is such a z when m is
-    copositive and not positive, and None otherwise; m is copositive
-    exactly when the first entry is True or the second is not None.
+    gradient 2 m z vanishes. Each failure gives its own witness.
 
     Copositivity (Cottle-Habetler-Lemke): visiting the principal
     submatrices B in increasing order, m fails at the first B with
     det B < 0 and adj B >= 0 (the adjugate of a 1x1 matrix is (1), its
-    order-0 minor); x = adj(B) 1 then gives x^T B x = det(B) 1^T adj(B) 1 < 0.
+    order-0 minor). x = adj(B) 1 then gives x^T B x = det(B) 1^T adj(B) 1 < 0.
+    Padded with zeros, x is a witness on the boundary. z = 2^t x with every
+    zero entry set to 1 has the value 4^t x^T m x + O(2^t), so counting t
+    up from 0 reaches a negative value.
 
     Positive kernel vector, for a copositive m with det m = 0: the z >= 0
     with m z = 0 and sum z = 1 form a polytope. Its vertices are the x > 0
     that solve [m on the columns S; 1^T] x = [0; 1] uniquely, for a support
     S; each is found by Cramer's rule on integer minors. A positive z
     exists exactly when the vertex supports cover every index, and the
-    average of the vertices is then one.
+    average of the vertices is then one, of value 0.
     """
     n = len(m)
     for k in range(1, n + 1):
@@ -229,14 +220,26 @@ def _positive_on_orthant(m: list[list[int]]) -> tuple[bool, tuple[Fraction, ...]
             if det >= 0:
                 continue
             # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
-            if all(
-                (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :]) >= 0
-                for i, l in combinations_with_replacement(range(k), 2)
-            ):
-                return False, None
+            adj = {}
+            for i, l in combinations_with_replacement(range(k), 2):
+                adj[i, l] = adj[l, i] = (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :])
+                if adj[i, l] < 0:
+                    break
+            else:
+                x = [sum(adj[i, l] for l in range(k)) for i in range(k)]
+                divisor = gcd(*x)
+                padded = [0] * n
+                for i, v in zip(s, x):
+                    padded[i] = v // divisor
+                scale = 1
+                while True:
+                    z = [scale * v or 1 for v in padded]
+                    if sum(z[i] * m[i][l] * z[l] for i in range(n) for l in range(n)) < 0:
+                        return tuple(map(Fraction, z))
+                    scale *= 2
     # det is now det m, the last minor visited
     if det:
-        return True, None
+        return None
     vertices = []
     for k in range(1, n + 1):
         cols = tuple(range(k))
@@ -257,8 +260,8 @@ def _positive_on_orthant(m: list[list[int]]) -> tuple[bool, tuple[Fraction, ...]
                 continue
             vertices.append(dict(zip(s, (Fraction(x, den) for x in num))))
     if len({i for v in vertices for i in v}) < n:
-        return True, None
-    return False, tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
+        return None
+    return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
 
 
 def _hadamard(b: list[list[int]]) -> list[list[int]]:
@@ -489,54 +492,18 @@ def _quadratic_witness(p: SparsePolynomial, a: Fraction, b: Fraction, c: Fractio
     return WitnessEvidence(point, p.evaluate(point))
 
 
-def _grid_points(n_vars: int):
-    """Deterministic positive sample points, each as the integers GRID_SCALE * x.
-
-    All-ones comes first, then the epsilon patterns (skipped above ten
-    variables), then the value grid; at most GRID_BUDGET points in all. The
-    value grid starts with all-ones again: that repeat is not yielded, but
-    it still counts against the budget.
-    """
-    yield (GRID_SCALE,) * n_vars
-    emitted = 1
-    if n_vars <= 10:
-        epsilons = [int(GRID_SCALE * x) for x in _GRID_EPSILONS]
-        for k in range(1, n_vars):
-            for inside in combinations(range(n_vars), k):
-                chosen = set(inside)
-                for eps in epsilons:
-                    if emitted >= GRID_BUDGET:
-                        return
-                    yield tuple(GRID_SCALE if i in chosen else eps for i in range(n_vars))
-                    emitted += 1
-    values = [int(GRID_SCALE * x) for x in _GRID_VALUES]
-    for index, point in enumerate(product(values, repeat=n_vars)):
-        if emitted >= GRID_BUDGET:
-            return
-        emitted += 1
-        if index:
-            yield point
-
-
 def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """Decide positivity of ``p`` on the open positive orthant where possible.
 
-    Strategies, in fixed order: (a) all coefficients nonnegative with one
-    positive; (b) the homogeneous two-variable quadratic, decided
+    Exact strategies, in fixed order: (a) all coefficients nonnegative with
+    one positive; (b) the homogeneous two-variable quadratic, decided
     completely, with a weighted square completion as evidence when it
-    certifies and an exact witness when it refutes; (c) a deterministic
-    positive sample grid of up to GRID_BUDGET points hunting for a point
-    with p <= 0. Anything left over is INCONCLUSIVE, which is a legitimate
-    outcome, not an error.
-
-    The grid decides each sign in integers, at GRID_SCALE times the point
-    with the coefficients scaled by one positive factor; only the first
-    nonpositive point becomes Fractions, and its value is that integer sum
-    divided by the same factor. When p is a quadratic form in d or
-    (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, and its matrix is
-    copositive with no positive kernel vector, p is positive on the
-    orthant, so no grid point can refute it: the grid is skipped and the
-    certificate is the INCONCLUSIVE one the grid would reach.
+    certifies and an exact witness when it refutes; (c) for a quadratic
+    form in d, or (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, the
+    witness of ``_orthant_witness`` on its matrix, taken as d or as 1/d.
+    Anything left over is INCONCLUSIVE, which is a legitimate outcome, not
+    an error: that includes a form positive on the orthant, which no
+    evidence kind records yet, and every other p, which sampling probes.
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
@@ -565,35 +532,11 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
 
     form = _form_matrix(p)
-    if form is not None and _positive_on_orthant(form)[0]:
+    z = None if form is None else _orthant_witness(form)
+    if z is None:
         return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
-
-    # with L the least common denominator of the coefficients and D the top
-    # degree, each term c*d^e becomes the integer c*L*S^(D-|e|); summed at the
-    # integer point S*x these give L*S^D*p(x), a positive multiple of p(x)
-    # whether or not p is homogeneous
-    top = max(sum(e) for e, _ in terms)
-    common = lcm(*(c.denominator for _, c in terms))
-    scaled_terms = [
-        (
-            c.numerator * (common // c.denominator) * GRID_SCALE ** (top - sum(e)),
-            [(i, k) for i, k in enumerate(e) if k],
-        )
-        for e, c in terms
-    ]
-    for scaled_point in _grid_points(p.n_vars):
-        total = 0
-        for value, powers in scaled_terms:
-            for i, k in powers:
-                value *= scaled_point[i] ** k
-            total += value
-        if total <= 0:
-            point = tuple(Fraction(x, GRID_SCALE) for x in scaled_point)
-            return Certificate(
-                p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(total, common * GRID_SCALE**top))
-            )
-
-    return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+    point = _reduce_direction(z if p.is_homogeneous(2) else tuple(1 / x for x in z))
+    return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +584,7 @@ def sample_refute(
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     _, scaled, by_order = _principal_minors_by_order(matrix)
-    if n <= 3 and all(_positive_on_orthant(_hadamard(_int_compound(scaled, j)))[0] for j in range(1, n + 1)):
+    if n <= 3 and all(_orthant_witness(_hadamard(_int_compound(scaled, j))) is None for j in range(1, n + 1)):
         return None
     rng = random.Random(seed)
     randint = rng.randint

@@ -15,32 +15,23 @@ matrices. The package now sums the integer minors of ``principal_minors``.
 non-principal minor before all minors came from Bareiss on q*A: direct
 formulas up to 3x3, then denominators cleared row by row;
 ``minor_by_fractions`` reads a minor of A through it.
-
-``grid_certificate_by_fractions`` is the grid strategy of
-``certify_positive_on_orthant`` as it ran before its signs were decided in
-integers: each grid point a tuple of Fractions, each value from
-``SparsePolynomial.evaluate``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from qscaling import (
-    Certificate,
-    CertificateVerdict,
     DiagonalScaling,
     RationalMatrix,
     SparsePolynomial,
-    WitnessEvidence,
     compound,
 )
 from qscaling.matrices import _bareiss_int
-from qscaling.scaling import GRID_BUDGET
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -184,43 +175,3 @@ def sample_refute_by_fractions(
         if not _is_q_matrix_rows(squared, subset_lists):
             return DiagonalScaling(diag)
     return None
-
-
-def _grid_points_by_fractions(n_vars: int, budget: int):
-    """Deterministic positive sample points: all-ones, epsilon patterns, a value grid."""
-    one = Fraction(1)
-    yield (one,) * n_vars
-    emitted = 1
-    if n_vars <= 10:
-        epsilons = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-        for k in range(1, n_vars):
-            for inside in combinations(range(n_vars), k):
-                chosen = set(inside)
-                for eps in epsilons:
-                    if emitted >= budget:
-                        return
-                    yield tuple(one if i in chosen else eps for i in range(n_vars))
-                    emitted += 1
-    values = (
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(2),
-        Fraction(1, 10),
-        Fraction(10),
-        Fraction(1, 100),
-        Fraction(100),
-    )
-    for point in product(values, repeat=n_vars):
-        if emitted >= budget:
-            return
-        yield point
-        emitted += 1
-
-
-def grid_certificate_by_fractions(p: SparsePolynomial) -> Certificate:
-    """The grid strategy alone, evaluated in Fractions: the first point with p <= 0, if any."""
-    for point in _grid_points_by_fractions(p.n_vars, GRID_BUDGET):
-        value = p.evaluate(point)
-        if value <= 0:
-            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, value))
-    return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)

@@ -127,8 +127,8 @@ def test_q2scaling_refuted_by_a_certificate_claims_no_sampling(capsys):
     assert code == 1
     lines = out.splitlines()
     assert lines[1] == "  inconclusive (no certificate applies)"
-    assert lines[3] == "  not positive: value -4676 at d = (1, 1/2, 10)"
-    assert lines[-1] == "hypothesis: refuted at D = diag(1, 1/2, 10)"
+    assert lines[3] == "  not positive: value -2461472240486273280 at d = (828, 301, 249228)"
+    assert lines[-1] == "hypothesis: refuted at D = diag(828, 301, 249228)"
     assert "sampling" not in out
 
 

@@ -1,18 +1,20 @@
-"""Positivity of forms on the orthant, the Hadamard compounds M_j, and the searches they skip.
+"""Witnesses of non-positivity on the orthant, the Hadamard compounds M_j, and the draws they skip.
 
-``_positive_on_orthant`` decides x^T M x > 0 for every x > 0: M is
-copositive (the Cottle-Habetler-Lemke criterion on integer minors) and no
-z > 0 has M z = 0 (the vertices of {z >= 0, M z = 0, sum z = 1}); when
-only the second fails it returns such a z. The reference for copositivity
-is ``oracles.simplex_minimum``, the exact minimum of the form on the simplex.
-p_j = z^T M_j z with z the products of j of the d_i, and
+``_orthant_witness`` returns a z > 0 with z^T M z <= 0, or None when
+x^T M x > 0 for every x > 0. When M is not copositive (the
+Cottle-Habetler-Lemke criterion on integer minors) the witness is
+adj(B) 1 for the failing principal B, lifted off the boundary; when M is
+copositive and some z > 0 has M z = 0 (the vertices of
+{z >= 0, M z = 0, sum z = 1}) it is such a z. The reference for
+copositivity is ``oracles.simplex_minimum``, the exact minimum of the form
+on the simplex. p_j = z^T M_j z with z the products of j of the d_i, and
 M_j = C_j(A) o C_j(A)^T is read from q*A by ``_hadamard(_int_compound(q*A, j))``.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
-``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial.
-When their forms are positive on the orthant, ``certify_positive_on_orthant``
-skips its grid; when the form of every M_j is (n <= 3), ``sample_refute``
-skips its draws. Both return what the search would. M_n = [[det(q*A)^2]] blocks the
-skip for a singular A.
+``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial,
+and ``certify_positive_on_orthant`` turns a witness into a point d. When the
+form of every M_j is positive (n <= 3), ``sample_refute`` skips its draws
+and returns what they would. M_n = [[det(q*A)^2]] blocks the skip for a
+singular A.
 """
 
 from fractions import Fraction
@@ -32,9 +34,9 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _form_matrix, _hadamard, _positive_on_orthant
+from qscaling.scaling import _form_matrix, _hadamard, _orthant_witness
 
-from legacy_routes import grid_certificate_by_fractions, sample_refute_by_fractions
+from legacy_routes import sample_refute_by_fractions
 from oracles import simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
@@ -57,6 +59,10 @@ SAMPLED_HUNT_CANDIDATES = (
 PSD_SINGULAR_D3 = RationalMatrix(((1, -2, -2), (0, -2, -2), (0, 1, -1)))
 
 SHORTCUT_MATRICES = (Q2_INCONCLUSIVE_D3, PSD_SINGULAR_D3) + SAMPLED_HUNT_CANDIDATES
+
+#: HuntConfig(dimension=3, entry_range=5, count=1, seed=259): the forms of p_1 and p_2
+#: fail copositivity, and both witnesses are lifted off the boundary
+CANDIDATE_259 = RationalMatrix(((-5, 3, -4), (1, 4, 2), (5, -2, -4)))
 
 #: the sampling skip also holds for 1x1 and 2x2 matrices, where certificates decide every p_j
 SAMPLING_SHORTCUT_MATRICES = SHORTCUT_MATRICES + (
@@ -103,22 +109,27 @@ def symmetric_matrices(draw):
 @example([[2, 0, 0], [0, 8, -4], [0, -4, 2]])
 # the 1x1 zero form: its kernel vector is (1)
 @example([[0]])
+# not copositive at B = [[-1]]: (1, 0) is a boundary witness, and (2^t, 1) first goes negative at t = 4
+@example([[-1, 0], [0, 100]])
 @PROPERTY
 @given(symmetric_matrices())
-def test_positivity_on_the_orthant_agrees_with_the_simplex_minimum(m):
-    positive, kernel = _positive_on_orthant(m)
+def test_orthant_witness_agrees_with_the_simplex_minimum(m):
+    z = _orthant_witness(m)
     minimum = simplex_minimum(m)
-    # copositive exactly when the form is positive or a positive kernel vector is returned
-    assert (positive or kernel is not None) == (minimum >= 0)
-    if minimum > 0:
-        assert positive
-    if positive:
-        # the all-ones point is one x > 0
+    if z is None:
+        # positive on the orthant: copositive, and positive at all-ones, one x > 0
+        assert minimum >= 0
         assert sum(map(sum, m)) > 0
-    if kernel is not None:
-        assert not positive
-        assert all(x > 0 for x in kernel)
-        assert all(sum(entry * x for entry, x in zip(row, kernel)) == 0 for row in m)
+        return
+    value = sum(x * entry * y for row, x in zip(m, z) for entry, y in zip(row, z))
+    assert all(x > 0 for x in z)
+    assert value <= 0
+    if minimum < 0:
+        assert value < 0
+    else:
+        # a zero of a copositive form at some z > 0 is a minimum, where the gradient 2 m z vanishes
+        assert minimum == 0 and value == 0
+        assert all(sum(entry * x for entry, x in zip(row, z)) == 0 for row in m)
 
 
 def _form(m: list[list[int]], inverse: bool) -> SparsePolynomial:
@@ -169,7 +180,7 @@ def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
         exponents, coefficient = rebuilt.terms()[0]
         ratio = coefficient / p.coefficient(exponents)
         assert ratio > 0 and p * ratio == rebuilt
-        assert _positive_on_orthant(read)[0] == _positive_on_orthant(from_matrix[j])[0]
+        assert (_orthant_witness(read) is None) == (_orthant_witness(from_matrix[j]) is None)
 
 
 def _raise(*args, **kwargs):
@@ -186,25 +197,35 @@ def test_sampling_shortcut_draws_nothing_and_agrees_with_the_fraction_loop(matri
 
 def test_singular_matrix_blocks_the_sampling_shortcut():
     _, scaled = _scaled(SINGULAR_D3)
-    positive = [_positive_on_orthant(_hadamard(_int_compound(scaled, j))) for j in (1, 2, 3)]
-    assert positive == [(True, None), (True, None), (False, (Fraction(1),))]
+    witnesses = [_orthant_witness(_hadamard(_int_compound(scaled, j))) for j in (1, 2, 3)]
+    assert witnesses == [None, None, (Fraction(1),)]
     # p_3 = det(A)^2 (prod d)^2 vanishes, so the first draw is a witness
     expected = sample_refute_by_fractions(SINGULAR_D3, budget=60, seed=5, exponent_range=3)
     assert expected is not None
     assert sample_refute(SINGULAR_D3, budget=60, seed=5) == expected
 
 
-@pytest.mark.parametrize("matrix", SHORTCUT_MATRICES)
-def test_grid_shortcut_returns_the_fraction_grids_certificate(matrix, monkeypatch):
-    polys = symbolic_q_invariants(matrix)
-    expected = [grid_certificate_by_fractions(p) for p in polys]
-    # every p_j that reaches the grid must be decided by the shortcut, or this raises
-    monkeypatch.setattr(scaling, "_grid_points", _raise)
-    certs = [certify_positive_on_orthant(p) for p in polys]
-    skipped = [(cert, grid) for cert, grid in zip(certs, expected) if cert.verdict is CertificateVerdict.INCONCLUSIVE]
-    assert skipped
-    for cert, grid in skipped:
-        assert cert == grid
+@pytest.mark.parametrize("matrix", SHORTCUT_MATRICES + (CANDIDATE_259,))
+def test_every_certificate_verifies(matrix):
+    certs = [certify_positive_on_orthant(p) for p in symbolic_q_invariants(matrix)]
+    assert all(cert.verify() for cert in certs)
+    refuted = [cert.verdict is CertificateVerdict.NOT_POSITIVE for cert in certs]
+    # the forms of p_1 and p_2 are positive on the orthant, except for candidate 259
+    assert refuted == ([True, True, False] if matrix is CANDIDATE_259 else [False, False, False])
+
+
+def test_boundary_witness_is_lifted_by_doubling():
+    # B = [[-1]] gives (1, 0); (2^t, 1) has the value 100 - 4^t, first negative at t = 4
+    assert _orthant_witness([[-1, 0], [0, 100]]) == (16, 1)
+
+
+def test_copositivity_witness_of_candidate_259_is_pinned():
+    p1 = symbolic_q_invariants(CANDIDATE_259)[0]
+    cert = certify_positive_on_orthant(p1)
+    assert cert.verdict is CertificateVerdict.NOT_POSITIVE
+    assert cert.evidence.point == (580, 72, 739)
+    assert cert.evidence.value == -89024
+    assert cert.verify()
 
 
 def test_guards_raise_before_the_sampling_shortcut(monkeypatch):

@@ -10,8 +10,9 @@ were shared with the report; ``reproduce.json`` was recorded while
 again, and while principal minors were still enumerated in Fractions; the
 ``analyze_fractional_pair`` files were recorded while the anti-sign pair
 scan still evaluated Fraction determinants; ``q2_psd_singular_d3.txt`` was
-recorded while only strict copositivity let the grid and the sampling skip
-their search, so both still ran on its p_1 and p_2.
+recorded while only strict copositivity let the sampling skip its draws, so
+it still drew for this matrix; ``hunt_d4.txt`` was recorded while a fixed
+point search, not copositivity, gave the witnesses of non-positive p_j.
 Later routes must reproduce every file exactly, along with the exit code.
 """
 
@@ -35,6 +36,8 @@ CASES = [
         1,
         ["hunt", "--dim", "3", "--count", "20", "--seed", "0", "--budget", "500", "--format", "structured"],
     ),
+    # n = 4: the middle p_2 is left to sampling
+    ("hunt_d4.txt", 1, ["hunt", "--dim", "4", "--count", "40", "--seed", "0", "--budget", "2000"]),
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),
     ("q2_inconclusive_d3.txt", 0, ["q2scaling", "--inline", "3; 3 0 3; -2 4 3; 4 -1 2"]),

@@ -188,18 +188,20 @@ def test_failing_quadratics_get_exact_witnesses(terms):
     assert cert.verify()
 
 
-def test_certificate_grid_refutes_higher_arity():
-    # (d1 - d2)^2 embedded in three variables: not a two-variable quadratic,
-    # so the grid has to find the flat direction
+def test_certificate_positive_kernel_vector_refutes_higher_arity():
+    # (d1 - d2)^2 embedded in three variables: not a two-variable quadratic, but a
+    # copositive form whose matrix has the positive kernel vector (1, 1, 2)
     p = SparsePolynomial(3, {(2, 0, 0): 1, (1, 1, 0): -2, (0, 2, 0): 1})
     cert = certify_positive_on_orthant(p)
     assert cert.verdict is CertificateVerdict.NOT_POSITIVE
+    assert cert.evidence.point == (1, 1, 2)
+    assert cert.evidence.value == 0
     assert cert.verify()
 
 
 def test_certificate_inconclusive_is_honest():
     # positive definite quadratic form in three variables with a cross term:
-    # no implemented certificate applies and no grid point refutes it
+    # positive on the orthant, which no implemented certificate records
     p = SparsePolynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): -1})
     cert = certify_positive_on_orthant(p)
     assert cert.verdict is CertificateVerdict.INCONCLUSIVE
