@@ -24,7 +24,8 @@ of j of the d_i. When M_j is copositive and no positive vector lies in its
 kernel, p_j is positive on the orthant, so no draw can refute it, and the
 sampling skips a search whose outcome is already known. For p_1 and
 p_{n-1} the converse holds too: a failure of either condition gives an
-exact witness point.
+exact witness point. For a two-variable quadratic with nonnegative square
+coefficients, as every 2x2 p_1 is, that point has a closed form.
 """
 
 from __future__ import annotations
@@ -452,12 +453,6 @@ class Certificate:
         }
 
 
-def _as_two_var_quadratic(p: SparsePolynomial) -> tuple[Fraction, Fraction, Fraction] | None:
-    if p.n_vars != 2 or p.is_zero or not p.is_homogeneous(2):
-        return None
-    return p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
-
-
 def _reduce_direction(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Scale a positive direction to coprime integer coordinates."""
     denominators = lcm(*(x.denominator for x in point))
@@ -466,40 +461,15 @@ def _reduce_direction(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(i // divisor) for i in integers)
 
 
-def _quadratic_witness(p: SparsePolynomial, a: Fraction, b: Fraction, c: Fraction) -> WitnessEvidence:
-    """Exact non-positivity witness for a failing two-variable quadratic."""
-    one = Fraction(1)
-    if a < 0 or c < 0:
-        # walk toward the axis where the negative square term dominates; the walk
-        # ends, since p(1, t) -> a < 0 (or p(t, 1) -> c < 0) as t -> 0
-        t = one
-        while True:
-            point = (one, t) if a < 0 else (t, one)
-            value = p.evaluate(point)
-            if value <= 0:
-                return WitnessEvidence(point, value)
-            t /= 2
-    if a == 0:
-        # p = b*x*y + c*y^2 with b < 0: push x past c/(-b)
-        x = c / (-b) + 1
-        return WitnessEvidence((x, one), p.evaluate((x, one)))
-    if c == 0:
-        y = a / (-b) + 1
-        return WitnessEvidence((one, y), p.evaluate((one, y)))
-    # a, c > 0, b < 0, b^2 >= 4ac: the minimum direction (-b, 2a) is positive,
-    # and scaling it is free because p is homogeneous
-    point = _reduce_direction((-b, 2 * a))
-    return WitnessEvidence(point, p.evaluate(point))
-
-
 def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """Decide positivity of ``p`` on the open positive orthant where possible.
 
     Exact strategies, in fixed order: (a) all coefficients nonnegative with
-    one positive; (b) the homogeneous two-variable quadratic, decided
-    completely, with a weighted square completion as evidence when it
-    certifies and an exact witness when it refutes; (c) for a quadratic
-    form in d, or (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, the
+    one positive; (b) the two-variable quadratic a*d1^2 + b*d1*d2 + c*d2^2
+    with a, c >= 0, decided completely: a weighted square completion when
+    it is positive, else the witness adj(M) 1 = (2c - b, 2a - b) of
+    M = [[2a, b], [b, 2c]], the point (c) gives; (c) for a quadratic form
+    in d, or (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, the
     witness of ``_orthant_witness`` on its matrix, taken as d or as 1/d.
     Anything left over is INCONCLUSIVE, which is a legitimate outcome, not
     an error: that includes a form positive on the orthant, which no
@@ -516,10 +486,9 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
         )
 
-    quadratic = _as_two_var_quadratic(p)
-    if quadratic is not None:
-        a, b, c = quadratic
-        # if a, c > 0 then b < 0: otherwise every coefficient is positive and (a) applied
+    if p.n_vars == 2 and p.is_homogeneous(2):
+        a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
+        # if a, c >= 0 then b < 0: otherwise every coefficient is nonnegative and (a) applied
         if a > 0 and c > 0 and b * b < 4 * a * c:
             half = b / (2 * a)
             first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
@@ -528,8 +497,11 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             return Certificate(
                 p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion)
             )
-        witness = _quadratic_witness(p, a, b, c)
-        return Certificate(p, CertificateVerdict.NOT_POSITIVE, witness)
+        if a >= 0 and c >= 0:
+            # det M = 4ac - b^2 <= 0 and adj M >= 0, so p(adj(M) 1) = (a + c - b)(4ac - b^2) <= 0
+            point = _reduce_direction((2 * c - b, 2 * a - b))
+            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+        # a negative square coefficient: the copositivity route below decides it
 
     form = _form_matrix(p)
     z = None if form is None else _orthant_witness(form)

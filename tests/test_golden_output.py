@@ -1,9 +1,9 @@
 """Byte-for-byte CLI output against recordings.
 
 Each file under ``tests/golden/`` is the stdout of one command. The
-``reproduce``, ``hunt`` and text ``q2scaling`` files were recorded when p_j
-still came from the polynomial-matrix expansion and sampling still ran in
-Fractions; the ``analyze`` files and ``q2_ref.json`` were recorded before
+``reproduce``, ``hunt`` and other text ``q2scaling`` files were recorded
+when p_j still came from the polynomial-matrix expansion and sampling still
+ran in Fractions; the ``analyze`` files and ``q2_ref.json`` were recorded before
 the anti-sign scan was merged into one routine and the q2scaling renderers
 were shared with the report; ``reproduce.json`` was recorded while
 ``reproduce`` still ran each stage itself and then ``verify_refutation``
@@ -12,8 +12,10 @@ again, and while principal minors were still enumerated in Fractions; the
 scan still evaluated Fraction determinants; ``q2_psd_singular_d3.txt`` was
 recorded while only strict copositivity let the sampling skip its draws, so
 it still drew for this matrix; ``hunt_d4.txt`` was recorded while a fixed
-point search, not copositivity, gave the witnesses of non-positive p_j.
-Later routes must reproduce every file exactly, along with the exit code.
+point search, not copositivity, gave the witnesses of non-positive p_j;
+``q2_refuted_d2.txt`` was recorded once a failing two-variable quadratic
+took the copositivity witness adj(M) 1. Later routes must reproduce every
+file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -40,6 +42,8 @@ CASES = [
     ("hunt_d4.txt", 1, ["hunt", "--dim", "4", "--count", "40", "--seed", "0", "--budget", "2000"]),
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),
+    # p_1 = d1^2 - 12*d1*d2 + d2^2 fails at adj(M)*1 = (1, 1), the point copositivity gives
+    ("q2_refuted_d2.txt", 1, ["q2scaling", "--inline", "2; 1 2; -3 1"]),
     ("q2_inconclusive_d3.txt", 0, ["q2scaling", "--inline", "3; 3 0 3; -2 4 3; 4 -1 2"]),
     # p_1 = d1^2 + (2*d2 - d3)^2: M_1 is PSD and singular, with no positive kernel vector
     ("q2_psd_singular_d3.txt", 0, ["q2scaling", "--inline", "3; 1 -2 -2; 0 -2 -2; 0 1 -1"]),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qscaling import (
     Certificate,
@@ -27,6 +29,7 @@ from qscaling import (
     symbolic_q_invariants,
     zero_rows_outside,
 )
+from qscaling.scaling import _form_matrix, _orthant_witness, _reduce_direction
 
 from helpers import positive_points, random_int_matrix, random_rational_matrix
 from legacy_routes import minor_by_fractions
@@ -34,6 +37,9 @@ from oracles import brute_force_minor
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
+
+# fixed example order, so a run never depends on a saved example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 # -- diagonal scalings ---------------------------------------------------------
@@ -173,8 +179,8 @@ def test_certificate_zero_polynomial():
         {(1, 1): -1, (0, 2): 1},              # a = 0, b < 0
         {(2, 0): 1, (1, 1): -3},              # c = 0, b < 0
         {(2, 0): 3, (1, 1): -12, (0, 2): 12},  # boundary: b^2 = 4ac exactly
-        {(2, 0): -1, (1, 1): 2**600, (0, 2): 1},  # a < 0 outweighed until t < 2^-600
-        {(2, 0): 1, (1, 1): 2**600, (0, 2): -1},  # the mirror: c < 0
+        {(2, 0): -1, (1, 1): 2**600, (0, 2): 1},  # a < 0: (1, 0) is lifted by doubling d1 to 2^601
+        {(2, 0): 1, (1, 1): 2**600, (0, 2): -1},  # the mirror, c < 0: d2 is doubled to 2^601
     ],
 )
 def test_failing_quadratics_get_exact_witnesses(terms):
@@ -186,6 +192,30 @@ def test_failing_quadratics_get_exact_witnesses(terms):
     assert all(x > 0 for x in witness.point)
     assert p.evaluate(witness.point) == witness.value <= 0
     assert cert.verify()
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@PROPERTY
+@given(RATIONALS, RATIONALS, RATIONALS)
+@example(Fraction(0), Fraction(-1), Fraction(1))  # a = 0
+@example(Fraction(1), Fraction(-3), Fraction(0))  # c = 0
+@example(Fraction(0), Fraction(-1), Fraction(0))  # a = c = 0
+@example(Fraction(3), Fraction(-12), Fraction(12))  # b^2 = 4ac
+@example(Fraction(-1), Fraction(2**600), Fraction(1))
+@example(Fraction(1), Fraction(2**600), Fraction(-1))
+def test_two_variable_quadratics_are_decided_with_the_copositivity_witness(a, b, c):
+    p = SparsePolynomial(2, {(2, 0): a, (1, 1): b, (0, 2): c})
+    assume(not p.is_zero)
+    cert = certify_positive_on_orthant(p)
+    assert cert.verdict is not CertificateVerdict.INCONCLUSIVE
+    positive = a >= 0 and c >= 0 and (b >= 0 or b * b < 4 * a * c)
+    assert (cert.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT) == positive
+    assert cert.verify()
+    if a >= 0 and c >= 0 and not positive:
+        # adj(M) 1 for M = [[2a, b], [b, 2c]]: the point of the general route
+        assert cert.evidence.point == _reduce_direction(_orthant_witness(_form_matrix(p)))
 
 
 def test_certificate_positive_kernel_vector_refutes_higher_arity():
