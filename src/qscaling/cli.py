@@ -28,7 +28,7 @@ from .matrices import (
 )
 from .matrix_classes import ClassReport, classify
 from .refute import (
-    _HUNT_MODES,
+    HUNT_MODES,
     HuntConfig,
     HypothesisStatus,
     NoCounterexampleFound,
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_parser.add_argument("--seed", type=int, default=0, help="generator seed (default %(default)s)")
     hunt_parser.add_argument(
         "--mode",
-        choices=_HUNT_MODES,
+        choices=HUNT_MODES,
         default="all",
         help="candidate family: any integer matrix, nonsingular only, or B^T*B + I (default: %(default)s)",
     )

@@ -225,7 +225,7 @@ def verify_refutation(
     )
 
 
-_HUNT_MODES = ("all", "nonsingular", "spd")
+HUNT_MODES = ("all", "nonsingular", "spd")
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,8 @@ class HuntConfig:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         check_sampling_args(self.budget, self.exponent_range)
-        if self.mode not in _HUNT_MODES:
-            raise ValueError(f"mode must be one of {_HUNT_MODES}, got {self.mode!r}")
+        if self.mode not in HUNT_MODES:
+            raise ValueError(f"mode must be one of {HUNT_MODES}, got {self.mode!r}")
 
     def to_dict(self) -> dict:
         return {

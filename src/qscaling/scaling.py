@@ -24,8 +24,7 @@ of j of the d_i. When M_j is copositive and no positive vector lies in its
 kernel, p_j is positive on the orthant, so no draw can refute it, and the
 sampling skips a search whose outcome is already known. For p_1 and
 p_{n-1} the converse holds too: a failure of either condition gives an
-exact witness point. For a two-variable quadratic with nonnegative square
-coefficients, as every 2x2 p_1 is, that point has a closed form.
+exact witness point.
 """
 
 from __future__ import annotations
@@ -465,12 +464,11 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """Decide positivity of ``p`` on the open positive orthant where possible.
 
     Exact strategies, in fixed order: (a) all coefficients nonnegative with
-    one positive; (b) the two-variable quadratic a*d1^2 + b*d1*d2 + c*d2^2
-    with a, c >= 0, decided completely: a weighted square completion when
-    it is positive, else the witness adj(M) 1 = (2c - b, 2a - b) of
-    M = [[2a, b], [b, 2c]], the point (c) gives; (c) for a quadratic form
-    in d, or (prod d)^2 times one in 1/d, as p_1 and p_{n-1} are, the
-    witness of ``_orthant_witness`` on its matrix, taken as d or as 1/d.
+    one positive; (b) the two-variable quadratic a*d1^2 + b*d1*d2 + c*d2^2,
+    with a weighted square completion as evidence when it is positive;
+    (c) for a quadratic form in d, or (prod d)^2 times one in 1/d, as p_1
+    and p_{n-1} are and every failing (b) is, the witness of
+    ``_orthant_witness`` on its matrix, taken as d or as 1/d.
     Anything left over is INCONCLUSIVE, which is a legitimate outcome, not
     an error: that includes a form positive on the orthant, which no
     evidence kind records yet, and every other p, which sampling probes.
@@ -488,7 +486,7 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
 
     if p.n_vars == 2 and p.is_homogeneous(2):
         a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
-        # if a, c >= 0 then b < 0: otherwise every coefficient is nonnegative and (a) applied
+        # a failing quadratic goes to the copositivity route below for its witness
         if a > 0 and c > 0 and b * b < 4 * a * c:
             half = b / (2 * a)
             first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
@@ -497,11 +495,6 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             return Certificate(
                 p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion)
             )
-        if a >= 0 and c >= 0:
-            # det M = 4ac - b^2 <= 0 and adj M >= 0, so p(adj(M) 1) = (a + c - b)(4ac - b^2) <= 0
-            point = _reduce_direction((2 * c - b, 2 * a - b))
-            return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
-        # a negative square coefficient: the copositivity route below decides it
 
     form = _form_matrix(p)
     z = None if form is None else _orthant_witness(form)

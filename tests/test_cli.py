@@ -290,10 +290,10 @@ def test_max_dim_help_is_shared_and_names_both_bounds():
 
 def test_hunt_mode_choices_are_the_configs(capsys):
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert commands["hunt"]._option_string_actions["--mode"].choices is refute._HUNT_MODES
+    assert commands["hunt"]._option_string_actions["--mode"].choices is refute.HUNT_MODES
     code, _, err = run_cli(capsys, "hunt", "--dim", "2", "--count", "1", "--mode", "bogus")
     assert code == 2
-    assert "--mode" in err and all(mode in err for mode in refute._HUNT_MODES)
+    assert "--mode" in err and all(mode in err for mode in refute.HUNT_MODES)
 
 
 def test_unknown_flag_is_usage_error(capsys):

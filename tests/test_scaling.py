@@ -29,7 +29,7 @@ from qscaling import (
     symbolic_q_invariants,
     zero_rows_outside,
 )
-from qscaling.scaling import _form_matrix, _orthant_witness, _reduce_direction
+from qscaling.scaling import _reduce_direction
 
 from helpers import positive_points, random_int_matrix, random_rational_matrix
 from legacy_routes import minor_by_fractions
@@ -205,7 +205,7 @@ RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 @example(Fraction(3), Fraction(-12), Fraction(12))  # b^2 = 4ac
 @example(Fraction(-1), Fraction(2**600), Fraction(1))
 @example(Fraction(1), Fraction(2**600), Fraction(-1))
-def test_two_variable_quadratics_are_decided_with_the_copositivity_witness(a, b, c):
+def test_two_variable_quadratics_are_decided_with_the_adjugate_witness(a, b, c):
     p = SparsePolynomial(2, {(2, 0): a, (1, 1): b, (0, 2): c})
     assume(not p.is_zero)
     cert = certify_positive_on_orthant(p)
@@ -214,8 +214,10 @@ def test_two_variable_quadratics_are_decided_with_the_copositivity_witness(a, b,
     assert (cert.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT) == positive
     assert cert.verify()
     if a >= 0 and c >= 0 and not positive:
-        # adj(M) 1 for M = [[2a, b], [b, 2c]]: the point of the general route
-        assert cert.evidence.point == _reduce_direction(_orthant_witness(_form_matrix(p)))
+        # adj M >= 0 for M = [[2a, b], [b, 2c]], so the copositivity route fails at M itself when
+        # det M = 4ac - b^2 < 0, and adj(M) 1 spans the kernel when it is 0: either way the
+        # witness is adj(M) 1, of value (a + c - b)(4ac - b^2) <= 0
+        assert cert.evidence.point == _reduce_direction((2 * c - b, 2 * a - b))
 
 
 def test_certificate_positive_kernel_vector_refutes_higher_arity():
