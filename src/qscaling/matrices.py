@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 #: Operations that enumerate all minors refuse dimensions above this bound
@@ -202,34 +202,67 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix.
+def _bareiss_int(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Bareiss elimination on a k x m integer matrix, k <= m.
 
-    The empty matrix has determinant 1, which makes the order-0 minor 1
-    everywhere. Overwrites ``rows``; every caller passes a freshly built list.
+    Returns the minor on every k-subset of the columns, in the order of
+    ``combinations(range(m), k)``: for a square matrix, ``[det]``. The
+    elimination branches over the next pivot column, so column sets with a
+    common prefix share that prefix's steps. The last column choice at each
+    step eliminates in place; earlier choices work on fresh copies of the
+    rows below the pivot. A column with no pivot ends every column set
+    through it at 0. The empty matrix has determinant 1, which makes the
+    order-0 minor 1 everywhere. Overwrites ``rows`` and may return one of
+    its lists; every caller passes a freshly built list.
     """
-    n = len(rows)
-    a = rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pkk = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                # exact division: prev divides the 2x2 determinant by Sylvester's identity
-                row_i[j] = (row_i[j] * pkk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1] if n else 1
+    k = len(rows)
+    if k < 2:
+        # the order-1 minors are the entries of the one row
+        return rows[0] if k else [1]
+    m = len(rows[0])
+    minors: list[int] = []
+    # each entry resumes a step at its next pivot column once the earlier one is done
+    pending = []
+    a, t, start, sign, prev = rows, 0, 0, 1, 1
+    while True:
+        while t < k - 1:
+            c = start
+            # the last choice leaves just enough columns for the steps after this one
+            last = c == m - k + t
+            for r in range(t, k):
+                if a[r][c]:
+                    break
+            else:
+                # every column set that takes column c next is singular
+                minors.extend([0] * comb(m - c - 1, k - t - 1))
+                if last:
+                    break
+                start = c + 1
+                continue
+            if not last:
+                pending.append((a, t, c + 1, sign, prev))
+                a = a[:]
+            if r != t:
+                a[t], a[r] = a[r], a[t]
+                sign = -sign
+            pivot = a[t]
+            pc = pivot[c]
+            for i in range(t + 1, k):
+                row = a[i]
+                if not last:
+                    row = a[i] = row[:]
+                ric = row[c]
+                for j in range(c + 1, m):
+                    # exact division: prev divides the 2x2 determinant by Sylvester's identity
+                    row[j] = (row[j] * pc - ric * pivot[j]) // prev
+            t, start, prev = t + 1, c + 1, pc
+        else:
+            # after k - 1 steps, entry c of the last row is the minor that ends at column c
+            row = a[t][start:]
+            minors += row if sign > 0 else [-x for x in row]
+        if not pending:
+            return minors
+        a, t, start, sign, prev = pending.pop()
 
 
 def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
@@ -241,15 +274,18 @@ def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
 def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
     """det((q*A)[rows, cols]) for 0-based selections of size k: q^k times the minor of A.
 
-    This is the one place the package evaluates a minor.
+    One minor is the kernel on a square submatrix; a caller that needs a
+    whole row of a compound passes ``_bareiss_int`` the k rows instead.
     """
-    return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
+    return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])[0]
 
 
 def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
-    """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order."""
-    subsets = list(combinations(range(len(scaled)), k))
-    return [[_int_minor(scaled, rows, cols) for cols in subsets] for rows in subsets]
+    """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order.
+
+    Each row is one kernel call on the k rows of q*A it is indexed by.
+    """
+    return [_bareiss_int([scaled[i][:] for i in rows]) for rows in combinations(range(len(scaled)), k)]
 
 
 def principal_minors(

@@ -19,7 +19,7 @@ from itertools import combinations
 from .matrices import (
     IndexSet,
     RationalMatrix,
-    _int_minor,
+    _bareiss_int,
     _scaled,
     check_enumeration_dim,
     minor,
@@ -174,27 +174,33 @@ def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> 
     return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, matrix.n + 1))
 
 
-def _first_positive_pair(
-    q: int, scaled: list[list[int]], subsets: list[tuple[int, ...]]
-) -> MinorPairWitness | None:
-    """The first mirrored pair of minors with positive product among equal-size ``subsets``.
+def _first_positive_pair(q: int, scaled: list[list[int]], k: int) -> MinorPairWitness | None:
+    """The first mirrored pair of order-k minors with positive product.
 
     ``scaled`` is q*A. Both minors of a pair carry the same positive factor
     q^k, so the sign of their product is read from the integer minors of
     q*A; only the returned witness is divided back to minors of A. Pairs
-    (a, b) with a before b are visited in lexicographic order; a principal
-    minor is never paired with itself.
+    (a, b) of k-subsets with a before b are visited in lexicographic order;
+    a principal minor is never paired with itself. The pair reads row a of
+    the order-k compound at b and row b at a, and each row is computed the
+    first time a pair needs it, so the scan stops at the first violation
+    without evaluating the rest of the compound.
     """
     n = len(scaled)
+    subsets = list(combinations(range(n), k))
+    # the rows of the order-k compound of q*A computed so far
+    compound_rows: list[list[int]] = []
     for a, row_sel in enumerate(subsets):
-        for col_sel in subsets[a + 1:]:
-            forward = _int_minor(scaled, row_sel, col_sel)
-            backward = _int_minor(scaled, col_sel, row_sel)
+        for b in range(a + 1, len(subsets)):
+            while len(compound_rows) <= b:
+                compound_rows.append(_bareiss_int([scaled[i][:] for i in subsets[len(compound_rows)]]))
+            forward = compound_rows[a][b]
+            backward = compound_rows[b][a]
             if forward * backward > 0:
-                scale = q ** len(row_sel)
+                scale = q**k
                 return MinorPairWitness(
                     IndexSet(n, tuple(i + 1 for i in row_sel)),
-                    IndexSet(n, tuple(i + 1 for i in col_sel)),
+                    IndexSet(n, tuple(i + 1 for i in subsets[b])),
                     Fraction(forward, scale),
                     Fraction(backward, scale),
                 )
@@ -232,7 +238,7 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
                 p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
 
         if pair_witness is None:
-            pair_witness = _first_positive_pair(q, scaled, [s for s, _ in minors])
+            pair_witness = _first_positive_pair(q, scaled, k)
 
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:
@@ -263,8 +269,9 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
     n = matrix.n
     check_enumeration_dim(n, max_dim)
     q, scaled = _scaled(matrix)
-    for k in range(1, n + 1):
-        witness = _first_positive_pair(q, scaled, list(combinations(range(n), k)))
+    # order n has one subset and so no pair
+    for k in range(1, n):
+        witness = _first_positive_pair(q, scaled, k)
         if witness is not None:
             return Verdict(False, witness)
     return Verdict(True)

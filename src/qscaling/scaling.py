@@ -40,6 +40,7 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
+    _bareiss_int,
     _check_in_range,
     _coerce_rational,
     _int_compound,
@@ -606,7 +607,10 @@ def cauchy_binet_terms(
     """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|.
 
     The denominators of A are cleared once; each product is that of two
-    integer minors of q*A, which both carry q^|alpha|.
+    integer minors of q*A, which both carry q^|alpha|. minor(A, alpha, beta)
+    over every beta is row alpha of the order-|alpha| compound of q*A, and
+    minor(A, beta, alpha) is row alpha of the compound of q*A^T: one kernel
+    call each.
     """
     n = matrix.n
     _check_in_range(matrix, alpha)
@@ -614,9 +618,10 @@ def cauchy_binet_terms(
     k = len(alpha)
     q, scaled = _scaled(matrix)
     rows = alpha.zero_based()
-    terms = []
-    for beta in index_sets(n, k):
-        cols = beta.zero_based()
-        pair = _int_minor(scaled, rows, cols) * _int_minor(scaled, cols, rows)
-        terms.append((beta, Fraction(pair, q ** (2 * k))))
-    return CauchyBinetExpansion(alpha=alpha, terms=tuple(terms))
+    forward = _bareiss_int([scaled[i][:] for i in rows])
+    backward = _bareiss_int([[row[i] for row in scaled] for i in rows])
+    scale = q ** (2 * k)
+    terms = tuple(
+        (beta, Fraction(f * b, scale)) for beta, f, b in zip(index_sets(n, k), forward, backward)
+    )
+    return CauchyBinetExpansion(alpha=alpha, terms=terms)

@@ -123,7 +123,7 @@ def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
             row_lcm = lcm(row_lcm, e.denominator)
         scale *= row_lcm
         int_rows.append([e.numerator * (row_lcm // e.denominator) for e in row])
-    return Fraction(_bareiss_int(int_rows), scale)
+    return Fraction(_bareiss_int(int_rows)[0], scale)
 
 
 def minor_by_fractions(matrix: RationalMatrix, row_sel: Sequence[int], col_sel: Sequence[int]) -> Fraction:

@@ -14,8 +14,10 @@ recorded while only strict copositivity let the sampling skip its draws, so
 it still drew for this matrix; ``hunt_d4.txt`` was recorded while a fixed
 point search, not copositivity, gave the witnesses of non-positive p_j;
 ``q2_refuted_d2.txt`` was recorded once a failing two-variable quadratic
-took the copositivity witness adj(M) 1. Later routes must reproduce every
-file exactly, along with the exit code.
+took the copositivity witness adj(M) 1; ``analyze_late_pair_d7.txt`` was
+recorded while the anti-sign scan still evaluated each minor of a pair
+separately. Later routes must reproduce every file exactly, along with the
+exit code.
 """
 
 from pathlib import Path
@@ -27,6 +29,7 @@ from qscaling.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4"
 FRACTIONAL_2 = "2; 1/2 1/3; 1/5 1"
+LATE_PAIR_7 = "7; -3 0 2 0 0 0 1; 0 -1/2 0 0 3/2 -3/2 0; 0 0 -2/3 0 0 2 0; 0 0 0 2/3 0 0 0; 0 0 0 0 -1 0 0; 0 0 0 0 0 3 -1; -1/3 0 0 0 0 0 1"
 
 CASES = [
     ("reproduce.txt", 0, ["reproduce"]),
@@ -56,6 +59,8 @@ CASES = [
     # rational entries: the pair ({1}, {2}) is found on q*A, and its minors 1/3 and 1/5 are divided back
     ("analyze_fractional_pair.txt", 0, ["analyze", "--inline", FRACTIONAL_2]),
     ("analyze_fractional_pair.json", 0, ["analyze", "--format", "structured", "--inline", FRACTIONAL_2]),
+    # 7x7 rational: the first violation is the order-3 pair ({1,3,6}, {1,3,7}), rows 7 and 8 of the compound
+    ("analyze_late_pair_d7.txt", 0, ["analyze", "--inline", LATE_PAIR_7]),
 ]
 
 

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import (
@@ -23,7 +24,7 @@ from qscaling import (
     render_matrix,
     zero_rows_outside,
 )
-from qscaling.matrices import _int_minor, _scaled
+from qscaling.matrices import _bareiss_int, _int_minor, _scaled
 
 from helpers import random_rational_matrix
 from oracles import brute_force_minor, leibniz_determinant, list_matmul, two_by_two_determinant
@@ -100,6 +101,24 @@ def test_minor_order_zero_convention():
     # the kernel owns the convention: the empty matrix has determinant 1
     _, scaled = _scaled(A_REF)
     assert _int_minor(scaled, (), ()) == 1
+
+
+@st.composite
+def wide_int_matrices(draw):
+    """A k x m integer matrix, 0 <= k <= m <= 6; entries in [-2, 2] are often 0, so pivots are often missing."""
+    m = draw(st.integers(0, 6))
+    k = draw(st.integers(0, m))
+    return [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(k)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(wide_int_matrices())
+@example([])  # the empty matrix: one column set, minor 1
+def test_bareiss_returns_the_minor_on_every_column_set(rows):
+    k = len(rows)
+    m = len(rows[0]) if rows else 0
+    expected = [brute_force_minor(rows, range(k), cols) for cols in combinations(range(m), k)]
+    assert _bareiss_int([row[:] for row in rows]) == expected
 
 
 def test_minor_errors():

@@ -17,6 +17,7 @@ from qscaling import (
     classify,
     is_anti_sign_symmetric,
     mat_mul,
+    matrix_classes,
     principal_minor_sums,
 )
 
@@ -135,6 +136,29 @@ def _order_one_anti_sign(rng: random.Random, n: int) -> RationalMatrix:
         for j in range(i + 1, n):
             rows[j][i] = -rows[i][j] * rng.randint(0, 2)
     return RationalMatrix(tuple(map(tuple, rows)))
+
+
+def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
+    """Order 2 computes only the two compound rows its first pair reads, not the whole compound."""
+    # a_ij * a_ji <= 0, so order 1 has no violation; the first pair of order 2,
+    # ({1,2}, {1,3}), has minors -2 and -6
+    m = RationalMatrix(((-1, -2, 2, 2), (2, 0, -2, 2), (-2, 2, -2, 2), (-4, -2, -2, 1)))
+    kernel = matrix_classes._bareiss_int
+    row_sets = []
+
+    def counting(rows):
+        row_sets.append([list(row) for row in rows])
+        return kernel(rows)
+
+    monkeypatch.setattr(matrix_classes, "_bareiss_int", counting)
+    a = [list(row) for row in m.rows]
+    for scan in (is_anti_sign_symmetric, lambda m: classify(m).anti_sign_symmetric):
+        row_sets.clear()
+        witness = scan(m).witness
+        assert (witness.row_set.members, witness.col_set.members) == ((1, 2), (1, 3))
+        assert (witness.forward, witness.backward) == (-2, -6)
+        # every row of order 1, then rows {1,2} and {1,3} of order 2
+        assert row_sets == [[row] for row in a] + [[a[0], a[1]], [a[0], a[2]]]
 
 
 def test_classify_and_standalone_anti_sign_agree():
