@@ -288,6 +288,39 @@ def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
     return [_bareiss_int([scaled[i][:] for i in rows]) for rows in combinations(range(len(scaled)), k)]
 
 
+def _visit_prefixes(
+    scaled: list[list[int]],
+    prefix: tuple[int, ...],
+    det: int,
+    bordered: list[list[int]] | None,
+    by_order: list[list[tuple[tuple[int, ...], int]]],
+) -> None:
+    """Append (S, det((q*A)[S])) to ``by_order`` for every S that extends ``prefix``, depth-first.
+
+    ``det`` is det((q*A)[prefix]). ``bordered`` holds det((q*A)[prefix+i, prefix+j])
+    at row and column a for i, j = max(prefix) + 1 + a, or None below a zero pivot.
+    A module-level function, not a closure in ``principal_minors``: a nested
+    function that calls itself is a reference cycle, which leaves each call's
+    minors to the cyclic garbage collector.
+    """
+    n = len(scaled)
+    start = prefix[-1] + 1 if prefix else 0
+    for a, p in enumerate(range(start, n)):
+        s = prefix + (p,)
+        if bordered is None:
+            pivot, child = _int_minor(scaled, s, s), None
+        else:
+            pivot_row = bordered[a]
+            pivot = pivot_row[a]
+            # exact division: det((q*A)[prefix]) divides the 2x2 determinant by Sylvester's identity
+            child = [
+                [(row[c] * pivot - row[a] * pivot_row[c]) // det for c in range(a + 1, n - start)]
+                for row in bordered[a + 1 :]
+            ] if pivot else None
+        by_order[len(s)].append((s, pivot))
+        _visit_prefixes(scaled, s, pivot, child, by_order)
+
+
 def principal_minors(
     matrix: RationalMatrix,
 ) -> tuple[int, list[list[int]], list[list[tuple[tuple[int, ...], int]]]]:
@@ -299,10 +332,19 @@ def principal_minors(
     of ``combinations(range(n), k)``, zeros included; entry 0 is the empty
     set with minor 1. The scaled rows are returned so a caller that also
     needs other minors of q*A does not clear denominators again.
+
+    The sets are visited depth-first as a tree of prefixes, which lists each
+    order in lexicographic order. A node P holds det((q*A)[P]) and the
+    bordered minors b[i][j] = det((q*A)[P+i, P+j]) for i, j > max P; the
+    root holds 1 and q*A. The child P+p reads its minor as the pivot
+    b[p][p], and one Bareiss step gives its bordered minors, so sets with a
+    common prefix share its elimination (the fraction-free form of Griffin
+    and Tsatsomeros's Schur-complement tree). Below a zero pivot that step
+    would divide by zero, and each set there is one kernel call on q*A.
     """
-    n = matrix.n
     q, scaled = _scaled(matrix)
-    by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
+    by_order: list[list[tuple[tuple[int, ...], int]]] = [[((), 1)]] + [[] for _ in range(matrix.n)]
+    _visit_prefixes(scaled, (), 1, scaled, by_order)
     return q, scaled, by_order
 
 

@@ -549,9 +549,10 @@ def sample_refute(
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    _, scaled, by_order = _principal_minors_by_order(matrix)
+    _, scaled = _scaled(matrix)
     if n <= 3 and all(_orthant_witness(_hadamard(_int_compound(scaled, j))) is None for j in range(1, n + 1)):
         return None
+    _, _, by_order = _principal_minors_by_order(matrix)
     rng = random.Random(seed)
     randint = rng.randint
     weights = [_pair_weights(n, j) for j in range(1, n + 1)]

@@ -15,6 +15,9 @@ matrices. The package now sums the integer minors of ``principal_minors``.
 non-principal minor before all minors came from Bareiss on q*A: direct
 formulas up to 3x3, then denominators cleared row by row;
 ``minor_by_fractions`` reads a minor of A through it.
+``principal_minors_by_subset`` is how ``principal_minors`` read every
+principal minor before the shared-prefix tree: one kernel call on
+(q*A)[S, S] for each index set S.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from qscaling import (
     SparsePolynomial,
     compound,
 )
-from qscaling.matrices import _bareiss_int
+from qscaling.matrices import _bareiss_int, _int_minor, _scaled
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -129,6 +132,16 @@ def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 def minor_by_fractions(matrix: RationalMatrix, row_sel: Sequence[int], col_sel: Sequence[int]) -> Fraction:
     """The minor of A on 0-based rows and columns, by ``_det_rows`` (1 when both are empty)."""
     return _det_rows(tuple(tuple(matrix.rows[i][j] for j in col_sel) for i in row_sel))
+
+
+def principal_minors_by_subset(
+    matrix: RationalMatrix,
+) -> tuple[int, list[list[int]], list[list[tuple[tuple[int, ...], int]]]]:
+    """``principal_minors``'s q, q*A and minors by order, one kernel call per index set."""
+    n = matrix.n
+    q, scaled = _scaled(matrix)
+    by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
+    return q, scaled, by_order
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

@@ -16,8 +16,9 @@ point search, not copositivity, gave the witnesses of non-positive p_j;
 ``q2_refuted_d2.txt`` was recorded once a failing two-variable quadratic
 took the copositivity witness adj(M) 1; ``analyze_late_pair_d7.txt`` was
 recorded while the anti-sign scan still evaluated each minor of a pair
-separately. Later routes must reproduce every file exactly, along with the
-exit code.
+separately; ``analyze_zero_pivots_d6.txt`` was recorded while every principal
+minor was still its own kernel call. Later routes must reproduce every file
+exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -29,6 +30,7 @@ from qscaling.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4"
 FRACTIONAL_2 = "2; 1/2 1/3; 1/5 1"
+ZERO_PIVOTS_6 = "6; 1 2 0 1 -1 0; 2 4 1 0 2 1; 0 1 0 3 1 -1; 1 0 3 -2 0 2; -1 2 1 0 0 1; 0 1 -1 2 1 3"
 LATE_PAIR_7 = "7; -3 0 2 0 0 0 1; 0 -1/2 0 0 3/2 -3/2 0; 0 0 -2/3 0 0 2 0; 0 0 0 2/3 0 0 0; 0 0 0 0 -1 0 0; 0 0 0 0 0 3 -1; -1/3 0 0 0 0 0 1"
 
 CASES = [
@@ -61,6 +63,8 @@ CASES = [
     ("analyze_fractional_pair.json", 0, ["analyze", "--format", "structured", "--inline", FRACTIONAL_2]),
     # 7x7 rational: the first violation is the order-3 pair ({1,3,6}, {1,3,7}), rows 7 and 8 of the compound
     ("analyze_late_pair_d7.txt", 0, ["analyze", "--inline", LATE_PAIR_7]),
+    # the prefix tree meets zero pivots with descendants at {3}, {5}, {1,2}, {1,3}, {4,5} and {2,3,5}
+    ("analyze_zero_pivots_d6.txt", 0, ["analyze", "--inline", ZERO_PIVOTS_6]),
 ]
 
 

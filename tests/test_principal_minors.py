@@ -1,20 +1,27 @@
-"""The integer principal-minor enumerator against Leibniz determinants.
+"""The integer principal-minor enumerator against Leibniz determinants and the per-subset route.
 
 ``principal_minors`` is the only place the package computes principal
 minors; ``classify``, ``principal_minor_sums``, ``symbolic_q_invariants``
-and ``sample_refute`` all read it. The references here are the Leibniz
-determinant in ``oracles`` and a first-violation scan written against it.
+and ``sample_refute`` all read it. It walks a tree of index-set prefixes,
+one Bareiss step per child, and falls back to one kernel call per set below
+a zero pivot. The references here are the Leibniz determinant in
+``oracles``, a first-violation scan written against it, and
+``legacy_routes.principal_minors_by_subset``, one kernel call per set, which
+the tree must match integer for integer. Small entries in [-2, 2] put zero
+pivots at every depth of the tree.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import RationalMatrix, classify, principal_minor_sums
+from qscaling import matrices as matrices_module
 from qscaling.matrices import principal_minors
 
+from legacy_routes import principal_minors_by_subset
 from oracles import brute_force_minor
 
 # fixed example order, so a run never depends on a saved example database
@@ -73,3 +80,67 @@ def test_classify_matches_first_violation_of_oracle_scan(matrix):
             s, v = first
             assert verdict.witness.index_set.members == tuple(i + 1 for i in s)
             assert verdict.witness.value == v
+
+
+def matrix_of(rows):
+    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+small_integers = st.builds(Fraction, st.integers(-2, 2))
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def small_entry_matrices(draw):
+    n = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([small_integers, small_rationals]))
+    return RationalMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_entry_matrices())
+@example(matrix_of([[0] * 4] * 4))
+# zero diagonal: every order-1 pivot is zero
+@example(matrix_of([[0, 1, -1, 2], [2, 0, 1, 1], [-1, 1, 0, 1], [1, 2, -2, 0]]))
+# the leading 2x2 is singular, the leading 3x3 is not
+@example(matrix_of([[1, 1, 0, 2], [1, 1, 1, 0], [0, 1, 1, 1], [2, 0, 1, 1]]))
+# rank one: every minor of order 2 and up is zero
+@example(matrix_of([[u * v for v in (2, 1, -1, 3)] for u in (1, -2, 3, Fraction(1, 2))]))
+def test_tree_equals_per_subset_route(matrix):
+    assert principal_minors(matrix) == principal_minors_by_subset(matrix)
+
+
+def test_tree_without_zero_pivots_makes_no_kernel_call(monkeypatch):
+    upper = matrix_of(
+        [[2, -1, 3, 0, 1], [0, Fraction(1, 2), 4, -2, 0], [0, 0, -3, 1, 5], [0, 0, 0, 1, 2], [0, 0, 0, 0, -1]]
+    )
+    b = [[1, -2, 0, 3, 1], [2, 1, -1, 0, 2], [0, 3, 1, 1, -1], [-1, 0, 2, 1, 1], [1, 1, 0, -2, 3]]
+    spd = matrix_of([[sum(b[k][i] * b[k][j] for k in range(5)) + (i == j) for j in range(5)] for i in range(5)])
+    expected = [principal_minors_by_subset(m) for m in (upper, spd)]
+
+    def no_kernel(rows):
+        raise AssertionError("the tree called the kernel above a nonzero pivot")
+
+    monkeypatch.setattr(matrices_module, "_bareiss_int", no_kernel)
+    assert [principal_minors(m) for m in (upper, spd)] == expected
+
+
+def test_sets_below_the_one_zero_pivot_take_one_kernel_call_each(monkeypatch):
+    # a_11 = 0 and the trailing 3x3 is diagonal, so {1} is the only zero pivot on the tree
+    matrix = matrix_of([[0, Fraction(1, 2), 1, 1], [1, 1, 0, 0], [Fraction(1, 3), 0, 1, 0], [1, 0, 0, 2]])
+    expected = principal_minors_by_subset(matrix)
+    kernel = matrices_module._bareiss_int
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(matrices_module, "_bareiss_int", counted)
+    q, scaled, by_order = principal_minors(matrix)
+    assert (q, scaled, by_order) == expected
+    # one call for each {1} + T with T a nonempty subset of {2, 3, 4}
+    assert sorted(calls) == [2, 2, 2, 3, 3, 3, 4]
+    # the tree starts from q*A and never writes into it
+    assert q == 6
+    assert scaled == [[q * x for x in row] for row in matrix.rows]
