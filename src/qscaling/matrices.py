@@ -189,12 +189,13 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product; both operands must share the same dimension.
 
     Each operand's denominators are cleared once: (q_a*A)(q_b*B) is an
-    integer product, and each entry is divided by q_a*q_b.
+    integer product, and each entry is divided by q_a*q_b. A square A*A
+    clears them once in all.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n}x{a.n} times {b.n}x{b.n}")
     qa, int_a = _scaled(a)
-    qb, int_b = _scaled(b)
+    qb, int_b = (qa, int_a) if b is a else _scaled(b)
     q = qa * qb
     cols = tuple(zip(*int_b))
     return RationalMatrix(

@@ -12,6 +12,7 @@ highest first, and always spells the coefficient:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .matrices import _coerce_rational
@@ -46,6 +47,19 @@ class SparsePolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, n_vars: int, terms: dict[tuple[int, ...], Fraction]) -> "SparsePolynomial":
+        """Wrap ``terms`` as it is, without the checks of ``__init__``.
+
+        For builders whose every key is already a length-``n_vars`` tuple of
+        nonnegative ints and every value a nonzero Fraction; the polynomial
+        takes ownership of the dict.
+        """
+        poly = cls.__new__(cls)
+        poly.n_vars = n_vars
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, n_vars: int) -> "SparsePolynomial":
         return cls(n_vars)
 
@@ -70,18 +84,37 @@ class SparsePolynomial:
         """Whether every term has total degree ``degree`` (vacuously true when zero)."""
         return {sum(e) for e in self._terms} <= {degree}
 
+    def has_positive_coefficients(self) -> bool:
+        """Whether every coefficient is positive (vacuously true when zero), read from the numerators."""
+        return all(c.numerator > 0 for c in self._terms.values())
+
     def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at ``point``, summed as one integer over one denominator.
+
+        With the coordinates x_i = X_i / D over a common denominator D, the
+        coefficients c = C / L over a common denominator L, and ``top`` the
+        highest degree, a term of degree k contributes C * X^e * D^(top-k)
+        to the numerator over L * D^top.
+        """
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         coords = [_coerce_rational(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            value = coeff
-            for x, e in zip(coords, exps):
+        if not self._terms:
+            return Fraction(0)
+        d = lcm(*(x.denominator for x in coords))
+        xs = [x.numerator * (d // x.denominator) for x in coords]
+        common = lcm(*(c.denominator for c in self._terms.values()))
+        degrees = [sum(exps) for exps in self._terms]
+        top = max(degrees)
+        lift = {k: d ** (top - k) for k in set(degrees)}
+        total = 0
+        for (exps, coeff), k in zip(self._terms.items(), degrees):
+            value = coeff.numerator * (common // coeff.denominator) * lift[k]
+            for x, e in zip(xs, exps):
                 if e:
                     value *= x ** e
             total += value
-        return total
+        return Fraction(total, common * d ** top)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from operator import add
 
 from .matrices import (
     DimensionGuardError,
@@ -154,6 +155,9 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     n = matrix.n
     check_symbolic_dim(n, max_dim)
     q, _, by_order = _principal_minors_by_order(matrix)
+    # bits[mask][i] is bit i of mask, doubled[mask] twice that
+    bits = [tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n)]
+    doubled = [tuple(2 * b for b in row) for row in bits]
     invariants = []
     for j in range(1, n + 1):
         # a monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
@@ -165,11 +169,13 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
                     key = (s & t, s ^ t)
                     coefficients[key] = coefficients.get(key, 0) + weight * x * y
         scale = q ** (2 * j)
+        # the keys are distinct (twice, once) pairs of disjoint masks, so the
+        # exponent tuples are distinct and well formed by construction
         invariants.append(
-            SparsePolynomial(
+            SparsePolynomial._from_terms(
                 n,
                 {
-                    tuple(2 * (twice >> i & 1) + (once >> i & 1) for i in range(n)): Fraction(value, scale)
+                    tuple(map(add, doubled[twice], bits[once])): Fraction(value, scale)
                     for (twice, once), value in coefficients.items()
                     if value
                 },
@@ -426,9 +432,7 @@ class Certificate:
                 and e.value <= 0
             )
         if isinstance(self.evidence, CoefficientEvidence):
-            if p.is_zero:
-                return False
-            if any(c < 0 for _, c in p.terms()):
+            if p.is_zero or not p.has_positive_coefficients():
                 return False
             listed = p.coefficient(self.evidence.positive_exponents)
             return listed == self.evidence.positive_coefficient and listed > 0
@@ -478,9 +482,8 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
         point = (Fraction(1),) * p.n_vars
         return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(0)))
 
-    terms = p.terms()
-    if all(c > 0 for _, c in terms):
-        exps, coeff = terms[0]
+    if p.has_positive_coefficients():
+        exps, coeff = p.terms()[0]
         return Certificate(
             p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
         )
@@ -549,9 +552,10 @@ def sample_refute(
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    _, scaled = _scaled(matrix)
-    if n <= 3 and all(_orthant_witness(_hadamard(_int_compound(scaled, j))) is None for j in range(1, n + 1)):
-        return None
+    if n <= 3:
+        _, scaled = _scaled(matrix)
+        if all(_orthant_witness(_hadamard(_int_compound(scaled, j))) is None for j in range(1, n + 1)):
+            return None
     _, _, by_order = _principal_minors_by_order(matrix)
     rng = random.Random(seed)
     randint = rng.randint

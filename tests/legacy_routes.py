@@ -17,7 +17,9 @@ formulas up to 3x3, then denominators cleared row by row;
 ``minor_by_fractions`` reads a minor of A through it.
 ``principal_minors_by_subset`` is how ``principal_minors`` read every
 principal minor before the shared-prefix tree: one kernel call on
-(q*A)[S, S] for each index set S.
+(q*A)[S, S] for each index set S. ``evaluate_by_terms`` is how
+``SparsePolynomial.evaluate`` summed a polynomial before it worked over one
+common denominator: one Fraction product per term and per power.
 """
 
 from __future__ import annotations
@@ -142,6 +144,18 @@ def principal_minors_by_subset(
     q, scaled = _scaled(matrix)
     by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
     return q, scaled, by_order
+
+
+def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fraction:
+    """p at ``point``, each term a Fraction product added to a Fraction total."""
+    total = Fraction(0)
+    for exps, coeff in p.terms():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x ** e
+        total += value
+    return total
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

@@ -24,6 +24,7 @@ from qscaling import (
     render_matrix,
     zero_rows_outside,
 )
+from qscaling import matrices as matrices_module
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
 
 from helpers import random_rational_matrix
@@ -245,6 +246,16 @@ def test_mat_mul_matches_the_fraction_product(pair):
     product = mat_mul(a, b)
     assert [list(row) for row in product.rows] == list_matmul(a.rows, b.rows)
     assert all(type(x) is Fraction for row in product.rows for x in row)
+
+
+def test_square_clears_denominators_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matrices_module, "_scaled", lambda m: calls.append(m) or _scaled(m))
+    a = RationalMatrix(((Fraction(1, 2), 3), (Fraction(-2, 3), 1)))
+    assert mat_mul(a, a) == RationalMatrix(((-Fraction(7, 4), Fraction(9, 2)), (-1, -1)))
+    assert calls == [a]
+    mat_mul(a, RationalMatrix(a.rows))
+    assert len(calls) == 3
 
 
 def test_mat_mul_dimension_mismatch():

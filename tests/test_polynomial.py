@@ -2,8 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qscaling import SparsePolynomial
+
+from legacy_routes import evaluate_by_terms
+
+# fixed example order, so a run never depends on a saved example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 
 
 def p_ref():
@@ -86,3 +95,29 @@ def test_homogeneity_helpers():
 def test_evaluate_validates_arity():
     with pytest.raises(ValueError):
         p_ref().evaluate((1,))
+
+
+@st.composite
+def polynomials_and_points(draw):
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exponents, rationals, max_size=6))
+    point = draw(st.lists(rationals, min_size=n, max_size=n))
+    return SparsePolynomial(n, terms), point
+
+
+def point_of(*pairs):
+    return [Fraction(*pair) for pair in pairs]
+
+
+@example((SparsePolynomial.zero(2), point_of((1, 2), (3, 5))))
+@example((SparsePolynomial.constant(3, Fraction(-7, 4)), point_of((1, 3), (2, 1), (5, 7))))
+# degrees 3, 1 and 0 in one polynomial
+@example((SparsePolynomial(2, {(2, 1): Fraction(2, 3), (0, 1): -5, (0, 0): Fraction(1, 6)}), point_of((3, 4), (5, 2))))
+@example((p_ref(), point_of((-3, 1), (-1, 2))))
+@example((SparsePolynomial(3, {(1, 1, 0): 1, (0, 1, 2): Fraction(-3, 8), (2, 0, 1): 4}), point_of((1, 2), (2, 3), (4, 9))))
+@PROPERTY
+@given(polynomials_and_points())
+def test_evaluate_equals_per_term_fraction_loop(case):
+    p, point = case
+    assert p.evaluate(point) == evaluate_by_terms(p, point)

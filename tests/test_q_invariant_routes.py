@@ -4,7 +4,9 @@
 f(t)*f(-t) = det(I - t^2 (D*A)^2), and ``sample_refute`` evaluates the same
 identity in integers. The references are the polynomial-matrix expansion
 and the Fraction sampling loop in ``legacy_routes``, plus Faddeev-LeVerrier
-on (D*A)^2 at concrete points.
+on (D*A)^2 at concrete points. ``symbolic_q_invariants`` wraps each p_j
+without the public constructor's checks, so one property shows that every
+p_j would pass them.
 """
 
 from fractions import Fraction
@@ -12,7 +14,14 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscaling import DiagonalScaling, RationalMatrix, sample_refute, scaled_square_symbolic, symbolic_q_invariants
+from qscaling import (
+    DiagonalScaling,
+    RationalMatrix,
+    SparsePolynomial,
+    sample_refute,
+    scaled_square_symbolic,
+    symbolic_q_invariants,
+)
 
 from legacy_routes import sample_refute_by_fractions, scaled_square_by_product, symbolic_q_invariants_by_expansion
 from oracles import faddeev_leverrier, list_matmul
@@ -48,6 +57,19 @@ def test_invariants_equal_polynomial_matrix_expansion(matrix):
 @given(matrices(min_n=6, max_n=6))
 def test_invariants_equal_polynomial_matrix_expansion_at_six(matrix):
     assert symbolic_q_invariants(matrix) == symbolic_q_invariants_by_expansion(matrix)
+
+
+# q = 42: p_j carries q^(2j) before it is divided out
+@example(RationalMatrix(((Fraction(1, 2), -3, 0), (Fraction(2, 3), 1, Fraction(-5, 7)), (4, Fraction(1, 3), 2))))
+@PROPERTY
+@given(st.one_of(matrices(), matrices(singular=True)))
+def test_invariants_pass_the_public_constructors_checks(matrix):
+    for p in symbolic_q_invariants(matrix):
+        assert p == SparsePolynomial(matrix.n, dict(p.terms()))
+        for exponents, coefficient in p.terms():
+            assert type(exponents) is tuple and len(exponents) == matrix.n
+            assert all(type(e) is int and e >= 0 for e in exponents)
+            assert type(coefficient) is Fraction and coefficient != 0
 
 
 @PROPERTY

@@ -29,6 +29,9 @@ from qscaling import (
     symbolic_q_invariants,
     zero_rows_outside,
 )
+from qscaling import matrices as matrices_module
+from qscaling import scaling as scaling_module
+from qscaling.matrices import _scaled
 from qscaling.scaling import _reduce_direction
 
 from helpers import positive_points, random_int_matrix, random_rational_matrix
@@ -290,6 +293,20 @@ def test_sample_refute_finds_nilpotent_witness():
     assert witness is not None
     squared = mat_mul(witness.apply_left(NILPOTENT), witness.apply_left(NILPOTENT))
     assert not classify(squared).q.holds
+
+
+def test_drawing_above_three_clears_denominators_once(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return _scaled(matrix)
+
+    monkeypatch.setattr(matrices_module, "_scaled", counted)
+    monkeypatch.setattr(scaling_module, "_scaled", counted)
+    m = RationalMatrix(tuple(tuple(Fraction(i - j, 1 + (i + j) % 3) for j in range(4)) for i in range(4)))
+    sample_refute(m, budget=5, seed=3)
+    assert calls == [m]
 
 
 def test_sample_refute_deterministic():
