@@ -33,9 +33,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import gcd, lcm
 from operator import add
+from typing import Iterator
 
 from .matrices import (
     DimensionGuardError,
@@ -197,43 +198,66 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 # so the converse holds as well.
 
 
+def _adjugate_rows(m: list[list[int]], s: tuple[int, ...]) -> Iterator[list[int]]:
+    """The rows of adj B for B = m[s, s], m a symmetric integer matrix, one at a time.
+
+    For s of size k, row l is one compound row: the minors of B without
+    row l, on the column sets in lexicographic order, omit the columns
+    k-1 down to 0. Read backwards with the signs (-1)^(i+l), it is column
+    l of adj B, which is row l because adj B is symmetric. A 1x1 matrix
+    has the adjugate (1), its order-0 minor.
+    """
+    for l, r in enumerate(s):
+        minors = _bareiss_int([[m[i][j] for j in s] for i in s if i != r])
+        yield [-v if (i + l) & 1 else v for i, v in enumerate(reversed(minors))]
+
+
 def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
 
     ``m`` is a symmetric integer matrix. The form is positive on the open
     orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
     of a copositive form at some z > 0 is an interior minimum, where the
-    gradient 2 m z vanishes. Each failure gives its own witness.
+    gradient 2 m z vanishes. Each failure gives its own witness. Both
+    halves read the determinants and adjugates of the principal
+    submatrices B = m[s, s] of order k = |s|, visited in increasing order.
 
-    Copositivity (Cottle-Habetler-Lemke): visiting the principal
-    submatrices B in increasing order, m fails at the first B with
-    det B < 0 and adj B >= 0 (the adjugate of a 1x1 matrix is (1), its
-    order-0 minor). x = adj(B) 1 then gives x^T B x = det(B) 1^T adj(B) 1 < 0.
-    Padded with zeros, x is a witness on the boundary. z = 2^t x with every
-    zero entry set to 1 has the value 4^t x^T m x + O(2^t), so counting t
-    up from 0 reaches a negative value.
+    Copositivity (Cottle-Habetler-Lemke): m fails at the first B with
+    det B < 0 and adj B >= 0. x = adj(B) 1, the row sums of adj B, then
+    gives x^T B x = det(B) 1^T adj(B) 1 < 0. Padded with zeros, x is a
+    witness on the boundary. z = 2^t x with every zero entry set to 1 has
+    the value 4^t x^T m x + O(2^t), so counting t up from 0 reaches a
+    negative value.
 
     Positive kernel vector, for a copositive m with det m = 0: the z >= 0
-    with m z = 0 and sum z = 1 form a polytope. Its vertices are the x > 0
-    that solve [m on the columns S; 1^T] x = [0; 1] uniquely, for a support
-    S; each is found by Cramer's rule on integer minors. A positive z
-    exists exactly when the vertex supports cover every index, and the
-    average of the vertices is then one, of value 0.
+    with m z = 0 and sum z = 1 form a polytope. Its vertices are the
+    x > 0 on a support s with m x = 0 whose solution is unique up to
+    scale. A positive z exists exactly when the vertex supports cover
+    every index, and the average of the vertices is then one, of value 0.
+    A vertex x on s lies in ker B, so B is singular. Since m is
+    copositive, every y > 0 in ker B near x, padded with zeros, is a zero
+    of the form on the orthant, so each (m y)_i with i not in s is >= 0
+    near x and 0 at x. These linear functions then vanish on all of
+    ker B, so m y = 0 there, and uniqueness leaves ker B one line:
+    rank B = k - 1. Any nonzero row of adj B spans that line. So s is a
+    vertex support exactly when det B = 0, adj B has a nonzero row z,
+    m z = 0 on all n rows and z is strictly one-signed.
     """
     n = len(m)
+    singular = []
     for k in range(1, n + 1):
         for s in combinations(range(n), k):
             det = _int_minor(m, s, s)
+            if not det:
+                singular.append(s)
             if det >= 0:
                 continue
-            # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
-            adj = {}
-            for i, l in combinations_with_replacement(range(k), 2):
-                adj[i, l] = adj[l, i] = (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :])
-                if adj[i, l] < 0:
+            x = []
+            for row in _adjugate_rows(m, s):
+                if min(row) < 0:
                     break
+                x.append(sum(row))
             else:
-                x = [sum(adj[i, l] for l in range(k)) for i in range(k)]
                 divisor = gcd(*x)
                 padded = [0] * n
                 for i, v in zip(s, x):
@@ -248,24 +272,14 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     if det:
         return None
     vertices = []
-    for k in range(1, n + 1):
-        cols = tuple(range(k))
-        for s in combinations(range(n), k):
-            # column k is the right-hand side
-            bordered = [[m[i][j] for j in s] + [0] for i in range(n)] + [[1] * (k + 1)]
-            # the first nonsingular rows in lexicographic order take each row that is
-            # independent of the rows above it, so their equations imply every other
-            # one; without the row of ones the right side is 0, and so is x
-            for rows in combinations(range(n + 1), k):
-                den = _int_minor(bordered, rows, cols)
-                if den:
-                    break
-            else:
-                continue  # dependent columns: the solution is not unique
-            num = [_int_minor(bordered, rows, cols[:i] + (k,) + cols[i + 1 :]) for i in range(k)]
-            if any(x * den <= 0 for x in num):
-                continue
-            vertices.append(dict(zip(s, (Fraction(x, den) for x in num))))
+    for s in singular:
+        z = next(filter(any, _adjugate_rows(m, s)), None)
+        if z is None or any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
+            continue
+        total = sum(z)
+        if any(v * total <= 0 for v in z):
+            continue
+        vertices.append(dict(zip(s, (Fraction(v, total) for v in z))))
     if len({i for v in vertices for i in v}) < n:
         return None
     return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))

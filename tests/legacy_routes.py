@@ -20,14 +20,19 @@ principal minor before the shared-prefix tree: one kernel call on
 (q*A)[S, S] for each index set S. ``evaluate_by_terms`` is how
 ``SparsePolynomial.evaluate`` summed a polynomial before it worked over one
 common denominator: one Fraction product per term and per power.
+``orthant_witness_by_cramer`` is how ``_orthant_witness`` found the
+vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
+adjugates of singular principal submatrices: Cramer's rule on the bordered
+system [m on the columns S; 1^T] x = [0; 1], for every support S and the
+first nonsingular rows of it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 from typing import Sequence
 
 from qscaling import (
@@ -202,3 +207,81 @@ def sample_refute_by_fractions(
         if not _is_q_matrix_rows(squared, subset_lists):
             return DiagonalScaling(diag)
     return None
+
+
+def orthant_witness_by_cramer(m: list[list[int]]) -> tuple[Fraction, ...] | None:
+    """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
+
+    Kept as the reference for ``_orthant_witness``: it finds each kernel
+    vertex by a second construction, Cramer's rule on a bordered system,
+    independent of the adjugate rows the package reads.
+
+    ``m`` is a symmetric integer matrix. The form is positive on the open
+    orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
+    of a copositive form at some z > 0 is an interior minimum, where the
+    gradient 2 m z vanishes. Each failure gives its own witness.
+
+    Copositivity (Cottle-Habetler-Lemke): visiting the principal
+    submatrices B in increasing order, m fails at the first B with
+    det B < 0 and adj B >= 0 (the adjugate of a 1x1 matrix is (1), its
+    order-0 minor). x = adj(B) 1 then gives x^T B x = det(B) 1^T adj(B) 1 < 0.
+    Padded with zeros, x is a witness on the boundary. z = 2^t x with every
+    zero entry set to 1 has the value 4^t x^T m x + O(2^t), so counting t
+    up from 0 reaches a negative value.
+
+    Positive kernel vector, for a copositive m with det m = 0: the z >= 0
+    with m z = 0 and sum z = 1 form a polytope. Its vertices are the x > 0
+    that solve [m on the columns S; 1^T] x = [0; 1] uniquely, for a support
+    S; each is found by Cramer's rule on integer minors. A positive z
+    exists exactly when the vertex supports cover every index, and the
+    average of the vertices is then one, of value 0.
+    """
+    n = len(m)
+    for k in range(1, n + 1):
+        for s in combinations(range(n), k):
+            det = _int_minor(m, s, s)
+            if det >= 0:
+                continue
+            # adj B is symmetric; its (i, l) entry is (-1)^(i+l) det(B without row l and column i)
+            adj = {}
+            for i, l in combinations_with_replacement(range(k), 2):
+                adj[i, l] = adj[l, i] = (-1) ** (i + l) * _int_minor(m, s[:l] + s[l + 1 :], s[:i] + s[i + 1 :])
+                if adj[i, l] < 0:
+                    break
+            else:
+                x = [sum(adj[i, l] for l in range(k)) for i in range(k)]
+                divisor = gcd(*x)
+                padded = [0] * n
+                for i, v in zip(s, x):
+                    padded[i] = v // divisor
+                scale = 1
+                while True:
+                    z = [scale * v or 1 for v in padded]
+                    if sum(z[i] * m[i][l] * z[l] for i in range(n) for l in range(n)) < 0:
+                        return tuple(map(Fraction, z))
+                    scale *= 2
+    # det is now det m, the last minor visited
+    if det:
+        return None
+    vertices = []
+    for k in range(1, n + 1):
+        cols = tuple(range(k))
+        for s in combinations(range(n), k):
+            # column k is the right-hand side
+            bordered = [[m[i][j] for j in s] + [0] for i in range(n)] + [[1] * (k + 1)]
+            # the first nonsingular rows in lexicographic order take each row that is
+            # independent of the rows above it, so their equations imply every other
+            # one; without the row of ones the right side is 0, and so is x
+            for rows in combinations(range(n + 1), k):
+                den = _int_minor(bordered, rows, cols)
+                if den:
+                    break
+            else:
+                continue  # dependent columns: the solution is not unique
+            num = [_int_minor(bordered, rows, cols[:i] + (k,) + cols[i + 1 :]) for i in range(k)]
+            if any(x * den <= 0 for x in num):
+                continue
+            vertices.append(dict(zip(s, (Fraction(x, den) for x in num))))
+    if len({i for v in vertices for i in v}) < n:
+        return None
+    return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))

@@ -1,14 +1,18 @@
 """Witnesses of non-positivity on the orthant, the Hadamard compounds M_j, and the draws they skip.
 
 ``_orthant_witness`` returns a z > 0 with z^T M z <= 0, or None when
-x^T M x > 0 for every x > 0. When M is not copositive (the
+x^T M x > 0 for every x > 0. Both of its halves read the adjugates of
+principal submatrices B. When M is not copositive (the
 Cottle-Habetler-Lemke criterion on integer minors) the witness is
-adj(B) 1 for the failing principal B, lifted off the boundary; when M is
-copositive and some z > 0 has M z = 0 (the vertices of
-{z >= 0, M z = 0, sum z = 1}) it is such a z. The reference for
-copositivity is ``oracles.simplex_minimum``, the exact minimum of the form
-on the simplex. p_j = z^T M_j z with z the products of j of the d_i, and
-M_j = C_j(A) o C_j(A)^T is read from q*A by ``_hadamard(_int_compound(q*A, j))``.
+adj(B) 1 for the failing B, lifted off the boundary; when M is
+copositive and some z > 0 has M z = 0 it is the average of the vertices
+of {z >= 0, M z = 0, sum z = 1}, each a nonzero row of adj(B) for a
+singular B. The reference for copositivity is ``oracles.simplex_minimum``,
+the exact minimum of the form on the simplex, and the reference for the
+whole routine is ``legacy_routes.orthant_witness_by_cramer``, which solves
+each vertex by Cramer's rule on a bordered system. p_j = z^T M_j z with z
+the products of j of the d_i, and M_j = C_j(A) o C_j(A)^T is read from q*A
+by ``_hadamard(_int_compound(q*A, j))``.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
 ``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial,
 and ``certify_positive_on_orthant`` turns a witness into a point d. When the
@@ -36,7 +40,7 @@ from qscaling import (
 from qscaling.matrices import _int_compound, _scaled
 from qscaling.scaling import _form_matrix, _hadamard, _orthant_witness
 
-from legacy_routes import sample_refute_by_fractions
+from legacy_routes import orthant_witness_by_cramer, sample_refute_by_fractions
 from oracles import simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
@@ -130,6 +134,61 @@ def test_orthant_witness_agrees_with_the_simplex_minimum(m):
         # a zero of a copositive form at some z > 0 is a minimum, where the gradient 2 m z vanishes
         assert minimum == 0 and value == 0
         assert all(sum(entry * x for entry, x in zip(row, z)) == 0 for row in m)
+
+
+#: M_1 of PSD_SINGULAR_D3, read from its p_1: the kernel (0, 1, 2) touches the boundary
+PSD_SINGULAR_FORM = _form_matrix(symbolic_q_invariants(PSD_SINGULAR_D3)[0])
+
+#: (form, witness) pairs through the kernel branch, recorded with the Cramer route
+KERNEL_BRANCH_CASES = (
+    # every B is singular; the vertices are e_1, e_2, e_3
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (Fraction(1, 3),) * 3),
+    ([[1, -1], [-1, 1]], (Fraction(1, 2),) * 2),
+    # v v^T for v = (1, -1, 1, -1): the vertices are (1/2, 1/2) on the pairs of opposite sign
+    ([[a * b for b in (1, -1, 1, -1)] for a in (1, -1, 1, -1)], (Fraction(1, 4),) * 4),
+    # B = m[{1,2}, {1,2}] = 0 is singular with adj B = 0, and m has no positive kernel vector
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], None),
+    # the one vertex e_2 leaves indices 1 and 3 uncovered
+    ([[2, 0, 0], [0, 0, 0], [0, 0, 3]], None),
+    (PSD_SINGULAR_FORM, None),
+)
+
+
+@st.composite
+def kernel_leaning_forms(draw):
+    """Symmetric integer matrices, most of them singular and copositive.
+
+    B^T B with fewer rows than columns (rank < n), sometimes plus a
+    zero-heavy N >= 0, and zero-heavy free entries.
+    """
+    n = draw(st.integers(1, 5))
+    small = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    kind = draw(st.sampled_from(("gram", "gram", "gram_plus_nonnegative", "entries")))
+    if kind == "entries":
+        upper = {(i, k): draw(small) for i in range(n) for k in range(i, n)}
+        return _symmetric(n, lambda i, k: upper[min(i, k), max(i, k)])
+    b = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=max(1, n - 1)))
+    extra = {(i, k): 0 for i in range(n) for k in range(i, n)}
+    if kind == "gram_plus_nonnegative":
+        extra = {key: draw(st.sampled_from((0, 0, 0, 1, 2))) for key in extra}
+    return _symmetric(n, lambda i, k: sum(r[i] * r[k] for r in b) + extra[min(i, k), max(i, k)])
+
+
+@example(KERNEL_BRANCH_CASES[0][0])
+@example(KERNEL_BRANCH_CASES[1][0])
+@example(KERNEL_BRANCH_CASES[2][0])
+@example(KERNEL_BRANCH_CASES[3][0])
+@example(KERNEL_BRANCH_CASES[4][0])
+@example(KERNEL_BRANCH_CASES[5][0])
+@settings(PROPERTY, max_examples=500)
+@given(kernel_leaning_forms())
+def test_orthant_witness_equals_the_cramer_oracle(m):
+    assert _orthant_witness(m) == orthant_witness_by_cramer(m)
+
+
+@pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES)
+def test_kernel_branch_witnesses_are_pinned(m, witness):
+    assert _orthant_witness(m) == witness
 
 
 def _form(m: list[list[int]], inverse: bool) -> SparsePolynomial:

@@ -17,8 +17,10 @@ point search, not copositivity, gave the witnesses of non-positive p_j;
 took the copositivity witness adj(M) 1; ``analyze_late_pair_d7.txt`` was
 recorded while the anti-sign scan still evaluated each minor of a pair
 separately; ``analyze_zero_pivots_d6.txt`` was recorded while every principal
-minor was still its own kernel call. Later routes must reproduce every file
-exactly, along with the exit code.
+minor was still its own kernel call; ``q2_kernel_d2.txt`` and
+``q2_kernel_vertices_d3.txt`` were recorded while the vertices of a positive
+kernel vector still came from Cramer's rule on bordered systems. Later routes
+must reproduce every file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -52,6 +54,11 @@ CASES = [
     ("q2_inconclusive_d3.txt", 0, ["q2scaling", "--inline", "3; 3 0 3; -2 4 3; 4 -1 2"]),
     # p_1 = d1^2 + (2*d2 - d3)^2: M_1 is PSD and singular, with no positive kernel vector
     ("q2_psd_singular_d3.txt", 0, ["q2scaling", "--inline", "3; 1 -2 -2; 0 -2 -2; 0 1 -1"]),
+    # p_1 = (d1 - d2)^2: the witness d = (1, 1) is the kernel line of M_1
+    ("q2_kernel_d2.txt", 1, ["q2scaling", "--inline", "2; 1 1; -1 1"]),
+    # p_2 = d1^2 (9 d2 - 4 d3)^2: its form has the kernel vertices e_1 and (0, 9/13, 4/13),
+    # whose average gives d = (36, 52, 117)
+    ("q2_kernel_vertices_d3.txt", 1, ["q2scaling", "--inline", "3; 3 -2 2; -3 -1 1; 1 -2 2"]),
     ("q2_ref.json", 0, ["q2scaling", "--format", "structured", "--inline", "2; 1 2; -1 5"]),
     # upper triangular: the anti-sign scan finds no violation and visits every pair
     ("analyze_upper5.txt", 0, ["analyze", "--inline", UPPER_5]),

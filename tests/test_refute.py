@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qscaling import (
+    CertificateVerdict,
     CertifiedForAll,
     Claim,
     DimensionGuardError,
@@ -199,3 +203,39 @@ def test_sampling_fallback_reaches_no_counterexample():
     assert isinstance(report.hypothesis, (CertifiedForAll, NoCounterexampleFound))
     assert report.verdict.kind in (VerdictKind.CONSISTENT, VerdictKind.UNDETERMINED)
     assert report.polynomials == tuple(symbolic_q_invariants(m))
+
+
+def _refutes_2x2(a11, a12, a21, a22) -> bool:
+    """-|a11 a22| < a12 a21 < -min(a11^2, a22^2): the hypothesis holds and A^2 is not P0+."""
+    return -abs(a11 * a22) < a12 * a21 < -min(a11**2, a22**2)
+
+
+entries_2x2 = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+matrices_2x2 = st.builds(
+    lambda *e: RationalMatrix((e[:2], e[2:])), entries_2x2, entries_2x2, entries_2x2, entries_2x2
+)
+
+
+# a11 = 0: both bounds are 0, so no a12 a21 lies between them
+@example(RationalMatrix(((0, 1), (-1, 2))))
+# |a11| = |a22|: -|a11 a22| = -min(a11^2, a22^2), so the interval is empty
+@example(RationalMatrix(((2, 1), (-3, 2))))
+# a12 a21 = -min(a11^2, a22^2): A^2 = [[0, 4], [-4, 8]] has a zero diagonal entry and stays P0+
+@example(RationalMatrix(((1, 1), (-1, 3))))
+# a12 a21 = -|a11 a22| with det A != 0: p_1 = (d1 - 4 d2)^2 vanishes at d = (4, 1)
+@example(RationalMatrix(((1, 2), (-2, 4))))
+# a12 a21 = -|a11 a22| with det A = 0: p_2 = 0
+@example(RationalMatrix(((1, 2), (-2, -4))))
+# the smallest integer counterexample, max |entry| 3
+@example(RationalMatrix(((3, 2), (-1, 1))))
+# a 2x2 hypothesis is always decided by certificates, so the budget is never spent
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(matrices_2x2)
+def test_2x2_counterexamples_are_the_closed_form(matrix):
+    (a11, a12), (a21, a22) = matrix.rows
+    report = verify_refutation(matrix, budget=1, seed=0)
+    assert all(cert.verdict is not CertificateVerdict.INCONCLUSIVE for cert in report.certificates)
+    refutes = report.verdict.kind is VerdictKind.COUNTEREXAMPLE
+    assert refutes == _refutes_2x2(a11, a12, a21, a22)
+    if refutes:
+        assert report.verdict.evidence_grade is EvidenceGrade.CERTIFIED
