@@ -175,15 +175,6 @@ class RationalMatrix:
         coerced = [_coerce_rational(f) for f in factors]
         return RationalMatrix(tuple(tuple(f * e for e in row) for f, row in zip(coerced, self.rows)))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return RationalMatrix(
-            tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product; both operands must share the same dimension.

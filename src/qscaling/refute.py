@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import RationalMatrix, determinant, mat_mul, matrix_to_dict
+from .matrices import RationalMatrix, _bareiss_int, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
 from .polynomial import SparsePolynomial
 from .scaling import (
@@ -26,6 +26,7 @@ from .scaling import (
     WitnessEvidence,
     certify_positive_on_orthant,
     check_sampling_args,
+    check_symbolic_dim,
     sample_refute,
     symbolic_q_invariants,
 )
@@ -269,27 +270,31 @@ class HuntConfig:
         }
 
 
-def _draw_integer_matrix(rng: random.Random, n: int, bound: int) -> RationalMatrix:
-    return RationalMatrix(
-        tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(n))
-    )
+def _draw_rows(rng: random.Random, n: int, bound: int) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def generate_candidates(cfg: HuntConfig):
-    """Yield the candidate stream for ``cfg`` (deterministic in cfg.seed)."""
+    """Yield the candidate stream for ``cfg`` (deterministic in cfg.seed).
+
+    Every mode draws integer rows and builds one matrix from them: "all"
+    keeps the draw, "nonsingular" redraws while its Bareiss determinant is
+    0, and "spd" forms B^T B + I from the drawn B in integers.
+    """
     rng = random.Random(cfg.seed)
+    n, bound = cfg.dimension, cfg.entry_range
     for _ in range(cfg.count):
-        if cfg.mode == "all":
-            yield _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
-        elif cfg.mode == "nonsingular":
-            while True:
-                candidate = _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
-                if determinant(candidate) != 0:
-                    yield candidate
-                    break
-        else:  # spd: B^T B + I is symmetric positive definite with integer entries
-            factor = _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
-            yield mat_mul(factor.transpose(), factor) + RationalMatrix.identity(cfg.dimension)
+        rows = _draw_rows(rng, n, bound)
+        if cfg.mode == "nonsingular":
+            while not _bareiss_int([row[:] for row in rows])[0]:
+                rows = _draw_rows(rng, n, bound)
+        elif cfg.mode == "spd":
+            # B^T B + I is symmetric positive definite with integer entries
+            cols = list(zip(*rows))
+            rows = [[sum(x * y for x, y in zip(ci, cj)) + (i == j) for j, cj in enumerate(cols)]
+                    for i, ci in enumerate(cols)]
+        # Fraction entries pass RationalMatrix's coercion at once; an int first fails an ABC check
+        yield RationalMatrix(tuple(tuple(map(Fraction, row)) for row in rows))
 
 
 def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
@@ -298,8 +303,10 @@ def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
     Candidates are processed in stream order and each one's sampling seed
     is derived from (cfg.seed, index), so the report list is identical
     across runs with the same config. ``max_dim`` is passed on to each
-    ``verify_refutation`` call.
+    ``verify_refutation`` call. The first bound that call checks, the
+    symbolic-expansion one, is checked here before the first draw.
     """
+    check_symbolic_dim(cfg.dimension, max_dim)
     reports = []
     for index, candidate in enumerate(generate_candidates(cfg)):
         report = verify_refutation(

@@ -25,6 +25,13 @@ vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
 adjugates of singular principal submatrices: Cramer's rule on the bordered
 system [m on the columns S; 1^T] x = [0; 1], for every support S and the
 first nonsingular rows of it.
+``generate_candidates_by_matrices`` is how ``generate_candidates`` built
+each hunt candidate before it drew integer rows: a Fraction matrix per
+draw, the Fraction determinant for the nonsingular redraw, and B^T B + I
+as a matrix product plus the identity, summed by what was
+``RationalMatrix.__add__``. The property test holds the integer stream
+to it element for element, since every hunt report and golden depends on
+that stream.
 """
 
 from __future__ import annotations
@@ -37,9 +44,12 @@ from typing import Sequence
 
 from qscaling import (
     DiagonalScaling,
+    HuntConfig,
     RationalMatrix,
     SparsePolynomial,
     compound,
+    determinant,
+    mat_mul,
 )
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
 
@@ -285,3 +295,30 @@ def orthant_witness_by_cramer(m: list[list[int]]) -> tuple[Fraction, ...] | None
     if len({i for v in vertices for i in v}) < n:
         return None
     return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
+
+
+def _draw_integer_matrix(rng: random.Random, n: int, bound: int) -> RationalMatrix:
+    return RationalMatrix(
+        tuple(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(n))
+    )
+
+
+def _matrix_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.rows, b.rows)))
+
+
+def generate_candidates_by_matrices(cfg: HuntConfig):
+    """``generate_candidates``'s stream, each candidate built from RationalMatrix operations."""
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.count):
+        if cfg.mode == "all":
+            yield _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
+        elif cfg.mode == "nonsingular":
+            while True:
+                candidate = _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
+                if determinant(candidate) != 0:
+                    yield candidate
+                    break
+        else:  # spd: B^T B + I is symmetric positive definite with integer entries
+            factor = _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
+            yield _matrix_sum(mat_mul(factor.transpose(), factor), RationalMatrix.identity(cfg.dimension))

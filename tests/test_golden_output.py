@@ -19,8 +19,11 @@ recorded while the anti-sign scan still evaluated each minor of a pair
 separately; ``analyze_zero_pivots_d6.txt`` was recorded while every principal
 minor was still its own kernel call; ``q2_kernel_d2.txt`` and
 ``q2_kernel_vertices_d3.txt`` were recorded while the vertices of a positive
-kernel vector still came from Cramer's rule on bordered systems. Later routes
-must reproduce every file exactly, along with the exit code.
+kernel vector still came from Cramer's rule on bordered systems;
+``hunt_nonsingular_d3.txt`` was recorded while each hunt candidate was still
+drawn as a Fraction matrix and the nonsingular redraw still took its Fraction
+determinant. Later routes must reproduce every file exactly, along with the
+exit code.
 """
 
 from pathlib import Path
@@ -48,6 +51,12 @@ CASES = [
     # n = 4: the middle p_2 is left to sampling
     ("hunt_d4.txt", 1, ["hunt", "--dim", "4", "--count", "40", "--seed", "0", "--budget", "2000"]),
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
+    # 6 singular draws are skipped on the way to the 20th candidate
+    (
+        "hunt_nonsingular_d3.txt",
+        1,
+        ["hunt", "--dim", "3", "--mode", "nonsingular", "--entry-range", "1", "--count", "20", "--seed", "0", "--budget", "500"],
+    ),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),
     # p_1 = d1^2 - 12*d1*d2 + d2^2 fails at adj(M)*1 = (1, 1), the point copositivity gives
     ("q2_refuted_d2.txt", 1, ["q2scaling", "--inline", "2; 1 2; -3 1"]),

@@ -25,8 +25,10 @@ from qscaling import (
     symbolic_q_invariants,
     verify_refutation,
 )
+from qscaling.refute import HUNT_MODES
 
 from helpers import random_int_matrix
+from legacy_routes import generate_candidates_by_matrices
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
@@ -166,6 +168,40 @@ def test_hunt_nonsingular_mode():
 
     for candidate in generate_candidates(cfg):
         assert determinant(candidate) != 0
+
+
+# the first candidate is the zero matrix
+@example(mode="all", dimension=2, entry_range=1, count=1, seed=SEED_EMITTING_ZERO_FIRST)
+# 14 singular draws are skipped on the way to the 20th candidate
+@example(mode="nonsingular", dimension=2, entry_range=1, count=20, seed=0)
+@example(mode="spd", dimension=5, entry_range=5, count=6, seed=1)
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    mode=st.sampled_from(HUNT_MODES),
+    dimension=st.integers(1, 5),
+    entry_range=st.integers(1, 6),
+    count=st.integers(1, 6),
+    seed=st.integers(),
+)
+def test_candidate_stream_equals_the_matrix_oracle(mode, dimension, entry_range, count, seed):
+    cfg = HuntConfig(dimension=dimension, entry_range=entry_range, count=count, seed=seed, mode=mode)
+    assert list(generate_candidates(cfg)) == list(generate_candidates_by_matrices(cfg))
+
+
+class _Drew(Exception):
+    pass
+
+
+def test_hunt_refuses_an_oversized_dimension_before_the_first_draw(monkeypatch):
+    def no_draw(seed):
+        raise _Drew
+
+    monkeypatch.setattr("qscaling.refute.random.Random", no_draw)
+    cfg = HuntConfig(dimension=7, entry_range=1, count=1, mode="spd")
+    with pytest.raises(DimensionGuardError):
+        hunt(cfg)
+    with pytest.raises(_Drew):
+        hunt(cfg, max_dim=7)
 
 
 def test_hunt_config_validation():
