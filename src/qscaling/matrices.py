@@ -18,8 +18,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, lcm
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 #: Operations that enumerate all minors refuse dimensions above this bound
@@ -77,6 +79,12 @@ def render_rational(value: Fraction) -> str:
 
 
 def _coerce_rational(value) -> Fraction:
+    # exact type tests first: for an int, isinstance(value, Fraction) is a failed ABC check
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -272,12 +280,58 @@ def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequenc
     return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])[0]
 
 
+#: per position i of a k-subset: the columns C_i, and the indices of C - C_i one order below
+_LaplacePlan = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+@cache
+def _laplace_plan(n: int, k: int) -> _LaplacePlan:
+    """How each order-k compound row of an n x n matrix expands along its last row.
+
+    Entry i pairs the tuple of columns C_i and the tuple of indices of
+    C - C_i among the (k-1)-subsets, over the k-subsets C of range(n) in
+    lexicographic order. Entry k-1 also gives each row set S its last row
+    max S and the index of S - max S one order below.
+    """
+    lower = {s: a for a, s in enumerate(combinations(range(n), k - 1))}
+    subsets = list(combinations(range(n), k))
+    return tuple(
+        (tuple(c[i] for c in subsets), tuple(lower[c[:i] + c[i + 1 :]] for c in subsets)) for i in range(k)
+    )
+
+
+def _laplace_row(plan: _LaplacePlan, last: list[int], lower: list[int]) -> list[int]:
+    """One row S of the order-k compound of q*A, from one row of the order below.
+
+    ``last`` is row max S of q*A and ``lower`` is row S - max S of the
+    order-(k-1) compound. On the column set C, the minor expands along its
+    last row as the sum over i of (-1)^(k-1+i) (q*A)[max S][C_i] times the
+    lower minor on C - C_i. Integer products only, so the row holds the
+    same integers a Bareiss elimination of the k rows gives.
+    """
+    k = len(plan)
+    row = None
+    # position k-1 carries the sign +, and the signs alternate below it
+    for i in range(k - 1, -1, -1):
+        cols, rest = plan[i]
+        terms = map(mul, map(last.__getitem__, cols), map(lower.__getitem__, rest))
+        row = terms if row is None else map(sub if (k - 1 - i) % 2 else add, row, terms)
+    return list(row)
+
+
 def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
     """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order.
 
-    Each row is one kernel call on the k rows of q*A it is indexed by.
+    Order 1 is q*A; each higher order's rows are Laplace expansions of the
+    rows of the order below.
     """
-    return [_bareiss_int([scaled[i][:] for i in rows]) for rows in combinations(range(len(scaled)), k)]
+    n = len(scaled)
+    rows = [row[:] for row in scaled]
+    for j in range(2, k + 1):
+        plan = _laplace_plan(n, j)
+        lasts, lowers = plan[-1]
+        rows = [_laplace_row(plan, scaled[r], rows[s]) for r, s in zip(lasts, lowers)]
+    return rows
 
 
 def _visit_prefixes(

@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .matrices import (
     IndexSet,
     RationalMatrix,
-    _bareiss_int,
+    _laplace_plan,
+    _laplace_row,
     _scaled,
     check_enumeration_dim,
     minor,
@@ -174,48 +176,63 @@ def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> 
     return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, matrix.n + 1))
 
 
-def _first_positive_pair(q: int, scaled: list[list[int]], k: int) -> MinorPairWitness | None:
-    """The first mirrored pair of order-k minors with positive product.
+def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
+    """The first mirrored pair of equal-order minors with positive product.
 
-    ``scaled`` is q*A. Both minors of a pair carry the same positive factor
-    q^k, so the sign of their product is read from the integer minors of
-    q*A; only the returned witness is divided back to minors of A. Pairs
-    (a, b) of k-subsets with a before b are visited in lexicographic order;
-    a principal minor is never paired with itself. The pair reads row a of
-    the order-k compound at b and row b at a, and each row is computed the
-    first time a pair needs it, so the scan stops at the first violation
-    without evaluating the rest of the compound.
+    ``scaled`` is q*A. Both minors of an order-k pair carry the same
+    positive factor q^k, so the sign of their product is read from the
+    integer minors of q*A; only the returned witness is divided back to
+    minors of A. Orders 1..n-1 are scanned in turn (order n has one index
+    set and so no pair), and within an order the pairs (a, b) of k-subsets
+    with a before b in lexicographic order; a principal minor is never
+    paired with itself. The pair reads row a of the order-k compound at b
+    and row b at a. Order 1 is q*A itself. A higher order's row is built
+    the first time a pair needs it, by ``_laplace_row`` from one row of the
+    order below, all of whose rows the scan of that order has built; so the
+    scan stops at the first violation without evaluating the rest of the
+    compound.
     """
     n = len(scaled)
-    subsets = list(combinations(range(n), k))
-    # the rows of the order-k compound of q*A computed so far
-    compound_rows: list[list[int]] = []
-    for a, row_sel in enumerate(subsets):
-        for b in range(a + 1, len(subsets)):
-            while len(compound_rows) <= b:
-                compound_rows.append(_bareiss_int([scaled[i][:] for i in subsets[len(compound_rows)]]))
-            forward = compound_rows[a][b]
-            backward = compound_rows[b][a]
-            if forward * backward > 0:
-                scale = q**k
-                return MinorPairWitness(
-                    IndexSet(n, tuple(i + 1 for i in row_sel)),
-                    IndexSet(n, tuple(i + 1 for i in subsets[b])),
-                    Fraction(forward, scale),
-                    Fraction(backward, scale),
-                )
+    # order 1 is q*A, every row of it already there
+    rows = scaled
+    for k in range(1, n):
+        m = comb(n, k)
+        if k > 1:
+            plan = _laplace_plan(n, k)
+            lasts, lowers = plan[-1]
+            lower_rows = rows
+            rows = [_laplace_row(plan, scaled[lasts[0]], lower_rows[lowers[0]])]
+        for a in range(m):
+            row_a = rows[a]
+            for b in range(a + 1, m):
+                if b == len(rows):
+                    rows.append(_laplace_row(plan, scaled[lasts[b]], lower_rows[lowers[b]]))
+                if row_a[b] * rows[b][a] > 0:
+                    subsets = list(combinations(range(n), k))
+                    scale = q**k
+                    return MinorPairWitness(
+                        IndexSet(n, tuple(i + 1 for i in subsets[a])),
+                        IndexSet(n, tuple(i + 1 for i in subsets[b])),
+                        Fraction(row_a[b], scale),
+                        Fraction(rows[b][a], scale),
+                    )
     return None
 
 
 def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
-    """Evaluate all five class predicates in one minor-enumeration pass."""
+    """Evaluate all five class predicates.
+
+    P, P0, P0+ and Q read one pass over the principal minors; anti-sign
+    symmetry is one call of the pair scan, ``_first_positive_pair``,
+    which builds the compounds of q*A order by order and stops at the
+    first violating pair.
+    """
     n = matrix.n
     check_enumeration_dim(n, max_dim)
 
     p_witness: PrincipalMinorWitness | None = None
     p0_witness: PrincipalMinorWitness | None = None
     q_witness: MinorSumWitness | None = None
-    pair_witness: MinorPairWitness | None = None
     sums: list[Fraction] = []
     has_positive: list[bool] = []
 
@@ -237,9 +254,7 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
             if v < 0 and p0_witness is None:
                 p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
 
-        if pair_witness is None:
-            pair_witness = _first_positive_pair(q, scaled, k)
-
+    pair_witness = _first_positive_pair(q, scaled)
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:
         p0_plus = Verdict(False, p0_witness)
@@ -264,14 +279,11 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
     """Check minor(a|b) * minor(b|a) <= 0 for all distinct equal-size a, b.
 
     The condition is only required for distinct index sets; a principal
-    minor paired with itself is never tested.
+    minor paired with itself is never tested. The same pair scan as
+    ``classify``'s, in one call over every order, so the two verdicts and
+    witnesses agree.
     """
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    q, scaled = _scaled(matrix)
-    # order n has one subset and so no pair
-    for k in range(1, n):
-        witness = _first_positive_pair(q, scaled, k)
-        if witness is not None:
-            return Verdict(False, witness)
-    return Verdict(True)
+    witness = _first_positive_pair(*_scaled(matrix))
+    return Verdict(witness is None, witness)

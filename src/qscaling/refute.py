@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .matrices import RationalMatrix, _bareiss_int, mat_mul, matrix_to_dict
@@ -293,8 +292,7 @@ def generate_candidates(cfg: HuntConfig):
             cols = list(zip(*rows))
             rows = [[sum(x * y for x, y in zip(ci, cj)) + (i == j) for j, cj in enumerate(cols)]
                     for i, ci in enumerate(cols)]
-        # Fraction entries pass RationalMatrix's coercion at once; an int first fails an ABC check
-        yield RationalMatrix(tuple(tuple(map(Fraction, row)) for row in rows))
+        yield RationalMatrix(tuple(map(tuple, rows)))
 
 
 def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:

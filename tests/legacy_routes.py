@@ -32,6 +32,11 @@ as a matrix product plus the identity, summed by what was
 ``RationalMatrix.__add__``. The property test holds the integer stream
 to it element for element, since every hunt report and golden depends on
 that stream.
+``first_positive_pair_by_bareiss`` is how the anti-sign scan read each
+compound row before it built them order by order: one fresh Bareiss
+elimination of the k rows of q*A per row, built the first time a pair
+reads it. The property tests hold the package's scan to it, witness for
+witness.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from typing import Sequence
 from qscaling import (
     DiagonalScaling,
     HuntConfig,
+    IndexSet,
+    MinorPairWitness,
     RationalMatrix,
     SparsePolynomial,
     compound,
@@ -322,3 +329,26 @@ def generate_candidates_by_matrices(cfg: HuntConfig):
         else:  # spd: B^T B + I is symmetric positive definite with integer entries
             factor = _draw_integer_matrix(rng, cfg.dimension, cfg.entry_range)
             yield _matrix_sum(mat_mul(factor.transpose(), factor), RationalMatrix.identity(cfg.dimension))
+
+
+def first_positive_pair_by_bareiss(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
+    """The anti-sign scan's first pair with positive product, one Bareiss call per compound row."""
+    n = len(scaled)
+    for k in range(1, n):
+        subsets = list(combinations(range(n), k))
+        compound_rows: list[list[int]] = []
+        for a, row_sel in enumerate(subsets):
+            for b in range(a + 1, len(subsets)):
+                while len(compound_rows) <= b:
+                    compound_rows.append(_bareiss_int([scaled[i][:] for i in subsets[len(compound_rows)]]))
+                forward = compound_rows[a][b]
+                backward = compound_rows[b][a]
+                if forward * backward > 0:
+                    scale = q**k
+                    return MinorPairWitness(
+                        IndexSet(n, tuple(i + 1 for i in row_sel)),
+                        IndexSet(n, tuple(i + 1 for i in subsets[b])),
+                        Fraction(forward, scale),
+                        Fraction(backward, scale),
+                    )
+    return None

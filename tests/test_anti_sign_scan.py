@@ -1,0 +1,114 @@
+"""The anti-sign scan and its order-by-order compound rows, against the per-row Bareiss route.
+
+``_first_positive_pair`` reads order 1 from q*A and builds each higher
+order's compound rows with ``_laplace_row``: row S is a Laplace expansion
+along row max S of q*A, over row S - max S of the order below. The
+references are ``legacy_routes.first_positive_pair_by_bareiss``, one fresh
+Bareiss elimination per compound row, which must give the same verdict and
+witness, and ``_bareiss_int`` on the k rows themselves, which every built row
+must equal integer for integer. Upper-triangular matrices, with or without a
+permutation similarity, make the scan visit every pair; zero-heavy entries
+make singular minors and rows at every order.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qscaling import RationalMatrix, Verdict, classify, is_anti_sign_symmetric
+from qscaling.matrices import _bareiss_int, _int_compound, _laplace_plan, _laplace_row, _scaled
+
+from legacy_routes import first_positive_pair_by_bareiss
+
+# fixed example order, so a run never depends on a saved example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+integers = st.builds(Fraction, st.integers(-3, 3))
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+zero_heavy = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+positive = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+
+
+@st.composite
+def scan_matrices(draw):
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["integer", "rational", "zero_heavy", "order_one", "upper", "permuted_upper"]))
+    entry = {"integer": integers, "rational": rationals, "zero_heavy": zero_heavy}.get(kind, rationals)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "order_one":
+        # a_ij * a_ji <= 0, so any violation has order >= 2
+        for i, j in combinations(range(n), 2):
+            rows[j][i] = -rows[i][j] * draw(st.integers(0, 2))
+    elif kind in ("upper", "permuted_upper"):
+        # one minor of every mirrored pair is 0, so the scan visits every pair
+        for i in range(n):
+            rows[i][i] = draw(positive)
+            rows[i][:i] = [Fraction(0)] * i
+        if kind == "permuted_upper":
+            perm = draw(st.permutations(range(n)))
+            rows = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return RationalMatrix(tuple(map(tuple, rows)))
+
+
+def matrix_of(rows):
+    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+@PROPERTY
+@given(scan_matrices())
+# the first violation is at order 3, at ({1,2,3}, {2,3,4})
+@example(matrix_of([[-2, 3, 0, 0], [-2, -2, 0, -1], [1, -2, -1, 0], [2, 2, -3, 0]]))
+# 7x7 rational: the first violation is the order-3 pair ({1,3,6}, {1,3,7})
+@example(
+    matrix_of(
+        [
+            [-3, 0, 2, 0, 0, 0, 1],
+            [0, Fraction(-1, 2), 0, 0, Fraction(3, 2), Fraction(-3, 2), 0],
+            [0, 0, Fraction(-2, 3), 0, 0, 2, 0],
+            [0, 0, 0, Fraction(2, 3), 0, 0, 0],
+            [0, 0, 0, 0, -1, 0, 0],
+            [0, 0, 0, 0, 0, 3, -1],
+            [Fraction(-1, 3), 0, 0, 0, 0, 0, 1],
+        ]
+    )
+)
+def test_scan_gives_the_verdict_of_the_per_row_bareiss_scan(matrix):
+    witness = first_positive_pair_by_bareiss(*_scaled(matrix))
+    expected = Verdict(witness is None, witness)
+    assert is_anti_sign_symmetric(matrix) == expected
+    assert classify(matrix).anti_sign_symmetric == expected
+
+
+@st.composite
+def int_matrices(draw):
+    """An n x n integer matrix, 1 <= n <= 7; often singular, with a repeated or zero row."""
+    n = draw(st.integers(1, 7))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[j] = [draw(st.integers(-2, 2)) * x for x in rows[i]]
+    return rows
+
+
+@PROPERTY
+@given(int_matrices())
+@example([[0] * 4] * 4)
+# rank one: every minor of order 2 and up is zero
+@example([[u * v for v in (2, 1, -1, 3, 1)] for u in (1, -2, 3, 1, 2)])
+def test_laplace_rows_equal_bareiss_rows(rows):
+    n = len(rows)
+    lower = rows
+    for k in range(2, n + 1):
+        plan = _laplace_plan(n, k)
+        lower_sets = list(combinations(range(n), k - 1))
+        sets = list(combinations(range(n), k))
+        # the plan's last position gives each row set its last row and its row one order below
+        assert plan[-1] == (tuple(s[-1] for s in sets), tuple(lower_sets.index(s[:-1]) for s in sets))
+        expected = [_bareiss_int([rows[i][:] for i in s]) for s in sets]
+        built = [_laplace_row(plan, rows[s[-1]], lower[lower_sets.index(s[:-1])]) for s in sets]
+        assert built == expected
+        assert _int_compound(rows, k) == expected
+        lower = expected
+    assert _int_compound(rows, 1) == rows

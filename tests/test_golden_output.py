@@ -22,8 +22,9 @@ minor was still its own kernel call; ``q2_kernel_d2.txt`` and
 kernel vector still came from Cramer's rule on bordered systems;
 ``hunt_nonsingular_d3.txt`` was recorded while each hunt candidate was still
 drawn as a Fraction matrix and the nonsingular redraw still took its Fraction
-determinant. Later routes must reproduce every file exactly, along with the
-exit code.
+determinant; ``analyze_permuted_upper_d7.txt`` was recorded while each
+compound row of the anti-sign scan was still its own Bareiss elimination.
+Later routes must reproduce every file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -36,6 +37,10 @@ GOLDEN = Path(__file__).parent / "golden"
 UPPER_5 = "5; 1 1/2 -2 3 1/3; 0 2 5/4 -1 7; 0 0 3 2/3 -4; 0 0 0 1/5 6; 0 0 0 0 4"
 FRACTIONAL_2 = "2; 1/2 1/3; 1/5 1"
 ZERO_PIVOTS_6 = "6; 1 2 0 1 -1 0; 2 4 1 0 2 1; 0 1 0 3 1 -1; 1 0 3 -2 0 2; -1 2 1 0 0 1; 0 1 -1 2 1 3"
+PERMUTED_UPPER_7 = (
+    "7; 1/3 0 5/3 0 5 0 1/3; -5/2 1/3 3 3/2 3 -5 -1; 0 0 1 0 0 0 0; 5 0 -2/3 2 -4 0 2; "
+    "0 0 -3 0 2 0 0; -5/3 0 -5/3 -1 -4 5/3 6; 0 0 -1/3 0 -1 0 3/2"
+)
 LATE_PAIR_7 = "7; -3 0 2 0 0 0 1; 0 -1/2 0 0 3/2 -3/2 0; 0 0 -2/3 0 0 2 0; 0 0 0 2/3 0 0 0; 0 0 0 0 -1 0 0; 0 0 0 0 0 3 -1; -1/3 0 0 0 0 0 1"
 
 CASES = [
@@ -81,6 +86,9 @@ CASES = [
     ("analyze_late_pair_d7.txt", 0, ["analyze", "--inline", LATE_PAIR_7]),
     # the prefix tree meets zero pivots with descendants at {3}, {5}, {1,2}, {1,3}, {4,5} and {2,3,5}
     ("analyze_zero_pivots_d6.txt", 0, ["analyze", "--inline", ZERO_PIVOTS_6]),
+    # P U P^T of a rational upper-triangular U, itself not triangular: the anti-sign
+    # scan finds no violation at n = 7 and visits every pair of every order
+    ("analyze_permuted_upper_d7.txt", 0, ["analyze", "--inline", PERMUTED_UPPER_7]),
 ]
 
 

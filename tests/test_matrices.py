@@ -25,7 +25,7 @@ from qscaling import (
     zero_rows_outside,
 )
 from qscaling import matrices as matrices_module
-from qscaling.matrices import _bareiss_int, _int_minor, _scaled
+from qscaling.matrices import _bareiss_int, _coerce_rational, _int_minor, _scaled
 
 from helpers import random_rational_matrix
 from oracles import brute_force_minor, leibniz_determinant, list_matmul, two_by_two_determinant
@@ -335,6 +335,25 @@ def test_matrix_from_dict_errors():
     # bool is a subclass of int, but True is not a dimension
     with pytest.raises(MatrixParseError):
         matrix_from_dict({"n": True, "rows": [["3"]]})
+
+
+def test_coerce_rational_takes_ints_and_fractions_but_not_bools():
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert _coerce_rational(3) == Fraction(3) and type(_coerce_rational(3)) is Fraction
+    half = Fraction(1, 2)
+    assert _coerce_rational(half) is half
+    # subclasses pass the fallback isinstance checks
+    assert _coerce_rational(Count(4)) == 4 and type(_coerce_rational(Count(4))) is Fraction
+    ratio = Ratio(2, 3)
+    assert _coerce_rational(ratio) is ratio
+    for value in (True, False, 0.5, "1"):
+        with pytest.raises(TypeError):
+            _coerce_rational(value)
 
 
 def test_matrix_rejects_floats_and_ragged_rows():

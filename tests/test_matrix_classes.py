@@ -139,26 +139,32 @@ def _order_one_anti_sign(rng: random.Random, n: int) -> RationalMatrix:
 
 
 def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
-    """Order 2 computes only the two compound rows its first pair reads, not the whole compound."""
+    """Order 2 builds only the two compound rows its first pair reads, not the whole compound."""
     # a_ij * a_ji <= 0, so order 1 has no violation; the first pair of order 2,
     # ({1,2}, {1,3}), has minors -2 and -6
     m = RationalMatrix(((-1, -2, 2, 2), (2, 0, -2, 2), (-2, 2, -2, 2), (-4, -2, -2, 1)))
-    kernel = matrix_classes._bareiss_int
-    row_sets = []
+    builder = matrix_classes._laplace_row
+    built = []
 
-    def counting(rows):
-        row_sets.append([list(row) for row in rows])
-        return kernel(rows)
+    def counting(plan, last, lower):
+        row = builder(plan, last, lower)
+        built.append((len(plan), list(last), list(lower), row))
+        return row
 
-    monkeypatch.setattr(matrix_classes, "_bareiss_int", counting)
+    monkeypatch.setattr(matrix_classes, "_laplace_row", counting)
     a = [list(row) for row in m.rows]
+    order_two = list(combinations(range(4), 2))
     for scan in (is_anti_sign_symmetric, lambda m: classify(m).anti_sign_symmetric):
-        row_sets.clear()
+        built.clear()
         witness = scan(m).witness
         assert (witness.row_set.members, witness.col_set.members) == ((1, 2), (1, 3))
         assert (witness.forward, witness.backward) == (-2, -6)
-        # every row of order 1, then rows {1,2} and {1,3} of order 2
-        assert row_sets == [[row] for row in a] + [[a[0], a[1]], [a[0], a[2]]]
+        # order 1 reads q*A and builds no row; order 2 builds rows {1,2} and {1,3},
+        # each from its last row of q*A and row {1} of order 1
+        assert [(k, last, lower) for k, last, lower, _ in built] == [(2, a[1], a[0]), (2, a[2], a[0])]
+        assert [row for *_, row in built] == [
+            [brute_force_minor(a, rows, cols) for cols in order_two] for rows in ((0, 1), (0, 2))
+        ]
 
 
 def test_classify_and_standalone_anti_sign_agree():
