@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
@@ -45,7 +46,7 @@ from .matrices import (
     _bareiss_int,
     _check_in_range,
     _coerce_rational,
-    _int_compound,
+    _int_compounds,
     _int_minor,
     _scaled,
     check_enumeration_dim,
@@ -143,6 +144,13 @@ def scaled_square_symbolic(matrix: RationalMatrix) -> tuple[tuple[SparsePolynomi
     )
 
 
+@cache
+def _exponent_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """bits and doubled over the n-bit masks: bits[mask][i] is bit i of mask, doubled[mask] twice that."""
+    bits = tuple(tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n))
+    return bits, tuple(tuple(2 * b for b in row) for row in bits)
+
+
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
     """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
 
@@ -156,9 +164,7 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     n = matrix.n
     check_symbolic_dim(n, max_dim)
     q, _, by_order = _principal_minors_by_order(matrix)
-    # bits[mask][i] is bit i of mask, doubled[mask] twice that
-    bits = [tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n)]
-    doubled = [tuple(2 * b for b in row) for row in bits]
+    bits, doubled = _exponent_tables(n)
     invariants = []
     for j in range(1, n + 1):
         # a monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
@@ -559,8 +565,9 @@ def sample_refute(
 
     When copositivity proves that no draw can be a witness, None is
     returned without drawing. For n <= 3, where every p_j is p_1, p_{n-1}
-    or p_n, each M_j of q*A (a positive multiple of M_j of A) is tested;
-    when every one is copositive with no positive kernel vector, every p_j
+    or p_n, each M_j of q*A (a positive multiple of M_j of A) is tested in
+    turn, its compound built from the one before, until one fails; when
+    every one is copositive with no positive kernel vector, every p_j
     is positive. M_n = [[det(q*A)^2]] passes exactly when det A != 0.
     """
     check_sampling_args(budget, exponent_range)
@@ -568,7 +575,7 @@ def sample_refute(
     check_enumeration_dim(n, max_dim)
     if n <= 3:
         _, scaled = _scaled(matrix)
-        if all(_orthant_witness(_hadamard(_int_compound(scaled, j))) is None for j in range(1, n + 1)):
+        if all(_orthant_witness(_hadamard(rows)) is None for rows in _int_compounds(scaled)):
             return None
     _, _, by_order = _principal_minors_by_order(matrix)
     rng = random.Random(seed)

@@ -2,7 +2,8 @@
 
 ``_first_positive_pair`` reads order 1 from q*A and builds each higher
 order's compound rows with ``_laplace_row``: row S is a Laplace expansion
-along row max S of q*A, over row S - max S of the order below. The
+along row max S of q*A, over row S - max S of the order below, run by the
+kernel compiled from the plan of (n, k). The
 references are ``legacy_routes.first_positive_pair_by_bareiss``, one fresh
 Bareiss elimination per compound row, which must give the same verdict and
 witness, and ``_bareiss_int`` on the k rows themselves, which every built row
@@ -74,6 +75,21 @@ def matrix_of(rows):
         ]
     )
 )
+# 8x8 permuted upper-triangular: no violation, so the scan builds every row of orders 2..7
+@example(
+    matrix_of(
+        [
+            [2, 0, 0, Fraction(-3, 2), 0, 0, 2, 0],
+            [-1, 2, 2, Fraction(1, 2), 0, -1, 0, -1],
+            [-3, 0, 1, 2, 0, 1, Fraction(-1, 2), 0],
+            [0, 0, 0, 4, 0, 0, 0, 0],
+            [2, -1, 0, 0, 1, 0, Fraction(-1, 2), 0],
+            [2, 0, 0, Fraction(-1, 2), 0, 5, 2, 0],
+            [0, 0, 0, 2, 0, 0, 2, 0],
+            [1, 0, Fraction(-1, 2), 2, 0, 0, 0, 2],
+        ]
+    )
+)
 def test_scan_gives_the_verdict_of_the_per_row_bareiss_scan(matrix):
     witness = first_positive_pair_by_bareiss(*_scaled(matrix))
     expected = Verdict(witness is None, witness)
@@ -97,6 +113,58 @@ def int_matrices(draw):
 @example([[0] * 4] * 4)
 # rank one: every minor of order 2 and up is zero
 @example([[u * v for v in (2, 1, -1, 3, 1)] for u in (1, -2, 3, 1, 2)])
+# beyond the strategy's n <= 7, rank deficient: the last two rows are row 1 minus row 3 and twice row 4
+@example(
+    [
+        [-1, 0, -2, 0, 2, -1, -2, 1],
+        [1, -2, -2, -1, 0, 1, 2, 1],
+        [1, -1, -1, 0, 0, 0, 1, -2],
+        [2, 1, 1, -2, -1, 2, -1, -2],
+        [-1, -2, -2, -1, 0, 0, 0, 0],
+        [-1, 2, -2, -2, 0, -1, -1, 2],
+        [-2, 1, -1, 0, 2, -1, -3, 3],
+        [4, 2, 2, -4, -2, 4, -2, -4],
+    ]
+)
+@example(
+    [
+        [-2, 0, -2, -2, -1, -1, 2, 2, -2],
+        [-1, -2, 2, -1, 0, -1, 1, 0, -2],
+        [1, -2, -1, -1, -1, -1, -2, 0, -1],
+        [2, 1, -1, -2, 1, 1, -2, -1, -1],
+        [0, 1, -2, 0, -1, 0, 2, 0, -1],
+        [-2, -2, 0, -2, 1, 0, 0, 1, 1],
+        [-2, -2, 2, 1, -1, -2, 2, -2, 2],
+        [-3, 2, -1, -1, 0, 0, 4, 2, -1],
+        [4, 2, -2, -4, 2, 2, -4, -2, -2],
+    ]
+)
+# and upper-triangular, the rows a full anti-sign scan builds
+@example(
+    [
+        [2, -2, -1, 2, 1, 0, -1, -2],
+        [0, 3, -2, 2, -1, 1, -1, -1],
+        [0, 0, 1, -2, 0, -2, 0, 1],
+        [0, 0, 0, 2, 2, -2, -1, -2],
+        [0, 0, 0, 0, 2, 2, 0, -2],
+        [0, 0, 0, 0, 0, 1, 2, -2],
+        [0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 2],
+    ]
+)
+@example(
+    [
+        [2, 1, -2, -1, 2, 1, 2, 1, 1],
+        [0, 2, -2, 1, -2, 2, 1, 0, -1],
+        [0, 0, 1, 0, 1, 0, 1, -1, 2],
+        [0, 0, 0, 1, 0, -1, -2, 0, -2],
+        [0, 0, 0, 0, 1, 1, -1, 2, -1],
+        [0, 0, 0, 0, 0, 2, -2, -1, 0],
+        [0, 0, 0, 0, 0, 0, 2, 2, -1],
+        [0, 0, 0, 0, 0, 0, 0, 1, -1],
+        [0, 0, 0, 0, 0, 0, 0, 0, 2],
+    ]
+)
 def test_laplace_rows_equal_bareiss_rows(rows):
     n = len(rows)
     lower = rows

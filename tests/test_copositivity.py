@@ -12,7 +12,8 @@ the exact minimum of the form on the simplex, and the reference for the
 whole routine is ``legacy_routes.orthant_witness_by_cramer``, which solves
 each vertex by Cramer's rule on a bordered system. p_j = z^T M_j z with z
 the products of j of the d_i, and M_j = C_j(A) o C_j(A)^T is read from q*A
-by ``_hadamard(_int_compound(q*A, j))``.
+by ``_hadamard(_int_compound(q*A, j))``; ``sample_refute`` reads the
+compounds in turn, each built once from the one before.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
 ``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial,
 and ``certify_positive_on_orthant`` turns a witness into a point d. When the
@@ -33,6 +34,7 @@ from qscaling import (
     RationalMatrix,
     SparsePolynomial,
     certify_positive_on_orthant,
+    matrices,
     sample_refute,
     scaling,
     symbolic_q_invariants,
@@ -262,6 +264,22 @@ def test_singular_matrix_blocks_the_sampling_shortcut():
     expected = sample_refute_by_fractions(SINGULAR_D3, budget=60, seed=5, exponent_range=3)
     assert expected is not None
     assert sample_refute(SINGULAR_D3, budget=60, seed=5) == expected
+
+
+def test_sampling_shortcut_builds_each_compound_order_once(monkeypatch):
+    """The 3x3 identity passes every M_j, and each order's rows are built once, from the order below."""
+    builder = matrices._laplace_row
+    built = []
+
+    def counting(plan, last, lower):
+        built.append(len(plan))
+        return builder(plan, last, lower)
+
+    monkeypatch.setattr(matrices, "_laplace_row", counting)
+    identity = RationalMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert sample_refute(identity, budget=60, seed=5) is None
+    # the 3 rows of order 2, then the 1 row of order 3; rebuilding order 2 for M_3 would make 7
+    assert built == [2, 2, 2, 3]
 
 
 @pytest.mark.parametrize("matrix", SHORTCUT_MATRICES + (CANDIDATE_259,))

@@ -5,6 +5,10 @@ standard library alone. ``__init__.py`` is exempt: its imports are the
 package's public names. The package has no runtime dependencies, so an
 absolute import of anything outside the standard library fails here even
 where that package happens to be installed.
+
+The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
+one allowed is the Laplace kernel builder in ``matrices.py``, which runs
+source made only of integers, so no outside input reaches generated code.
 """
 
 import ast
@@ -41,3 +45,28 @@ def test_absolute_imports_are_of_the_standard_library(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+#: the one place under src/ that runs generated code, whose source is made only of integers
+GENERATED_CODE_SITES = [("matrices.py", "_laplace_kernel", "exec")]
+
+
+def _builtin_code_runners(node, function=None):
+    """(innermost enclosing function, name) for every name exec, eval or compile under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _builtin_code_runners(child, child.name)
+        elif isinstance(child, ast.Name) and child.id in ("exec", "eval", "compile"):
+            yield function, child.id
+        else:
+            yield from _builtin_code_runners(child, function)
+
+
+def test_generated_code_runs_only_in_the_laplace_kernel_builder():
+    # any use of the names, called or not, so an alias is caught too
+    found = [
+        (path.name, function, name)
+        for path in ALL_MODULES
+        for function, name in _builtin_code_runners(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == GENERATED_CODE_SITES
