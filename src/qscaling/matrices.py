@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice
-from math import comb, lcm
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 #: Operations that enumerate all minors refuse dimensions above this bound
@@ -201,67 +201,34 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _bareiss_int(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Bareiss elimination on a k x m integer matrix, k <= m.
+def _bareiss_int(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free Bareiss elimination.
 
-    Returns the minor on every k-subset of the columns, in the order of
-    ``combinations(range(m), k)``: for a square matrix, ``[det]``. The
-    elimination branches over the next pivot column, so column sets with a
-    common prefix share that prefix's steps. The last column choice at each
-    step eliminates in place; earlier choices work on fresh copies of the
-    rows below the pivot. A column with no pivot ends every column set
-    through it at 0. The empty matrix has determinant 1, which makes the
-    order-0 minor 1 everywhere. Overwrites ``rows`` and may return one of
-    its lists; every caller passes a freshly built list.
+    The empty matrix has determinant 1, which makes the order-0 minor 1
+    everywhere. A column with no pivot makes the determinant 0. Overwrites
+    ``rows``; every caller passes a freshly built list.
     """
     k = len(rows)
-    if k < 2:
-        # the order-1 minors are the entries of the one row
-        return rows[0] if k else [1]
-    m = len(rows[0])
-    minors: list[int] = []
-    # each entry resumes a step at its next pivot column once the earlier one is done
-    pending = []
-    a, t, start, sign, prev = rows, 0, 0, 1, 1
-    while True:
-        while t < k - 1:
-            c = start
-            # the last choice leaves just enough columns for the steps after this one
-            last = c == m - k + t
-            for r in range(t, k):
-                if a[r][c]:
-                    break
-            else:
-                # every column set that takes column c next is singular
-                minors.extend([0] * comb(m - c - 1, k - t - 1))
-                if last:
-                    break
-                start = c + 1
-                continue
-            if not last:
-                pending.append((a, t, c + 1, sign, prev))
-                a = a[:]
-            if r != t:
-                a[t], a[r] = a[r], a[t]
-                sign = -sign
-            pivot = a[t]
-            pc = pivot[c]
-            for i in range(t + 1, k):
-                row = a[i]
-                if not last:
-                    row = a[i] = row[:]
-                ric = row[c]
-                for j in range(c + 1, m):
-                    # exact division: prev divides the 2x2 determinant by Sylvester's identity
-                    row[j] = (row[j] * pc - ric * pivot[j]) // prev
-            t, start, prev = t + 1, c + 1, pc
+    sign, prev = 1, 1
+    for t in range(k - 1):
+        for r in range(t, k):
+            if rows[r][t]:
+                break
         else:
-            # after k - 1 steps, entry c of the last row is the minor that ends at column c
-            row = a[t][start:]
-            minors += row if sign > 0 else [-x for x in row]
-        if not pending:
-            return minors
-        a, t, start, sign, prev = pending.pop()
+            return 0
+        if r != t:
+            rows[t], rows[r] = rows[r], rows[t]
+            sign = -sign
+        pivot = rows[t]
+        pc = pivot[t]
+        for i in range(t + 1, k):
+            row = rows[i]
+            ric = row[t]
+            for j in range(t + 1, k):
+                # exact division: prev divides the 2x2 determinant by Sylvester's identity
+                row[j] = (row[j] * pc - ric * pivot[j]) // prev
+        prev = pc
+    return sign * rows[-1][-1] if k else 1
 
 
 def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
@@ -273,10 +240,10 @@ def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
 def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
     """det((q*A)[rows, cols]) for 0-based selections of size k: q^k times the minor of A.
 
-    One minor is the kernel on a square submatrix; a caller that needs a
-    whole row of a compound passes ``_bareiss_int`` the k rows instead.
+    A single minor is one square determinant; a caller that needs a whole
+    order of minors takes the compound from ``_int_compounds`` instead.
     """
-    return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])[0]
+    return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
 
 
 #: per position i of a k-subset: the columns C_i, and the indices of C - C_i one order below
@@ -304,7 +271,13 @@ def _laplace_plan(n: int, k: int) -> _LaplacePlan:
 def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int]]:
     """The plan of (n, k) compiled into one function ``row(a, b)`` that returns a whole compound row.
 
-    The row is one list display with an expression per column set C,
+    Row S of the order-k compound of an integer matrix M is built from one
+    row of the order below: ``a`` is row max S of M and ``b`` is row
+    S - max S of the order-(k-1) compound. On the column set C, the minor
+    expands along its last row as the sum over i of (-1)^(k-1+i)
+    M[max S][C_i] times the lower minor on C - C_i. Integer products only,
+    so the row holds the same integers as the square determinants of its
+    minors. The row is one list display with an expression per column set C,
     ``a[c_{k-1}]*b[j_{k-1}] - a[c_{k-2}]*b[j_{k-2}] + ...``, whose indices
     are the plan's constants; so building a row makes no call per entry.
     The source is made only of the plan's integers and runs with empty
@@ -324,41 +297,27 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     return namespace["row"]
 
 
-def _laplace_row(plan: _LaplacePlan, last: list[int], lower: list[int]) -> list[int]:
-    """One row S of the order-k compound of q*A, from one row of the order below.
-
-    ``last`` is row max S of q*A and ``lower`` is row S - max S of the
-    order-(k-1) compound. On the column set C, the minor expands along its
-    last row as the sum over i of (-1)^(k-1+i) (q*A)[max S][C_i] times the
-    lower minor on C - C_i. The sum runs in the plan's compiled kernel,
-    looked up by (n, k) = (len(last), len(plan)): integer products only,
-    so the row holds the same integers a Bareiss elimination of the k rows
-    gives.
-    """
-    return _laplace_kernel(len(last), len(plan))(last, lower)
-
-
 def _int_compounds(scaled: list[list[int]]) -> Iterator[list[list[int]]]:
-    """The integer compounds C_1, C_2, ..., C_n of q*A in turn, each as ``_int_compound`` gives it.
+    """The integer compounds C_0 = [[1]], C_1, ..., C_n of q*A in turn, each as ``_int_compound`` gives it.
 
-    Order 1 is a copy of q*A; each higher order's rows are Laplace
-    expansions of the rows of the order yielded before it, so a caller
-    that stops early builds no order above the last one it took. The next
-    order reads the rows yielded, so a caller must not change them.
+    Each order's rows are Laplace expansions of the rows of the order
+    yielded before it, one kernel call per row, so a caller that stops
+    early builds no order above the last one it took. The next order
+    reads the rows yielded, so a caller must not change them.
     """
     n = len(scaled)
-    rows = [row[:] for row in scaled]
+    rows = [[1]]
     yield rows
-    for j in range(2, n + 1):
-        plan = _laplace_plan(n, j)
-        lasts, lowers = plan[-1]
-        rows = [_laplace_row(plan, scaled[r], rows[s]) for r, s in zip(lasts, lowers)]
+    for k in range(1, n + 1):
+        row = _laplace_kernel(n, k)
+        lasts, lowers = _laplace_plan(n, k)[-1]
+        rows = [row(scaled[r], rows[s]) for r, s in zip(lasts, lowers)]
         yield rows
 
 
 def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
     """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order."""
-    return next(islice(_int_compounds(scaled), k - 1, None))
+    return next(islice(_int_compounds(scaled), k, None))
 
 
 def _visit_prefixes(

@@ -20,8 +20,8 @@ from math import comb
 from .matrices import (
     IndexSet,
     RationalMatrix,
+    _laplace_kernel,
     _laplace_plan,
-    _laplace_row,
     _scaled,
     check_enumeration_dim,
     minor,
@@ -187,10 +187,10 @@ def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | 
     with a before b in lexicographic order; a principal minor is never
     paired with itself. The pair reads row a of the order-k compound at b
     and row b at a. Order 1 is q*A itself. A higher order's row is built
-    the first time a pair needs it, by ``_laplace_row`` from one row of the
-    order below, all of whose rows the scan of that order has built; so the
-    scan stops at the first violation without evaluating the rest of the
-    compound.
+    the first time a pair needs it, by the order's ``_laplace_kernel`` from
+    one row of the order below, all of whose rows the scan of that order
+    has built; so the scan stops at the first violation without evaluating
+    the rest of the compound.
     """
     n = len(scaled)
     # order 1 is q*A, every row of it already there
@@ -198,15 +198,15 @@ def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | 
     for k in range(1, n):
         m = comb(n, k)
         if k > 1:
-            plan = _laplace_plan(n, k)
-            lasts, lowers = plan[-1]
+            row = _laplace_kernel(n, k)
+            lasts, lowers = _laplace_plan(n, k)[-1]
             lower_rows = rows
-            rows = [_laplace_row(plan, scaled[lasts[0]], lower_rows[lowers[0]])]
+            rows = [row(scaled[lasts[0]], lower_rows[lowers[0]])]
         for a in range(m):
             row_a = rows[a]
             for b in range(a + 1, m):
                 if b == len(rows):
-                    rows.append(_laplace_row(plan, scaled[lasts[b]], lower_rows[lowers[b]]))
+                    rows.append(row(scaled[lasts[b]], lower_rows[lowers[b]]))
                 if row_a[b] * rows[b][a] > 0:
                     subsets = list(combinations(range(n), k))
                     scale = q**k

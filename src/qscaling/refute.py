@@ -285,7 +285,7 @@ def generate_candidates(cfg: HuntConfig):
     for _ in range(cfg.count):
         rows = _draw_rows(rng, n, bound)
         if cfg.mode == "nonsingular":
-            while not _bareiss_int([row[:] for row in rows])[0]:
+            while not _bareiss_int([row[:] for row in rows]):
                 rows = _draw_rows(rng, n, bound)
         elif cfg.mode == "spd":
             # B^T B + I is symmetric positive definite with integer entries

@@ -34,23 +34,22 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from operator import add
-from typing import Iterator
 
 from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
-    _bareiss_int,
     _check_in_range,
     _coerce_rational,
     _int_compounds,
-    _int_minor,
+    _laplace_plan,
     _scaled,
     check_enumeration_dim,
     index_sets,
+    minor,
     principal_minors,
     render_rational,
 )
@@ -204,20 +203,6 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 # so the converse holds as well.
 
 
-def _adjugate_rows(m: list[list[int]], s: tuple[int, ...]) -> Iterator[list[int]]:
-    """The rows of adj B for B = m[s, s], m a symmetric integer matrix, one at a time.
-
-    For s of size k, row l is one compound row: the minors of B without
-    row l, on the column sets in lexicographic order, omit the columns
-    k-1 down to 0. Read backwards with the signs (-1)^(i+l), it is column
-    l of adj B, which is row l because adj B is symmetric. A 1x1 matrix
-    has the adjugate (1), its order-0 minor.
-    """
-    for l, r in enumerate(s):
-        minors = _bareiss_int([[m[i][j] for j in s] for i in s if i != r])
-        yield [-v if (i + l) & 1 else v for i, v in enumerate(reversed(minors))]
-
-
 def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
 
@@ -226,7 +211,12 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     of a copositive form at some z > 0 is an interior minimum, where the
     gradient 2 m z vanishes. Each failure gives its own witness. Both
     halves read the determinants and adjugates of the principal
-    submatrices B = m[s, s] of order k = |s|, visited in increasing order.
+    submatrices B = m[s, s] of order k = |s|, visited in increasing order,
+    from one walk over the compounds of m: det B is the diagonal entry of
+    C_k(m) at s, and adj B holds entries of C_{k-1}(m), the order the walk
+    yielded before; for a 1x1 B that is adj B = (1), the order-0 minor.
+    So only two orders are held at a time, and a singular B keeps the
+    first nonzero row of its adjugate for the second half.
 
     Copositivity (Cottle-Habetler-Lemke): m fails at the first B with
     det B < 0 and adj B >= 0. x = adj(B) 1, the row sums of adj B, then
@@ -251,19 +241,26 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     """
     n = len(m)
     singular = []
-    for k in range(1, n + 1):
-        for s in combinations(range(n), k):
-            det = _int_minor(m, s, s)
-            if not det:
-                singular.append(s)
-            if det >= 0:
-                continue
-            x = []
-            for row in _adjugate_rows(m, s):
-                if min(row) < 0:
-                    break
-                x.append(sum(row))
-            else:
+    for k, rows in enumerate(_int_compounds(m)):
+        if k:
+            plan = _laplace_plan(n, k)
+            for a, s in enumerate(combinations(range(n), k)):
+                det = rows[a][a]
+                if det > 0:
+                    continue
+                # adj B at (l, i) is (-1)^(i+l) times the minor of B without row l and column i
+                # (B is symmetric), which C_{k-1}(m) holds at (s - s_l, s - s_i)
+                below = [position[1][a] for position in plan]
+                adj = [
+                    [-lower[jl][ji] if (i + l) & 1 else lower[jl][ji] for i, ji in enumerate(below)]
+                    for l, jl in enumerate(below)
+                ]
+                if not det:
+                    singular.append((s, next(filter(any, adj), None)))
+                    continue
+                if min(map(min, adj)) < 0:
+                    continue
+                x = [sum(row) for row in adj]
                 divisor = gcd(*x)
                 padded = [0] * n
                 for i, v in zip(s, x):
@@ -274,12 +271,12 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
                     if sum(z[i] * m[i][l] * z[l] for i in range(n) for l in range(n)) < 0:
                         return tuple(map(Fraction, z))
                     scale *= 2
+        lower = rows
     # det is now det m, the last minor visited
     if det:
         return None
     vertices = []
-    for s in singular:
-        z = next(filter(any, _adjugate_rows(m, s)), None)
+    for s, z in singular:
         if z is None or any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
             continue
         total = sum(z)
@@ -575,7 +572,7 @@ def sample_refute(
     check_enumeration_dim(n, max_dim)
     if n <= 3:
         _, scaled = _scaled(matrix)
-        if all(_orthant_witness(_hadamard(rows)) is None for rows in _int_compounds(scaled)):
+        if all(_orthant_witness(_hadamard(rows)) is None for rows in islice(_int_compounds(scaled), 1, None)):
             return None
     _, _, by_order = _principal_minors_by_order(matrix)
     rng = random.Random(seed)
@@ -632,22 +629,13 @@ def cauchy_binet_terms(
 ) -> CauchyBinetExpansion:
     """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|.
 
-    The denominators of A are cleared once; each product is that of two
-    integer minors of q*A, which both carry q^|alpha|. minor(A, alpha, beta)
-    over every beta is row alpha of the order-|alpha| compound of q*A, and
-    minor(A, beta, alpha) is row alpha of the compound of q*A^T: one kernel
-    call each.
+    Each minor is one square determinant, so a row and a column of the
+    order-|alpha| compound take C(n, |alpha|) determinants each.
     """
     n = matrix.n
     _check_in_range(matrix, alpha)
     check_enumeration_dim(n, max_dim)
-    k = len(alpha)
-    q, scaled = _scaled(matrix)
-    rows = alpha.zero_based()
-    forward = _bareiss_int([scaled[i][:] for i in rows])
-    backward = _bareiss_int([[row[i] for row in scaled] for i in rows])
-    scale = q ** (2 * k)
     terms = tuple(
-        (beta, Fraction(f * b, scale)) for beta, f, b in zip(index_sets(n, k), forward, backward)
+        (beta, minor(matrix, alpha, beta) * minor(matrix, beta, alpha)) for beta in index_sets(n, len(alpha))
     )
     return CauchyBinetExpansion(alpha=alpha, terms=terms)

@@ -32,11 +32,10 @@ as a matrix product plus the identity, summed by what was
 ``RationalMatrix.__add__``. The property test holds the integer stream
 to it element for element, since every hunt report and golden depends on
 that stream.
-``first_positive_pair_by_bareiss`` is how the anti-sign scan read each
-compound row before it built them order by order: one fresh Bareiss
-elimination of the k rows of q*A per row, built the first time a pair
-reads it. The property tests hold the package's scan to it, witness for
-witness.
+``first_positive_pair_by_minors`` is the anti-sign scan without compound
+rows: the two minors of each pair as square Bareiss determinants of q*A,
+in the scan's order of pairs. The property tests hold the package's scan
+to it, witness for witness.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ def _det_rows(rows: Sequence[Sequence[Fraction]]) -> Fraction:
             row_lcm = lcm(row_lcm, e.denominator)
         scale *= row_lcm
         int_rows.append([e.numerator * (row_lcm // e.denominator) for e in row])
-    return Fraction(_bareiss_int(int_rows)[0], scale)
+    return Fraction(_bareiss_int(int_rows), scale)
 
 
 def minor_by_fractions(matrix: RationalMatrix, row_sel: Sequence[int], col_sel: Sequence[int]) -> Fraction:
@@ -331,24 +330,18 @@ def generate_candidates_by_matrices(cfg: HuntConfig):
             yield _matrix_sum(mat_mul(factor.transpose(), factor), RationalMatrix.identity(cfg.dimension))
 
 
-def first_positive_pair_by_bareiss(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
-    """The anti-sign scan's first pair with positive product, one Bareiss call per compound row."""
+def first_positive_pair_by_minors(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
+    """The anti-sign scan's first pair with positive product, two square determinants per pair."""
     n = len(scaled)
     for k in range(1, n):
-        subsets = list(combinations(range(n), k))
-        compound_rows: list[list[int]] = []
-        for a, row_sel in enumerate(subsets):
-            for b in range(a + 1, len(subsets)):
-                while len(compound_rows) <= b:
-                    compound_rows.append(_bareiss_int([scaled[i][:] for i in subsets[len(compound_rows)]]))
-                forward = compound_rows[a][b]
-                backward = compound_rows[b][a]
-                if forward * backward > 0:
-                    scale = q**k
-                    return MinorPairWitness(
-                        IndexSet(n, tuple(i + 1 for i in row_sel)),
-                        IndexSet(n, tuple(i + 1 for i in subsets[b])),
-                        Fraction(forward, scale),
-                        Fraction(backward, scale),
-                    )
+        for a, b in combinations(combinations(range(n), k), 2):
+            forward, backward = _int_minor(scaled, a, b), _int_minor(scaled, b, a)
+            if forward * backward > 0:
+                scale = q**k
+                return MinorPairWitness(
+                    IndexSet(n, tuple(i + 1 for i in a)),
+                    IndexSet(n, tuple(i + 1 for i in b)),
+                    Fraction(forward, scale),
+                    Fraction(backward, scale),
+                )
     return None

@@ -1,15 +1,15 @@
-"""The anti-sign scan and its order-by-order compound rows, against the per-row Bareiss route.
+"""The anti-sign scan and its order-by-order compound rows, against square determinants.
 
 ``_first_positive_pair`` reads order 1 from q*A and builds each higher
-order's compound rows with ``_laplace_row``: row S is a Laplace expansion
-along row max S of q*A, over row S - max S of the order below, run by the
-kernel compiled from the plan of (n, k). The
-references are ``legacy_routes.first_positive_pair_by_bareiss``, one fresh
-Bareiss elimination per compound row, which must give the same verdict and
-witness, and ``_bareiss_int`` on the k rows themselves, which every built row
-must equal integer for integer. Upper-triangular matrices, with or without a
-permutation similarity, make the scan visit every pair; zero-heavy entries
-make singular minors and rows at every order.
+order's compound rows with the kernel compiled from the plan of (n, k):
+row S is a Laplace expansion along row max S of q*A, over row S - max S of
+the order below. ``_int_compounds`` builds every order from order 0 the
+same way. The references are ``legacy_routes.first_positive_pair_by_minors``,
+two square Bareiss determinants per pair, which must give the same verdict
+and witness, and ``_int_minor`` on every row set and column set, which
+every compound must equal integer for integer. Upper-triangular matrices,
+with or without a permutation similarity, make the scan visit every pair;
+zero-heavy entries make singular minors and rows at every order.
 """
 
 from fractions import Fraction
@@ -19,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import RationalMatrix, Verdict, classify, is_anti_sign_symmetric
-from qscaling.matrices import _bareiss_int, _int_compound, _laplace_plan, _laplace_row, _scaled
+from qscaling.matrices import _int_compound, _int_minor, _laplace_plan, _scaled
 
-from legacy_routes import first_positive_pair_by_bareiss
+from legacy_routes import first_positive_pair_by_minors
 
 # fixed example order, so a run never depends on a saved example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -90,8 +90,8 @@ def matrix_of(rows):
         ]
     )
 )
-def test_scan_gives_the_verdict_of_the_per_row_bareiss_scan(matrix):
-    witness = first_positive_pair_by_bareiss(*_scaled(matrix))
+def test_scan_gives_the_verdict_of_the_per_pair_minor_scan(matrix):
+    witness = first_positive_pair_by_minors(*_scaled(matrix))
     expected = Verdict(witness is None, witness)
     assert is_anti_sign_symmetric(matrix) == expected
     assert classify(matrix).anti_sign_symmetric == expected
@@ -167,16 +167,13 @@ def int_matrices(draw):
 )
 def test_laplace_rows_equal_bareiss_rows(rows):
     n = len(rows)
-    lower = rows
-    for k in range(2, n + 1):
-        plan = _laplace_plan(n, k)
-        lower_sets = list(combinations(range(n), k - 1))
+    for k in range(n + 1):
         sets = list(combinations(range(n), k))
-        # the plan's last position gives each row set its last row and its row one order below
-        assert plan[-1] == (tuple(s[-1] for s in sets), tuple(lower_sets.index(s[:-1]) for s in sets))
-        expected = [_bareiss_int([rows[i][:] for i in s]) for s in sets]
-        built = [_laplace_row(plan, rows[s[-1]], lower[lower_sets.index(s[:-1])]) for s in sets]
-        assert built == expected
-        assert _int_compound(rows, k) == expected
-        lower = expected
-    assert _int_compound(rows, 1) == rows
+        if k:
+            lower_sets = list(combinations(range(n), k - 1))
+            # the plan's last position gives each row set its last row and its row one order below
+            assert _laplace_plan(n, k)[-1] == (
+                tuple(s[-1] for s in sets),
+                tuple(lower_sets.index(s[:-1]) for s in sets),
+            )
+        assert _int_compound(rows, k) == [[_int_minor(rows, s, c) for c in sets] for s in sets]

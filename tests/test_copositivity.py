@@ -86,8 +86,11 @@ def _symmetric(n: int, entry) -> list[list[int]]:
 
 @st.composite
 def symmetric_matrices(draw):
-    """Symmetric integer matrices: free entries, B^T B (with kernels), B^T B + N with N >= 0, and +-v v^T."""
-    n = draw(st.integers(1, 5))
+    """Symmetric integer matrices: free entries, B^T B (with kernels), B^T B + N with N >= 0, and +-v v^T.
+
+    n <= 6, the largest form the default symbolic guard admits.
+    """
+    n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(("entries", "gram", "gram_plus_nonnegative", "rank_one")))
     if kind == "entries":
         upper = {(i, k): draw(st.integers(-2, 9) if i == k else st.integers(-6, 6)) for i in range(n) for k in range(i, n)}
@@ -161,9 +164,10 @@ def kernel_leaning_forms(draw):
     """Symmetric integer matrices, most of them singular and copositive.
 
     B^T B with fewer rows than columns (rank < n), sometimes plus a
-    zero-heavy N >= 0, and zero-heavy free entries.
+    zero-heavy N >= 0, and zero-heavy free entries; n <= 6, the largest
+    form the default symbolic guard admits.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
     small = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
     kind = draw(st.sampled_from(("gram", "gram", "gram_plus_nonnegative", "entries")))
     if kind == "entries":
@@ -267,19 +271,34 @@ def test_singular_matrix_blocks_the_sampling_shortcut():
 
 
 def test_sampling_shortcut_builds_each_compound_order_once(monkeypatch):
-    """The 3x3 identity passes every M_j, and each order's rows are built once, from the order below."""
-    builder = matrices._laplace_row
-    built = []
+    """The 3x3 identity passes every M_j, and each order of q*A is built once, from the order below."""
+    walk, kernel = scaling._int_compounds, matrices._laplace_kernel
+    walked, built = [], []
 
-    def counting(plan, last, lower):
-        built.append(len(plan))
-        return builder(plan, last, lower)
+    def recording(scaled):
+        walked.append(scaled)
+        return walk(scaled)
 
-    monkeypatch.setattr(matrices, "_laplace_row", counting)
+    def counting(n, k):
+        builder = kernel(n, k)
+
+        def counted(last, lower):
+            built.append((k, last))
+            return builder(last, lower)
+
+        return counted
+
+    monkeypatch.setattr(scaling, "_int_compounds", recording)
+    monkeypatch.setattr(matrices, "_laplace_kernel", counting)
     identity = RationalMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert sample_refute(identity, budget=60, seed=5) is None
-    # the 3 rows of order 2, then the 1 row of order 3; rebuilding order 2 for M_3 would make 7
-    assert built == [2, 2, 2, 3]
+    # q*A is walked once, then _orthant_witness walks each of M_1, M_2 and M_3
+    assert len(walked) == 4
+    # a row of q*A's compounds reads its last row from q*A itself; M_1 equals q*A here,
+    # so rows are told apart by the list they read, not by its entries
+    of_scaled = [k for k, last in built if any(last is row for row in walked[0])]
+    # the 3 rows of order 1, the 3 of order 2, then the 1 of order 3; rebuilding an order would repeat its rows
+    assert of_scaled == [1, 1, 1, 2, 2, 2, 3]
 
 
 @pytest.mark.parametrize("matrix", SHORTCUT_MATRICES + (CANDIDATE_259,))

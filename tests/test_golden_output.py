@@ -23,8 +23,10 @@ kernel vector still came from Cramer's rule on bordered systems;
 ``hunt_nonsingular_d3.txt`` was recorded while each hunt candidate was still
 drawn as a Fraction matrix and the nonsingular redraw still took its Fraction
 determinant; ``analyze_permuted_upper_d7.txt`` was recorded while each
-compound row of the anti-sign scan was still its own Bareiss elimination.
-Later routes must reproduce every file exactly, along with the exit code.
+compound row of the anti-sign scan was still its own Bareiss elimination;
+``q2_block4_witness_d5.txt`` was recorded while each row of adj(B) in the
+copositivity test was still a branching Bareiss elimination of the rows of
+B without one of them. Later routes must reproduce every file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -41,6 +43,7 @@ PERMUTED_UPPER_7 = (
     "7; 1/3 0 5/3 0 5 0 1/3; -5/2 1/3 3 3/2 3 -5 -1; 0 0 1 0 0 0 0; 5 0 -2/3 2 -4 0 2; "
     "0 0 -3 0 2 0 0; -5/3 0 -5/3 -1 -4 5/3 6; 0 0 -1/3 0 -1 0 3/2"
 )
+BLOCK4_WITNESS_5 = "5; -1 0 0 1 -3; -3 -3 0 2 -3; -3 -3 3 2 2; -2 -2 -2 -3 -1; 0 -2 -2 1 -2"
 LATE_PAIR_7 = "7; -3 0 2 0 0 0 1; 0 -1/2 0 0 3/2 -3/2 0; 0 0 -2/3 0 0 2 0; 0 0 0 2/3 0 0 0; 0 0 0 0 -1 0 0; 0 0 0 0 0 3 -1; -1/3 0 0 0 0 0 1"
 
 CASES = [
@@ -73,6 +76,9 @@ CASES = [
     # p_2 = d1^2 (9 d2 - 4 d3)^2: its form has the kernel vertices e_1 and (0, 9/13, 4/13),
     # whose average gives d = (36, 52, 117)
     ("q2_kernel_vertices_d3.txt", 1, ["q2scaling", "--inline", "3; 3 -2 2; -3 -1 1; 1 -2 2"]),
+    # p_1's form first fails Cottle-Habetler-Lemke at a 4x4 principal block: d = (205, 1, 103, 105, 128);
+    # p_4's form fails with d = (13, 65, 65, 65, 5)
+    ("q2_block4_witness_d5.txt", 1, ["q2scaling", "--inline", BLOCK4_WITNESS_5]),
     ("q2_ref.json", 0, ["q2scaling", "--format", "structured", "--inline", "2; 1 2; -1 5"]),
     # upper triangular: the anti-sign scan finds no violation and visits every pair
     ("analyze_upper5.txt", 0, ["analyze", "--inline", UPPER_5]),

@@ -143,15 +143,20 @@ def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
     # a_ij * a_ji <= 0, so order 1 has no violation; the first pair of order 2,
     # ({1,2}, {1,3}), has minors -2 and -6
     m = RationalMatrix(((-1, -2, 2, 2), (2, 0, -2, 2), (-2, 2, -2, 2), (-4, -2, -2, 1)))
-    builder = matrix_classes._laplace_row
+    kernel = matrix_classes._laplace_kernel
     built = []
 
-    def counting(plan, last, lower):
-        row = builder(plan, last, lower)
-        built.append((len(plan), list(last), list(lower), row))
-        return row
+    def counting(n, k):
+        builder = kernel(n, k)
 
-    monkeypatch.setattr(matrix_classes, "_laplace_row", counting)
+        def counted(last, lower):
+            row = builder(last, lower)
+            built.append((k, list(last), list(lower), row))
+            return row
+
+        return counted
+
+    monkeypatch.setattr(matrix_classes, "_laplace_kernel", counting)
     a = [list(row) for row in m.rows]
     order_two = list(combinations(range(4), 2))
     for scan in (is_anti_sign_symmetric, lambda m: classify(m).anti_sign_symmetric):
