@@ -246,25 +246,22 @@ def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequenc
     return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
 
 
-#: per position i of a k-subset: the columns C_i, and the indices of C - C_i one order below
+#: one record (s, below) per k-subset s: below[i] is the index of s - s_i one order below
 _LaplacePlan = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @cache
 def _laplace_plan(n: int, k: int) -> _LaplacePlan:
-    """How each order-k compound row of an n x n matrix expands along its last row.
+    """One record ``(s, below)`` per k-subset s of range(n), in lexicographic order.
 
-    Entry i pairs the tuple of columns C_i and the tuple of indices of
-    C - C_i among the (k-1)-subsets, over the k-subsets C of range(n) in
-    lexicographic order. Entry k-1 also gives each row set S its last row
-    max S and the index of S - max S one order below. ``_laplace_kernel``
-    compiles the plan into the function that builds a row.
+    ``below[i]`` is the index of s - s_i among the (k-1)-subsets, also in
+    lexicographic order. As a row set, s is row s[-1] of the matrix over
+    row ``below[-1]`` of the order below; as a column set, the record gives
+    the Laplace expansion of a minor on s along its last row.
+    ``_laplace_kernel`` compiles the plan into the function that builds a row.
     """
     lower = {s: a for a, s in enumerate(combinations(range(n), k - 1))}
-    subsets = list(combinations(range(n), k))
-    return tuple(
-        (tuple(c[i] for c in subsets), tuple(lower[c[:i] + c[i + 1 :]] for c in subsets)) for i in range(k)
-    )
+    return tuple((s, tuple(lower[s[:i] + s[i + 1 :]] for i in range(k))) for s in combinations(range(n), k))
 
 
 @cache
@@ -273,24 +270,24 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
 
     Row S of the order-k compound of an integer matrix M is built from one
     row of the order below: ``a`` is row max S of M and ``b`` is row
-    S - max S of the order-(k-1) compound. On the column set C, the minor
+    S - max S of the order-(k-1) compound. On the column set c, the minor
     expands along its last row as the sum over i of (-1)^(k-1+i)
-    M[max S][C_i] times the lower minor on C - C_i. Integer products only,
-    so the row holds the same integers as the square determinants of its
-    minors. The row is one list display with an expression per column set C,
-    ``a[c_{k-1}]*b[j_{k-1}] - a[c_{k-2}]*b[j_{k-2}] + ...``, whose indices
-    are the plan's constants; so building a row makes no call per entry.
-    The source is made only of the plan's integers and runs with empty
-    builtins. It is compiled once per (n, k) and process, on first use:
-    all orders at n = 7 take ~5 ms, and at n = 12 ~0.3 s and ~19 MB.
+    a[c[i]] * b[below[i]], with ``(c, below)`` the plan's record of c.
+    Integer products only, so the row holds the same integers as the
+    square determinants of its minors. The row is one list display with an
+    expression per column set, ``a[c[-1]]*b[below[-1]] - a[c[-2]]*b[below[-2]] + ...``
+    with the plan's constants as indices; so building a row makes no call
+    per entry. The source is made only of the plan's integers and
+    runs with empty builtins. It is compiled once per (n, k) and process,
+    on first use: all orders at n = 7 take ~5 ms, and at n = 12 ~0.3 s
+    and ~19 MB. ``_int_compounds`` is its one caller.
     """
-    plan = _laplace_plan(n, k)
     entries = []
-    for c in range(len(plan[0][0])):
+    for c, below in _laplace_plan(n, k):
         # position k-1 carries the sign +, and the signs alternate below it
-        entry = f"a[{plan[k - 1][0][c]}]*b[{plan[k - 1][1][c]}]"
+        entry = f"a[{c[-1]}]*b[{below[-1]}]"
         for i in range(k - 2, -1, -1):
-            entry += f" {'-' if (k - 1 - i) % 2 else '+'} a[{plan[i][0][c]}]*b[{plan[i][1][c]}]"
+            entry += f" {'-' if (k - 1 - i) % 2 else '+'} a[{c[i]}]*b[{below[i]}]"
         entries.append(entry)
     namespace: dict = {"__builtins__": {}}
     exec(f"def row(a, b):\n    return [{', '.join(entries)}]\n", namespace)
@@ -300,18 +297,18 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
 def _int_compounds(scaled: list[list[int]]) -> Iterator[list[list[int]]]:
     """The integer compounds C_0 = [[1]], C_1, ..., C_n of q*A in turn, each as ``_int_compound`` gives it.
 
-    Each order's rows are Laplace expansions of the rows of the order
-    yielded before it, one kernel call per row, so a caller that stops
-    early builds no order above the last one it took. The next order
-    reads the rows yielded, so a caller must not change them.
+    The one builder of compound rows. Row s of order k is one kernel call
+    on row s[-1] of q*A and row ``below[-1]`` of the order yielded before
+    it, so a caller that stops early builds no order above the last one it
+    took. The next order reads the rows yielded, so a caller must not
+    change them.
     """
     n = len(scaled)
     rows = [[1]]
     yield rows
     for k in range(1, n + 1):
         row = _laplace_kernel(n, k)
-        lasts, lowers = _laplace_plan(n, k)[-1]
-        rows = [row(scaled[r], rows[s]) for r, s in zip(lasts, lowers)]
+        rows = [row(scaled[s[-1]], rows[below[-1]]) for s, below in _laplace_plan(n, k)]
         yield rows
 
 

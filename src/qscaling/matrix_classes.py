@@ -14,16 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from .matrices import (
     IndexSet,
     RationalMatrix,
-    _laplace_kernel,
-    _laplace_plan,
+    _int_compounds,
     _scaled,
     check_enumeration_dim,
+    index_sets,
     minor,
     principal_minors,
     render_rational,
@@ -182,39 +180,22 @@ def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | 
     ``scaled`` is q*A. Both minors of an order-k pair carry the same
     positive factor q^k, so the sign of their product is read from the
     integer minors of q*A; only the returned witness is divided back to
-    minors of A. Orders 1..n-1 are scanned in turn (order n has one index
-    set and so no pair), and within an order the pairs (a, b) of k-subsets
-    with a before b in lexicographic order; a principal minor is never
-    paired with itself. The pair reads row a of the order-k compound at b
-    and row b at a. Order 1 is q*A itself. A higher order's row is built
-    the first time a pair needs it, by the order's ``_laplace_kernel`` from
-    one row of the order below, all of whose rows the scan of that order
-    has built; so the scan stops at the first violation without evaluating
-    the rest of the compound.
+    minors of A. The orders are read in turn from ``_int_compounds``, and
+    within an order the pairs (a, b) of k-subsets with a before b in
+    lexicographic order; a principal minor is never paired with itself.
+    The pair reads row a of the order-k compound at b and row b at a.
+    Orders 0 and n have one index set each, so no pair. The scan returns
+    at the first violation, so no order above it is built.
     """
     n = len(scaled)
-    # order 1 is q*A, every row of it already there
-    rows = scaled
-    for k in range(1, n):
-        m = comb(n, k)
-        if k > 1:
-            row = _laplace_kernel(n, k)
-            lasts, lowers = _laplace_plan(n, k)[-1]
-            lower_rows = rows
-            rows = [row(scaled[lasts[0]], lower_rows[lowers[0]])]
-        for a in range(m):
-            row_a = rows[a]
-            for b in range(a + 1, m):
-                if b == len(rows):
-                    rows.append(row(scaled[lasts[b]], lower_rows[lowers[b]]))
+    for k, rows in enumerate(_int_compounds(scaled)):
+        for a, row_a in enumerate(rows):
+            for b in range(a + 1, len(rows)):
                 if row_a[b] * rows[b][a] > 0:
-                    subsets = list(combinations(range(n), k))
+                    sets = list(index_sets(n, k))
                     scale = q**k
                     return MinorPairWitness(
-                        IndexSet(n, tuple(i + 1 for i in subsets[a])),
-                        IndexSet(n, tuple(i + 1 for i in subsets[b])),
-                        Fraction(row_a[b], scale),
-                        Fraction(rows[b][a], scale),
+                        sets[a], sets[b], Fraction(row_a[b], scale), Fraction(rows[b][a], scale)
                     )
     return None
 
@@ -224,8 +205,8 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
 
     P, P0, P0+ and Q read one pass over the principal minors; anti-sign
     symmetry is one call of the pair scan, ``_first_positive_pair``,
-    which builds the compounds of q*A order by order and stops at the
-    first violating pair.
+    which reads the compounds of q*A order by order from
+    ``_int_compounds`` and stops at the first order with a violating pair.
     """
     n = matrix.n
     check_enumeration_dim(n, max_dim)

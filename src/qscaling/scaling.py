@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import islice
 from math import gcd, lcm
 from operator import add
 
@@ -45,11 +45,11 @@ from .matrices import (
     _check_in_range,
     _coerce_rational,
     _int_compounds,
+    _int_minor,
     _laplace_plan,
     _scaled,
     check_enumeration_dim,
     index_sets,
-    minor,
     principal_minors,
     render_rational,
 )
@@ -243,14 +243,12 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     singular = []
     for k, rows in enumerate(_int_compounds(m)):
         if k:
-            plan = _laplace_plan(n, k)
-            for a, s in enumerate(combinations(range(n), k)):
+            for a, (s, below) in enumerate(_laplace_plan(n, k)):
                 det = rows[a][a]
                 if det > 0:
                     continue
                 # adj B at (l, i) is (-1)^(i+l) times the minor of B without row l and column i
                 # (B is symmetric), which C_{k-1}(m) holds at (s - s_l, s - s_i)
-                below = [position[1][a] for position in plan]
                 adj = [
                     [-lower[jl][ji] if (i + l) & 1 else lower[jl][ji] for i, ji in enumerate(below)]
                     for l, jl in enumerate(below)
@@ -629,13 +627,19 @@ def cauchy_binet_terms(
 ) -> CauchyBinetExpansion:
     """All products minor(A, alpha, beta) * minor(A, beta, alpha) over |beta| = |alpha|.
 
-    Each minor is one square determinant, so a row and a column of the
-    order-|alpha| compound take C(n, |alpha|) determinants each.
+    The denominators are cleared once: each minor is one square
+    determinant of q*A, so a row and a column of the order-|alpha|
+    compound take C(n, |alpha|) determinants each, and each product of
+    two carries q^(2|alpha|).
     """
     n = matrix.n
     _check_in_range(matrix, alpha)
     check_enumeration_dim(n, max_dim)
-    terms = tuple(
-        (beta, minor(matrix, alpha, beta) * minor(matrix, beta, alpha)) for beta in index_sets(n, len(alpha))
-    )
-    return CauchyBinetExpansion(alpha=alpha, terms=terms)
+    q, scaled = _scaled(matrix)
+    rows = alpha.zero_based()
+    scale = q ** (2 * len(alpha))
+    terms = []
+    for beta in index_sets(n, len(alpha)):
+        cols = beta.zero_based()
+        terms.append((beta, Fraction(_int_minor(scaled, rows, cols) * _int_minor(scaled, cols, rows), scale)))
+    return CauchyBinetExpansion(alpha=alpha, terms=tuple(terms))

@@ -1,10 +1,10 @@
 """The anti-sign scan and its order-by-order compound rows, against square determinants.
 
-``_first_positive_pair`` reads order 1 from q*A and builds each higher
-order's compound rows with the kernel compiled from the plan of (n, k):
-row S is a Laplace expansion along row max S of q*A, over row S - max S of
-the order below. ``_int_compounds`` builds every order from order 0 the
-same way. The references are ``legacy_routes.first_positive_pair_by_minors``,
+``_first_positive_pair`` reads whole orders from ``_int_compounds``, which
+builds every order from order 0 with the kernel compiled from the plan of
+(n, k): the plan holds one record ``(s, below)`` per k-subset s, and row s
+is a Laplace expansion along row s[-1] of q*A, over row ``below[-1]`` of
+the order below. The references are ``legacy_routes.first_positive_pair_by_minors``,
 two square Bareiss determinants per pair, which must give the same verdict
 and witness, and ``_int_minor`` on every row set and column set, which
 every compound must equal integer for integer. Upper-triangular matrices,
@@ -171,9 +171,9 @@ def test_laplace_rows_equal_bareiss_rows(rows):
         sets = list(combinations(range(n), k))
         if k:
             lower_sets = list(combinations(range(n), k - 1))
-            # the plan's last position gives each row set its last row and its row one order below
-            assert _laplace_plan(n, k)[-1] == (
-                tuple(s[-1] for s in sets),
-                tuple(lower_sets.index(s[:-1]) for s in sets),
-            )
+            # record a is the a-th k-subset s with the indices of s - s_i one order below
+            plan = _laplace_plan(n, k)
+            assert [s for s, _ in plan] == sets
+            for s, below in plan:
+                assert [lower_sets[j] for j in below] == [s[:i] + s[i + 1 :] for i in range(k)]
         assert _int_compound(rows, k) == [[_int_minor(rows, s, c) for c in sets] for s in sets]

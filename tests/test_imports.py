@@ -9,6 +9,10 @@ where that package happens to be installed.
 The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
 one allowed is the Laplace kernel builder in ``matrices.py``, which runs
 source made only of integers, so no outside input reaches generated code.
+The name of that builder, ``_laplace_kernel``, appears only in its own
+definition and in ``_int_compounds``, the one walker over the compounds,
+which passes the compiled rows integer rows alone; so generated code is
+reached through that walker and nowhere else.
 """
 
 import ast
@@ -70,3 +74,32 @@ def test_generated_code_runs_only_in_the_laplace_kernel_builder():
         for function, name in _builtin_code_runners(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == GENERATED_CODE_SITES
+
+
+def _mentions(node, name, function=None):
+    """The innermost enclosing function of every definition, use or import of ``name`` under ``node``.
+
+    A definition counts as a mention inside the function it defines.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child.name == name:
+                yield child.name
+            yield from _mentions(child, name, child.name)
+            continue
+        if (
+            (isinstance(child, ast.Name) and child.id == name)
+            or (isinstance(child, ast.Attribute) and child.attr == name)
+            or (isinstance(child, ast.alias) and name in (child.name, child.asname))
+        ):
+            yield function
+        yield from _mentions(child, name, function)
+
+
+def test_the_laplace_kernel_is_reached_only_through_int_compounds():
+    found = [
+        (path.name, function)
+        for path in ALL_MODULES
+        for function in _mentions(ast.parse(path.read_text(encoding="utf-8")), "_laplace_kernel")
+    ]
+    assert found == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]

@@ -17,7 +17,7 @@ from qscaling import (
     classify,
     is_anti_sign_symmetric,
     mat_mul,
-    matrix_classes,
+    matrices,
     principal_minor_sums,
 )
 
@@ -139,11 +139,11 @@ def _order_one_anti_sign(rng: random.Random, n: int) -> RationalMatrix:
 
 
 def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
-    """Order 2 builds only the two compound rows its first pair reads, not the whole compound."""
+    """The scan reads the order of its first violating pair whole, and builds no order above it."""
     # a_ij * a_ji <= 0, so order 1 has no violation; the first pair of order 2,
     # ({1,2}, {1,3}), has minors -2 and -6
     m = RationalMatrix(((-1, -2, 2, 2), (2, 0, -2, 2), (-2, 2, -2, 2), (-4, -2, -2, 1)))
-    kernel = matrix_classes._laplace_kernel
+    kernel = matrices._laplace_kernel
     built = []
 
     def counting(n, k):
@@ -151,12 +151,12 @@ def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
 
         def counted(last, lower):
             row = builder(last, lower)
-            built.append((k, list(last), list(lower), row))
+            built.append((k, row))
             return row
 
         return counted
 
-    monkeypatch.setattr(matrix_classes, "_laplace_kernel", counting)
+    monkeypatch.setattr(matrices, "_laplace_kernel", counting)
     a = [list(row) for row in m.rows]
     order_two = list(combinations(range(4), 2))
     for scan in (is_anti_sign_symmetric, lambda m: classify(m).anti_sign_symmetric):
@@ -164,11 +164,10 @@ def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
         witness = scan(m).witness
         assert (witness.row_set.members, witness.col_set.members) == ((1, 2), (1, 3))
         assert (witness.forward, witness.backward) == (-2, -6)
-        # order 1 reads q*A and builds no row; order 2 builds rows {1,2} and {1,3},
-        # each from its last row of q*A and row {1} of order 1
-        assert [(k, last, lower) for k, last, lower, _ in built] == [(2, a[1], a[0]), (2, a[2], a[0])]
-        assert [row for *_, row in built] == [
-            [brute_force_minor(a, rows, cols) for cols in order_two] for rows in ((0, 1), (0, 2))
+        # the 4 rows of order 1 and all 6 of order 2 are built; no row of order 3
+        assert [k for k, _ in built] == [1] * 4 + [2] * 6
+        assert [row for k, row in built if k == 2] == [
+            [brute_force_minor(a, rows, cols) for cols in order_two] for rows in order_two
         ]
 
 

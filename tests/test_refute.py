@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from qscaling.refute import HUNT_MODES
 
 from helpers import random_int_matrix
 from legacy_routes import generate_candidates_by_matrices
+from oracles import brute_force_minor, list_matmul
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
@@ -239,6 +241,33 @@ def test_sampling_fallback_reaches_no_counterexample():
     assert isinstance(report.hypothesis, (CertifiedForAll, NoCounterexampleFound))
     assert report.verdict.kind in (VerdictKind.CONSISTENT, VerdictKind.UNDETERMINED)
     assert report.polynomials == tuple(symbolic_q_invariants(m))
+
+
+# a certified counterexample with entries in {-1, 0, 1}; at n = 2 none exists (below)
+TERNARY_4X4 = RationalMatrix(((1, 1, 0, 1), (1, 1, -1, 1), (1, -1, 1, 0), (0, 1, -1, 1)))
+
+
+def test_certified_ternary_4x4_counterexample():
+    report = verify_refutation(TERNARY_4X4, budget=500)
+    assert isinstance(report.hypothesis, CertifiedForAll)
+    assert [cert.verdict for cert in report.certificates] == [CertificateVerdict.POSITIVE_ON_ORTHANT] * 4
+    assert all(cert.verify() for cert in report.certificates)
+    assert report.verdict.kind is VerdictKind.COUNTEREXAMPLE
+    assert report.verdict.refuted_claims == (Claim.GENERAL,)
+    assert report.verdict.evidence_grade is EvidenceGrade.CERTIFIED
+    # A^2 fails P0+ at {2,4}, and the oracle's Leibniz minor of the oracle's product agrees
+    witness = report.conclusion.p0_plus.witness
+    assert (witness.index_set.members, witness.value) == ((2, 4), -1)
+    rows = [list(row) for row in TERNARY_4X4.rows]
+    assert brute_force_minor(list_matmul(rows, rows), [1, 3], [1, 3]) == -1
+    assert not report.anti_sign.holds
+
+
+def test_no_2x2_counterexample_has_entries_below_3():
+    # covers every 2x2 with entries in {-1, 0, 1}; the smallest counterexample needs |entry| = 3
+    for entries in product(range(-2, 3), repeat=4):
+        report = verify_refutation(RationalMatrix((entries[:2], entries[2:])), budget=1)
+        assert report.verdict.kind is not VerdictKind.COUNTEREXAMPLE
 
 
 def _refutes_2x2(a11, a12, a21, a22) -> bool:

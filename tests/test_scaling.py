@@ -392,6 +392,23 @@ def test_cauchy_binet_terms_equal_products_of_fraction_minors():
         assert cauchy_binet_terms(m, empty).terms == ((empty, 1),)
 
 
+def test_cauchy_binet_terms_clear_denominators_once(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return _scaled(matrix)
+
+    # both names, so a clear through matrices.minor is counted too
+    monkeypatch.setattr(matrices_module, "_scaled", counting)
+    monkeypatch.setattr(scaling_module, "_scaled", counting)
+    m = random_rational_matrix(random.Random(513), 6, num_bound=9, den_bound=5)
+    alpha = IndexSet.of(6, 2, 3, 5)
+    expansion = cauchy_binet_terms(m, alpha)
+    assert calls == [m]
+    assert len(expansion.terms) == 20
+
+
 def test_cauchy_binet_generic_shows_dropped_terms():
     rng = random.Random(511)
     saw_difference = False
