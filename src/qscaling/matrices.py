@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, islice
 from math import lcm
 from typing import Callable, Iterator, Sequence
@@ -246,6 +246,18 @@ def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequenc
     return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
 
 
+def _compile(source: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines, run with empty builtins.
+
+    The one ``exec`` in the package. Its callers, the two kernel builders,
+    write source made only of integers and fixed names, so no input
+    reaches generated code.
+    """
+    namespace: dict = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace[name]
+
+
 #: one record (s, below) per k-subset s: below[i] is the index of s - s_i one order below
 _LaplacePlan = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -277,10 +289,10 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     square determinants of its minors. The row is one list display with an
     expression per column set, ``a[c[-1]]*b[below[-1]] - a[c[-2]]*b[below[-2]] + ...``
     with the plan's constants as indices; so building a row makes no call
-    per entry. The source is made only of the plan's integers and
-    runs with empty builtins. It is compiled once per (n, k) and process,
-    on first use: all orders at n = 7 take ~5 ms, and at n = 12 ~0.3 s
-    and ~19 MB. ``_int_compounds`` is its one caller.
+    per entry. The source is made only of the plan's integers, and
+    ``_compile`` runs it with empty builtins. It is compiled once per
+    (n, k) and process, on first use: all orders at n = 7 take ~5 ms, and
+    at n = 12 ~0.3 s and ~19 MB. ``_int_compounds`` is its one caller.
     """
     entries = []
     for c, below in _laplace_plan(n, k):
@@ -289,9 +301,7 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
         for i in range(k - 2, -1, -1):
             entry += f" {'-' if (k - 1 - i) % 2 else '+'} a[{c[i]}]*b[{below[i]}]"
         entries.append(entry)
-    namespace: dict = {"__builtins__": {}}
-    exec(f"def row(a, b):\n    return [{', '.join(entries)}]\n", namespace)
-    return namespace["row"]
+    return _compile(f"def row(a, b):\n    return [{', '.join(entries)}]\n", "row")
 
 
 def _int_compounds(scaled: list[list[int]]) -> Iterator[list[list[int]]]:
@@ -317,37 +327,70 @@ def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
     return next(islice(_int_compounds(scaled), k, None))
 
 
-def _visit_prefixes(
-    scaled: list[list[int]],
-    prefix: tuple[int, ...],
-    det: int,
-    bordered: list[list[int]] | None,
-    by_order: list[list[tuple[tuple[int, ...], int]]],
-) -> None:
-    """Append (S, det((q*A)[S])) to ``by_order`` for every S that extends ``prefix``, depth-first.
+@cache
+def _prefix_layout(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
+    """The nonempty subsets of range(n) depth-first by prefix, and each order's place in that list.
 
-    ``det`` is det((q*A)[prefix]). ``bordered`` holds det((q*A)[prefix+i, prefix+j])
-    at row and column a for i, j = max(prefix) + 1 + a, or None below a zero pivot.
-    A module-level function, not a closure in ``principal_minors``: a nested
-    function that calls itself is a reference cycle, which leaves each call's
-    minors to the cyclic garbage collector.
+    Depth-first by prefix (a set, then every set that extends it, children
+    in increasing order) is the lexicographic order of the tuples, so the
+    sets below a set s follow it as one run of 2^(n-1-max s) - 1 sets.
+    Entry k-1 of the second tuple holds (s, i) for the k-subsets s in the
+    order of ``combinations(range(n), k)``, where i is the position of s
+    in the first.
     """
-    n = len(scaled)
-    start = prefix[-1] + 1 if prefix else 0
-    for a, p in enumerate(range(start, n)):
-        s = prefix + (p,)
-        if bordered is None:
-            pivot, child = _int_minor(scaled, s, s), None
-        else:
-            pivot_row = bordered[a]
-            pivot = pivot_row[a]
-            # exact division: det((q*A)[prefix]) divides the 2x2 determinant by Sylvester's identity
-            child = [
-                [(row[c] * pivot - row[a] * pivot_row[c]) // det for c in range(a + 1, n - start)]
-                for row in bordered[a + 1 :]
-            ] if pivot else None
-        by_order[len(s)].append((s, pivot))
-        _visit_prefixes(scaled, s, pivot, child, by_order)
+    sets = sorted(s for k in range(1, n + 1) for s in combinations(range(n), k))
+    position = {s: i for i, s in enumerate(sets)}
+    return tuple(sets), tuple(
+        tuple((s, position[s]) for s in combinations(range(n), k)) for k in range(1, n + 1)
+    )
+
+
+@cache
+def _prefix_kernel(m: int) -> Callable[..., None]:
+    """One node of the principal-minor tree with m bordered minors per side, compiled into one function.
+
+    The function is ``visit(b, d, out, kernels, below)``: ``b`` is the m x m
+    matrix of bordered minors of a node P, b[i][j] = det((q*A)[P+i', P+j'])
+    for the m indices i', j' above max P, and ``d`` is det((q*A)[P]). For
+    each child a in turn it passes the child's minor b[a][a] to ``out``.
+    When that minor p is nonzero, the child's bordered minors are one list
+    display of one Bareiss step, (b[i][j]*p - b[i][a]*b[a][j]) // d for
+    i, j > a (exact by Sylvester's identity), and the child is visited by
+    ``kernels[m-1-a]``; the last child has nothing above it. When p is 0
+    that step would divide by zero, and ``below()`` appends the minors of
+    every set below the child instead. So the minors reach ``out`` depth
+    first by prefix. Nothing is written into ``b``, which at the root is
+    q*A itself. The source is made only of integers, and ``_compile`` runs
+    it with empty builtins. ``principal_minors`` is its one caller: it
+    passes the kernels of every size up to n, and ``below``, at call time,
+    so a kernel holds nothing of one call after it.
+    """
+    body = [f"    {''.join(f'r{i}, ' for i in range(m))}= b"] if m else ["    pass"]
+    for a in range(m):
+        body += [f"    p = r{a}[{a}]", "    out(p)"]
+        if a < m - 1:
+            child = ", ".join(
+                "[" + ", ".join(f"(r{i}[{j}]*p - r{i}[{a}]*r{a}[{j}])//d" for j in range(a + 1, m)) + "]"
+                for i in range(a + 1, m)
+            )
+            body += ["    if p:", f"        kernels[{m - 1 - a}]([{child}], p, out, kernels, below)"]
+            body += ["    else:", "        below()"]
+    return _compile("def visit(b, d, out, kernels, below):\n" + "\n".join(body) + "\n", "visit")
+
+
+def _minors_below(scaled: list[list[int]], minors: list[int], sets: tuple[tuple[int, ...], ...]) -> None:
+    """Append det((q*A)[T]) to ``minors`` for every set T below the last one listed, one square determinant each.
+
+    ``sets`` is the depth-first list of ``_prefix_layout``, and ``minors``
+    lists the minors of its first sets, the last one zero; the sets below
+    that one are the run that follows it. ``principal_minors`` binds it to
+    one call's lists and passes it to the kernels, so the cached kernels
+    hold no call's lists; it reads ``_int_minor``, and so ``_bareiss_int``,
+    from this module at each call.
+    """
+    i = len(minors)
+    last = sets[i - 1][-1]
+    minors.extend(_int_minor(scaled, t, t) for t in sets[i : i + (1 << (len(scaled) - 1 - last)) - 1])
 
 
 def principal_minors(
@@ -362,19 +405,30 @@ def principal_minors(
     set with minor 1. The scaled rows are returned so a caller that also
     needs other minors of q*A does not clear denominators again.
 
-    The sets are visited depth-first as a tree of prefixes, which lists each
-    order in lexicographic order. A node P holds det((q*A)[P]) and the
-    bordered minors b[i][j] = det((q*A)[P+i, P+j]) for i, j > max P; the
-    root holds 1 and q*A. The child P+p reads its minor as the pivot
-    b[p][p], and one Bareiss step gives its bordered minors, so sets with a
-    common prefix share its elimination (the fraction-free form of Griffin
-    and Tsatsomeros's Schur-complement tree). Below a zero pivot that step
-    would divide by zero, and each set there is one kernel call on q*A.
+    The sets are visited depth-first as a tree of prefixes. A node P holds
+    det((q*A)[P]) and the bordered minors b[i][j] = det((q*A)[P+i, P+j])
+    for i, j > max P; the root holds 1 and q*A. The child P+p reads its
+    minor as the pivot b[p][p], and one Bareiss step gives its bordered
+    minors, so sets with a common prefix share its elimination (the
+    fraction-free form of Griffin and Tsatsomeros's Schur-complement tree).
+    Below a zero pivot that step would divide by zero, and each set there
+    is one square determinant of q*A. A node with m bordered minors per
+    side is one call of a function compiled once per m (``_prefix_kernel``),
+    whose Bareiss step is one list display with constant indices, so the
+    tree makes one call per node and none per entry. The minors come out
+    depth first, and a layout cached per n puts them back by order and
+    lexicographically. The kernels and the layout are built on first use,
+    once per size and process: ~7 ms for n = 7, and ~50 ms and ~3 MB of
+    peak memory for n = 12, the default enumeration bound (2-core Xeon,
+    Python 3.11.7).
     """
+    n = matrix.n
     q, scaled = _scaled(matrix)
-    by_order: list[list[tuple[tuple[int, ...], int]]] = [[((), 1)]] + [[] for _ in range(matrix.n)]
-    _visit_prefixes(scaled, (), 1, scaled, by_order)
-    return q, scaled, by_order
+    sets, orders = _prefix_layout(n)
+    minors: list[int] = []
+    kernels = tuple(map(_prefix_kernel, range(n + 1)))
+    kernels[n](scaled, 1, minors.append, kernels, partial(_minors_below, scaled, minors, sets))
+    return q, scaled, [[((), 1)]] + [[(s, minors[i]) for s, i in order] for order in orders]
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

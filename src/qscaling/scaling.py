@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd, lcm
 from operator import add
 
@@ -105,9 +105,13 @@ def _principal_minors_by_order(
     """q, q*A, and the nonzero principal minors of q*A (see ``principal_minors``) keyed by subset bitmask.
 
     Bit i-1 of a mask marks row i; entry 0 is the empty set with minor 1.
+    The masks are read from ``_subset_masks``, in the same order as the sets.
     """
     q, scaled, by_order = principal_minors(matrix)
-    return q, scaled, [[(sum(1 << i for i in s), v) for s, v in minors if v] for minors in by_order]
+    return q, scaled, [
+        [(mask, v) for mask, (_, v) in zip(masks, minors) if v]
+        for masks, minors in zip(_subset_masks(matrix.n), by_order)
+    ]
 
 
 def _pair_weights(n: int, j: int) -> list[tuple[int, int, int]]:
@@ -141,6 +145,12 @@ def scaled_square_symbolic(matrix: RationalMatrix) -> tuple[tuple[SparsePolynomi
         )
         for i in range(n)
     )
+
+
+@cache
+def _subset_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """masks[k][a] is the bitmask of the a-th k-subset of range(n) in lexicographic order, bit i for member i."""
+    return tuple(tuple(sum(1 << i for i in s) for s in combinations(range(n), k)) for k in range(n + 1))
 
 
 @cache

@@ -7,12 +7,15 @@ absolute import of anything outside the standard library fails here even
 where that package happens to be installed.
 
 The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
-one allowed is the Laplace kernel builder in ``matrices.py``, which runs
-source made only of integers, so no outside input reaches generated code.
-The name of that builder, ``_laplace_kernel``, appears only in its own
-definition and in ``_int_compounds``, the one walker over the compounds,
-which passes the compiled rows integer rows alone; so generated code is
-reached through that walker and nowhere else.
+one allowed is ``_compile`` in ``matrices.py``, which runs source with
+empty builtins. Its only callers are the two kernel builders,
+``_laplace_kernel`` and ``_prefix_kernel``, whose source is made only of
+integers, so no outside input reaches generated code. Each builder's name
+appears only in its own definition and in its one caller: ``_int_compounds``,
+the one walker over the compounds, and ``principal_minors``, the one
+walker over the principal-minor tree. Both pass the compiled functions
+integers alone; so generated code is reached through those two walkers
+and nowhere else.
 """
 
 import ast
@@ -51,8 +54,8 @@ def test_absolute_imports_are_of_the_standard_library(path):
     assert sorted(imported - sys.stdlib_module_names) == []
 
 
-#: the one place under src/ that runs generated code, whose source is made only of integers
-GENERATED_CODE_SITES = [("matrices.py", "_laplace_kernel", "exec")]
+#: the one place under src/ that runs generated code, with empty builtins
+GENERATED_CODE_SITES = [("matrices.py", "_compile", "exec")]
 
 
 def _builtin_code_runners(node, function=None):
@@ -66,7 +69,7 @@ def _builtin_code_runners(node, function=None):
             yield from _builtin_code_runners(child, function)
 
 
-def test_generated_code_runs_only_in_the_laplace_kernel_builder():
+def test_generated_code_runs_only_in_the_compile_helper():
     # any use of the names, called or not, so an alias is caught too
     found = [
         (path.name, function, name)
@@ -96,10 +99,26 @@ def _mentions(node, name, function=None):
         yield from _mentions(child, name, function)
 
 
-def test_the_laplace_kernel_is_reached_only_through_int_compounds():
-    found = [
+def _mentioned_in(name):
+    """(module, innermost enclosing function) for every mention of ``name`` under src/qscaling."""
+    return [
         (path.name, function)
         for path in ALL_MODULES
-        for function in _mentions(ast.parse(path.read_text(encoding="utf-8")), "_laplace_kernel")
+        for function in _mentions(ast.parse(path.read_text(encoding="utf-8")), name)
     ]
-    assert found == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]
+
+
+def test_the_laplace_kernel_is_reached_only_through_int_compounds():
+    assert _mentioned_in("_laplace_kernel") == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]
+
+
+def test_the_compile_helper_serves_only_the_two_kernel_builders():
+    assert _mentioned_in("_compile") == [
+        ("matrices.py", "_compile"),
+        ("matrices.py", "_laplace_kernel"),
+        ("matrices.py", "_prefix_kernel"),
+    ]
+
+
+def test_the_prefix_kernel_is_reached_only_through_principal_minors():
+    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "principal_minors")]

@@ -4,11 +4,16 @@
 minors; ``classify``, ``principal_minor_sums``, ``symbolic_q_invariants``
 and ``sample_refute`` all read it. It walks a tree of index-set prefixes,
 one Bareiss step per child, and falls back to one kernel call per set below
-a zero pivot. The references here are the Leibniz determinant in
-``oracles``, a first-violation scan written against it, and
+a zero pivot. Each node is one call of a function compiled per bordered
+size m, whose Bareiss step is written out with constant indices; the sizes
+up to 7 compile in ~7 ms and those up to 12 in ~50 ms, on first use. The
+references here are the Leibniz determinant in ``oracles``, a
+first-violation scan written against it, and
 ``legacy_routes.principal_minors_by_subset``, one kernel call per set, which
 the tree must match integer for integer. Small entries in [-2, 2] put zero
-pivots at every depth of the tree.
+pivots at every depth of the tree. The strategy stops at n = 7, so explicit
+examples run the compiled steps of sizes 8 to 12: each size's code is its
+own, and a fault in one is not seen at another.
 """
 
 from fractions import Fraction
@@ -86,6 +91,42 @@ def matrix_of(rows):
     return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
+# past the strategy's n = 7, one example per kind of tree
+# 12x12 upper-triangular with a nonzero diagonal: no zero pivot, a node of every size up to 12
+UPPER_12 = matrix_of(
+    [
+        [
+            Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + j) % 2) if j > i else (-1) ** i * (1 + i % 3) if j == i else 0
+            for j in range(12)
+        ]
+        for i in range(12)
+    ]
+)
+# B^T B + I with b_ki = (k+1)(i+2) mod 5 - 2: dense and positive definite, so no zero pivot; it runs
+# the terms b[i][a]*b[a][j] of every size, which are all zero on a triangular matrix
+_B = [[(k + 1) * (i + 2) % 5 - 2 for i in range(12)] for k in range(12)]
+DENSE_12 = matrix_of([[sum(b[i] * b[j] for b in _B) + (i == j) for j in range(12)] for i in range(12)])
+# no zero minor of order 1 or 2; {1,2,3} (there row 3 = rows 1 + 2) and {2,8,9} are zero pivots at depth 3
+ZERO_PIVOTS_AT_DEPTH_3_9 = matrix_of(
+    [
+        [-3, 0, -3, 3, 0, -2, 2, -3, -2],
+        [-3, 1, -2, 2, 3, -2, -2, 2, -3],
+        [-6, 1, -5, -2, 1, 2, 0, 1, 0],
+        [-2, 1, -3, -3, -3, 3, 0, -1, -2],
+        [-2, -1, 0, -1, 1, -2, -2, 2, -2],
+        [0, 1, 2, 1, -3, -3, 3, -2, -1],
+        [-2, -2, -2, 3, 3, 0, -3, -3, 2],
+        [1, 3, 0, 2, 3, -2, -2, 3, 0],
+        [2, -1, -2, -1, 2, 3, -2, 0, -3],
+    ]
+)
+# U V with U 8x5 and V 5x8: rank 5, so every minor of order 6 and up is zero
+_U = [[2, 0, 0, 2, -2], [1, -1, -2, -1, -2], [0, 1, -1, 1, 2], [-2, 2, -1, -2, -1],
+      [1, 0, -1, 1, -1], [-2, -1, 2, 2, 1], [-1, -1, -2, -2, -1], [-1, -1, -1, 0, 0]]
+_V = [[-1, 2, -1, -1, -1, 1, 0, -2], [0, 1, -1, -1, 0, -2, 0, 0], [2, 2, -2, 2, 0, -2, 0, 0],
+      [0, 1, 0, -1, 1, 1, -1, -2], [0, -2, 0, 1, -2, 2, 1, 0]]
+RANK_5_8 = matrix_of([[sum(u[k] * _V[k][j] for k in range(5)) for j in range(8)] for u in _U])
+
 small_integers = st.builds(Fraction, st.integers(-2, 2))
 small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
@@ -106,6 +147,11 @@ def small_entry_matrices(draw):
 @example(matrix_of([[1, 1, 0, 2], [1, 1, 1, 0], [0, 1, 1, 1], [2, 0, 1, 1]]))
 # rank one: every minor of order 2 and up is zero
 @example(matrix_of([[u * v for v in (2, 1, -1, 3)] for u in (1, -2, 3, Fraction(1, 2))]))
+# n = 12, 9 and 8, past the strategy's n = 7
+@example(UPPER_12)
+@example(DENSE_12)
+@example(ZERO_PIVOTS_AT_DEPTH_3_9)
+@example(RANK_5_8)
 def test_tree_equals_per_subset_route(matrix):
     assert principal_minors(matrix) == principal_minors_by_subset(matrix)
 
