@@ -249,9 +249,10 @@ def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequenc
 def _compile(source: str, name: str) -> Callable:
     """The function ``name`` that ``source`` defines, run with empty builtins.
 
-    The one ``exec`` in the package. Its callers, the two kernel builders,
-    write source made only of integers and fixed names, so no input
-    reaches generated code.
+    The one ``exec`` in the package. Its callers, the three kernel builders
+    (``_laplace_kernel`` and ``_prefix_kernel`` here, ``_pj_kernel`` in
+    ``scaling``), write source made only of integers and fixed names, so no
+    input reaches generated code.
     """
     namespace: dict = {"__builtins__": {}}
     exec(source, namespace)

@@ -18,7 +18,9 @@ from typing import Mapping, Sequence
 from .matrices import _coerce_rational
 
 
-def _canonical_key(exponents: tuple[int, ...]) -> tuple:
+def _term_key(term: tuple[tuple[int, ...], Fraction]) -> tuple:
+    """The canonical order of an (exponents, coefficient) term: total degree, then the exponents."""
+    exponents = term[0]
     return (sum(exponents), exponents)
 
 
@@ -75,7 +77,11 @@ class SparsePolynomial:
 
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Terms in canonical (graded-lexicographic, highest-first) order."""
-        return tuple(sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]), reverse=True))
+        return tuple(sorted(self._terms.items(), key=_term_key, reverse=True))
+
+    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+        """The first of ``terms()``, read by one pass without sorting; the polynomial must not be zero."""
+        return max(self._terms.items(), key=_term_key)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))

@@ -7,6 +7,13 @@ submatrices, and ``sample_refute_by_fractions`` squares each drawn D*A in
 Fractions and sums its principal minors. Both are slow, which is why the
 package no longer uses them.
 
+``symbolic_q_invariants_by_pairs`` is how ``symbolic_q_invariants`` built
+each p_j before its expansion was compiled per (n, j): a loop over the
+pairs of nonzero principal minors of q*A on every call, one dict entry per
+key (S & T, S ^ T), and an exponent tuple added up for each term. It is
+the reference past the default symbolic guard, where the polynomial-matrix
+expansion is too slow.
+
 ``sums_by_enumeration`` and ``sums_by_compound_trace`` are the two routes
 ``principal_minor_sums`` used to run and cross-assert at every call: Fraction
 determinants of the principal submatrices, and the traces of the compound
@@ -44,6 +51,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from qscaling import (
@@ -58,6 +66,7 @@ from qscaling import (
     mat_mul,
 )
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
+from qscaling.scaling import _pair_weights, _principal_minors_by_order
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -125,6 +134,37 @@ def symbolic_q_invariants_by_expansion(matrix: RationalMatrix) -> list[SparsePol
             sub = [tuple(squared[i][jj] for jj in selection) for i in selection]
             total = total + poly_det(sub)
         invariants.append(total)
+    return invariants
+
+
+def symbolic_q_invariants_by_pairs(matrix: RationalMatrix) -> list[SparsePolynomial]:
+    """p_1..p_n by the pair loop over the nonzero principal minors of q*A.
+
+    A monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
+    first set, 1 on the second.
+    """
+    n = matrix.n
+    q, _, by_order = _principal_minors_by_order(matrix)
+    bits = [tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n)]
+    doubled = [tuple(2 * b for b in row) for row in bits]
+    invariants = []
+    for j in range(1, n + 1):
+        coefficients: dict[tuple[int, int], int] = {}
+        for a, b, weight in _pair_weights(n, j):
+            for s, x in by_order[a]:
+                for t, y in by_order[b]:
+                    key = (s & t, s ^ t)
+                    coefficients[key] = coefficients.get(key, 0) + weight * x * y
+        scale = q ** (2 * j)
+        invariants.append(
+            SparsePolynomial(
+                n,
+                {
+                    tuple(map(add, doubled[twice], bits[once])): Fraction(value, scale)
+                    for (twice, once), value in coefficients.items()
+                },
+            )
+        )
     return invariants
 
 

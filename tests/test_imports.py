@@ -8,13 +8,15 @@ where that package happens to be installed.
 
 The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
 one allowed is ``_compile`` in ``matrices.py``, which runs source with
-empty builtins. Its only callers are the two kernel builders,
-``_laplace_kernel`` and ``_prefix_kernel``, whose source is made only of
-integers, so no outside input reaches generated code. Each builder's name
-appears only in its own definition and in its one caller: ``_int_compounds``,
-the one walker over the compounds, and ``principal_minors``, the one
-walker over the principal-minor tree. Both pass the compiled functions
-integers alone; so generated code is reached through those two walkers
+empty builtins. Its only callers are the three kernel builders,
+``_laplace_kernel`` and ``_prefix_kernel`` in ``matrices.py`` and
+``_pj_kernel`` in ``scaling.py`` (which imports it), whose source is made
+only of integers, so no outside input reaches generated code. Each
+builder's name appears only in its own definition and in its one caller:
+``_int_compounds``, the one walker over the compounds, ``principal_minors``,
+the one walker over the principal-minor tree, and ``symbolic_q_invariants``,
+the one expansion of the p_j. All three pass the compiled functions
+integers alone; so generated code is reached through those three callers
 and nowhere else.
 """
 
@@ -112,13 +114,19 @@ def test_the_laplace_kernel_is_reached_only_through_int_compounds():
     assert _mentioned_in("_laplace_kernel") == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]
 
 
-def test_the_compile_helper_serves_only_the_two_kernel_builders():
+def test_the_compile_helper_serves_only_the_three_kernel_builders():
     assert _mentioned_in("_compile") == [
         ("matrices.py", "_compile"),
         ("matrices.py", "_laplace_kernel"),
         ("matrices.py", "_prefix_kernel"),
+        ("scaling.py", None),
+        ("scaling.py", "_pj_kernel"),
     ]
 
 
 def test_the_prefix_kernel_is_reached_only_through_principal_minors():
     assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "principal_minors")]
+
+
+def test_the_pj_kernel_is_reached_only_through_symbolic_q_invariants():
+    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]

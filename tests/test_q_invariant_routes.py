@@ -2,9 +2,11 @@
 
 ``symbolic_q_invariants`` builds p_j from the principal minors of A through
 f(t)*f(-t) = det(I - t^2 (D*A)^2), and ``sample_refute`` evaluates the same
-identity in integers. The references are the polynomial-matrix expansion
-and the Fraction sampling loop in ``legacy_routes``, plus Faddeev-LeVerrier
-on (D*A)^2 at concrete points. ``symbolic_q_invariants`` wraps each p_j
+identity in integers. The references are the polynomial-matrix expansion,
+the pair loop that the compiled expansion of ``_pj_kernel`` replaced and
+the Fraction sampling loop in ``legacy_routes``, plus Faddeev-LeVerrier on
+(D*A)^2 at concrete points. The pair loop is fast enough to check the
+kernels past the default symbolic guard, at n = 7 and 8. ``symbolic_q_invariants`` wraps each p_j
 without the public constructor's checks, so one property shows that every
 p_j would pass them.
 """
@@ -23,7 +25,12 @@ from qscaling import (
     symbolic_q_invariants,
 )
 
-from legacy_routes import sample_refute_by_fractions, scaled_square_by_product, symbolic_q_invariants_by_expansion
+from legacy_routes import (
+    sample_refute_by_fractions,
+    scaled_square_by_product,
+    symbolic_q_invariants_by_expansion,
+    symbolic_q_invariants_by_pairs,
+)
 from oracles import faddeev_leverrier, list_matmul
 
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
@@ -57,6 +64,85 @@ def test_invariants_equal_polynomial_matrix_expansion(matrix):
 @given(matrices(min_n=6, max_n=6))
 def test_invariants_equal_polynomial_matrix_expansion_at_six(matrix):
     assert symbolic_q_invariants(matrix) == symbolic_q_invariants_by_expansion(matrix)
+
+
+def _product(left, right):
+    return RationalMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*right)) for row in left))
+
+
+# every principal minor nonzero, so every product in every kernel at n = 7 counts
+DENSE_7 = RationalMatrix(
+    (
+        (4, 6, 7, 6, 5, -8, 6),
+        (0, -4, -8, 4, 3, 5, -9),
+        (6, -2, 4, 9, 2, -7, -5),
+        (-6, -7, -2, -4, -5, -2, -5),
+        (2, -3, -4, 9, 8, 7, 5),
+        (2, 0, 2, 6, 6, 5, 5),
+        (4, 5, 3, 2, 7, -6, -1),
+    )
+)
+UPPER_7 = RationalMatrix(
+    (
+        (7, 1, -9, 9, -2, 9, -9),
+        (0, 3, -1, 7, -6, -1, 9),
+        (0, 0, 1, -8, 7, -4, -8),
+        (0, 0, 0, 5, -4, 1, -7),
+        (0, 0, 0, 0, 2, 4, -5),
+        (0, 0, 0, 0, 0, 9, 2),
+        (0, 0, 0, 0, 0, 0, 3),
+    )
+)
+# 8x5 times 5x8: rank 5, so every principal minor above order 5 is 0 and none below it is
+RANK_5_8 = _product(
+    (
+        (0, -3, -3, -1, 4),
+        (-2, -3, -3, -4, 1),
+        (-2, 4, -1, 0, -3),
+        (-3, -3, 0, -4, 3),
+        (0, 1, 0, 0, 0),
+        (-4, -2, 0, 2, -4),
+        (4, 0, -4, 0, -3),
+        (-2, 1, 3, -4, -1),
+    ),
+    (
+        (3, 3, 1, 4, -4, 0, 3, 1),
+        (0, -2, 1, 2, -3, -1, -4, -3),
+        (-2, 2, 4, -4, -2, -2, -3, 1),
+        (0, 4, -4, -3, 1, -3, -3, 4),
+        (-4, -3, 3, -4, -3, -3, -1, -3),
+    ),
+)
+# q = 30, and every principal minor nonzero
+FRACTIONAL_7 = RationalMatrix(
+    tuple(
+        tuple(map(Fraction, row))
+        for row in (
+            ("9/2", "7", "-1", "3/5", "-8/3", "-5", "2"),
+            ("-1", "-8/3", "9/5", "8/3", "2/5", "9", "7"),
+            ("9", "-2", "8/3", "7", "-5/3", "-5/3", "3"),
+            ("-1/5", "6", "5/2", "2", "-1", "-9/2", "2/3"),
+            ("-6/5", "2/3", "-9", "9", "-8/5", "3", "9/2"),
+            ("-9/2", "9", "8/5", "2/3", "-2/3", "-4", "-9/5"),
+            ("4/5", "6", "1/5", "4/3", "5/3", "0", "-2/5"),
+        )
+    )
+)
+
+
+# the examples pass the default symbolic guard of 6 through max_dim, where the
+# polynomial-matrix expansion is too slow to be the reference
+@example(DENSE_7)
+@example(UPPER_7)
+@example(RANK_5_8)
+@example(FRACTIONAL_7)
+@PROPERTY
+@given(st.one_of(matrices(), matrices(singular=True)))
+def test_compiled_expansion_equals_pair_loop(matrix):
+    invariants = symbolic_q_invariants(matrix, max_dim=matrix.n)
+    assert invariants == symbolic_q_invariants_by_pairs(matrix)
+    # each p_j is built in canonical term order, which terms() then finds sorted
+    assert [list(p._terms) for p in invariants] == [[e for e, _ in p.terms()] for p in invariants]
 
 
 # q = 42: p_j carries q^(2j) before it is divided out
