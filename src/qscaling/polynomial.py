@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial in the scaling variables d1..dn is a map from exponent
-tuples to nonzero Fraction coefficients. Instances are treated as
-immutable; every operation returns a new polynomial.
+A polynomial in the scaling variables d1..dn is stored as integer
+numerators over one positive denominator, in lowest terms: a map from
+exponent tuples to nonzero ints and a ``den`` with
+``gcd(den, *numerators) == 1``; the zero polynomial has ``den == 1``. The
+coefficients are the Fractions numerator / den, and each one is made only
+when it is read. Instances are treated as immutable; every operation
+returns a new polynomial.
 
 The canonical text form lists terms in graded-lexicographic order,
 highest first, and always spells the coefficient:
@@ -12,27 +16,20 @@ highest first, and always spells the coefficient:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import ItemsView, Mapping, Sequence
 
 from .matrices import _coerce_rational
-
-
-def _term_key(term: tuple[tuple[int, ...], Fraction]) -> tuple:
-    """The canonical order of an (exponents, coefficient) term: total degree, then the exponents."""
-    exponents = term[0]
-    return (sum(exponents), exponents)
 
 
 class SparsePolynomial:
     """Polynomial with Fraction coefficients in a fixed number of variables."""
 
-    __slots__ = ("n_vars", "_terms")
+    __slots__ = ("n_vars", "_terms", "_den")
 
     def __init__(self, n_vars: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if n_vars < 1:
             raise ValueError("n_vars must be >= 1")
-        self.n_vars = n_vars
         cleaned: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exponents, coeff in terms.items():
@@ -44,21 +41,35 @@ class SparsePolynomial:
                 value = _coerce_rational(coeff)
                 if value:
                     cleaned[exps] = value
-        self._terms = cleaned
+        # over the lcm of the reduced denominators, the numerators are already in lowest terms
+        den = lcm(*(c.denominator for c in cleaned.values()))
+        self.n_vars = n_vars
+        self._terms = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _from_terms(cls, n_vars: int, terms: dict[tuple[int, ...], Fraction]) -> "SparsePolynomial":
-        """Wrap ``terms`` as it is, without the checks of ``__init__``.
+    def _from_terms(cls, n_vars: int, numerators: dict[tuple[int, ...], int], den: int) -> "SparsePolynomial":
+        """The polynomial with coefficients numerator / ``den``, without the checks of ``__init__``.
 
         For builders whose every key is already a length-``n_vars`` tuple of
-        nonnegative ints and every value a nonzero Fraction; the polynomial
-        takes ownership of the dict.
+        nonnegative ints and every value a nonzero int, over ``den`` > 0.
+        The common factor of ``den`` and the numerators is divided out, so
+        the polynomial is stored in lowest terms; it takes ownership of the
+        dict. No Fraction is made.
         """
+        if not numerators:
+            den = 1
+        elif den != 1:
+            divisor = gcd(den, *numerators.values())
+            if divisor != 1:
+                numerators = {e: v // divisor for e, v in numerators.items()}
+                den //= divisor
         poly = cls.__new__(cls)
         poly.n_vars = n_vars
-        poly._terms = terms
+        poly._terms = numerators
+        poly._den = den
         return poly
 
     @classmethod
@@ -76,29 +87,40 @@ class SparsePolynomial:
         return not self._terms
 
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """Terms in canonical (graded-lexicographic, highest-first) order."""
-        return tuple(sorted(self._terms.items(), key=_term_key, reverse=True))
+        """Terms in canonical (graded-lexicographic, highest-first) order: total degree, then the exponents."""
+        numerators = self._terms
+        ordered = sorted(zip(map(sum, numerators), numerators), reverse=True)
+        return tuple((e, Fraction(numerators[e], self._den)) for _, e in ordered)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """The first of ``terms()``, read by one pass without sorting; the polynomial must not be zero."""
-        return max(self._terms.items(), key=_term_key)
+        _, e = max(zip(map(sum, self._terms), self._terms))
+        return e, Fraction(self._terms[e], self._den)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._terms.get(tuple(exponents), 0), self._den)
+
+    def _numerators(self) -> ItemsView[tuple[int, ...], int]:
+        """The (exponents, integer coefficient) terms of den * p, in storage order.
+
+        ``den`` is the least positive integer that clears every denominator
+        of p, so these integers share no common factor with it.
+        """
+        return self._terms.items()
 
     def is_homogeneous(self, degree: int) -> bool:
         """Whether every term has total degree ``degree`` (vacuously true when zero)."""
-        return {sum(e) for e in self._terms} <= {degree}
+        return set(map(sum, self._terms)) <= {degree}
 
     def has_positive_coefficients(self) -> bool:
         """Whether every coefficient is positive (vacuously true when zero), read from the numerators."""
-        return all(c.numerator > 0 for c in self._terms.values())
+        return min(self._terms.values(), default=1) > 0
 
     def evaluate(self, point: Sequence) -> Fraction:
         """The exact value at ``point``, summed as one integer over one denominator.
 
         With the coordinates x_i = X_i / D over a common denominator D, the
-        coefficients c = C / L over a common denominator L, and ``top`` the
+        coefficients c = C / L over the stored denominator L, and ``top`` the
         highest degree, a term of degree k contributes C * X^e * D^(top-k)
         to the numerator over L * D^top.
         """
@@ -109,18 +131,17 @@ class SparsePolynomial:
             return Fraction(0)
         d = lcm(*(x.denominator for x in coords))
         xs = [x.numerator * (d // x.denominator) for x in coords]
-        common = lcm(*(c.denominator for c in self._terms.values()))
         degrees = [sum(exps) for exps in self._terms]
         top = max(degrees)
         lift = {k: d ** (top - k) for k in set(degrees)}
         total = 0
-        for (exps, coeff), k in zip(self._terms.items(), degrees):
-            value = coeff.numerator * (common // coeff.denominator) * lift[k]
+        for (exps, numerator), k in zip(self._terms.items(), degrees):
+            value = numerator * lift[k]
             for x, e in zip(xs, exps):
                 if e:
                     value *= x ** e
             total += value
-        return Fraction(total, common * d ** top)
+        return Fraction(total, self._den * d ** top)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -134,15 +155,18 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._require_same_vars(other)
-        merged = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return SparsePolynomial(self.n_vars, merged)
+        # over the product of the two denominators; _from_terms reduces it
+        merged = {e: v * other._den for e, v in self._terms.items()}
+        for exps, v in other._terms.items():
+            merged[exps] = merged.get(exps, 0) + v * self._den
+        return SparsePolynomial._from_terms(
+            self.n_vars, {e: v for e, v in merged.items() if v}, self._den * other._den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePolynomial(self.n_vars, {e: -c for e, c in self._terms.items()})
+        return SparsePolynomial._from_terms(self.n_vars, {e: -v for e, v in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePolynomial) else -_coerce_rational(other))
@@ -153,23 +177,26 @@ class SparsePolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             factor = _coerce_rational(other)
-            return SparsePolynomial(self.n_vars, {e: c * factor for e, c in self._terms.items()})
+            scaled = {e: v * factor.numerator for e, v in self._terms.items()} if factor else {}
+            return SparsePolynomial._from_terms(self.n_vars, scaled, self._den * factor.denominator)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._require_same_vars(other)
-        product: dict[tuple[int, ...], Fraction] = {}
+        product: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                product[key] = product.get(key, Fraction(0)) + c1 * c2
-        return SparsePolynomial(self.n_vars, product)
+                product[key] = product.get(key, 0) + c1 * c2
+        return SparsePolynomial._from_terms(
+            self.n_vars, {e: v for e, v in product.items() if v}, self._den * other._den
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self.n_vars == other.n_vars and self._terms == other._terms
+        return (self.n_vars, self._den, self._terms) == (other.n_vars, other._den, other._terms)
 
     # -- rendering ------------------------------------------------------------
 

@@ -214,9 +214,9 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     f(t)*f(-t) = det(I - t^2 (D*A)^2), so p_j = (-1)^j sum over a+b=2j of
     (-1)^b c_a c_b. Only the 2^n principal minors of A enter. They are taken
     from q*A with integer entries, listed flat, and the kernel of
-    ``_pj_kernel(n, j)`` turns them into the coefficients of q^(2j) * p_j;
-    the factor q^(2j) is divided out as each nonzero coefficient becomes a
-    Fraction.
+    ``_pj_kernel(n, j)`` turns them into the coefficients of q^(2j) * p_j.
+    Each p_j keeps its nonzero ones as integer numerators over q^(2j); no
+    Fraction is made until a coefficient is read.
     """
     n = matrix.n
     check_symbolic_dim(n, max_dim)
@@ -225,12 +225,9 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     invariants = []
     for j in range(1, n + 1):
         exponents, pj = _pj_kernel(n, j)
-        scale = q ** (2 * j)
         # the exponent tuples are distinct and well formed by construction
         invariants.append(
-            SparsePolynomial._from_terms(
-                n, {e: Fraction(v, scale) for e, v in zip(exponents, pj(minors)) if v}
-            )
+            SparsePolynomial._from_terms(n, {e: v for e, v in zip(exponents, pj(minors)) if v}, q ** (2 * j))
         )
     return invariants
 
@@ -344,10 +341,11 @@ def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
     (prod d)^2 times a quadratic form in 1/d, that is homogeneous of degree
     2n-2 with every exponent at most 2, as p_{n-1} is: a term then lacks
     2 from the exponent of one variable or 1 from each of two. The zero
-    polynomial has no degree and gives None.
+    polynomial has no degree and gives None. The entries are read off the
+    integer numerators of p over its denominator L, so c = 1/(2L).
     """
     n = p.n_vars
-    terms = p.terms()
+    terms = p._numerators()
     if not terms:
         return None
     if p.is_homogeneous(2):
@@ -356,10 +354,8 @@ def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
         marks = [tuple(2 - k for k in e) for e, _ in terms]
     else:
         return None
-    common = lcm(*(c.denominator for _, c in terms))
     m = [[0] * n for _ in range(n)]
-    for mark, (_, c) in zip(marks, terms):
-        value = c.numerator * (common // c.denominator)
+    for mark, (_, value) in zip(marks, terms):
         i, k = [i for i, times in enumerate(mark) for _ in range(times)]
         if i == k:
             m[i][i] = 2 * value

@@ -27,6 +27,9 @@ principal minor before the shared-prefix tree: one kernel call on
 (q*A)[S, S] for each index set S. ``evaluate_by_terms`` is how
 ``SparsePolynomial.evaluate`` summed a polynomial before it worked over one
 common denominator: one Fraction product per term and per power.
+``form_matrix_by_fractions`` is how ``_form_matrix`` built its integer
+matrix before a polynomial kept its coefficients as integers over one
+denominator: the Fraction terms cleared by the lcm of their denominators.
 ``orthant_witness_by_cramer`` is how ``_orthant_witness`` found the
 vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
 adjugates of singular principal submatrices: Cramer's rule on the bordered
@@ -217,6 +220,30 @@ def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fractio
                 value *= x ** e
         total += value
     return total
+
+
+def form_matrix_by_fractions(p: SparsePolynomial) -> list[list[int]] | None:
+    """``_form_matrix`` of ``p``, each Fraction coefficient cleared by the lcm of the denominators."""
+    n = p.n_vars
+    terms = p.terms()
+    if not terms:
+        return None
+    if p.is_homogeneous(2):
+        marks = [e for e, _ in terms]
+    elif p.is_homogeneous(2 * n - 2) and all(k <= 2 for e, _ in terms for k in e):
+        marks = [tuple(2 - k for k in e) for e, _ in terms]
+    else:
+        return None
+    common = lcm(*(c.denominator for _, c in terms))
+    m = [[0] * n for _ in range(n)]
+    for mark, (_, c) in zip(marks, terms):
+        value = c.numerator * (common // c.denominator)
+        i, k = [i for i, times in enumerate(mark) for _ in range(times)]
+        if i == k:
+            m[i][i] = 2 * value
+        else:
+            m[i][k] = m[k][i] = value
+    return m
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

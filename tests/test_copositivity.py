@@ -15,8 +15,10 @@ the products of j of the d_i, and M_j = C_j(A) o C_j(A)^T is read from q*A
 by ``_hadamard(_int_compound(q*A, j))``; ``sample_refute`` reads the
 compounds in turn, each built once from the one before.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
-``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial,
-and ``certify_positive_on_orthant`` turns a witness into a point d. When the
+``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial's
+integer numerators, as ``legacy_routes.form_matrix_by_fractions`` reads it from
+its Fraction coefficients, and ``certify_positive_on_orthant`` turns a witness
+into a point d. When the
 form of every M_j is positive (n <= 3), ``sample_refute`` skips its draws
 and returns what they would. M_n = [[det(q*A)^2]] blocks the skip for a
 singular A.
@@ -25,7 +27,7 @@ singular A.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import (
@@ -42,7 +44,7 @@ from qscaling import (
 from qscaling.matrices import _int_compound, _scaled
 from qscaling.scaling import _form_matrix, _hadamard, _orthant_witness
 
-from legacy_routes import orthant_witness_by_cramer, sample_refute_by_fractions
+from legacy_routes import form_matrix_by_fractions, orthant_witness_by_cramer, sample_refute_by_fractions
 from oracles import simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
@@ -246,6 +248,20 @@ def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
         ratio = coefficient / p.coefficient(exponents)
         assert ratio > 0 and p * ratio == rebuilt
         assert (_orthant_witness(read) is None) == (_orthant_witness(from_matrix[j]) is None)
+
+
+# q = 42, and p_1 is INCONCLUSIVE
+@example(RationalMatrix(((Fraction(1, 2), -3, 0), (Fraction(2, 3), 1, Fraction(-5, 7)), (4, Fraction(1, 3), 2))))
+@example(RationalMatrix(((0, 0), (0, Fraction(1, 2)))))
+@settings(PROPERTY, max_examples=150)
+@given(rational_matrices().filter(lambda m: m.n > 1))
+def test_form_matrix_read_from_numerators_equals_the_fraction_route(matrix):
+    """The numerators over p's denominator are the integers the lcm of its Fraction denominators gives."""
+    assume(_scaled(matrix)[0] > 1)
+    polys = symbolic_q_invariants(matrix)
+    for j in {1, matrix.n - 1}:
+        assert _form_matrix(polys[j - 1]) == form_matrix_by_fractions(polys[j - 1])
+    assert all(certify_positive_on_orthant(p).verify() for p in polys)
 
 
 def _raise(*args, **kwargs):

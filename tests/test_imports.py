@@ -18,6 +18,11 @@ the one walker over the principal-minor tree, and ``symbolic_q_invariants``,
 the one expansion of the p_j. All three pass the compiled functions
 integers alone; so generated code is reached through those three callers
 and nowhere else.
+
+The same reach tests keep the storage of ``SparsePolynomial`` inside
+``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
+read elsewhere only through ``_numerators``, by ``_form_matrix``, and
+``symbolic_q_invariants`` builds every p_j without a Fraction.
 """
 
 import ast
@@ -130,3 +135,13 @@ def test_the_prefix_kernel_is_reached_only_through_principal_minors():
 
 def test_the_pj_kernel_is_reached_only_through_symbolic_q_invariants():
     assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]
+
+
+def test_only_the_polynomial_module_reads_the_coefficient_storage():
+    for name in ("_terms", "_den"):
+        assert {module for module, _ in _mentioned_in(name)} == {"polynomial.py"}
+    assert _mentioned_in("_numerators") == [("polynomial.py", "_numerators"), ("scaling.py", "_form_matrix")]
+
+
+def test_symbolic_q_invariants_makes_no_fraction():
+    assert ("scaling.py", "symbolic_q_invariants") not in _mentioned_in("Fraction")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -121,3 +122,53 @@ def point_of(*pairs):
 def test_evaluate_equals_per_term_fraction_loop(case):
     p, point = case
     assert p.evaluate(point) == evaluate_by_terms(p, point)
+
+
+@st.composite
+def numerators_over_a_denominator(draw):
+    """(n, numerators, den, point): nonzero ints over den > 0, often sharing a factor with it."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    values = draw(st.dictionaries(exponents, st.integers(-12, 12).filter(bool), max_size=6))
+    den = draw(st.integers(1, 12))
+    factor = draw(st.sampled_from((1, 2, 3, 6, 12)))
+    point = draw(st.lists(rationals.filter(bool), min_size=n, max_size=n))
+    return n, {e: v * factor for e, v in values.items()}, den * factor, point
+
+
+def _all_fractions(*values):
+    return all(type(c) is Fraction for c in values)
+
+
+# the zero p_2 of the singular [[0, 0], [0, 1/2]], whose q = 2: kept over q^4 it would
+# not equal the zero polynomial that the public constructor builds
+@example((2, {}, 16, point_of((1, 2), (3, 1))))
+# 6/8 and -4/8 share 2 with 8: stored as 3/4 and -1/2, over 4
+@example((2, {(2, 0): 6, (0, 2): -4}, 8, point_of((1, 1), (2, 3))))
+@example((1, {(0,): 5}, 5, point_of((7, 2))))
+@PROPERTY
+@given(numerators_over_a_denominator())
+def test_internal_constructor_is_in_lowest_terms_and_reads_as_the_public_one(case):
+    n, numerators, den, point = case
+    internal = SparsePolynomial._from_terms(n, dict(numerators), den)
+    public = SparsePolynomial(n, {e: Fraction(v, den) for e, v in numerators.items()})
+    assert internal == public
+    # lowest terms; the zero polynomial over 1
+    assert gcd(internal._den, *internal._terms.values()) == 1 and internal._den > 0
+    assert internal._den == 1 or not internal.is_zero
+    for p in (internal, public):
+        terms = p.terms()
+        assert terms == internal.terms()
+        assert _all_fractions(*(c for _, c in terms))
+        # (9, ...) lies past every drawn exponent, so it is absent
+        for exponents in [e for e, _ in terms] + [(9,) * n]:
+            coefficient = p.coefficient(exponents)
+            assert _all_fractions(coefficient) and coefficient == internal.coefficient(exponents)
+        if terms:
+            lead = p.leading_term()
+            assert lead == terms[0] and _all_fractions(lead[1])
+        value = p.evaluate(point)
+        assert _all_fractions(value) and value == evaluate_by_terms(internal, point)
+        for degree in {sum(e) for e in numerators} | {0, 7}:
+            assert p.is_homogeneous(degree) == internal.is_homogeneous(degree)
+        assert p.has_positive_coefficients() == all(v > 0 for v in numerators.values())

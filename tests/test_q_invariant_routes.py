@@ -54,6 +54,8 @@ def matrices(draw, min_n=1, max_n=5, singular=False):
     return RationalMatrix(tuple(tuple(row) for row in rows))
 
 
+# q = 2 and p_2 = det(A)^2 (d1 d2)^2 = 0: the zero polynomial is stored over 1, not over q^4
+@example(RationalMatrix(((0, 0), (0, Fraction(1, 2)))))
 @PROPERTY
 @given(st.one_of(matrices(), matrices(singular=True)))
 def test_invariants_equal_polynomial_matrix_expansion(matrix):
