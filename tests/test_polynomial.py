@@ -136,6 +136,16 @@ def numerators_over_a_denominator(draw):
     return n, {e: v * factor for e, v in values.items()}, den * factor, point
 
 
+def _canonical_key(term):
+    exponents = term[0]
+    return sum(exponents), exponents
+
+
+def _in_canonical_order(p):
+    keys = [_canonical_key(t) for t in p.terms()]
+    return keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+
+
 def _all_fractions(*values):
     return all(type(c) is Fraction for c in values)
 
@@ -150,7 +160,8 @@ def _all_fractions(*values):
 @given(numerators_over_a_denominator())
 def test_internal_constructor_is_in_lowest_terms_and_reads_as_the_public_one(case):
     n, numerators, den, point = case
-    internal = SparsePolynomial._from_terms(n, dict(numerators), den)
+    # the internal constructor takes its terms in canonical order, as its callers build them
+    internal = SparsePolynomial._from_terms(n, dict(sorted(numerators.items(), key=_canonical_key, reverse=True)), den)
     public = SparsePolynomial(n, {e: Fraction(v, den) for e, v in numerators.items()})
     assert internal == public
     # lowest terms; the zero polynomial over 1
@@ -158,7 +169,7 @@ def test_internal_constructor_is_in_lowest_terms_and_reads_as_the_public_one(cas
     assert internal._den == 1 or not internal.is_zero
     for p in (internal, public):
         terms = p.terms()
-        assert terms == internal.terms()
+        assert terms == internal.terms() and _in_canonical_order(p)
         assert _all_fractions(*(c for _, c in terms))
         # (9, ...) lies past every drawn exponent, so it is absent
         for exponents in [e for e, _ in terms] + [(9,) * n]:
@@ -172,3 +183,21 @@ def test_internal_constructor_is_in_lowest_terms_and_reads_as_the_public_one(cas
         for degree in {sum(e) for e in numerators} | {0, 7}:
             assert p.is_homogeneous(degree) == internal.is_homogeneous(degree)
         assert p.has_positive_coefficients() == all(v > 0 for v in numerators.values())
+
+
+@st.composite
+def polynomial_pairs(draw):
+    n = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), rationals, max_size=6)
+    return SparsePolynomial(n, draw(terms)), SparsePolynomial(n, draw(terms))
+
+
+# the right operand's term of degree 2 goes before the left one's of degree 1
+@example((SparsePolynomial(2, {(1, 0): 1}), SparsePolynomial(2, {(2, 0): Fraction(1, 2), (0, 0): 3})), Fraction(2, 3))
+@PROPERTY
+@given(polynomial_pairs(), rationals)
+def test_every_operation_stores_its_terms_in_canonical_order(pair, factor):
+    p, r = pair
+    for result in (p, -p, p * factor, p + factor, p + r, p - r, p * r):
+        assert _in_canonical_order(result)
+        assert result.is_zero or result.leading_term() == result.terms()[0]

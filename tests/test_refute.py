@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from qscaling import (
     HuntConfig,
     NoCounterexampleFound,
     RationalMatrix,
+    RefutationReport,
     RefutedAt,
     VerdictKind,
     classify,
@@ -26,10 +28,12 @@ from qscaling import (
     symbolic_q_invariants,
     verify_refutation,
 )
+from qscaling import matrices, matrix_classes, refute, scaling
+from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
 
 from helpers import random_int_matrix
-from legacy_routes import generate_candidates_by_matrices
+from legacy_routes import generate_candidates_by_matrices, verify_refutation_by_layers
 from oracles import brute_force_minor, list_matmul
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -91,6 +95,79 @@ def test_verify_refutation_max_dim_raises_every_bound(monkeypatch):
     with pytest.raises(DimensionGuardError):
         verify_refutation(matrix, budget=50)
     assert (verify_refutation(matrix, budget=50, max_dim=3), hunt(cfg, max_dim=3)) == expected
+
+
+# q = 2, and every entry of A^2 is 1/2: A^2 has its own q of 2, below q^2 = 4
+HALVES = RationalMatrix(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))))
+# q = 6, and A^2 has its own q of 36; p_1 is INCONCLUSIVE, so the hypothesis reaches sample_refute
+SAMPLED_3X3 = RationalMatrix(((Fraction(-2, 3), 0, 2), (Fraction(4, 3), Fraction(-1, 2), -1), (Fraction(-1, 2), 0, -2)))
+
+view_entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """n = 1..4 with q > 1: one entry is an odd number over 2."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(view_entries) for _ in range(n)] for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = Fraction(2 * draw(st.integers(-4, 3)) + 1, 2)
+    return RationalMatrix(tuple(map(tuple, rows)))
+
+
+def test_the_view_examples_are_what_they_say():
+    assert _scaled(HALVES)[0] == 2 and _scaled(mat_mul(HALVES, HALVES))[0] == 2
+    assert _scaled(SAMPLED_3X3)[0] == 6 and _scaled(mat_mul(SAMPLED_3X3, SAMPLED_3X3))[0] == 36
+    report = verify_refutation(SAMPLED_3X3, budget=40, seed=3)
+    assert isinstance(report.hypothesis, NoCounterexampleFound)
+    assert report.certificates[0].verdict is CertificateVerdict.INCONCLUSIVE
+
+
+@example(HALVES)
+@example(SAMPLED_3X3)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rational_matrices())
+def test_the_integer_view_gives_the_report_of_the_layer_by_layer_route(matrix):
+    report = verify_refutation(matrix, budget=40, seed=3)
+    expected = verify_refutation_by_layers(matrix, budget=40, seed=3)
+    for field in fields(RefutationReport):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert report.to_dict() == expected.to_dict()
+    assert all(type(x) is Fraction for row in report.squared.rows for x in row)
+
+
+def test_at_n_7_the_symbolic_bound_is_raised_first(monkeypatch):
+    # with the enumeration bound lowered to 2, a 7x7 exceeds both; the symbolic one is checked first
+    identity = RationalMatrix.identity(7)
+    monkeypatch.setattr("qscaling.matrices.DEFAULT_ENUMERATION_GUARD", 2)
+    for route in (verify_refutation, verify_refutation_by_layers):
+        with pytest.raises(DimensionGuardError, match="symbolic-expansion bound 6"):
+            route(identity, budget=10)
+        with pytest.raises(ValueError, match="budget"):
+            route(identity, budget=0)
+    assert verify_refutation(identity, budget=10, max_dim=7) == verify_refutation_by_layers(
+        identity, budget=10, max_dim=7
+    )
+
+
+def test_a_decided_candidate_clears_its_denominators_once(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return _scaled(matrix)
+
+    for module in (matrices, matrix_classes, scaling, refute):
+        if hasattr(module, "_scaled"):
+            monkeypatch.setattr(module, "_scaled", counted)
+    q_42 = RationalMatrix(((Fraction(1, 2), -3, 0), (Fraction(2, 3), 1, Fraction(-5, 7)), (4, Fraction(1, 3), 2)))
+    for matrix in (HALVES, q_42, RationalMatrix.diagonal((Fraction(1, 2), Fraction(2, 3), 3)), A_REF):
+        calls.clear()
+        report = verify_refutation(matrix, budget=40, seed=3)
+        assert isinstance(report.hypothesis, (CertifiedForAll, RefutedAt))
+        assert not isinstance(report.hypothesis, RefutedAt) or any(
+            cert.verdict is CertificateVerdict.NOT_POSITIVE for cert in report.certificates
+        )
+        assert calls == [matrix]
 
 
 def test_verdict_recomputes_from_report_parts():
