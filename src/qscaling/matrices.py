@@ -1,9 +1,10 @@
 """Exact rational matrices, index sets, minors, and compound matrices.
 
-Every entry is a :class:`fractions.Fraction`, so every sign decision made
-downstream is exact; nothing in this package touches floating point.
-Matrices and index sets are immutable after construction and safe to share
-between threads.
+A matrix is stored as integer numerators over one positive denominator,
+q*A over q, and reads its entries as :class:`fractions.Fraction` values;
+so every sign decision made downstream is exact, and nothing in this
+package touches floating point. Matrices and index sets are immutable
+after construction and safe to share between threads.
 
 Matrix text format (consumed by the CLI): the first line is the dimension
 ``n``, followed by ``n`` lines of ``n`` whitespace-separated rationals,
@@ -19,14 +20,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, islice
-from math import lcm
+from itertools import chain, combinations, islice
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 #: Operations that enumerate all minors refuse dimensions above this bound
 #: unless the caller overrides it; the minor count grows as sum_k C(n,k)^2.
 DEFAULT_ENUMERATION_GUARD = 12
+
+#: a square integer matrix as rows of ints: q*A as a RationalMatrix stores it (tuples), or a computed one (lists)
+_IntRows = Sequence[Sequence[int]]
 
 
 class DimensionGuardError(ValueError):
@@ -138,30 +142,96 @@ def index_sets(n: int, k: int) -> Iterator[IndexSet]:
         yield IndexSet(n, combo)
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable square matrix of exact rationals (row-major tuples)."""
+    """Immutable square matrix of exact rationals.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    Stored as integer numerators over one positive denominator q in lowest
+    terms: the integer matrix q*A as tuple rows, with q the least common
+    denominator of A's entries (1 for an integer matrix). So two equal
+    matrices store the same integers, and every integer layer reads q*A as
+    it is stored (``_scaled``). ``rows`` holds A's entries as Fractions,
+    built on first read and kept; a second thread that reads it first
+    builds the same tuples.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(_coerce_rational(e) for e in row) for row in self.rows)
-        if not rows:
+    __slots__ = ("_q", "_qa", "_rows")
+
+    def __init__(self, rows):
+        qa = tuple(map(tuple, rows))
+        if all(type(x) is int for row in qa for x in row):
+            q = 1
+        else:
+            entries = [[_coerce_rational(x) for x in row] for row in qa]
+            # over the least common denominator of reduced entries, the numerators share no factor with it
+            q = lcm(*(x.denominator for row in entries for x in row))
+            qa = tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in entries)
+        if not qa:
             raise ValueError("matrix dimension must be at least 1")
-        n = len(rows)
-        for row in rows:
+        n = len(qa)
+        for row in qa:
             if len(row) != n:
                 raise ValueError(f"matrix must be square; got a row of length {len(row)} with {n} rows")
-        object.__setattr__(self, "rows", rows)
+        self._init(q, qa)
+
+    def _init(self, q: int, qa: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_qa", qa)
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def _from_ints(cls, qa: _IntRows, q: int) -> "RationalMatrix":
+        """The matrix with integer entries ``qa`` over ``q`` > 0; ``qa`` is square and nonempty.
+
+        A factor that q shares with every entry is divided out, so the
+        matrix is stored in lowest terms however it was given.
+        """
+        if q != 1:
+            g = gcd(q, *chain.from_iterable(qa))
+            if g != 1:
+                q //= g
+                qa = [[v // g for v in row] for row in qa]
+        matrix = cls.__new__(cls)
+        matrix._init(q, tuple(map(tuple, qa)))
+        return matrix
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: RationalMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: RationalMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the stored integers; the default would set the slots
+        return (type(self)._from_ints, (self._qa, self._q))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._q == other._q and self._qa == other._qa
+
+    def __hash__(self) -> int:
+        return hash((self._q, self._qa))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(rows={self.rows!r})"
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row-major."""
+        rows = self._rows
+        if rows is None:
+            q = self._q
+            rows = tuple(tuple(Fraction(v, q) for v in row) for row in self._qa)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._qa)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "RationalMatrix":
@@ -171,17 +241,22 @@ class RationalMatrix:
         return cls(tuple(tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n)))
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._qa)), self._q)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
+        return RationalMatrix._from_ints(tuple(zip(*self._qa)), self._q)
 
     def scale_rows(self, factors: Sequence) -> "RationalMatrix":
         """Left-multiplication by diag(factors): row i is scaled by factors[i]."""
         if len(factors) != self.n:
             raise ValueError(f"need {self.n} row factors, got {len(factors)}")
         coerced = [_coerce_rational(f) for f in factors]
-        return RationalMatrix(tuple(tuple(f * e for e in row) for f, row in zip(coerced, self.rows)))
+        # each factor over the factors' common denominator m, so D*A = (m*D)(q*A) / (q*m)
+        m = lcm(*(f.denominator for f in coerced))
+        return RationalMatrix._from_ints(
+            [[f.numerator * (m // f.denominator) * v for v in row] for f, row in zip(coerced, self._qa)],
+            self._q * m,
+        )
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -195,18 +270,13 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise ValueError(f"dimension mismatch: {a.n}x{a.n} times {b.n}x{b.n}")
     qa, int_a = _scaled(a)
     qb, int_b = (qa, int_a) if b is a else _scaled(b)
-    return _over(_int_product(int_a, int_b), qa * qb)
+    return RationalMatrix._from_ints(_int_product(int_a, int_b), qa * qb)
 
 
-def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _int_product(a: _IntRows, b: _IntRows) -> list[list[int]]:
     """The product of two square integer matrices, in integers."""
     cols = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _over(rows: list[list[int]], q: int) -> RationalMatrix:
-    """The rational matrix with the integer entries ``rows`` over ``q`` > 0."""
-    return RationalMatrix(tuple(tuple(Fraction(v, q) for v in row) for row in rows))
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -239,19 +309,17 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if k else 1
 
 
-def _scaled(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
+def _scaled(matrix: RationalMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """q, the least common denominator of A's entries, and the integer matrix q*A.
 
-    For an integer A, q is 1 and the rows are the numerators.
+    Both are what the matrix stores, returned as they are: no copy is made,
+    and the rows are tuples, which no caller can change. For an integer A,
+    q is 1 and the rows are its entries.
     """
-    rows = matrix.rows
-    q = lcm(*(x.denominator for row in rows for x in row))
-    if q == 1:
-        return 1, [[x.numerator for x in row] for row in rows]
-    return q, [[x.numerator * (q // x.denominator) for x in row] for row in rows]
+    return matrix._q, matrix._qa
 
 
-def _int_minor(scaled: list[list[int]], row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
+def _int_minor(scaled: _IntRows, row_sel: Sequence[int], col_sel: Sequence[int]) -> int:
     """det((q*A)[rows, cols]) for 0-based selections of size k: q^k times the minor of A.
 
     A single minor is one square determinant; a caller that needs a whole
@@ -319,7 +387,7 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     return _compile(f"def row(a, b):\n    return [{', '.join(entries)}]\n", "row")
 
 
-def _int_compounds(scaled: list[list[int]]) -> Iterator[list[list[int]]]:
+def _int_compounds(scaled: _IntRows) -> Iterator[list[list[int]]]:
     """The integer compounds C_0 = [[1]], C_1, ..., C_n of q*A in turn, each as ``_int_compound`` gives it.
 
     The one builder of compound rows. Row s of order k is one kernel call
@@ -337,7 +405,7 @@ def _int_compounds(scaled: list[list[int]]) -> Iterator[list[list[int]]]:
         yield rows
 
 
-def _int_compound(scaled: list[list[int]], k: int) -> list[list[int]]:
+def _int_compound(scaled: _IntRows, k: int) -> list[list[int]]:
     """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order."""
     return next(islice(_int_compounds(scaled), k, None))
 
@@ -393,7 +461,7 @@ def _prefix_kernel(m: int) -> Callable[..., None]:
     return _compile("def visit(b, d, out, kernels, below):\n" + "\n".join(body) + "\n", "visit")
 
 
-def _minors_below(scaled: list[list[int]], minors: list[int], sets: tuple[tuple[int, ...], ...]) -> None:
+def _minors_below(scaled: _IntRows, minors: list[int], sets: tuple[tuple[int, ...], ...]) -> None:
     """Append det((q*A)[T]) to ``minors`` for every set T below the last one listed, one square determinant each.
 
     ``sets`` is the depth-first list of ``_prefix_layout``, and ``minors``
@@ -418,10 +486,10 @@ def principal_minors(
     listed as ``_principal_minors`` lists them.
     """
     q, scaled = _scaled(matrix)
-    return q, scaled, _principal_minors(scaled)
+    return q, [list(row) for row in scaled], _principal_minors(scaled)
 
 
-def _principal_minors(scaled: list[list[int]]) -> list[list[tuple[tuple[int, ...], int]]]:
+def _principal_minors(scaled: _IntRows) -> list[list[tuple[tuple[int, ...], int]]]:
     """Every principal minor of the integer matrix M = ``scaled``, grouped by order.
 
     Entry k holds (S, det(M[S])) for the order-k index sets S in the order
@@ -503,9 +571,8 @@ def compound(matrix: RationalMatrix, order: int, max_dim: int | None = None) -> 
         raise ValueError(f"compound order must be in 1..{n}, got {order}")
     check_enumeration_dim(n, max_dim)
     q, scaled = _scaled(matrix)
-    scale = q**order
-    entries = tuple(tuple(Fraction(v, scale) for v in row) for row in _int_compound(scaled, order))
-    return CompoundMatrix(source_n=n, order=order, entries=RationalMatrix(entries))
+    entries = RationalMatrix._from_ints(_int_compound(scaled, order), q**order)
+    return CompoundMatrix(source_n=n, order=order, entries=entries)
 
 
 def zero_rows_outside(matrix: RationalMatrix, alpha: IndexSet) -> RationalMatrix:

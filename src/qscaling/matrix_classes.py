@@ -18,11 +18,12 @@ from fractions import Fraction
 from .matrices import (
     IndexSet,
     RationalMatrix,
+    _IntRows,
     _int_compounds,
+    _laplace_plan,
     _principal_minors,
     _scaled,
     check_enumeration_dim,
-    index_sets,
     minor,
     render_rational,
 )
@@ -179,7 +180,7 @@ def _minor_sums(q: int, by_order: list[list[tuple[tuple[int, ...], int]]]) -> tu
     return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, len(by_order)))
 
 
-def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | None:
+def _first_positive_pair(q: int, scaled: _IntRows) -> MinorPairWitness | None:
     """The first mirrored pair of equal-order minors with positive product.
 
     ``scaled`` is q*A. Both minors of an order-k pair carry the same
@@ -190,37 +191,31 @@ def _first_positive_pair(q: int, scaled: list[list[int]]) -> MinorPairWitness | 
     lexicographic order; a principal minor is never paired with itself.
     The pair reads row a of the order-k compound at b and row b at a.
     Orders 0 and n have one index set each, so no pair. The scan returns
-    at the first violation, so no order above it is built.
+    at the first violation, so no order above it is built, and the two
+    index sets of the witness are read from the records of the order's
+    cached ``_laplace_plan``, which lists the k-subsets in the same order.
     """
     n = len(scaled)
     for k, rows in enumerate(_int_compounds(scaled)):
         for a, row_a in enumerate(rows):
             for b in range(a + 1, len(rows)):
                 if row_a[b] * rows[b][a] > 0:
-                    sets = list(index_sets(n, k))
+                    plan = _laplace_plan(n, k)
+                    row_set, col_set = (IndexSet(n, tuple(i + 1 for i in plan[x][0])) for x in (a, b))
                     scale = q**k
-                    return MinorPairWitness(
-                        sets[a], sets[b], Fraction(row_a[b], scale), Fraction(rows[b][a], scale)
-                    )
+                    return MinorPairWitness(row_set, col_set, Fraction(row_a[b], scale), Fraction(rows[b][a], scale))
     return None
 
 
 def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
-    """Evaluate all five class predicates (see ``_classify``)."""
-    check_enumeration_dim(matrix.n, max_dim)
-    return _classify(*_scaled(matrix))
+    """Evaluate all five class predicates from the integer matrix q*A that ``matrix`` stores.
 
-
-def _classify(q: int, scaled: list[list[int]]) -> ClassReport:
-    """The five class predicates of the matrix ``scaled`` / q, from the integer matrix ``scaled``.
-
-    P, P0, P0+ and Q read one pass over the principal minors of ``scaled``;
-    an order-k minor of the matrix is the integer one over q^k. Anti-sign
-    symmetry is the pair scan, ``_first_positive_pair``, on the same view.
-    ``scaled`` may carry a larger q than the least common denominator, as
-    (q*A)^2 does for A^2 over q^2: every verdict reads signs and every
-    reported value is a reduced Fraction, so the report is the same.
+    P, P0, P0+ and Q read one pass over the principal minors of q*A; an
+    order-k minor of A is the integer one over q^k. Anti-sign symmetry is
+    the pair scan, ``_first_positive_pair``, on the same integers.
     """
+    check_enumeration_dim(matrix.n, max_dim)
+    q, scaled = _scaled(matrix)
     n = len(scaled)
     by_order = _principal_minors(scaled)
     sums = _minor_sums(q, by_order)

@@ -42,6 +42,7 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
+    _IntRows,
     _check_in_range,
     _coerce_rational,
     _compile,
@@ -213,7 +214,7 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     return _q_invariants(*_scaled(matrix))
 
 
-def _q_invariants(q: int, scaled: list[list[int]]) -> list[SparsePolynomial]:
+def _q_invariants(q: int, scaled: _IntRows) -> list[SparsePolynomial]:
     """p_1..p_n of A from q and the integer matrix q*A.
 
     With f(t) = det(I + t*D*A) = sum_k c_k t^k, where c_k is the squarefree

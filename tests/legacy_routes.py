@@ -46,13 +46,13 @@ that stream.
 rows: the two minors of each pair as square Bareiss determinants of q*A,
 in the scan's order of pairs. The property tests hold the package's scan
 to it, witness for witness.
-``verify_refutation_by_layers`` is how ``verify_refutation`` ran before it
-took A's integer view once: one public call per layer, each clearing the
-denominators of its own argument. The hypothesis went through
-``symbolic_q_invariants``, the conclusion through ``classify`` of the
-Fraction matrix ``mat_mul(A, A)``, whose own least common denominator can
-be smaller than q^2, and the anti-sign scan through
-``is_anti_sign_symmetric``.
+``verify_refutation_by_layers`` is ``verify_refutation`` written out as one
+public call per layer, with ``evaluate_hypothesis`` inlined: the hypothesis
+through ``symbolic_q_invariants``, the conclusion through ``classify`` of
+``mat_mul(A, A)``, whose least common denominator can be smaller than
+q^2, and the anti-sign scan through ``is_anti_sign_symmetric``. It was the
+reference while ``verify_refutation`` passed A's integer view to private
+twins of those layers, and it still holds the report to the public calls.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def principal_minors_by_subset(
     n = matrix.n
     q, scaled = _scaled(matrix)
     by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
-    return q, scaled, by_order
+    return q, [list(row) for row in scaled], by_order
 
 
 def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fraction:

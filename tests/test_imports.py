@@ -22,12 +22,17 @@ and nowhere else.
 The same reach tests keep the storage of ``SparsePolynomial`` inside
 ``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
 read elsewhere only through ``_numerators``, by ``_form_matrix``, and
-``_q_invariants`` builds every p_j without a Fraction.
+``_q_invariants`` builds every p_j without a Fraction. Likewise the storage
+of ``RationalMatrix``, the integers q*A over q and the Fraction rows built
+from them on first read, is read only in ``matrices.py``.
 
-``refute.py`` calls ``certify_positive_on_orthant`` and ``sample_refute``
-by their names in its own namespace, imported under those names and never
-bound to anything else, so a wrapper set on ``qscaling.refute`` sees
-every call; ``sample_refute`` is given its budget as a keyword.
+``refute.py`` calls each layer it reaches by its name in its own
+namespace, imported under that name and never bound to anything else, so
+a wrapper set on ``qscaling.refute`` sees every call:
+``evaluate_hypothesis`` calls ``symbolic_q_invariants``,
+``certify_positive_on_orthant`` and ``sample_refute`` (given its budget as
+a keyword), and ``verify_refutation`` calls ``mat_mul``, ``classify`` and
+``is_anti_sign_symmetric``.
 """
 
 import ast
@@ -148,23 +153,28 @@ def test_only_the_polynomial_module_reads_the_coefficient_storage():
     assert _mentioned_in("_numerators") == [("polynomial.py", "_numerators"), ("scaling.py", "_form_matrix")]
 
 
+def test_only_the_matrices_module_reads_the_matrix_storage():
+    for name in ("_q", "_qa", "_rows"):
+        assert {module for module, _ in _mentioned_in(name)} == {"matrices.py"}
+
+
 def test_symbolic_q_invariants_makes_no_fraction():
     mentions = _mentioned_in("Fraction")
     assert ("scaling.py", "symbolic_q_invariants") not in mentions
     assert ("scaling.py", "_q_invariants") not in mentions
 
 
-def _reaches(tree, name, function=None, parent=None):
+def _reaches(tree, name, module="scaling", function=None, parent=None):
     """(how, innermost enclosing function) for every mention of ``name`` under ``tree``.
 
-    ``how`` is "import" for ``from .scaling import name``, "call" for a call
+    ``how`` is "import" for ``from .module import name``, "call" for a call
     of the bare name and "call, budget=" for one that passes ``budget`` as a
     keyword; anything else is "other", and so is an alias or a parameter.
     """
     for child in ast.iter_child_nodes(tree):
         how = None
         if isinstance(child, ast.ImportFrom) and any(name in (a.name, a.asname) for a in child.names):
-            plain = (child.module, child.level) == ("scaling", 1)
+            plain = (child.module, child.level) == (module, 1)
             how = "import" if plain and any((a.name, a.asname) == (name, None) for a in child.names) else "other"
         elif isinstance(child, ast.Name) and child.id == name:
             if isinstance(parent, ast.Call) and parent.func is child and isinstance(child.ctx, ast.Load):
@@ -181,10 +191,24 @@ def _reaches(tree, name, function=None, parent=None):
         if how:
             yield how, function
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _reaches(child, name, inner, child)
+        yield from _reaches(child, name, module, inner, child)
 
 
 def test_refute_reaches_certify_and_sample_refute_only_by_their_module_names():
     tree = ast.parse((PACKAGE / "refute.py").read_text(encoding="utf-8"))
-    assert list(_reaches(tree, "certify_positive_on_orthant")) == [("import", None), ("call", "_hypothesis")]
-    assert list(_reaches(tree, "sample_refute")) == [("import", None), ("call, budget=", "_hypothesis")]
+    assert list(_reaches(tree, "certify_positive_on_orthant")) == [("import", None), ("call", "evaluate_hypothesis")]
+    assert list(_reaches(tree, "sample_refute")) == [("import", None), ("call, budget=", "evaluate_hypothesis")]
+
+
+@pytest.mark.parametrize(
+    "name, module, caller",
+    [
+        ("symbolic_q_invariants", "scaling", "evaluate_hypothesis"),
+        ("mat_mul", "matrices", "verify_refutation"),
+        ("classify", "matrix_classes", "verify_refutation"),
+        ("is_anti_sign_symmetric", "matrix_classes", "verify_refutation"),
+    ],
+)
+def test_refute_reaches_each_layer_once_by_its_module_name(name, module, caller):
+    tree = ast.parse((PACKAGE / "refute.py").read_text(encoding="utf-8"))
+    assert list(_reaches(tree, name, module)) == [("import", None), ("call", caller)]

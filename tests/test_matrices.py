@@ -1,6 +1,8 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -360,3 +362,56 @@ def test_matrix_rejects_floats_and_ragged_rows():
         RationalMatrix(((True, False), (False, True)))
     with pytest.raises(ValueError):
         RationalMatrix(((1, 2), (3,)))
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+mixed_entries = st.one_of(
+    st.integers(-9, 9), small_rationals, st.integers(-9, 9).map(_Count), small_rationals.map(_Ratio)
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    """n = 1..4 rows of ints, Fractions and subclasses of both, mixed."""
+    n = draw(st.integers(1, 4))
+    return [[draw(mixed_entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example([[1, 2], [-1, 5]], 1)
+@example([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]], 6)
+@example([[0]], 4)
+@given(mixed_rows(), st.integers(1, 12))
+def test_every_construction_stores_one_matrix_in_lowest_terms(rows, factor):
+    values = [[Fraction(x) for x in row] for row in rows]
+    q = lcm(*(x.denominator for row in values for x in row))
+    qa = tuple(tuple(int(x * q) for x in row) for row in values)
+    assert gcd(q, *(v for row in qa for v in row)) == 1
+    built = [
+        RationalMatrix(rows),
+        RationalMatrix(values),
+        # q*A with a factor that every entry shares with the denominator
+        RationalMatrix._from_ints([[v * factor for v in row] for row in qa], q * factor),
+        pickle.loads(pickle.dumps(RationalMatrix(rows))),
+        copy.deepcopy(RationalMatrix(rows)),
+    ]
+    if q == 1:
+        built.append(RationalMatrix([[int(x) for x in row] for row in values]))
+    for matrix in built:
+        assert matrix == built[0] and hash(matrix) == hash(built[0])
+        assert _scaled(matrix) == (q, qa)
+        assert [list(row) for row in matrix.rows] == values
+        assert all(type(x) is Fraction for row in matrix.rows for x in row)
+        assert parse_matrix(render_matrix(matrix)) == matrix
+        assert repr(matrix) == f"RationalMatrix(rows={tuple(map(tuple, values))!r})"
+        for field in ("rows", "n", "_q", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(matrix, field, 1)

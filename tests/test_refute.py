@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -28,7 +29,7 @@ from qscaling import (
     symbolic_q_invariants,
     verify_refutation,
 )
-from qscaling import matrices, matrix_classes, refute, scaling
+from qscaling import matrices
 from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
 
@@ -98,7 +99,8 @@ def test_verify_refutation_max_dim_raises_every_bound(monkeypatch):
 
 
 # q = 2, and every entry of A^2 is 1/2: A^2 has its own q of 2, below q^2 = 4
-HALVES = RationalMatrix(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))))
+HALVES_ENTRIES = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+HALVES = RationalMatrix(HALVES_ENTRIES)
 # q = 6, and A^2 has its own q of 36; p_1 is INCONCLUSIVE, so the hypothesis reaches sample_refute
 SAMPLED_3X3 = RationalMatrix(((Fraction(-2, 3), 0, 2), (Fraction(4, 3), Fraction(-1, 2), -1), (Fraction(-1, 2), 0, -2)))
 
@@ -150,24 +152,27 @@ def test_at_n_7_the_symbolic_bound_is_raised_first(monkeypatch):
 
 
 def test_a_decided_candidate_clears_its_denominators_once(monkeypatch):
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return _scaled(matrix)
-
-    for module in (matrices, matrix_classes, scaling, refute):
-        if hasattr(module, "_scaled"):
-            monkeypatch.setattr(module, "_scaled", counted)
-    q_42 = RationalMatrix(((Fraction(1, 2), -3, 0), (Fraction(2, 3), 1, Fraction(-5, 7)), (4, Fraction(1, 3), 2)))
-    for matrix in (HALVES, q_42, RationalMatrix.diagonal((Fraction(1, 2), Fraction(2, 3), 3)), A_REF):
-        calls.clear()
+    # a fractional A is cleared by one lcm, when it is built; the report then reads the
+    # integers A stores, and builds the Fraction rows of neither A nor A^2 until they are read
+    cleared, read = [], []
+    monkeypatch.setattr(matrices, "lcm", lambda *ds: cleared.append(ds) or math.lcm(*ds))
+    rows = RationalMatrix.rows
+    monkeypatch.setattr(RationalMatrix, "rows", property(lambda m: read.append(m) or rows.fget(m)))
+    q_42 = ((Fraction(1, 2), -3, 0), (Fraction(2, 3), 1, Fraction(-5, 7)), (4, Fraction(1, 3), 2))
+    for entries in (HALVES_ENTRIES, q_42, ((Fraction(1, 2), 0, 0), (0, Fraction(2, 3), 0), (0, 0, 3)), ((1, 2), (-1, 5))):
+        cleared.clear()
+        matrix = RationalMatrix(entries)
+        fractional = any(type(x) is Fraction for row in entries for x in row)
+        assert len(cleared) == fractional
         report = verify_refutation(matrix, budget=40, seed=3)
         assert isinstance(report.hypothesis, (CertifiedForAll, RefutedAt))
         assert not isinstance(report.hypothesis, RefutedAt) or any(
             cert.verdict is CertificateVerdict.NOT_POSITIVE for cert in report.certificates
         )
-        assert calls == [matrix]
+        assert len(cleared) == fractional and read == []
+        assert [list(row) for row in report.squared.rows] == list_matmul(entries, entries)
+        assert read == [report.squared]
+        read.clear()
 
 
 def test_verdict_recomputes_from_report_parts():
