@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 #: unless the caller overrides it; the minor count grows as sum_k C(n,k)^2.
 DEFAULT_ENUMERATION_GUARD = 12
 
-#: a square integer matrix as rows of ints: q*A as a RationalMatrix stores it (tuples), or a computed one (lists)
+#: a square integer matrix as rows of ints: q*A as a RationalMatrix stores it (tuples), or one built to be stored (lists)
 _IntRows = Sequence[Sequence[int]]
 
 
@@ -411,21 +411,18 @@ def _int_compound(scaled: _IntRows, k: int) -> list[list[int]]:
 
 
 @cache
-def _prefix_layout(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
-    """The nonempty subsets of range(n) depth-first by prefix, and each order's place in that list.
+def _prefix_layout(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The nonempty subsets of range(n) depth-first by prefix, and each order's positions in that list.
 
     Depth-first by prefix (a set, then every set that extends it, children
     in increasing order) is the lexicographic order of the tuples, so the
     sets below a set s follow it as one run of 2^(n-1-max s) - 1 sets.
-    Entry k-1 of the second tuple holds (s, i) for the k-subsets s in the
-    order of ``combinations(range(n), k)``, where i is the position of s
-    in the first.
+    Entry k-1 of the second tuple holds, for the k-subsets in the order of
+    ``combinations(range(n), k)``, the position of each in the first.
     """
     sets = sorted(s for k in range(1, n + 1) for s in combinations(range(n), k))
     position = {s: i for i, s in enumerate(sets)}
-    return tuple(sets), tuple(
-        tuple((s, position[s]) for s in combinations(range(n), k)) for k in range(1, n + 1)
-    )
+    return tuple(sets), tuple(tuple(position[s] for s in combinations(range(n), k)) for k in range(1, n + 1))
 
 
 @cache
@@ -476,25 +473,14 @@ def _minors_below(scaled: _IntRows, minors: list[int], sets: tuple[tuple[int, ..
     minors.extend(_int_minor(scaled, t, t) for t in sets[i : i + (1 << (len(scaled) - 1 - last)) - 1])
 
 
-def principal_minors(
-    matrix: RationalMatrix,
-) -> tuple[int, list[list[int]], list[list[tuple[tuple[int, ...], int]]]]:
-    """q, q*A, and every principal minor of q*A in integers, grouped by order.
-
-    q is the least common denominator of A's entries, so every minor of q*A
-    is an integer, det((q*A)[S]) = q^|S| * det(A[S]). The minors are
-    listed as ``_principal_minors`` lists them.
-    """
-    q, scaled = _scaled(matrix)
-    return q, [list(row) for row in scaled], _principal_minors(scaled)
-
-
-def _principal_minors(scaled: _IntRows) -> list[list[tuple[tuple[int, ...], int]]]:
+def _principal_minors(scaled: _IntRows) -> list[list[int]]:
     """Every principal minor of the integer matrix M = ``scaled``, grouped by order.
 
-    Entry k holds (S, det(M[S])) for the order-k index sets S in the order
-    of ``combinations(range(n), k)``, zeros included; entry 0 is the empty
-    set with minor 1. Its callers pass q*A, or (q*A)^2 for A^2.
+    Entry k lists det(M[S]) for the order-k index sets S in the order of
+    ``combinations(range(n), k)``, zeros included; entry 0 is [1], the
+    empty set's minor. Every caller passes the integers q*A that a matrix
+    A stores over q in lowest terms (``_scaled``), so an order-k minor of A
+    is the integer one over q^k.
 
     The sets are visited depth-first as a tree of prefixes. A node P holds
     det(M[P]) and the bordered minors b[i][j] = det(M[P+i, P+j]) for
@@ -518,7 +504,7 @@ def _principal_minors(scaled: _IntRows) -> list[list[tuple[tuple[int, ...], int]
     minors: list[int] = []
     kernels = tuple(map(_prefix_kernel, range(n + 1)))
     kernels[n](scaled, 1, minors.append, kernels, partial(_minors_below, scaled, minors, sets))
-    return [[((), 1)]] + [[(s, minors[i]) for s, i in order] for order in orders]
+    return [[1]] + [[minors[i] for i in order] for order in orders]
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

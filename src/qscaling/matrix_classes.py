@@ -175,9 +175,14 @@ def principal_minor_sums(matrix: RationalMatrix, max_dim: int | None = None) -> 
     return _minor_sums(q, _principal_minors(scaled))
 
 
-def _minor_sums(q: int, by_order: list[list[tuple[tuple[int, ...], int]]]) -> tuple[Fraction, ...]:
+def _minor_sums(q: int, by_order: list[list[int]]) -> tuple[Fraction, ...]:
     """c_1..c_n from the integer principal minors of q*A, as ``_principal_minors`` groups them."""
-    return tuple(Fraction(sum(v for _, v in by_order[k]), q**k) for k in range(1, len(by_order)))
+    return tuple(Fraction(sum(by_order[k]), q**k) for k in range(1, len(by_order)))
+
+
+def _index_set(n: int, k: int, a: int) -> IndexSet:
+    """The a-th k-subset of {1..n} in lexicographic order, read from the cached ``_laplace_plan(n, k)``."""
+    return IndexSet(n, tuple(i + 1 for i in _laplace_plan(n, k)[a][0]))
 
 
 def _first_positive_pair(q: int, scaled: _IntRows) -> MinorPairWitness | None:
@@ -191,8 +196,8 @@ def _first_positive_pair(q: int, scaled: _IntRows) -> MinorPairWitness | None:
     lexicographic order; a principal minor is never paired with itself.
     The pair reads row a of the order-k compound at b and row b at a.
     Orders 0 and n have one index set each, so no pair. The scan returns
-    at the first violation, so no order above it is built, and the two
-    index sets of the witness are read from the records of the order's
+    at the first violation, so no order above it is built, and
+    ``_index_set`` reads the two index sets of the witness from the order's
     cached ``_laplace_plan``, which lists the k-subsets in the same order.
     """
     n = len(scaled)
@@ -200,10 +205,10 @@ def _first_positive_pair(q: int, scaled: _IntRows) -> MinorPairWitness | None:
         for a, row_a in enumerate(rows):
             for b in range(a + 1, len(rows)):
                 if row_a[b] * rows[b][a] > 0:
-                    plan = _laplace_plan(n, k)
-                    row_set, col_set = (IndexSet(n, tuple(i + 1 for i in plan[x][0])) for x in (a, b))
                     scale = q**k
-                    return MinorPairWitness(row_set, col_set, Fraction(row_a[b], scale), Fraction(rows[b][a], scale))
+                    return MinorPairWitness(
+                        _index_set(n, k, a), _index_set(n, k, b), Fraction(row_a[b], scale), Fraction(rows[b][a], scale)
+                    )
     return None
 
 
@@ -224,12 +229,12 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     has_positive: list[bool] = []
     for k in range(1, n + 1):
         minors = by_order[k]
-        has_positive.append(any(v > 0 for _, v in minors))
-        for s, v in minors:
+        has_positive.append(max(minors) > 0)
+        for a, v in enumerate(minors):
             if v <= 0 and p_witness is None:
-                p_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, q**k))
+                p_witness = PrincipalMinorWitness(_index_set(n, k, a), Fraction(v, q**k))
             if v < 0 and p0_witness is None:
-                p0_witness = PrincipalMinorWitness(IndexSet(n, tuple(i + 1 for i in s)), Fraction(v, q**k))
+                p0_witness = PrincipalMinorWitness(_index_set(n, k, a), Fraction(v, q**k))
 
     q_order = next((k for k, c_k in enumerate(sums, start=1) if c_k <= 0), None)
     q_witness = None if q_order is None else MinorSumWitness(q_order, sums[q_order - 1])

@@ -208,8 +208,9 @@ def verify_refutation(
     ``is_anti_sign_symmetric(A)``. ``max_dim`` overrides every dimension
     bound of the call, checked in that order. Every layer reads the integer
     matrix q*A that A stores, so A's denominators were cleared once, when
-    it was built; ``mat_mul`` stores A^2 as (q*A)^2 over q^2, and no
-    Fraction of either matrix is made until its entries are read.
+    it was built; ``mat_mul`` stores A^2 as (q*A)^2 over q^2 in lowest
+    terms, and no Fraction of either matrix is made until its entries are
+    read.
     """
     hypothesis = evaluate_hypothesis(
         matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim

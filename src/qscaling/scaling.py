@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import gcd, lcm
 from typing import Callable
 
@@ -42,7 +42,6 @@ from .matrices import (
     DimensionGuardError,
     IndexSet,
     RationalMatrix,
-    _IntRows,
     _check_in_range,
     _coerce_rational,
     _compile,
@@ -53,7 +52,6 @@ from .matrices import (
     _scaled,
     check_enumeration_dim,
     index_sets,
-    principal_minors,
     render_rational,
 )
 from .polynomial import SparsePolynomial
@@ -100,22 +98,6 @@ class DiagonalScaling:
 
 # ---------------------------------------------------------------------------
 # Symbolic invariants
-
-
-def _principal_minors_by_order(
-    matrix: RationalMatrix,
-) -> tuple[int, list[list[int]], list[list[tuple[int, int]]]]:
-    """q, q*A, and the nonzero principal minors of q*A (see ``principal_minors``) keyed by subset bitmask.
-
-    Bit i-1 of a mask marks row i; entry 0 is the empty set with minor 1.
-    The masks are read from ``_subset_masks``, in the same order as the sets.
-    ``sample_refute`` is its one caller: its draws skip the zero minors.
-    """
-    q, scaled, by_order = principal_minors(matrix)
-    return q, scaled, [
-        [(mask, v) for mask, (_, v) in zip(masks, minors) if v]
-        for masks, minors in zip(_subset_masks(matrix.n), by_order)
-    ]
 
 
 def _pair_weights(n: int, j: int) -> list[tuple[int, int, int]]:
@@ -175,7 +157,7 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
     exponents in decreasing lexicographic order), the order in which a
     ``SparsePolynomial`` stores its terms. A coefficient may be 0. The source is
     made only of integers, and ``_compile`` runs it with empty builtins;
-    ``_q_invariants`` is its one caller. Every j of one n is
+    ``symbolic_q_invariants`` is its one caller. Every j of one n is
     compiled on first use, once per process, and the source grows as 4^n:
     the first call of ``symbolic_q_invariants`` takes ~15 ms at n = 6,
     ~40 ms at n = 7, ~140 ms and ~41 MB of peak memory at n = 8, and
@@ -209,25 +191,21 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
 
 
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
-    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2 (see ``_q_invariants``)."""
-    check_symbolic_dim(matrix.n, max_dim)
-    return _q_invariants(*_scaled(matrix))
-
-
-def _q_invariants(q: int, scaled: _IntRows) -> list[SparsePolynomial]:
-    """p_1..p_n of A from q and the integer matrix q*A.
+    """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
 
     With f(t) = det(I + t*D*A) = sum_k c_k t^k, where c_k is the squarefree
     polynomial sum over |S| = k of det(A[S]) * prod_{i in S} d_i, one has
     f(t)*f(-t) = det(I - t^2 (D*A)^2), so p_j = (-1)^j sum over a+b=2j of
     (-1)^b c_a c_b. Only the 2^n principal minors of A enter. They are taken
-    from q*A with integer entries, listed flat, and the kernel of
-    ``_pj_kernel(n, j)`` turns them into the coefficients of q^(2j) * p_j.
-    Each p_j keeps its nonzero ones as integer numerators over q^(2j); no
-    Fraction is made until a coefficient is read.
+    from the integer matrix q*A that A stores, listed flat, and the kernel
+    of ``_pj_kernel(n, j)`` turns them into the coefficients of
+    q^(2j) * p_j. Each p_j keeps its nonzero ones as integer numerators
+    over q^(2j); no Fraction is made until a coefficient is read.
     """
-    n = len(scaled)
-    minors = [v for order in _principal_minors(scaled) for _, v in order]
+    n = matrix.n
+    check_symbolic_dim(n, max_dim)
+    q, scaled = _scaled(matrix)
+    minors = list(chain.from_iterable(_principal_minors(scaled)))
     invariants = []
     for j in range(1, n + 1):
         exponents, pj = _pj_kernel(n, j)
@@ -615,11 +593,15 @@ def sample_refute(
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
+    _, scaled = _scaled(matrix)
     if n <= 3:
-        _, scaled = _scaled(matrix)
         if all(_orthant_witness(_hadamard(rows)) is None for rows in islice(_int_compounds(scaled), 1, None)):
             return None
-    _, _, by_order = _principal_minors_by_order(matrix)
+    # the nonzero minors of each order keyed by subset bitmask: the draws skip the zero ones
+    by_order = [
+        [(mask, v) for mask, v in zip(masks, minors) if v]
+        for masks, minors in zip(_subset_masks(n), _principal_minors(scaled))
+    ]
     rng = random.Random(seed)
     randint = rng.randint
     weights = [_pair_weights(n, j) for j in range(1, n + 1)]

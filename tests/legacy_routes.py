@@ -17,16 +17,18 @@ expansion is too slow.
 ``sums_by_enumeration`` and ``sums_by_compound_trace`` are the two routes
 ``principal_minor_sums`` used to run and cross-assert at every call: Fraction
 determinants of the principal submatrices, and the traces of the compound
-matrices. The package now sums the integer minors of ``principal_minors``.
+matrices. The package now sums the integer minors of ``_principal_minors``.
 ``_det_rows`` is the Fraction determinant the package used for every
 non-principal minor before all minors came from Bareiss on q*A: direct
 formulas up to 3x3, then denominators cleared row by row;
 ``minor_by_fractions`` reads a minor of A through it.
-``principal_minors_by_subset`` is how ``principal_minors`` read every
+``principal_minors_by_subset`` is how ``_principal_minors`` read every
 principal minor before the shared-prefix tree: one kernel call on
-(q*A)[S, S] for each index set S. ``evaluate_by_terms`` is how
-``SparsePolynomial.evaluate`` summed a polynomial before it worked over one
-common denominator: one Fraction product per term and per power.
+(q*A)[S, S] for each index set S. The pair loop reads its minors there,
+so that oracle shares no code with the tree it checks.
+``evaluate_by_terms`` is how ``SparsePolynomial.evaluate`` summed a
+polynomial before it worked over one common denominator: one Fraction
+product per term and per power.
 ``form_matrix_by_fractions`` is how ``_form_matrix`` built its integer
 matrix before a polynomial kept its coefficients as integers over one
 denominator: the Fraction terms cleared by the lcm of their denominators.
@@ -87,7 +89,7 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
-from qscaling.scaling import _pair_weights, _principal_minors_by_order, check_sampling_args
+from qscaling.scaling import _pair_weights, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -161,11 +163,18 @@ def symbolic_q_invariants_by_expansion(matrix: RationalMatrix) -> list[SparsePol
 def symbolic_q_invariants_by_pairs(matrix: RationalMatrix) -> list[SparsePolynomial]:
     """p_1..p_n by the pair loop over the nonzero principal minors of q*A.
 
-    A monomial of c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the
-    first set, 1 on the second.
+    The minors are those of ``principal_minors_by_subset``, so the loop
+    shares no code with the tree the compiled kernels read. Each is keyed
+    by the bitmask of its index set, bit i for member i. A monomial of
+    c_a * c_b is keyed by (S & T, S ^ T): exponent 2 on the first set, 1 on
+    the second.
     """
     n = matrix.n
-    q, _, by_order = _principal_minors_by_order(matrix)
+    q, _ = _scaled(matrix)
+    by_order = [
+        [(sum(1 << i for i in s), v) for s, v in zip(combinations(range(n), k), minors) if v]
+        for k, minors in enumerate(principal_minors_by_subset(matrix))
+    ]
     bits = [tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n)]
     doubled = [tuple(2 * b for b in row) for row in bits]
     invariants = []
@@ -218,14 +227,11 @@ def minor_by_fractions(matrix: RationalMatrix, row_sel: Sequence[int], col_sel: 
     return _det_rows(tuple(tuple(matrix.rows[i][j] for j in col_sel) for i in row_sel))
 
 
-def principal_minors_by_subset(
-    matrix: RationalMatrix,
-) -> tuple[int, list[list[int]], list[list[tuple[tuple[int, ...], int]]]]:
-    """``principal_minors``'s q, q*A and minors by order, one kernel call per index set."""
+def principal_minors_by_subset(matrix: RationalMatrix) -> list[list[int]]:
+    """The integer principal minors of q*A as ``_principal_minors`` lists them, one kernel call per index set."""
     n = matrix.n
-    q, scaled = _scaled(matrix)
-    by_order = [[(s, _int_minor(scaled, s, s)) for s in combinations(range(n), k)] for k in range(n + 1)]
-    return q, [list(row) for row in scaled], by_order
+    _, scaled = _scaled(matrix)
+    return [[_int_minor(scaled, s, s) for s in combinations(range(n), k)] for k in range(n + 1)]
 
 
 def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fraction:

@@ -14,17 +14,22 @@ empty builtins. Its only callers are the three kernel builders,
 only of integers, so no outside input reaches generated code. Each
 builder's name appears only in its own definition and in its one caller:
 ``_int_compounds``, the one walker over the compounds, ``_principal_minors``,
-the one walker over the principal-minor tree, and ``_q_invariants``,
+the one walker over the principal-minor tree, and ``symbolic_q_invariants``,
 the one expansion of the p_j. All three pass the compiled functions
 integers alone; so generated code is reached through those three callers
-and nowhere else.
+and nowhere else. ``_principal_minors`` itself, which returns the minors
+as plain integers by order, has four readers and no wrapper:
+``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
+``symbolic_q_invariants`` and ``sample_refute`` in ``scaling.py``, each
+passing it the stored q*A.
 
 The same reach tests keep the storage of ``SparsePolynomial`` inside
 ``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
 read elsewhere only through ``_numerators``, by ``_form_matrix``, and
-``_q_invariants`` builds every p_j without a Fraction. Likewise the storage
-of ``RationalMatrix``, the integers q*A over q and the Fraction rows built
-from them on first read, is read only in ``matrices.py``.
+``symbolic_q_invariants`` builds every p_j without a Fraction. Likewise
+the storage of ``RationalMatrix``, the integers q*A over q and the
+Fraction rows built from them on first read, is read only in
+``matrices.py``.
 
 ``refute.py`` calls each layer it reaches by its name in its own
 namespace, imported under that name and never bound to anything else, so
@@ -144,7 +149,19 @@ def test_the_prefix_kernel_is_reached_only_through_principal_minors():
 
 
 def test_the_pj_kernel_is_reached_only_through_q_invariants():
-    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "_q_invariants")]
+    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]
+
+
+def test_the_principal_minor_walker_has_four_readers_and_no_wrapper():
+    assert _mentioned_in("_principal_minors") == [
+        ("matrices.py", "_principal_minors"),
+        ("matrix_classes.py", None),
+        ("matrix_classes.py", "principal_minor_sums"),
+        ("matrix_classes.py", "classify"),
+        ("scaling.py", None),
+        ("scaling.py", "symbolic_q_invariants"),
+        ("scaling.py", "sample_refute"),
+    ]
 
 
 def test_only_the_polynomial_module_reads_the_coefficient_storage():
@@ -159,9 +176,7 @@ def test_only_the_matrices_module_reads_the_matrix_storage():
 
 
 def test_symbolic_q_invariants_makes_no_fraction():
-    mentions = _mentioned_in("Fraction")
-    assert ("scaling.py", "symbolic_q_invariants") not in mentions
-    assert ("scaling.py", "_q_invariants") not in mentions
+    assert ("scaling.py", "symbolic_q_invariants") not in _mentioned_in("Fraction")
 
 
 def _reaches(tree, name, module="scaling", function=None, parent=None):

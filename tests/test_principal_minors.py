@@ -1,9 +1,12 @@
 """The integer principal-minor enumerator against Leibniz determinants and the per-subset route.
 
-``principal_minors`` is the only place the package computes principal
-minors; ``classify``, ``principal_minor_sums``, ``symbolic_q_invariants``
-and ``sample_refute`` all read it. It walks a tree of index-set prefixes,
-one Bareiss step per child, and falls back to one kernel call per set below
+``matrices._principal_minors`` is the only place the package computes
+principal minors; ``classify``, ``principal_minor_sums``,
+``symbolic_q_invariants`` and ``sample_refute`` each run it on the integer
+matrix q*A that a matrix stores. It returns plain integers, one list per
+order k, holding det((q*A)[S]) for the k-subsets S in ``combinations``
+order, and [1] for order 0. It walks a tree of index-set prefixes, one
+Bareiss step per child, and falls back to one kernel call per set below
 a zero pivot. Each node is one call of a function compiled per bordered
 size m, whose Bareiss step is written out with constant indices; the sizes
 up to 7 compile in ~7 ms and those up to 12 in ~50 ms, on first use. The
@@ -18,13 +21,14 @@ own, and a fault in one is not seen at another.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import RationalMatrix, classify, principal_minor_sums
 from qscaling import matrices as matrices_module
-from qscaling.matrices import principal_minors
+from qscaling.matrices import _principal_minors, _scaled
 
 from legacy_routes import principal_minors_by_subset
 from oracles import brute_force_minor
@@ -58,14 +62,13 @@ def oracle_minors(matrix):
 @PROPERTY
 @given(matrices())
 def test_enumerator_equals_scaled_leibniz_minors(matrix):
-    q, scaled, by_order = principal_minors(matrix)
-    denominators = [x.denominator for row in matrix.rows for x in row]
-    assert all(q % d == 0 for d in denominators)
-    assert scaled == [[q * x for x in row] for row in matrix.rows]
-    assert by_order[0] == [((), 1)]
-    listed = [(s, Fraction(v, q ** len(s))) for minors in by_order[1:] for s, v in minors]
-    assert all(len(s) == k for k, minors in enumerate(by_order) for s, _ in minors)
-    assert listed == oracle_minors(matrix)
+    q, scaled = _scaled(matrix)
+    by_order = _principal_minors(scaled)
+    assert by_order[0] == [1]
+    assert [len(minors) for minors in by_order] == [comb(matrix.n, k) for k in range(matrix.n + 1)]
+    assert all(type(v) is int for minors in by_order for v in minors)
+    # oracle_minors lists the sets by order, then in combinations order
+    assert [v for minors in by_order[1:] for v in minors] == [q ** len(s) * m for s, m in oracle_minors(matrix)]
 
 
 @PROPERTY
@@ -153,7 +156,7 @@ def small_entry_matrices(draw):
 @example(ZERO_PIVOTS_AT_DEPTH_3_9)
 @example(RANK_5_8)
 def test_tree_equals_per_subset_route(matrix):
-    assert principal_minors(matrix) == principal_minors_by_subset(matrix)
+    assert _principal_minors(_scaled(matrix)[1]) == principal_minors_by_subset(matrix)
 
 
 def test_tree_without_zero_pivots_makes_no_kernel_call(monkeypatch):
@@ -168,7 +171,7 @@ def test_tree_without_zero_pivots_makes_no_kernel_call(monkeypatch):
         raise AssertionError("the tree called the kernel above a nonzero pivot")
 
     monkeypatch.setattr(matrices_module, "_bareiss_int", no_kernel)
-    assert [principal_minors(m) for m in (upper, spd)] == expected
+    assert [_principal_minors(_scaled(m)[1]) for m in (upper, spd)] == expected
 
 
 def test_sets_below_the_one_zero_pivot_take_one_kernel_call_each(monkeypatch):
@@ -183,10 +186,10 @@ def test_sets_below_the_one_zero_pivot_take_one_kernel_call_each(monkeypatch):
         return kernel(rows)
 
     monkeypatch.setattr(matrices_module, "_bareiss_int", counted)
-    q, scaled, by_order = principal_minors(matrix)
-    assert (q, scaled, by_order) == expected
+    q, scaled = _scaled(matrix)
+    assert _principal_minors(scaled) == expected
     # one call for each {1} + T with T a nonempty subset of {2, 3, 4}
     assert sorted(calls) == [2, 2, 2, 3, 3, 3, 4]
-    # the tree starts from q*A and never writes into it
+    # the tree starts from the stored q*A and never writes into it
     assert q == 6
-    assert scaled == [[q * x for x in row] for row in matrix.rows]
+    assert _scaled(matrix) == (q, tuple(tuple(q * x for x in row) for row in matrix.rows))
