@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .matrices import RationalMatrix, _bareiss_int, _int_product, mat_mul, matrix_to_dict
+from .matrices import RationalMatrix, _bareiss_int, _int_product, check_enumeration_dim, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
 from .polynomial import SparsePolynomial
 from .scaling import (
@@ -204,17 +204,23 @@ def verify_refutation(
     """Test whether ``matrix`` refutes the implication (see module docstring).
 
     One call per layer, each by its name in this module:
-    ``evaluate_hypothesis(A)``, ``classify(mat_mul(A, A))`` and
-    ``is_anti_sign_symmetric(A)``. ``max_dim`` overrides every dimension
-    bound of the call, checked in that order. Every layer reads the integer
-    matrix q*A that A stores, so A's denominators were cleared once, when
-    it was built; ``mat_mul`` stores A^2 as (q*A)^2 over q^2 in lowest
-    terms, and no Fraction of either matrix is made until its entries are
-    read.
+    ``evaluate_hypothesis(A)``, then, in ``_report``,
+    ``classify(mat_mul(A, A))`` and ``is_anti_sign_symmetric(A)``.
+    ``max_dim`` overrides every dimension bound of the call, checked in that
+    order. Every layer reads the integer matrix q*A that A stores, so A's
+    denominators were cleared once, when it was built; ``mat_mul`` stores
+    A^2 as (q*A)^2 over q^2 in lowest terms, and no Fraction of either
+    matrix is made until its entries are read. ``hunt`` makes the same calls
+    but stops after the first when it returns a ``RefutedAt``.
     """
     hypothesis = evaluate_hypothesis(
         matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim
     )
+    return _report(matrix, hypothesis, max_dim)
+
+
+def _report(matrix: RationalMatrix, hypothesis: HypothesisStatus, max_dim: int | None) -> RefutationReport:
+    """The conclusion side of ``matrix`` and the verdict it gives with ``hypothesis``."""
     squared = mat_mul(matrix, matrix)
     conclusion = classify(squared, max_dim)
     anti_sign = is_anti_sign_symmetric(matrix, max_dim)
@@ -300,24 +306,33 @@ def generate_candidates(cfg: HuntConfig):
 
 
 def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
-    """Run verify_refutation over the candidate stream; keep non-consistent reports.
+    """The non-consistent reports of verify_refutation over the candidate stream.
 
     Candidates are processed in stream order and each one's sampling seed
     is derived from (cfg.seed, index), so the report list is identical
-    across runs with the same config. ``max_dim`` is passed on to each
-    ``verify_refutation`` call. The first bound that call checks, the
-    symbolic-expansion one, is checked here before the first draw.
+    across runs with the same config. A refuted hypothesis ends a
+    candidate: the implication holds vacuously, so its report would be
+    CONSISTENT, and neither A^2 is built and classified nor A scanned for
+    anti-sign symmetry. Every other candidate gets the report
+    ``verify_refutation`` would give, from the same calls. ``max_dim``
+    is passed on to every layer; both bounds a candidate can meet, the
+    symbolic-expansion one and the enumeration one, are checked here
+    before the first draw.
     """
     check_symbolic_dim(cfg.dimension, max_dim)
+    check_enumeration_dim(cfg.dimension, max_dim)
     reports = []
     for index, candidate in enumerate(generate_candidates(cfg)):
-        report = verify_refutation(
+        hypothesis = evaluate_hypothesis(
             candidate,
             budget=cfg.budget,
             seed=cfg.seed * 1_000_003 + index,
             exponent_range=cfg.exponent_range,
             max_dim=max_dim,
         )
+        if isinstance(hypothesis, RefutedAt):
+            continue
+        report = _report(candidate, hypothesis, max_dim)
         if report.verdict.kind is not VerdictKind.CONSISTENT:
             reports.append(report)
     return reports

@@ -318,29 +318,47 @@ def _hadamard(b: list[list[int]]) -> list[list[int]]:
     return [[b[i][k] * b[k][i] for k in range(n)] for i in range(n)]
 
 
+@cache
+def _form_entries(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], dict[tuple[int, ...], tuple[int, int]]]:
+    """Per n, the entry (i, k), i <= k, of the form that each exponent fills: for x = d, then for x = 1/d.
+
+    x_i x_k is d_i d_k, or (prod d)^2 / (d_i d_k) with exponent 2 - e.
+    """
+    by_d, by_inverse = {}, {}
+    for i in range(n):
+        for k in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[k] += 1
+            by_d[tuple(e)] = by_inverse[tuple(2 - x for x in e)] = (i, k)
+    return by_d, by_inverse
+
+
 def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
     """A symmetric integer M with p = c * x^T M x for some c > 0, or None.
 
     x is d when p is a quadratic form, as p_1 is. x is 1/d when p is
     (prod d)^2 times a quadratic form in 1/d, that is homogeneous of degree
     2n-2 with every exponent at most 2, as p_{n-1} is: a term then lacks
-    2 from the exponent of one variable or 1 from each of two. The zero
-    polynomial has no degree and gives None. The entries are read off the
-    integer numerators of p over its denominator L, so c = 1/(2L).
+    2 from the exponent of one variable or 1 from each of two. Each term's
+    entry is looked up in the tables of ``_form_entries``; the first term
+    picks the reading, x = d when both apply (n = 2), and a term the
+    table lacks gives None. The zero polynomial has no degree and gives
+    None. The entries are read off the integer numerators of p over its
+    denominator L, so c = 1/(2L).
     """
     n = p.n_vars
     terms = p._numerators()
     if not terms:
         return None
-    if p.is_homogeneous(2):
-        marks = [e for e, _ in terms]
-    elif p.is_homogeneous(2 * n - 2) and all(k <= 2 for e, _ in terms for k in e):
-        marks = [tuple(2 - k for k in e) for e, _ in terms]
-    else:
-        return None
+    by_d, by_inverse = _form_entries(n)
+    entries = by_d if next(iter(terms))[0] in by_d else by_inverse
     m = [[0] * n for _ in range(n)]
-    for mark, (_, value) in zip(marks, terms):
-        i, k = [i for i, times in enumerate(mark) for _ in range(times)]
+    for e, value in terms:
+        entry = entries.get(e)
+        if entry is None:
+            return None
+        i, k = entry
         if i == k:
             m[i][i] = 2 * value
         else:

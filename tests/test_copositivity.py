@@ -264,6 +264,36 @@ def test_form_matrix_read_from_numerators_equals_the_fraction_route(matrix):
     assert all(certify_positive_on_orthant(p).verify() for p in polys)
 
 
+@st.composite
+def polynomials_near_forms(draw):
+    """Polynomials in 1..5 variables: a quadratic form in d, (prod d)^2 times one in 1/d, or a mix of
+    their exponents and any other with entries up to 3, so of mixed degrees."""
+    n = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    by_d = pairs.map(lambda ik: tuple((i == ik[0]) + (i == ik[1]) for i in range(n)))
+    by_inverse = by_d.map(lambda e: tuple(2 - k for k in e))
+    mixed = st.one_of(by_d, by_inverse, st.tuples(*[st.integers(0, 3)] * n))
+    exponents = draw(st.sampled_from((by_d, by_inverse, mixed)))
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return SparsePolynomial(n, draw(st.dictionaries(exponents, coefficients, max_size=8)))
+
+
+# n = 1: the constant c is (d)^2 times c (1/d)^2, so its form is [[2c]]; a constant beside d^2 has none
+@example(SparsePolynomial(1, {(0,): Fraction(3, 2)}))
+@example(SparsePolynomial(1, {(0,): Fraction(3), (2,): Fraction(1)}))
+# n = 2: both readings apply, and x = d is the one taken
+@example(SparsePolynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(-3), (0, 2): Fraction(2, 5)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(1)}))
+# n = 3: p_{n-1}'s degree with an exponent of 3 has no form
+@example(SparsePolynomial(3, {(2, 2, 0): Fraction(1), (3, 1, 0): Fraction(1)}))
+@example(SparsePolynomial(3, {(2, 2, 0): Fraction(1), (2, 1, 1): Fraction(-1, 3), (1, 1, 0): Fraction(1)}))
+@example(SparsePolynomial(4, {}))
+@settings(PROPERTY, max_examples=150)
+@given(polynomials_near_forms())
+def test_form_matrix_of_any_polynomial_equals_the_fraction_route(p):
+    assert _form_matrix(p) == form_matrix_by_fractions(p)
+
+
 def _raise(*args, **kwargs):
     raise AssertionError("the search ran although copositivity rules out a witness")
 

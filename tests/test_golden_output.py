@@ -26,7 +26,9 @@ determinant; ``analyze_permuted_upper_d7.txt`` was recorded while each
 compound row of the anti-sign scan was still its own Bareiss elimination;
 ``q2_block4_witness_d5.txt`` was recorded while each row of adj(B) in the
 copositivity test was still a branching Bareiss elimination of the rows of
-B without one of them. Later routes must reproduce every file exactly, along with the exit code.
+B without one of them; ``hunt_ternary_d4.txt`` was recorded while ``hunt``
+still classified A^2 and scanned A for anti-sign symmetry on candidates whose
+hypothesis was already refuted. Later routes must reproduce every file exactly, along with the exit code.
 """
 
 from pathlib import Path
@@ -59,6 +61,12 @@ CASES = [
     # n = 4: the middle p_2 is left to sampling
     ("hunt_d4.txt", 1, ["hunt", "--dim", "4", "--count", "40", "--seed", "0", "--budget", "2000"]),
     ("hunt_spd_d5.txt", 0, ["hunt", "--dim", "5", "--mode", "spd", "--count", "5"]),
+    # entries in {-1, 0, 1}: 1 certified counterexample and 13 undetermined among 274 candidates
+    (
+        "hunt_ternary_d4.txt",
+        1,
+        ["hunt", "--dim", "4", "--entry-range", "1", "--count", "274", "--seed", "1", "--budget", "200"],
+    ),
     # 6 singular draws are skipped on the way to the 20th candidate
     (
         "hunt_nonsingular_d3.txt",

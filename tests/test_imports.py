@@ -36,8 +36,8 @@ namespace, imported under that name and never bound to anything else, so
 a wrapper set on ``qscaling.refute`` sees every call:
 ``evaluate_hypothesis`` calls ``symbolic_q_invariants``,
 ``certify_positive_on_orthant`` and ``sample_refute`` (given its budget as
-a keyword), and ``verify_refutation`` calls ``mat_mul``, ``classify`` and
-``is_anti_sign_symmetric``.
+a keyword), and ``_report``, which ``verify_refutation`` and ``hunt`` call,
+calls ``mat_mul``, ``classify`` and ``is_anti_sign_symmetric``.
 """
 
 import ast
@@ -219,9 +219,9 @@ def test_refute_reaches_certify_and_sample_refute_only_by_their_module_names():
     "name, module, caller",
     [
         ("symbolic_q_invariants", "scaling", "evaluate_hypothesis"),
-        ("mat_mul", "matrices", "verify_refutation"),
-        ("classify", "matrix_classes", "verify_refutation"),
-        ("is_anti_sign_symmetric", "matrix_classes", "verify_refutation"),
+        ("mat_mul", "matrices", "_report"),
+        ("classify", "matrix_classes", "_report"),
+        ("is_anti_sign_symmetric", "matrix_classes", "_report"),
     ],
 )
 def test_refute_reaches_each_layer_once_by_its_module_name(name, module, caller):

@@ -29,7 +29,7 @@ from qscaling import (
     symbolic_q_invariants,
     verify_refutation,
 )
-from qscaling import matrices
+from qscaling import matrices, refute
 from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
 
@@ -272,6 +272,57 @@ def test_candidate_stream_equals_the_matrix_oracle(mode, dimension, entry_range,
     assert list(generate_candidates(cfg)) == list(generate_candidates_by_matrices(cfg))
 
 
+def _non_consistent_reports(cfg: HuntConfig) -> list[RefutationReport]:
+    """hunt's contract: verify_refutation per candidate with its seed, non-CONSISTENT reports kept."""
+    reports = (
+        verify_refutation(
+            candidate, budget=cfg.budget, seed=cfg.seed * 1_000_003 + index, exponent_range=cfg.exponent_range
+        )
+        for index, candidate in enumerate(generate_candidates(cfg))
+    )
+    return [r for r in reports if r.verdict.kind is not VerdictKind.CONSISTENT]
+
+
+# 2 refuted hypotheses among 4 candidates, one reported as undetermined
+@example(HuntConfig(dimension=3, entry_range=3, count=4, budget=50))
+# 31 refuted hypotheses and 5 counterexamples, the reference matrix the last of 128 candidates
+@example(HuntConfig(dimension=2, entry_range=5, count=INDEX_OF_REFERENCE + 1, budget=5, seed=SEED_EMITTING_REFERENCE))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.builds(
+        HuntConfig,
+        dimension=st.integers(1, 4),
+        entry_range=st.integers(1, 4),
+        count=st.integers(1, 6),
+        budget=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+        mode=st.sampled_from(HUNT_MODES),
+        exponent_range=st.integers(0, 3),
+    )
+)
+def test_hunt_keeps_the_non_consistent_reports_of_verify_refutation(cfg):
+    assert hunt(cfg) == _non_consistent_reports(cfg)
+
+
+def test_hunt_reads_the_conclusion_only_of_a_candidate_whose_hypothesis_stands(monkeypatch):
+    # a refuted hypothesis makes the implication vacuous, so hunt skips A^2 and the anti-sign scan
+    cfg = HuntConfig(dimension=3, entry_range=5, count=30, budget=50, seed=1)
+    candidates = list(generate_candidates(cfg))
+    standing = [
+        c
+        for index, c in enumerate(candidates)
+        if not isinstance(evaluate_hypothesis(c, budget=cfg.budget, seed=cfg.seed * 1_000_003 + index), RefutedAt)
+    ]
+    assert 0 < len(standing) < len(candidates)
+    seen = {"mat_mul": [], "classify": [], "is_anti_sign_symmetric": []}
+    for name, calls in seen.items():
+        layer = getattr(refute, name)
+        monkeypatch.setattr(refute, name, lambda m, *rest, layer=layer, calls=calls: calls.append(m) or layer(m, *rest))
+    hunt(cfg)
+    assert seen["mat_mul"] == seen["is_anti_sign_symmetric"] == standing
+    assert seen["classify"] == [mat_mul(c, c) for c in standing]
+
+
 class _Drew(Exception):
     pass
 
@@ -286,6 +337,20 @@ def test_hunt_refuses_an_oversized_dimension_before_the_first_draw(monkeypatch):
         hunt(cfg)
     with pytest.raises(_Drew):
         hunt(cfg, max_dim=7)
+
+
+def test_hunt_refuses_a_dimension_over_the_enumeration_bound_before_the_first_draw(monkeypatch):
+    # a refuted candidate never reaches classify's check, so hunt makes it up front
+    def no_draw(seed):
+        raise _Drew
+
+    monkeypatch.setattr("qscaling.refute.random.Random", no_draw)
+    monkeypatch.setattr("qscaling.matrices.DEFAULT_ENUMERATION_GUARD", 2)
+    cfg = HuntConfig(dimension=3, entry_range=1, count=1)
+    with pytest.raises(DimensionGuardError, match="enumeration"):
+        hunt(cfg)
+    with pytest.raises(_Drew):
+        hunt(cfg, max_dim=3)
 
 
 def test_hunt_config_validation():
