@@ -264,7 +264,7 @@ def cmd_hunt(args) -> int:
             f"examined {cfg.count} candidates: {counterexamples} counterexample(s), "
             f"{undetermined} undetermined"
         )
-    return EXIT_FOUND if reports else EXIT_OK
+    return EXIT_FOUND if counterexamples else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

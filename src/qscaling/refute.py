@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .matrices import RationalMatrix, _bareiss_int, _int_product, check_enumeration_dim, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
@@ -245,7 +245,8 @@ class HuntConfig:
     ``entry_range`` bounds the integer entries (for mode "spd" it bounds
     the entries of the factor B in B^T B + I). Candidate draws consume
     the generator row-major, entry by entry; that order is frozen so a
-    (seed, count) pair always names the same candidate stream.
+    (seed, count) pair always names the same candidate stream. The
+    sampling exponent range is the constant ``exponent_range``.
     """
 
     dimension: int
@@ -254,7 +255,7 @@ class HuntConfig:
     budget: int = 10_000
     seed: int = 0
     mode: str = "all"
-    exponent_range: int = 3
+    exponent_range: ClassVar[int] = 3
 
     def __post_init__(self):
         if self.dimension < 1:

@@ -334,25 +334,26 @@ def _form_entries(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], dict[
     return by_d, by_inverse
 
 
-def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
-    """A symmetric integer M with p = c * x^T M x for some c > 0, or None.
+def _form_matrix(p: SparsePolynomial) -> tuple[list[list[int]], bool] | None:
+    """(M, inverse): a symmetric integer M with p = c * x^T M x for some c > 0, or None.
 
-    x is d when p is a quadratic form, as p_1 is. x is 1/d when p is
-    (prod d)^2 times a quadratic form in 1/d, that is homogeneous of degree
-    2n-2 with every exponent at most 2, as p_{n-1} is: a term then lacks
-    2 from the exponent of one variable or 1 from each of two. Each term's
-    entry is looked up in the tables of ``_form_entries``; the first term
-    picks the reading, x = d when both apply (n = 2), and a term the
-    table lacks gives None. The zero polynomial has no degree and gives
-    None. The entries are read off the integer numerators of p over its
-    denominator L, so c = 1/(2L).
+    x is d (``inverse`` False) when p is a quadratic form, as p_1 is. x is
+    1/d (``inverse`` True) when p is (prod d)^2 times a quadratic form in
+    1/d, that is homogeneous of degree 2n-2 with every exponent at most 2,
+    as p_{n-1} is: a term then lacks 2 from the exponent of one variable or
+    1 from each of two. Each term's entry is looked up in the tables of
+    ``_form_entries``; the first term picks the reading, x = d when both
+    apply (n = 2), and a term the table lacks gives None. The zero
+    polynomial has no degree and gives None. The entries are read off the
+    integer numerators of p over its denominator L, so c = 1/(2L).
     """
     n = p.n_vars
     terms = p._numerators()
     if not terms:
         return None
     by_d, by_inverse = _form_entries(n)
-    entries = by_d if next(iter(terms))[0] in by_d else by_inverse
+    inverse = next(iter(terms))[0] not in by_d
+    entries = by_inverse if inverse else by_d
     m = [[0] * n for _ in range(n)]
     for e, value in terms:
         entry = entries.get(e)
@@ -363,7 +364,7 @@ def _form_matrix(p: SparsePolynomial) -> list[list[int]] | None:
             m[i][i] = 2 * value
         else:
             m[i][k] = m[k][i] = value
-    return m
+    return m, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +528,16 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """Decide positivity of ``p`` on the open positive orthant where possible.
 
     Exact strategies, in fixed order: (a) all coefficients nonnegative with
-    one positive; (b) the two-variable quadratic a*d1^2 + b*d1*d2 + c*d2^2,
-    with a weighted square completion as evidence when it is positive;
-    (c) for a quadratic form in d, or (prod d)^2 times one in 1/d, as p_1
-    and p_{n-1} are and every failing (b) is, the witness of
-    ``_orthant_witness`` on its matrix, taken as d or as 1/d.
-    Anything left over is INCONCLUSIVE, which is a legitimate outcome, not
-    an error: that includes a form positive on the orthant, which no
+    one positive; (b) for a quadratic form in d, or (prod d)^2 times one in
+    1/d, as p_1 and p_{n-1} are, ``_orthant_witness`` on the matrix that
+    ``_form_matrix`` reads. A witness z gives the point d = z or d = 1/z,
+    by the reading ``_form_matrix`` chose. No witness means the form is
+    positive on the orthant; a two-variable form a*d1^2 + b*d1*d2 + c*d2^2
+    then records its weighted square completion as evidence. It reaches
+    (b) only with a negative coefficient, so there no witness means
+    exactly a > 0, c > 0 and b^2 < 4ac. Anything left over is
+    INCONCLUSIVE, which is a legitimate outcome, not an error: that
+    includes a positive form in more than two variables, which no
     evidence kind records yet, and every other p, which sampling probes.
     """
     if p.is_zero:
@@ -546,24 +550,22 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
             p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
         )
 
-    if p.n_vars == 2 and p.is_homogeneous(2):
-        a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
-        # a failing quadratic goes to the copositivity route below for its witness
-        if a > 0 and c > 0 and b * b < 4 * a * c:
-            half = b / (2 * a)
-            first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
-            second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
-            completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
-            return Certificate(
-                p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion)
-            )
-
-    form = _form_matrix(p)
-    z = None if form is None else _orthant_witness(form)
-    if z is None:
+    read = _form_matrix(p)
+    if read is None:
         return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
-    point = _reduce_direction(z if p.is_homogeneous(2) else tuple(1 / x for x in z))
-    return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+    form, inverse = read
+    z = _orthant_witness(form)
+    if z is not None:
+        point = _reduce_direction(tuple(1 / x for x in z) if inverse else z)
+        return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+    if p.n_vars != 2:
+        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+    a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
+    half = b / (2 * a)
+    first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
+    second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
+    completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
+    return Certificate(p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ product per term and per power.
 ``form_matrix_by_fractions`` is how ``_form_matrix`` built its integer
 matrix before a polynomial kept its coefficients as integers over one
 denominator: the Fraction terms cleared by the lcm of their denominators.
+``certify_positive_on_orthant_by_two_rules`` is how
+``certify_positive_on_orthant`` decided a form before one route decided
+them all: the closed form a > 0, c > 0, b^2 < 4ac for a positive
+two-variable quadratic, ``_orthant_witness`` only for every other form, and
+a second scan of the terms (``is_homogeneous(2)``) to read a witness back as
+d or 1/d. Its matrix comes from ``form_matrix_by_fractions``, which is what
+``_form_matrix`` returned then.
 ``orthant_witness_by_cramer`` is how ``_orthant_witness`` found the
 vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
 adjugates of singular principal submatrices: Cramer's rule on the bordered
@@ -67,8 +74,10 @@ from operator import add
 from typing import Sequence
 
 from qscaling import (
+    Certificate,
     CertificateVerdict,
     CertifiedForAll,
+    CoefficientEvidence,
     DiagonalScaling,
     HuntConfig,
     IndexSet,
@@ -76,8 +85,10 @@ from qscaling import (
     NoCounterexampleFound,
     RationalMatrix,
     RefutationReport,
+    QuadraticEvidence,
     RefutedAt,
     SparsePolynomial,
+    WitnessEvidence,
     certify_positive_on_orthant,
     classify,
     compound,
@@ -89,7 +100,7 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _bareiss_int, _int_minor, _scaled
-from qscaling.scaling import _pair_weights, check_sampling_args
+from qscaling.scaling import _orthant_witness, _pair_weights, _reduce_direction, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -268,6 +279,38 @@ def form_matrix_by_fractions(p: SparsePolynomial) -> list[list[int]] | None:
         else:
             m[i][k] = m[k][i] = value
     return m
+
+
+def certify_positive_on_orthant_by_two_rules(p: SparsePolynomial) -> Certificate:
+    """``certify_positive_on_orthant`` with the closed-form rule for a positive two-variable quadratic."""
+    if p.is_zero:
+        point = (Fraction(1),) * p.n_vars
+        return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(0)))
+
+    if p.has_positive_coefficients():
+        exps, coeff = p.leading_term()
+        return Certificate(
+            p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
+        )
+
+    if p.n_vars == 2 and p.is_homogeneous(2):
+        a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
+        # a failing quadratic goes to the copositivity route below for its witness
+        if a > 0 and c > 0 and b * b < 4 * a * c:
+            half = b / (2 * a)
+            first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
+            second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
+            completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
+            return Certificate(
+                p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion)
+            )
+
+    form = form_matrix_by_fractions(p)
+    z = None if form is None else _orthant_witness(form)
+    if z is None:
+        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+    point = _reduce_direction(z if p.is_homogeneous(2) else tuple(1 / x for x in z))
+    return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

@@ -225,6 +225,17 @@ def test_hunt_finds_reference_counterexample(capsys):
     assert "refutes: general, two_by_two, anti_sign_symmetric" in out
 
 
+def test_hunt_exits_zero_when_it_prints_only_undetermined_reports(capsys):
+    # an undetermined report is no counterexample, so the queried negative was not found
+    code, out, _ = run_cli(
+        capsys,
+        "hunt", "--dim", "3", "--entry-range", "2", "--count", "3", "--seed", "11", "--budget", "50",
+    )
+    assert "verdict: undetermined" in out
+    assert out.endswith("examined 3 candidates: 0 counterexample(s), 1 undetermined\n")
+    assert code == 0
+
+
 def test_hunt_structured(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -17,8 +17,10 @@ compounds in turn, each built once from the one before.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
 ``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial's
 integer numerators, as ``legacy_routes.form_matrix_by_fractions`` reads it from
-its Fraction coefficients, and ``certify_positive_on_orthant`` turns a witness
-into a point d. When the
+its Fraction coefficients, together with the reading it chose, x = d or
+x = 1/d; ``certify_positive_on_orthant`` turns a witness into a point d by
+that reading, and decides every form through ``_orthant_witness``, which
+``legacy_routes.certify_positive_on_orthant_by_two_rules`` holds it to. When the
 form of every M_j is positive (n <= 3), ``sample_refute`` skips its draws
 and returns what they would. M_n = [[det(q*A)^2]] blocks the skip for a
 singular A.
@@ -44,7 +46,12 @@ from qscaling import (
 from qscaling.matrices import _int_compound, _scaled
 from qscaling.scaling import _form_matrix, _hadamard, _orthant_witness
 
-from legacy_routes import form_matrix_by_fractions, orthant_witness_by_cramer, sample_refute_by_fractions
+from legacy_routes import (
+    certify_positive_on_orthant_by_two_rules,
+    form_matrix_by_fractions,
+    orthant_witness_by_cramer,
+    sample_refute_by_fractions,
+)
 from oracles import simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
@@ -144,7 +151,7 @@ def test_orthant_witness_agrees_with_the_simplex_minimum(m):
 
 
 #: M_1 of PSD_SINGULAR_D3, read from its p_1: the kernel (0, 1, 2) touches the boundary
-PSD_SINGULAR_FORM = _form_matrix(symbolic_q_invariants(PSD_SINGULAR_D3)[0])
+PSD_SINGULAR_FORM, _ = _form_matrix(symbolic_q_invariants(PSD_SINGULAR_D3)[0])
 
 #: (form, witness) pairs through the kernel branch, recorded with the Cramer route
 KERNEL_BRANCH_CASES = (
@@ -223,6 +230,7 @@ def rational_matrices(draw):
 
 
 @example(Q2_INCONCLUSIVE_D3)
+@example(RationalMatrix(((1, 2), (-1, 5))))
 @settings(PROPERTY, max_examples=150)
 @given(rational_matrices())
 def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
@@ -242,12 +250,21 @@ def test_forms_read_from_q_times_a_and_from_the_polynomial_agree(matrix):
             # the middle orders, p_n (for n > 1) and zero polynomials have no form
             assert read is None
             continue
+        # p_1 is read in d, also at n = 2 where p_1 is p_{n-1}, and p_{n-1} for n > 2 in 1/d
+        read, inverse = read
+        assert inverse == (j > 1)
         # a positive multiple of p, and a positive multiple of the matrix read from q*A
-        rebuilt = _form(read, inverse=j > 1)
+        rebuilt = _form(read, inverse=inverse)
         exponents, coefficient = rebuilt.terms()[0]
         ratio = coefficient / p.coefficient(exponents)
         assert ratio > 0 and p * ratio == rebuilt
         assert (_orthant_witness(read) is None) == (_orthant_witness(from_matrix[j]) is None)
+
+
+def _read_by_fractions(p: SparsePolynomial) -> tuple[list[list[int]], bool] | None:
+    """``form_matrix_by_fractions`` with its reading: x = d for a quadratic form, else x = 1/d."""
+    m = form_matrix_by_fractions(p)
+    return None if m is None else (m, not p.is_homogeneous(2))
 
 
 # q = 42, and p_1 is INCONCLUSIVE
@@ -260,7 +277,7 @@ def test_form_matrix_read_from_numerators_equals_the_fraction_route(matrix):
     assume(_scaled(matrix)[0] > 1)
     polys = symbolic_q_invariants(matrix)
     for j in {1, matrix.n - 1}:
-        assert _form_matrix(polys[j - 1]) == form_matrix_by_fractions(polys[j - 1])
+        assert _form_matrix(polys[j - 1]) == _read_by_fractions(polys[j - 1])
     assert all(certify_positive_on_orthant(p).verify() for p in polys)
 
 
@@ -291,7 +308,46 @@ def polynomials_near_forms(draw):
 @settings(PROPERTY, max_examples=150)
 @given(polynomials_near_forms())
 def test_form_matrix_of_any_polynomial_equals_the_fraction_route(p):
-    assert _form_matrix(p) == form_matrix_by_fractions(p)
+    assert _form_matrix(p) == _read_by_fractions(p)
+
+
+@st.composite
+def two_variable_forms(draw):
+    """a*d1^2 + b*d1*d2 + c*d2^2 with rational a, c and b <= 0, so most reach the form route."""
+    a, b, c = draw(entries), -abs(draw(entries)), draw(entries)
+    return SparsePolynomial(2, {(2, 0): a, (1, 1): b, (0, 2): c})
+
+
+# a = 0, c = 0, b^2 = 4ac, then entries of size 2^600: a positive form, a failing one, and a < 0
+@example(SparsePolynomial(2, {(1, 1): Fraction(-1), (0, 2): Fraction(1)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(-3)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(3), (1, 1): Fraction(-12), (0, 2): Fraction(12)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(2**600), (1, 1): Fraction(-(2**600)), (0, 2): Fraction(2**600)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(-(2**600)), (0, 2): Fraction(1)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(-1), (1, 1): Fraction(2**600), (0, 2): Fraction(1)}))
+# a positive form in 1/d at n = 3, which stays INCONCLUSIVE, and the zero polynomial
+@example(SparsePolynomial(3, {(2, 2, 0): Fraction(1), (2, 1, 1): Fraction(-1), (2, 0, 2): Fraction(1)}))
+@example(SparsePolynomial(3, {}))
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(polynomials_near_forms().filter(lambda p: p.n_vars <= 4), two_variable_forms()))
+def test_one_form_route_certifies_as_the_two_rules_did(p):
+    assert certify_positive_on_orthant(p) == certify_positive_on_orthant_by_two_rules(p)
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return RationalMatrix(tuple(tuple(draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(n)))
+
+
+@example(RationalMatrix(((1, 2), (-1, 5))))
+@example(CANDIDATE_259)
+@example(PSD_SINGULAR_D3)
+@settings(PROPERTY, max_examples=150)
+@given(integer_matrices())
+def test_one_form_route_certifies_every_pj_as_the_two_rules_did(matrix):
+    for p in symbolic_q_invariants(matrix):
+        assert certify_positive_on_orthant(p) == certify_positive_on_orthant_by_two_rules(p)
 
 
 def _raise(*args, **kwargs):

@@ -67,10 +67,11 @@ CASES = [
         1,
         ["hunt", "--dim", "4", "--entry-range", "1", "--count", "274", "--seed", "1", "--budget", "200"],
     ),
-    # 6 singular draws are skipped on the way to the 20th candidate
+    # 6 singular draws are skipped on the way to the 20th candidate; 0 counterexamples and
+    # 2 undetermined reports, so the exit code is 0
     (
         "hunt_nonsingular_d3.txt",
-        1,
+        0,
         ["hunt", "--dim", "3", "--mode", "nonsingular", "--entry-range", "1", "--count", "20", "--seed", "0", "--budget", "500"],
     ),
     ("q2_ref.txt", 0, ["q2scaling", "--inline", "2; 1 2; -1 5"]),

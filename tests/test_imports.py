@@ -29,7 +29,10 @@ read elsewhere only through ``_numerators``, by ``_form_matrix``, and
 ``symbolic_q_invariants`` builds every p_j without a Fraction. Likewise
 the storage of ``RationalMatrix``, the integers q*A over q and the
 Fraction rows built from them on first read, is read only in
-``matrices.py``.
+``matrices.py``. ``certify_positive_on_orthant`` takes the reading of a
+form (x = d or x = 1/d) from ``_form_matrix``, so the scan
+``is_homogeneous`` has one caller, the independent check in
+``Certificate.verify``.
 
 ``refute.py`` calls each layer it reaches by its name in its own
 namespace, imported under that name and never bound to anything else, so
@@ -168,6 +171,10 @@ def test_only_the_polynomial_module_reads_the_coefficient_storage():
     for name in ("_terms", "_den"):
         assert {module for module, _ in _mentioned_in(name)} == {"polynomial.py"}
     assert _mentioned_in("_numerators") == [("polynomial.py", "_numerators"), ("scaling.py", "_form_matrix")]
+
+
+def test_only_the_certificate_check_scans_for_homogeneity():
+    assert _mentioned_in("is_homogeneous") == [("polynomial.py", "is_homogeneous"), ("scaling.py", "verify")]
 
 
 def test_only_the_matrices_module_reads_the_matrix_storage():

@@ -297,7 +297,6 @@ def _non_consistent_reports(cfg: HuntConfig) -> list[RefutationReport]:
         budget=st.integers(1, 30),
         seed=st.integers(0, 10**6),
         mode=st.sampled_from(HUNT_MODES),
-        exponent_range=st.integers(0, 3),
     )
 )
 def test_hunt_keeps_the_non_consistent_reports_of_verify_refutation(cfg):
@@ -362,8 +361,6 @@ def test_hunt_config_validation():
         HuntConfig(dimension=2, entry_range=0, count=1)
     with pytest.raises(ValueError):
         HuntConfig(dimension=2, entry_range=5, count=1, budget=0)
-    with pytest.raises(ValueError):
-        HuntConfig(dimension=2, entry_range=5, count=1, exponent_range=-1)
     with pytest.raises(ValueError):
         HuntConfig(dimension=2, entry_range=5, count=1, mode="weird")
 
