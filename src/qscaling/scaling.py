@@ -14,17 +14,17 @@ multiplies the c_k out as polynomials, and sample_refute evaluates them
 in integers at each drawn point.
 
 That positivity question is handled honestly: exact decisions prove or
-refute it where they apply (nonnegative coefficients; the two-variable
-homogeneous quadratic; the copositivity of p_1 and p_{n-1}, below),
-exact sampling is the one search for a refuting point, and anything else
-is reported inconclusive.
+refute it where they apply (nonnegative coefficients, and the quadratic
+forms behind p_1 and p_{n-1}, below), exact sampling is the one search
+for a refuting point, and anything else is reported inconclusive.
 
 Each p_j is also a quadratic form z^T M_j z, where z lists the products
-of j of the d_i. When M_j is copositive and no positive vector lies in its
-kernel, p_j is positive on the orthant, so no draw can refute it, and the
-sampling skips a search whose outcome is already known. For p_1 and
-p_{n-1} the converse holds too: a failure of either condition gives an
-exact witness point.
+of j of the d_i. For p_1 (z_i = d_i) and p_{n-1} (z_i = (prod d)/d_i)
+the map d -> z covers the open orthant, so the form read off the
+polynomial decides p_j exactly: it is positive there, or it gives an
+exact witness point. For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2,
+so the certificates decide the whole hypothesis, and sampling returns
+without a draw when none of them refutes it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations
 from math import gcd, lcm
 from typing import Callable
 
@@ -310,12 +310,6 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     if len({i for v in vertices for i in v}) < n:
         return None
     return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
-
-
-def _hadamard(b: list[list[int]]) -> list[list[int]]:
-    """B o B^T, the entrywise product of B with its transpose."""
-    n = len(b)
-    return [[b[i][k] * b[k][i] for k in range(n)] for i in range(n)]
 
 
 @cache
@@ -603,20 +597,23 @@ def sample_refute(
     a positive factor and keeps its sign. The subset products of the point
     are built by bitmask, then c_k, then each p_j.
 
-    When copositivity proves that no draw can be a witness, None is
-    returned without drawing. For n <= 3, where every p_j is p_1, p_{n-1}
-    or p_n, each M_j of q*A (a positive multiple of M_j of A) is tested in
-    turn, its compound built from the one before, until one fails; when
-    every one is copositive with no positive kernel vector, every p_j
-    is positive. M_n = [[det(q*A)^2]] passes exactly when det A != 0.
+    When the certificates prove that no draw can be a witness, None is
+    returned without drawing. For n <= 3 every p_j is p_1, p_{n-1} or p_n,
+    and ``certify_positive_on_orthant`` finds each of them NOT_POSITIVE
+    exactly when it is not positive on the orthant: p_n = det(A)^2 (prod d)^2
+    is zero or has a positive coefficient, and p_1 and p_{n-1} are decided
+    through their forms. So when no p_j of ``symbolic_q_invariants`` is
+    NOT_POSITIVE, every p_j is positive and no draw is made.
     """
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
+    if n <= 3 and not any(
+        certify_positive_on_orthant(p).verdict is CertificateVerdict.NOT_POSITIVE
+        for p in symbolic_q_invariants(matrix, max_dim)
+    ):
+        return None
     _, scaled = _scaled(matrix)
-    if n <= 3:
-        if all(_orthant_witness(_hadamard(rows)) is None for rows in islice(_int_compounds(scaled), 1, None)):
-            return None
     # the nonzero minors of each order keyed by subset bitmask: the draws skip the zero ones
     by_order = [
         [(mask, v) for mask, v in zip(masks, minors) if v]

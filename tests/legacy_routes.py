@@ -39,6 +39,11 @@ two-variable quadratic, ``_orthant_witness`` only for every other form, and
 a second scan of the terms (``is_homogeneous(2)``) to read a witness back as
 d or 1/d. Its matrix comes from ``form_matrix_by_fractions``, which is what
 ``_form_matrix`` returned then.
+``skips_sampling_by_compounds`` is how ``sample_refute`` decided, for
+n <= 3, that no draw can be a witness before it read the certificates:
+``_orthant_witness`` on each Hadamard compound M_j = C_j(q*A) o C_j(q*A)^T
+(``_hadamard``), the compounds of q*A walked in turn, skipping only when
+every form is positive.
 ``orthant_witness_by_cramer`` is how ``_orthant_witness`` found the
 vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
 adjugates of singular principal submatrices: Cramer's rule on the bordered
@@ -68,7 +73,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import gcd, lcm
 from operator import add
 from typing import Sequence
@@ -99,7 +104,7 @@ from qscaling import (
     sample_refute,
     symbolic_q_invariants,
 )
-from qscaling.matrices import _bareiss_int, _int_minor, _scaled
+from qscaling.matrices import _bareiss_int, _int_compounds, _int_minor, _scaled
 from qscaling.scaling import _orthant_witness, _pair_weights, _reduce_direction, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
@@ -357,6 +362,18 @@ def sample_refute_by_fractions(
         if not _is_q_matrix_rows(squared, subset_lists):
             return DiagonalScaling(diag)
     return None
+
+
+def _hadamard(b: list[list[int]]) -> list[list[int]]:
+    """B o B^T, the entrywise product of B with its transpose."""
+    n = len(b)
+    return [[b[i][k] * b[k][i] for k in range(n)] for i in range(n)]
+
+
+def skips_sampling_by_compounds(matrix: RationalMatrix) -> bool:
+    """For n <= 3: whether the form of every M_j of q*A is positive on the open orthant."""
+    _, scaled = _scaled(matrix)
+    return all(_orthant_witness(_hadamard(rows)) is None for rows in islice(_int_compounds(scaled), 1, None))
 
 
 def orthant_witness_by_cramer(m: list[list[int]]) -> tuple[Fraction, ...] | None:

@@ -12,21 +12,25 @@ the exact minimum of the form on the simplex, and the reference for the
 whole routine is ``legacy_routes.orthant_witness_by_cramer``, which solves
 each vertex by Cramer's rule on a bordered system. p_j = z^T M_j z with z
 the products of j of the d_i, and M_j = C_j(A) o C_j(A)^T is read from q*A
-by ``_hadamard(_int_compound(q*A, j))``; ``sample_refute`` reads the
-compounds in turn, each built once from the one before.
+by ``legacy_routes._hadamard(_int_compound(q*A, j))``.
 p_1 is a quadratic form in d and p_{n-1} is (prod d)^2 times one in 1/d, so
 ``_form_matrix`` also reads M_1 and, reordered, M_{n-1} from the polynomial's
 integer numerators, as ``legacy_routes.form_matrix_by_fractions`` reads it from
 its Fraction coefficients, together with the reading it chose, x = d or
 x = 1/d; ``certify_positive_on_orthant`` turns a witness into a point d by
 that reading, and decides every form through ``_orthant_witness``, which
-``legacy_routes.certify_positive_on_orthant_by_two_rules`` holds it to. When the
-form of every M_j is positive (n <= 3), ``sample_refute`` skips its draws
-and returns what they would. M_n = [[det(q*A)^2]] blocks the skip for a
-singular A.
+``legacy_routes.certify_positive_on_orthant_by_two_rules`` holds it to.
+
+For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2, so the
+certificates decide the hypothesis: when none of them is NOT_POSITIVE,
+``sample_refute`` skips its draws and returns what they would, and
+``evaluate_hypothesis`` never draws at all. The skip is held to the route it
+replaced, ``legacy_routes.skips_sampling_by_compounds``, which tests the form
+of every M_j of q*A; p_n = 0 (M_n = [[0]]) blocks it for a singular A.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,19 +42,21 @@ from qscaling import (
     RationalMatrix,
     SparsePolynomial,
     certify_positive_on_orthant,
-    matrices,
+    evaluate_hypothesis,
     sample_refute,
     scaling,
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _form_matrix, _hadamard, _orthant_witness
+from qscaling.scaling import _form_matrix, _orthant_witness
 
 from legacy_routes import (
+    _hadamard,
     certify_positive_on_orthant_by_two_rules,
     form_matrix_by_fractions,
     orthant_witness_by_cramer,
     sample_refute_by_fractions,
+    skips_sampling_by_compounds,
 )
 from oracles import simplex_minimum
 
@@ -350,8 +356,12 @@ def test_one_form_route_certifies_every_pj_as_the_two_rules_did(matrix):
         assert certify_positive_on_orthant(p) == certify_positive_on_orthant_by_two_rules(p)
 
 
+class _Drew(AssertionError):
+    """Raised in place of ``random.Random``: the sampling loop was about to draw."""
+
+
 def _raise(*args, **kwargs):
-    raise AssertionError("the search ran although copositivity rules out a witness")
+    raise _Drew("the search ran although the certificates rule out a witness")
 
 
 @pytest.mark.parametrize("matrix", SAMPLING_SHORTCUT_MATRICES)
@@ -372,35 +382,48 @@ def test_singular_matrix_blocks_the_sampling_shortcut():
     assert sample_refute(SINGULAR_D3, budget=60, seed=5) == expected
 
 
-def test_sampling_shortcut_builds_each_compound_order_once(monkeypatch):
-    """The 3x3 identity passes every M_j, and each order of q*A is built once, from the order below."""
-    walk, kernel = scaling._int_compounds, matrices._laplace_kernel
-    walked, built = [], []
+@st.composite
+def small_matrices(draw):
+    """1x1 to 3x3 matrices, with integer entries or with rational ones."""
+    n = draw(st.integers(1, 3))
+    cell = draw(st.sampled_from((st.integers(-5, 5), entries)))
+    return RationalMatrix(tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n)))
 
-    def recording(scaled):
-        walked.append(scaled)
-        return walk(scaled)
 
-    def counting(n, k):
-        builder = kernel(n, k)
+ZERO_MATRICES = tuple(RationalMatrix(((0,) * n,) * n) for n in (1, 2, 3))
 
-        def counted(last, lower):
-            built.append((k, last))
-            return builder(last, lower)
 
-        return counted
+@example(SINGULAR_D3)
+@example(PSD_SINGULAR_D3)
+@example(ZERO_MATRICES[0])
+@example(ZERO_MATRICES[1])
+@example(ZERO_MATRICES[2])
+@example(RationalMatrix(((1, 2), (-1, 5))))
+@example(SAMPLING_SHORTCUT_MATRICES[-1])
+@PROPERTY
+@given(small_matrices())
+def test_sampling_shortcut_skips_exactly_where_every_compound_form_is_positive(matrix):
+    # monkeypatch is a function-scoped fixture, which Hypothesis rejects under @given
+    with patch.object(scaling.random, "Random", _raise):
+        try:
+            skipped = sample_refute(matrix, budget=1) is None
+        except _Drew:
+            skipped = False
+    assert skipped == skips_sampling_by_compounds(matrix)
 
-    monkeypatch.setattr(scaling, "_int_compounds", recording)
-    monkeypatch.setattr(matrices, "_laplace_kernel", counting)
-    identity = RationalMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert sample_refute(identity, budget=60, seed=5) is None
-    # q*A is walked once, then _orthant_witness walks each of M_1, M_2 and M_3
-    assert len(walked) == 4
-    # a row of q*A's compounds reads its last row from q*A itself; M_1 equals q*A here,
-    # so rows are told apart by the list they read, not by its entries
-    of_scaled = [k for k, last in built if any(last is row for row in walked[0])]
-    # the 3 rows of order 1, the 3 of order 2, then the 1 of order 3; rebuilding an order would repeat its rows
-    assert of_scaled == [1, 1, 1, 2, 2, 2, 3]
+
+@example(SINGULAR_D3)
+@example(PSD_SINGULAR_D3)
+@example(Q2_INCONCLUSIVE_D3)
+@example(ZERO_MATRICES[0])
+@example(ZERO_MATRICES[1])
+@example(ZERO_MATRICES[2])
+@example(RationalMatrix(((Fraction(-3, 2),),)))
+@PROPERTY
+@given(small_matrices())
+def test_evaluate_hypothesis_never_draws_below_dimension_4(matrix):
+    with patch.object(scaling.random, "Random", _raise):
+        evaluate_hypothesis(matrix)
 
 
 @pytest.mark.parametrize("matrix", SHORTCUT_MATRICES + (CANDIDATE_259,))

@@ -32,7 +32,11 @@ Fraction rows built from them on first read, is read only in
 ``matrices.py``. ``certify_positive_on_orthant`` takes the reading of a
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
-``Certificate.verify``.
+``Certificate.verify``. The sign of a p_j is decided in one place:
+``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
+called only by ``certify_positive_on_orthant``, whose verdicts the sampling
+shortcut of ``sample_refute`` reads; the Hadamard compounds that shortcut
+used to test (``_hadamard``) live on only in the test oracles.
 
 ``refute.py`` calls each layer it reaches by its name in its own
 namespace, imported under that name and never bound to anything else, so
@@ -175,6 +179,18 @@ def test_only_the_polynomial_module_reads_the_coefficient_storage():
 
 def test_only_the_certificate_check_scans_for_homogeneity():
     assert _mentioned_in("is_homogeneous") == [("polynomial.py", "is_homogeneous"), ("scaling.py", "verify")]
+
+
+def test_the_sign_of_a_pj_is_decided_only_through_the_certificates():
+    assert _mentioned_in("_hadamard") == []
+    assert [m for m in _mentioned_in("_int_compounds") if m[0] == "scaling.py"] == [
+        ("scaling.py", None),
+        ("scaling.py", "_orthant_witness"),
+    ]
+    assert _mentioned_in("_orthant_witness") == [
+        ("scaling.py", "_orthant_witness"),
+        ("scaling.py", "certify_positive_on_orthant"),
+    ]
 
 
 def test_only_the_matrices_module_reads_the_matrix_storage():

@@ -2,7 +2,7 @@ import math
 import random
 from dataclasses import fields
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -385,6 +385,24 @@ def test_sampling_fallback_reaches_no_counterexample():
     assert isinstance(report.hypothesis, (CertifiedForAll, NoCounterexampleFound))
     assert report.verdict.kind in (VerdictKind.CONSISTENT, VerdictKind.UNDETERMINED)
     assert report.polynomials == tuple(symbolic_q_invariants(m))
+
+
+#: candidate 318 of CANDIDATE_318_STREAM, which hunt reports as a sampling-only counterexample
+#: although p_2 is negative at D_318 (ROADMAP item 10)
+CANDIDATE_318_STREAM = HuntConfig(dimension=4, entry_range=4, count=800, seed=12, mode="nonsingular")
+CANDIDATE_318 = RationalMatrix(((-4, 3, 0, 2), (-4, -4, -2, -1), (4, 3, -3, 1), (1, -4, 1, 2)))
+D_318 = (3675, 2050, 8036, 1)
+
+
+def test_candidate_318_is_in_its_stream_and_p2_is_negative_there():
+    assert next(islice(generate_candidates(CANDIDATE_318_STREAM), 318, None)) == CANDIDATE_318
+    assert symbolic_q_invariants(CANDIDATE_318)[1].evaluate(D_318) == -8472543323080196
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+def test_candidate_318_is_not_reported_as_a_counterexample():
+    report = verify_refutation(CANDIDATE_318, budget=10_000, seed=CANDIDATE_318_STREAM.seed * 1_000_003 + 318)
+    assert report.verdict.kind is not VerdictKind.COUNTEREXAMPLE
 
 
 # a certified counterexample with entries in {-1, 0, 1}; at n = 2 none exists (below)
