@@ -40,7 +40,7 @@ from .refute import (
     invariants_to_dict,
 )
 from .reproduction import run_reproduction
-from .scaling import DEFAULT_SYMBOLIC_GUARD, Certificate, CertificateVerdict, QuadraticEvidence, WitnessEvidence
+from .scaling import DEFAULT_SYMBOLIC_GUARD, Certificate, CertificateVerdict, QuadraticEvidence
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -74,20 +74,19 @@ def render_class_report(report: ClassReport) -> str:
 
 
 def render_certificate(cert: Certificate) -> str:
+    e = cert.evidence
+    if isinstance(e, QuadraticEvidence):
+        return (
+            "certified positive on the open positive orthant\n"
+            f"    quadratic check: a = {e.a}, b = {e.b}, c = {e.c}; "
+            f"b^2 = {e.b_squared} < 4ac = {e.four_ac}\n"
+            f"    completion: {e.completion_text()}"
+        )
     if cert.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT:
-        if isinstance(cert.evidence, QuadraticEvidence):
-            e = cert.evidence
-            return (
-                "certified positive on the open positive orthant\n"
-                f"    quadratic check: a = {e.a}, b = {e.b}, c = {e.c}; "
-                f"b^2 = {e.b_squared} < 4ac = {e.four_ac}\n"
-                f"    completion: {e.completion_text()}"
-            )
         return "certified positive on the open positive orthant (all coefficients nonnegative)"
     if cert.verdict is CertificateVerdict.NOT_POSITIVE:
-        assert isinstance(cert.evidence, WitnessEvidence)
-        point = ", ".join(render_rational(x) for x in cert.evidence.point)
-        return f"not positive: value {cert.evidence.value} at d = ({point})"
+        point = ", ".join(render_rational(x) for x in e.point)
+        return f"not positive: value {e.value} at d = ({point})"
     return "inconclusive (no certificate applies)"
 
 

@@ -1,10 +1,10 @@
 """Exact rational matrices, index sets, minors, and compound matrices.
 
-A matrix is stored as integer numerators over one positive denominator,
-q*A over q, and reads its entries as :class:`fractions.Fraction` values;
-so every sign decision made downstream is exact, and nothing in this
-package touches floating point. Matrices and index sets are immutable
-after construction and safe to share between threads.
+A matrix stores integer numerators over one positive denominator, q*A
+over q, and nothing else; it reads its entries as :class:`fractions.Fraction`
+values built at each read, so every sign decision made downstream is exact,
+and nothing in this package touches floating point. Matrices and index
+sets are immutable after construction and safe to share between threads.
 
 Matrix text format (consumed by the CLI): the first line is the dimension
 ``n``, followed by ``n`` lines of ``n`` whitespace-separated rationals,
@@ -149,12 +149,11 @@ class RationalMatrix:
     terms: the integer matrix q*A as tuple rows, with q the least common
     denominator of A's entries (1 for an integer matrix). So two equal
     matrices store the same integers, and every integer layer reads q*A as
-    it is stored (``_scaled``). ``rows`` holds A's entries as Fractions,
-    built on first read and kept; a second thread that reads it first
-    builds the same tuples.
+    it is stored (``_scaled``). ``rows`` builds A's entries as Fractions at
+    each read, and keeps nothing: the two slots are all a matrix holds.
     """
 
-    __slots__ = ("_q", "_qa", "_rows")
+    __slots__ = ("_q", "_qa")
 
     def __init__(self, rows):
         qa = tuple(map(tuple, rows))
@@ -176,7 +175,6 @@ class RationalMatrix:
     def _init(self, q: int, qa: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_qa", qa)
-        object.__setattr__(self, "_rows", None)
 
     @classmethod
     def _from_ints(cls, qa: _IntRows, q: int) -> "RationalMatrix":
@@ -217,13 +215,9 @@ class RationalMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, row-major."""
-        rows = self._rows
-        if rows is None:
-            q = self._q
-            rows = tuple(tuple(Fraction(v, q) for v in row) for row in self._qa)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        """The entries as Fractions, row-major, built at each read."""
+        q = self._q
+        return tuple(tuple(Fraction(v, q) for v in row) for row in self._qa)
 
     @property
     def n(self) -> int:
@@ -571,11 +565,9 @@ def zero_rows_outside(matrix: RationalMatrix, alpha: IndexSet) -> RationalMatrix
         raise ValueError("alpha must be a nonempty index set")
     _check_in_range(matrix, alpha)
     keep = set(alpha.zero_based())
-    zero = Fraction(0)
-    rows = tuple(
-        row if i in keep else tuple(zero for _ in row) for i, row in enumerate(matrix.rows)
-    )
-    return RationalMatrix(rows)
+    q, scaled = _scaled(matrix)
+    rows = [row if i in keep else [0] * len(row) for i, row in enumerate(scaled)]
+    return RationalMatrix._from_ints(rows, q)
 
 
 # ---------------------------------------------------------------------------

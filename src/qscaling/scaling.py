@@ -15,8 +15,9 @@ in integers at each drawn point.
 
 That positivity question is handled honestly: exact decisions prove or
 refute it where they apply (nonnegative coefficients, and the quadratic
-forms behind p_1 and p_{n-1}, below), exact sampling is the one search
-for a refuting point, and anything else is reported inconclusive.
+forms behind p_1 and p_{n-1}, below), and a certificate's verdict is read
+off the evidence it records; exact sampling is the one search for a
+refuting point, and anything else is reported inconclusive.
 
 Each p_j is also a quadratic form z^T M_j z, where z lists the products
 of j of the d_i. For p_1 (z_i = d_i) and p_{n-1} (z_i = (prod d)/d_i)
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .matrices import (
     DimensionGuardError,
@@ -375,6 +376,7 @@ class CertificateVerdict(Enum):
 class CoefficientEvidence:
     """Every coefficient is nonnegative and the listed term is positive."""
 
+    verdict: ClassVar[CertificateVerdict] = CertificateVerdict.POSITIVE_ON_ORTHANT
     positive_exponents: tuple[int, ...]
     positive_coefficient: Fraction
 
@@ -395,6 +397,7 @@ class QuadraticEvidence:
     polynomial exactly.
     """
 
+    verdict: ClassVar[CertificateVerdict] = CertificateVerdict.POSITIVE_ON_ORTHANT
     a: Fraction
     b: Fraction
     c: Fraction
@@ -447,6 +450,7 @@ class QuadraticEvidence:
 class WitnessEvidence:
     """A strictly positive point where the polynomial is not positive."""
 
+    verdict: ClassVar[CertificateVerdict] = CertificateVerdict.NOT_POSITIVE
     point: tuple[Fraction, ...]
     value: Fraction
 
@@ -463,43 +467,48 @@ Evidence = CoefficientEvidence | QuadraticEvidence | WitnessEvidence
 
 @dataclass(frozen=True)
 class Certificate:
-    """Positivity verdict for one polynomial, with machine-checkable evidence."""
+    """A polynomial and the machine-checkable evidence on its sign on the open orthant."""
 
     polynomial: SparsePolynomial
-    verdict: CertificateVerdict
     evidence: Evidence | None
 
+    @property
+    def verdict(self) -> CertificateVerdict:
+        """The verdict that the evidence kind states; INCONCLUSIVE when there is no evidence."""
+        return CertificateVerdict.INCONCLUSIVE if self.evidence is None else self.evidence.verdict
+
     def verify(self) -> bool:
-        """Re-check the evidence against the stored polynomial from scratch."""
-        p = self.polynomial
-        if self.verdict is CertificateVerdict.INCONCLUSIVE:
-            return self.evidence is None
-        if self.verdict is CertificateVerdict.NOT_POSITIVE:
-            if not isinstance(self.evidence, WitnessEvidence):
-                return False
-            e = self.evidence
+        """Re-check the evidence against the polynomial from scratch: False, not an error, if malformed."""
+        p, e = self.polynomial, self.evidence
+        if e is None:
+            return True
+        if isinstance(e, WitnessEvidence):
             return (
                 len(e.point) == p.n_vars
-                and all(x > 0 for x in e.point)
-                and p.evaluate(e.point) == e.value
+                and all(type(x) in (int, Fraction) and x > 0 for x in e.point)
+                and type(e.value) in (int, Fraction)
                 and e.value <= 0
+                and p.evaluate(e.point) == e.value
             )
-        if isinstance(self.evidence, CoefficientEvidence):
-            if p.is_zero or not p.has_positive_coefficients():
+        if isinstance(e, CoefficientEvidence):
+            if not p.has_positive_coefficients():
                 return False
-            listed = p.coefficient(self.evidence.positive_exponents)
-            return listed == self.evidence.positive_coefficient and listed > 0
-        if isinstance(self.evidence, QuadraticEvidence):
-            e = self.evidence
-            if p.n_vars != 2 or not p.is_homogeneous(2):
-                return False
-            if (e.a, e.b, e.c) != (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))):
-                return False
-            if not (e.a > 0 and e.c > 0 and e.b_squared < e.four_ac):
-                return False
-            if any(m <= 0 for m, _ in e.completion):
-                return False
-            return e.expanded() == p
+            listed = p.coefficient(e.positive_exponents)
+            return listed == e.positive_coefficient and listed > 0
+        if isinstance(e, QuadraticEvidence):
+            return (
+                p.n_vars == 2
+                and p.is_homogeneous(2)
+                and (e.a, e.b, e.c) == (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2)))
+                and e.a > 0
+                and e.c > 0
+                and e.b_squared < e.four_ac
+                and all(
+                    type(m) in (int, Fraction) and m > 0 and isinstance(form, SparsePolynomial) and form.n_vars == 2
+                    for m, form in e.completion
+                )
+                and e.expanded() == p
+            )
         return False
 
     def to_dict(self) -> dict:
@@ -536,30 +545,28 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
-        return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(0)))
+        return Certificate(p, WitnessEvidence(point, Fraction(0)))
 
     if p.has_positive_coefficients():
         exps, coeff = p.leading_term()
-        return Certificate(
-            p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
-        )
+        return Certificate(p, CoefficientEvidence(exps, coeff))
 
     read = _form_matrix(p)
     if read is None:
-        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+        return Certificate(p, None)
     form, inverse = read
     z = _orthant_witness(form)
     if z is not None:
         point = _reduce_direction(tuple(1 / x for x in z) if inverse else z)
-        return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+        return Certificate(p, WitnessEvidence(point, p.evaluate(point)))
     if p.n_vars != 2:
-        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+        return Certificate(p, None)
     a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
     half = b / (2 * a)
     first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
     second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
     completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
-    return Certificate(p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion))
+    return Certificate(p, QuadraticEvidence(a, b, c, completion))
 
 
 # ---------------------------------------------------------------------------

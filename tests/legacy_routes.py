@@ -290,13 +290,11 @@ def certify_positive_on_orthant_by_two_rules(p: SparsePolynomial) -> Certificate
     """``certify_positive_on_orthant`` with the closed-form rule for a positive two-variable quadratic."""
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
-        return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, Fraction(0)))
+        return Certificate(p, WitnessEvidence(point, Fraction(0)))
 
     if p.has_positive_coefficients():
         exps, coeff = p.leading_term()
-        return Certificate(
-            p, CertificateVerdict.POSITIVE_ON_ORTHANT, CoefficientEvidence(exps, coeff)
-        )
+        return Certificate(p, CoefficientEvidence(exps, coeff))
 
     if p.n_vars == 2 and p.is_homogeneous(2):
         a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
@@ -306,16 +304,14 @@ def certify_positive_on_orthant_by_two_rules(p: SparsePolynomial) -> Certificate
             first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
             second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
             completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
-            return Certificate(
-                p, CertificateVerdict.POSITIVE_ON_ORTHANT, QuadraticEvidence(a, b, c, completion)
-            )
+            return Certificate(p, QuadraticEvidence(a, b, c, completion))
 
     form = form_matrix_by_fractions(p)
     z = None if form is None else _orthant_witness(form)
     if z is None:
-        return Certificate(p, CertificateVerdict.INCONCLUSIVE, None)
+        return Certificate(p, None)
     point = _reduce_direction(z if p.is_homogeneous(2) else tuple(1 / x for x in z))
-    return Certificate(p, CertificateVerdict.NOT_POSITIVE, WitnessEvidence(point, p.evaluate(point)))
+    return Certificate(p, WitnessEvidence(point, p.evaluate(point)))
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:

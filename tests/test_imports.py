@@ -27,8 +27,8 @@ The same reach tests keep the storage of ``SparsePolynomial`` inside
 ``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
 read elsewhere only through ``_numerators``, by ``_form_matrix``, and
 ``symbolic_q_invariants`` builds every p_j without a Fraction. Likewise
-the storage of ``RationalMatrix``, the integers q*A over q and the
-Fraction rows built from them on first read, is read only in
+the storage of ``RationalMatrix``, the integers q*A over q in its two
+slots ``_q`` and ``_qa`` and nothing else, is read only in
 ``matrices.py``. ``certify_positive_on_orthant`` takes the reading of a
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
@@ -36,7 +36,9 @@ form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
 called only by ``certify_positive_on_orthant``, whose verdicts the sampling
 shortcut of ``sample_refute`` reads; the Hadamard compounds that shortcut
-used to test (``_hadamard``) live on only in the test oracles.
+used to test (``_hadamard``) live on only in the test oracles. Each
+evidence kind states its verdict, so no ``assert`` under ``src/`` tests
+the kind of a certificate's evidence.
 
 ``refute.py`` calls each layer it reaches by its name in its own
 namespace, imported under that name and never bound to anything else, so
@@ -52,6 +54,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qscaling import RationalMatrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qscaling"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -194,8 +198,21 @@ def test_the_sign_of_a_pj_is_decided_only_through_the_certificates():
 
 
 def test_only_the_matrices_module_reads_the_matrix_storage():
-    for name in ("_q", "_qa", "_rows"):
+    for name in ("_q", "_qa"):
         assert {module for module, _ in _mentioned_in(name)} == {"matrices.py"}
+    assert RationalMatrix.__slots__ == ("_q", "_qa")
+
+
+def test_no_assert_under_src_tests_an_evidence_type():
+    # each evidence kind states its verdict, so a branch on the verdict knows the kind
+    asserts = [
+        (path.name, node.lineno)
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+        and any(isinstance(name, ast.Name) and name.id.endswith("Evidence") for name in ast.walk(node))
+    ]
+    assert asserts == []
 
 
 def test_symbolic_q_invariants_makes_no_fraction():

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -272,8 +274,125 @@ def test_tampered_certificate_fails_verification():
     p1 = SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25})
     good = certify_positive_on_orthant(p1)
     other = SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 3})
-    tampered = Certificate(other, good.verdict, good.evidence)
+    tampered = Certificate(other, good.evidence)
     assert not tampered.verify()
+
+
+def test_a_certificate_holds_its_polynomial_and_evidence_and_reads_the_verdict_off_the_evidence():
+    assert [field.name for field in dataclasses.fields(Certificate)] == ["polynomial", "evidence"]
+    for kind in typing.get_args(scaling_module.Evidence):
+        # a class constant, not a field: no instance of the kind can state another verdict
+        assert isinstance(vars(kind).get("verdict"), CertificateVerdict), kind
+        assert "verdict" not in {field.name for field in dataclasses.fields(kind)}
+    assert Certificate(SparsePolynomial(2, {(2, 0): -1}), None).verdict is CertificateVerdict.INCONCLUSIVE
+
+
+P1_REF = SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25})
+SQUARE = SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})  # (d1 - d2)^2
+D1, D2 = SparsePolynomial(2, {(1, 0): 1}), SparsePolynomial(2, {(0, 1): 1})
+QUADRATIC = certify_positive_on_orthant(P1_REF)  # (d1 - 2*d2)^2 + 21*d2^2
+WITNESS = certify_positive_on_orthant(SQUARE)  # value 0 at (1, 1)
+COEFFICIENTS = certify_positive_on_orthant(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1}))
+
+
+def _with(cert, polynomial=None, **changes):
+    """``cert`` with its evidence's fields changed by ``changes``, and its polynomial by ``polynomial``."""
+    return dataclasses.replace(
+        cert, polynomial=polynomial or cert.polynomial, evidence=dataclasses.replace(cert.evidence, **changes)
+    )
+
+
+def _completion(*terms):
+    return tuple((Fraction(m), form) for m, form in terms)
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        pytest.param(_with(WITNESS, value=Fraction(-1)), id="witness-changed-value"),
+        pytest.param(_with(WITNESS, point=(Fraction(-1), Fraction(-1))), id="witness-coordinate-not-positive"),
+        pytest.param(_with(WITNESS, point=(Fraction(1),) * 3), id="witness-wrong-point-length"),
+        pytest.param(
+            _with(WITNESS, point=(Fraction(1), Fraction(2)), value=Fraction(1)), id="witness-p-positive-there"
+        ),
+        pytest.param(
+            dataclasses.replace(QUADRATIC, evidence=WitnessEvidence((Fraction(1), 1.5), Fraction(0))),
+            id="witness-float-coordinate",
+        ),
+        pytest.param(_with(WITNESS, value=0.0), id="witness-float-value"),
+        pytest.param(
+            _with(COEFFICIENTS, positive_exponents=(1, 1), positive_coefficient=Fraction(0)),
+            id="coefficients-absent-term-listed",
+        ),
+        pytest.param(_with(COEFFICIENTS, positive_coefficient=Fraction(2)), id="coefficients-wrong-coefficient"),
+        pytest.param(
+            _with(COEFFICIENTS, SparsePolynomial(2, {(2, 0): 1, (1, 1): -1, (0, 2): 1})),
+            id="coefficients-negative-coefficient-in-p",
+        ),
+        pytest.param(_with(QUADRATIC, a=Fraction(2)), id="quadratic-changed-a"),
+        pytest.param(
+            # -d1^2 + d1*d2 - d2^2, negative on the whole orthant, with the completion certify would build
+            _with(
+                QUADRATIC,
+                SparsePolynomial(2, {(2, 0): -1, (1, 1): 1, (0, 2): -1}),
+                a=Fraction(-1),
+                b=Fraction(1),
+                c=Fraction(-1),
+                completion=_completion((-1, D1 - D2 * Fraction(1, 2)), (Fraction(-3, 4), D2)),
+            ),
+            id="quadratic-a-and-c-negative",
+        ),
+        pytest.param(_with(QUADRATIC, b=Fraction(-3)), id="quadratic-changed-b"),
+        pytest.param(_with(QUADRATIC, c=Fraction(24)), id="quadratic-changed-c"),
+        pytest.param(
+            # (d1 - d2)^2 expands exactly, but b^2 = 4ac: zero on the ray d1 = d2
+            _with(
+                QUADRATIC, SQUARE, a=Fraction(1), b=Fraction(-2), c=Fraction(1), completion=_completion((1, D1 - D2))
+            ),
+            id="quadratic-b-squared-not-below-4ac",
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=_completion((1, D1 - 2 * D2), (22, D2), (-1, D2))),
+            id="quadratic-negative-multiplier",
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=_completion((1, D1 - 2 * D2), (21, D2), (0, D1))),
+            id="quadratic-zero-multiplier",
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=((1.0, D1 - 2 * D2), (Fraction(21), D2))), id="quadratic-float-multiplier"
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=_completion((2, D1 - 2 * D2), (21, D2))),
+            id="quadratic-completion-does-not-expand-to-p",
+        ),
+        pytest.param(
+            # (d1 - 2*d2 + 1)^2 + 21*d2^2: the same a, b, c, and the completion expands to it
+            _with(
+                QUADRATIC,
+                (D1 - 2 * D2 + 1) * (D1 - 2 * D2 + 1) + 21 * D2 * D2,
+                completion=_completion((1, D1 - 2 * D2 + 1), (21, D2)),
+            ),
+            id="quadratic-p-not-homogeneous",
+        ),
+        pytest.param(
+            _with(QUADRATIC, SparsePolynomial(3, {(2, 0, 0): 1, (1, 1, 0): -4, (0, 2, 0): 25})),
+            id="quadratic-p-in-three-variables",
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=_completion((1, SparsePolynomial(3, {(1, 0, 0): 1, (0, 1, 0): -2})), (21, D2))),
+            id="quadratic-completion-form-in-three-variables",
+        ),
+        pytest.param(
+            _with(QUADRATIC, completion=_completion((1, "d1 - 2*d2"), (21, D2))),
+            id="quadratic-completion-form-is-a-string",
+        ),
+        pytest.param(dataclasses.replace(QUADRATIC, evidence="positive"), id="evidence-of-no-kind"),
+    ],
+)
+def test_tampered_evidence_fails_verification_without_raising(cert):
+    assert all(good.verify() for good in (QUADRATIC, WITNESS, COEFFICIENTS))
+    assert cert.verify() is False
 
 
 # -- sampling refutation -----------------------------------------------------------
