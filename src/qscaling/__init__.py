@@ -50,7 +50,6 @@ from .refute import (
     RefutationVerdict,
     RefutedAt,
     VerdictKind,
-    derive_verdict,
     evaluate_hypothesis,
     generate_candidates,
     hunt,

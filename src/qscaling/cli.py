@@ -58,8 +58,6 @@ def _structured(command: str, payload: dict) -> str:
 def _render_verdict_line(name: str, verdict) -> str:
     if verdict.holds:
         return f"{name}: holds"
-    if verdict.witness is None:
-        return f"{name}: fails"
     return f"{name}: fails ({verdict.witness.describe()})"
 
 
@@ -101,8 +99,7 @@ def render_refutation_report(report: RefutationReport) -> str:
     verdict = report.verdict
     if verdict.kind is VerdictKind.COUNTEREXAMPLE:
         claims = ", ".join(c.value for c in verdict.refuted_claims)
-        grade = verdict.evidence_grade.value if verdict.evidence_grade else "unknown"
-        lines.append(f"verdict: counterexample ({grade}); refutes: {claims}")
+        lines.append(f"verdict: counterexample ({verdict.evidence_grade.value}); refutes: {claims}")
     else:
         lines.append(f"verdict: {verdict.kind.value}")
     return "\n".join(lines)

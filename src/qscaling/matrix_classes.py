@@ -5,8 +5,8 @@ parameter anywhere. "Q-matrix" is used in the Hershkowitz-Keller sense
 (every sum of equal-order principal minors is positive), which is not
 the LCP-literature notion of the same name.
 
-Failing verdicts always come with a concrete witness that re-evaluates
-to the violating sign; witnesses are the first violation in (order,
+A verdict is its witness: it fails exactly when it carries a concrete
+violation that re-evaluates to the violating sign, the first in (order,
 lexicographic) scan order, so reports are deterministic.
 """
 
@@ -116,10 +116,15 @@ class MinorPairWitness:
 Witness = PrincipalMinorWitness | OrderGapWitness | MinorSumWitness | MinorPairWitness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Verdict:
-    holds: bool
+    """A predicate's verdict: it holds exactly when there is no witness of a violation."""
+
     witness: Witness | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         out: dict = {"holds": self.holds}
@@ -134,17 +139,33 @@ class ClassReport:
 
     ``minor_sums`` is the full vector c_1..c_n of equal-order principal
     minor sums; ``positive_minor_orders[k-1]`` says whether some order-k
-    principal minor is strictly positive.
+    principal minor is strictly positive. The P0+ and Q verdicts are read
+    off these and the P0 verdict, so no report can state them apart from
+    their evidence.
     """
 
-    n: int
     minor_sums: tuple[Fraction, ...]
     positive_minor_orders: tuple[bool, ...]
     p: Verdict
     p0: Verdict
-    p0_plus: Verdict
-    q: Verdict
     anti_sign_symmetric: Verdict
+
+    @property
+    def n(self) -> int:
+        return len(self.minor_sums)
+
+    @property
+    def p0_plus(self) -> Verdict:
+        """P0 with a positive principal minor of every order; else the P0 witness, or the first order without one."""
+        if self.p0.holds and not all(self.positive_minor_orders):
+            return Verdict(witness=OrderGapWitness(self.positive_minor_orders.index(False) + 1))
+        return self.p0
+
+    @property
+    def q(self) -> Verdict:
+        """Every c_k positive; else the first c_k <= 0."""
+        order = next((k for k, c_k in enumerate(self.minor_sums, start=1) if c_k <= 0), None)
+        return Verdict(witness=None if order is None else MinorSumWitness(order, self.minor_sums[order - 1]))
 
     def verdicts(self) -> dict[str, Verdict]:
         return {
@@ -215,15 +236,15 @@ def _first_positive_pair(q: int, scaled: _IntRows) -> MinorPairWitness | None:
 def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     """Evaluate all five class predicates from the integer matrix q*A that ``matrix`` stores.
 
-    P, P0, P0+ and Q read one pass over the principal minors of q*A; an
-    order-k minor of A is the integer one over q^k. Anti-sign symmetry is
-    the pair scan, ``_first_positive_pair``, on the same integers.
+    P, P0, the sums c_k and the orders with a positive minor read one pass
+    over the principal minors of q*A, and the report reads P0+ and Q off
+    them; an order-k minor of A is the integer one over q^k. Anti-sign
+    symmetry is the pair scan, ``_first_positive_pair``, on the same integers.
     """
     check_enumeration_dim(matrix.n, max_dim)
     q, scaled = _scaled(matrix)
     n = len(scaled)
     by_order = _principal_minors(scaled)
-    sums = _minor_sums(q, by_order)
     p_witness: PrincipalMinorWitness | None = None
     p0_witness: PrincipalMinorWitness | None = None
     has_positive: list[bool] = []
@@ -236,26 +257,12 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
             if v < 0 and p0_witness is None:
                 p0_witness = PrincipalMinorWitness(_index_set(n, k, a), Fraction(v, q**k))
 
-    q_order = next((k for k, c_k in enumerate(sums, start=1) if c_k <= 0), None)
-    q_witness = None if q_order is None else MinorSumWitness(q_order, sums[q_order - 1])
-    p0_verdict = Verdict(p0_witness is None, p0_witness)
-    if not p0_verdict.holds:
-        p0_plus = Verdict(False, p0_witness)
-    elif all(has_positive):
-        p0_plus = Verdict(True)
-    else:
-        p0_plus = Verdict(False, OrderGapWitness(has_positive.index(False) + 1))
-
-    pair_witness = _first_positive_pair(q, scaled)
     return ClassReport(
-        n=n,
-        minor_sums=sums,
+        minor_sums=_minor_sums(q, by_order),
         positive_minor_orders=tuple(has_positive),
-        p=Verdict(p_witness is None, p_witness),
-        p0=p0_verdict,
-        p0_plus=p0_plus,
-        q=Verdict(q_witness is None, q_witness),
-        anti_sign_symmetric=Verdict(pair_witness is None, pair_witness),
+        p=Verdict(witness=p_witness),
+        p0=Verdict(witness=p0_witness),
+        anti_sign_symmetric=Verdict(witness=_first_positive_pair(q, scaled)),
     )
 
 
@@ -267,5 +274,4 @@ def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -
     ``classify``'s, so the two verdicts and witnesses agree.
     """
     check_enumeration_dim(matrix.n, max_dim)
-    witness = _first_positive_pair(*_scaled(matrix))
-    return Verdict(witness is None, witness)
+    return Verdict(witness=_first_positive_pair(*_scaled(matrix)))

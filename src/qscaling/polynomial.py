@@ -7,8 +7,9 @@ exponent tuples to nonzero ints and a ``den`` with
 coefficients are the Fractions numerator / den, and each one is made only
 when it is read. The map holds its terms in canonical order:
 graded-lexicographic, highest first (total degree, then the exponents).
-Instances are treated as immutable; every operation returns a new
-polynomial.
+Instances are immutable: the three slots are written once, when the
+polynomial is built, any assignment raises, and every operation returns
+a new polynomial.
 
 The canonical text form lists the terms in that order and always spells
 the coefficient: ``1*d1^2 - 4*d1*d2 + 25*d2^2``.
@@ -49,9 +50,12 @@ class SparsePolynomial:
                     cleaned[exps] = value
         # over the lcm of the reduced denominators, the numerators are already in lowest terms
         den = lcm(*(c.denominator for c in cleaned.values()))
-        self.n_vars = n_vars
-        self._terms = _canonical({e: c.numerator * (den // c.denominator) for e, c in cleaned.items()})
-        self._den = den
+        self._init(n_vars, _canonical({e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}), den)
+
+    def _init(self, n_vars: int, terms: dict[tuple[int, ...], int], den: int) -> None:
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
 
     # -- constructors -------------------------------------------------------
 
@@ -74,10 +78,18 @@ class SparsePolynomial:
                 numerators = {e: v // divisor for e, v in numerators.items()}
                 den //= divisor
         poly = cls.__new__(cls)
-        poly.n_vars = n_vars
-        poly._terms = numerators
-        poly._den = den
+        poly._init(n_vars, numerators, den)
         return poly
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: SparsePolynomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: SparsePolynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the stored integers; the default would set the slots
+        return (type(self)._from_terms, (self.n_vars, dict(self._terms), self._den))
 
     @classmethod
     def zero(cls, n_vars: int) -> "SparsePolynomial":
@@ -199,6 +211,9 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         return (self.n_vars, self._den, self._terms) == (other.n_vars, other._den, other._terms)
+
+    def __hash__(self) -> int:
+        return hash((self.n_vars, self._den, frozenset(self._terms.items())))
 
     # -- rendering ------------------------------------------------------------
 

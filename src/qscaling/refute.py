@@ -2,10 +2,11 @@
 
 The hypothesis side quantifies over every positive diagonal D, so it is
 settled by certificates when possible and probed by sampling otherwise;
-the conclusion side is a plain classification of A^2. A matrix whose
-hypothesis holds while A^2 fails P0+ refutes the implication. Three
-published claims are tracked: the general statement, its restriction to
-2x2 matrices, and its restriction to anti-sign-symmetric matrices.
+the conclusion side is a plain classification of A^2, and a report reads
+its verdict off the two. A matrix whose hypothesis holds while A^2 fails
+P0+ refutes the implication. Three published claims are tracked: the
+general statement, its restriction to 2x2 matrices, and its restriction
+to anti-sign-symmetric matrices.
 """
 
 from __future__ import annotations
@@ -105,7 +106,30 @@ class RefutationReport:
     hypothesis: HypothesisStatus
     conclusion: ClassReport
     anti_sign: Verdict
-    verdict: RefutationVerdict
+
+    @property
+    def verdict(self) -> RefutationVerdict:
+        """The two sides combined, read off the report's own parts."""
+        hypothesis = self.hypothesis
+        if isinstance(hypothesis, RefutedAt):
+            # the implication is vacuous for this matrix
+            return RefutationVerdict(VerdictKind.CONSISTENT)
+        conclusion_holds = self.conclusion.p0_plus.holds
+        if isinstance(hypothesis, CertifiedForAll):
+            if conclusion_holds:
+                return RefutationVerdict(VerdictKind.CONSISTENT)
+            grade = EvidenceGrade.CERTIFIED
+        else:
+            if conclusion_holds:
+                # hypothesis unsettled and nothing refuted either way
+                return RefutationVerdict(VerdictKind.UNDETERMINED)
+            grade = EvidenceGrade.SAMPLING_ONLY
+        claims = [Claim.GENERAL]
+        if self.matrix.n == 2:
+            claims.append(Claim.TWO_BY_TWO)
+        if self.anti_sign.holds:
+            claims.append(Claim.ANTI_SIGN_SYMMETRIC)
+        return RefutationVerdict(VerdictKind.COUNTEREXAMPLE, tuple(claims), grade)
 
     @property
     def certificates(self) -> tuple[Certificate, ...]:
@@ -135,31 +159,6 @@ def invariants_to_dict(certificates: Sequence[Certificate]) -> list[dict]:
         {"order": j, "polynomial": cert.polynomial.to_text(), "certificate": cert.to_dict()}
         for j, cert in enumerate(certificates, start=1)
     ]
-
-
-def derive_verdict(
-    hypothesis: HypothesisStatus, conclusion: ClassReport, n: int, anti_sign: Verdict
-) -> RefutationVerdict:
-    """Combine the two sides into a verdict; kept separate so reports can be re-derived."""
-    if isinstance(hypothesis, RefutedAt):
-        # the implication is vacuous for this matrix
-        return RefutationVerdict(VerdictKind.CONSISTENT)
-    conclusion_holds = conclusion.p0_plus.holds
-    if isinstance(hypothesis, CertifiedForAll):
-        if conclusion_holds:
-            return RefutationVerdict(VerdictKind.CONSISTENT)
-        grade = EvidenceGrade.CERTIFIED
-    else:
-        if conclusion_holds:
-            # hypothesis unsettled and nothing refuted either way
-            return RefutationVerdict(VerdictKind.UNDETERMINED)
-        grade = EvidenceGrade.SAMPLING_ONLY
-    claims = [Claim.GENERAL]
-    if n == 2:
-        claims.append(Claim.TWO_BY_TWO)
-    if anti_sign.holds:
-        claims.append(Claim.ANTI_SIGN_SYMMETRIC)
-    return RefutationVerdict(VerdictKind.COUNTEREXAMPLE, tuple(claims), grade)
 
 
 def evaluate_hypothesis(
@@ -219,18 +218,14 @@ def verify_refutation(
 
 
 def _report(matrix: RationalMatrix, hypothesis: HypothesisStatus, max_dim: int | None) -> RefutationReport:
-    """The conclusion side of ``matrix`` and the verdict it gives with ``hypothesis``."""
+    """The report of ``matrix`` with ``hypothesis``: its conclusion side, from which the verdict is read."""
     squared = mat_mul(matrix, matrix)
-    conclusion = classify(squared, max_dim)
-    anti_sign = is_anti_sign_symmetric(matrix, max_dim)
-    verdict = derive_verdict(hypothesis, conclusion, matrix.n, anti_sign)
     return RefutationReport(
         matrix=matrix,
         squared=squared,
         hypothesis=hypothesis,
-        conclusion=conclusion,
-        anti_sign=anti_sign,
-        verdict=verdict,
+        conclusion=classify(squared, max_dim),
+        anti_sign=is_anti_sign_symmetric(matrix, max_dim),
     )
 
 

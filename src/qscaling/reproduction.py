@@ -96,8 +96,7 @@ def _describe_verdict(report: RefutationReport) -> str:
     if verdict.kind is not VerdictKind.COUNTEREXAMPLE:
         return verdict.kind.value
     claims = ", ".join(c.value for c in verdict.refuted_claims)
-    grade = verdict.evidence_grade.value if verdict.evidence_grade else "unknown"
-    return f"counterexample ({grade}): {claims}"
+    return f"counterexample ({verdict.evidence_grade.value}): {claims}"
 
 
 def run_reproduction() -> ReproductionResult:

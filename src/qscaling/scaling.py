@@ -465,6 +465,16 @@ class WitnessEvidence:
 Evidence = CoefficientEvidence | QuadraticEvidence | WitnessEvidence
 
 
+def _is_rational(x) -> bool:
+    """Whether ``x`` is an exact number: an ``int`` or a ``Fraction``, not a float or a bool."""
+    return type(x) in (int, Fraction)
+
+
+def _is_tuple(xs, length: int | None = None) -> bool:
+    """Whether ``xs`` is a tuple, of ``length`` entries when one is given."""
+    return type(xs) is tuple and (length is None or len(xs) == length)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A polynomial and the machine-checkable evidence on its sign on the open orthant."""
@@ -478,34 +488,48 @@ class Certificate:
         return CertificateVerdict.INCONCLUSIVE if self.evidence is None else self.evidence.verdict
 
     def verify(self) -> bool:
-        """Re-check the evidence against the polynomial from scratch: False, not an error, if malformed."""
+        """Re-check the evidence against the polynomial from scratch: False, not an error, if malformed.
+
+        One rule of shape for every kind: each number is an ``int`` or a
+        ``Fraction``, and each sequence a tuple of the right length.
+        """
         p, e = self.polynomial, self.evidence
         if e is None:
             return True
         if isinstance(e, WitnessEvidence):
             return (
-                len(e.point) == p.n_vars
-                and all(type(x) in (int, Fraction) and x > 0 for x in e.point)
-                and type(e.value) in (int, Fraction)
+                _is_tuple(e.point, p.n_vars)
+                and all(_is_rational(x) and x > 0 for x in e.point)
+                and _is_rational(e.value)
                 and e.value <= 0
                 and p.evaluate(e.point) == e.value
             )
         if isinstance(e, CoefficientEvidence):
-            if not p.has_positive_coefficients():
-                return False
-            listed = p.coefficient(e.positive_exponents)
-            return listed == e.positive_coefficient and listed > 0
+            return (
+                _is_tuple(e.positive_exponents, p.n_vars)
+                and all(type(k) is int for k in e.positive_exponents)
+                and _is_rational(e.positive_coefficient)
+                and e.positive_coefficient > 0
+                and p.has_positive_coefficients()
+                and p.coefficient(e.positive_exponents) == e.positive_coefficient
+            )
         if isinstance(e, QuadraticEvidence):
             return (
                 p.n_vars == 2
                 and p.is_homogeneous(2)
+                and all(_is_rational(x) for x in (e.a, e.b, e.c))
                 and (e.a, e.b, e.c) == (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2)))
                 and e.a > 0
                 and e.c > 0
                 and e.b_squared < e.four_ac
+                and _is_tuple(e.completion)
                 and all(
-                    type(m) in (int, Fraction) and m > 0 and isinstance(form, SparsePolynomial) and form.n_vars == 2
-                    for m, form in e.completion
+                    _is_tuple(term, 2)
+                    and _is_rational(term[0])
+                    and term[0] > 0
+                    and isinstance(term[1], SparsePolynomial)
+                    and term[1].n_vars == 2
+                    for term in e.completion
                 )
                 and e.expanded() == p
             )

@@ -67,6 +67,11 @@ through ``symbolic_q_invariants``, the conclusion through ``classify`` of
 q^2, and the anti-sign scan through ``is_anti_sign_symmetric``. It was the
 reference while ``verify_refutation`` passed A's integer view to private
 twins of those layers, and it still holds the report to the public calls.
+``p0_plus_and_q_by_classify`` and ``derive_verdict`` are how the P0+ and
+Q verdicts of a ``ClassReport`` and the verdict of a ``RefutationReport``
+were computed and stored before each report read them off its own data:
+the block at the end of ``classify``, and the function ``_report`` called
+with the two sides, the matrix's size and its anti-sign verdict.
 """
 
 from __future__ import annotations
@@ -82,22 +87,30 @@ from qscaling import (
     Certificate,
     CertificateVerdict,
     CertifiedForAll,
+    Claim,
+    ClassReport,
     CoefficientEvidence,
     DiagonalScaling,
+    EvidenceGrade,
     HuntConfig,
+    HypothesisStatus,
     IndexSet,
     MinorPairWitness,
+    MinorSumWitness,
     NoCounterexampleFound,
+    OrderGapWitness,
     RationalMatrix,
     RefutationReport,
+    RefutationVerdict,
     QuadraticEvidence,
     RefutedAt,
     SparsePolynomial,
+    Verdict,
+    VerdictKind,
     WitnessEvidence,
     certify_positive_on_orthant,
     classify,
     compound,
-    derive_verdict,
     determinant,
     is_anti_sign_symmetric,
     mat_mul,
@@ -521,5 +534,44 @@ def verify_refutation_by_layers(
         hypothesis=hypothesis,
         conclusion=conclusion,
         anti_sign=anti_sign,
-        verdict=derive_verdict(hypothesis, conclusion, matrix.n, anti_sign),
     )
+
+
+def p0_plus_and_q_by_classify(report: ClassReport) -> tuple[Verdict, Verdict]:
+    """The P0+ and Q verdicts as ``classify`` built them from the minor data of ``report``."""
+    sums, has_positive = report.minor_sums, list(report.positive_minor_orders)
+    q_order = next((k for k, c_k in enumerate(sums, start=1) if c_k <= 0), None)
+    q_witness = None if q_order is None else MinorSumWitness(q_order, sums[q_order - 1])
+    p0_verdict = report.p0
+    if not p0_verdict.holds:
+        p0_plus = Verdict(witness=p0_verdict.witness)
+    elif all(has_positive):
+        p0_plus = Verdict()
+    else:
+        p0_plus = Verdict(witness=OrderGapWitness(has_positive.index(False) + 1))
+    return p0_plus, Verdict(witness=q_witness)
+
+
+def derive_verdict(
+    hypothesis: HypothesisStatus, conclusion: ClassReport, n: int, anti_sign: Verdict
+) -> RefutationVerdict:
+    """Combine the two sides into a verdict; kept separate so reports can be re-derived."""
+    if isinstance(hypothesis, RefutedAt):
+        # the implication is vacuous for this matrix
+        return RefutationVerdict(VerdictKind.CONSISTENT)
+    conclusion_holds = conclusion.p0_plus.holds
+    if isinstance(hypothesis, CertifiedForAll):
+        if conclusion_holds:
+            return RefutationVerdict(VerdictKind.CONSISTENT)
+        grade = EvidenceGrade.CERTIFIED
+    else:
+        if conclusion_holds:
+            # hypothesis unsettled and nothing refuted either way
+            return RefutationVerdict(VerdictKind.UNDETERMINED)
+        grade = EvidenceGrade.SAMPLING_ONLY
+    claims = [Claim.GENERAL]
+    if n == 2:
+        claims.append(Claim.TWO_BY_TWO)
+    if anti_sign.holds:
+        claims.append(Claim.ANTI_SIGN_SYMMETRIC)
+    return RefutationVerdict(VerdictKind.COUNTEREXAMPLE, tuple(claims), grade)

@@ -91,8 +91,7 @@ def matrix_of(rows):
     )
 )
 def test_scan_gives_the_verdict_of_the_per_pair_minor_scan(matrix):
-    witness = first_positive_pair_by_minors(*_scaled(matrix))
-    expected = Verdict(witness is None, witness)
+    expected = Verdict(witness=first_positive_pair_by_minors(*_scaled(matrix)))
     assert is_anti_sign_symmetric(matrix) == expected
     assert classify(matrix).anti_sign_symmetric == expected
 

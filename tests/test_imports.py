@@ -40,6 +40,11 @@ used to test (``_hadamard``) live on only in the test oracles. Each
 evidence kind states its verdict, so no ``assert`` under ``src/`` tests
 the kind of a certificate's evidence.
 
+The public surface of ``qscaling`` is pinned as one sorted list of names,
+so adding or deleting a public name is an explicit edit here. A report's
+verdict is a property read off its parts, so no ``derive_verdict`` is
+defined under ``src/``.
+
 ``refute.py`` calls each layer it reaches by its name in its own
 namespace, imported under that name and never bound to anything else, so
 a wrapper set on ``qscaling.refute`` sees every call:
@@ -51,10 +56,12 @@ calls ``mat_mul``, ``classify`` and ``is_anti_sign_symmetric``.
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import qscaling
 from qscaling import RationalMatrix
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qscaling"
@@ -267,3 +274,79 @@ def test_refute_reaches_certify_and_sample_refute_only_by_their_module_names():
 def test_refute_reaches_each_layer_once_by_its_module_name(name, module, caller):
     tree = ast.parse((PACKAGE / "refute.py").read_text(encoding="utf-8"))
     assert list(_reaches(tree, name, module)) == [("import", None), ("call", caller)]
+
+
+#: every public name ``qscaling`` exports, its submodules aside
+PUBLIC_NAMES = [
+    "COUNTEREXAMPLE_MATRIX",
+    "CauchyBinetExpansion",
+    "Certificate",
+    "CertificateVerdict",
+    "CertifiedForAll",
+    "Claim",
+    "ClassReport",
+    "CoefficientEvidence",
+    "CompoundMatrix",
+    "DEFAULT_ENUMERATION_GUARD",
+    "DEFAULT_SYMBOLIC_GUARD",
+    "DiagonalScaling",
+    "DimensionGuardError",
+    "EvidenceGrade",
+    "HuntConfig",
+    "HypothesisStatus",
+    "IndexSet",
+    "MatrixParseError",
+    "MinorPairWitness",
+    "MinorSumWitness",
+    "NoCounterexampleFound",
+    "OrderGapWitness",
+    "PrincipalMinorWitness",
+    "QuadraticEvidence",
+    "RationalMatrix",
+    "RefutationReport",
+    "RefutationVerdict",
+    "RefutedAt",
+    "ReproductionResult",
+    "SparsePolynomial",
+    "Verdict",
+    "VerdictKind",
+    "WitnessEvidence",
+    "cauchy_binet_terms",
+    "certify_positive_on_orthant",
+    "classify",
+    "compound",
+    "determinant",
+    "evaluate_hypothesis",
+    "generate_candidates",
+    "hunt",
+    "index_sets",
+    "is_anti_sign_symmetric",
+    "mat_mul",
+    "matrix_from_dict",
+    "matrix_to_dict",
+    "minor",
+    "parse_matrix",
+    "parse_rational",
+    "principal_minor_sums",
+    "render_matrix",
+    "render_rational",
+    "run_reproduction",
+    "sample_refute",
+    "scaled_square_symbolic",
+    "symbolic_q_invariants",
+    "verify_refutation",
+    "zero_rows_outside",
+]
+
+
+def test_the_public_surface_is_pinned():
+    exported = sorted(
+        name
+        for name, value in vars(qscaling).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES
+
+
+def test_no_verdict_is_derived_apart_from_its_report():
+    assert _mentioned_in("derive_verdict") == []

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 
 from qscaling import (
+    ClassReport,
     DimensionGuardError,
     IndexSet,
     MinorPairWitness,
@@ -95,6 +97,43 @@ def test_classify_nilpotent():
     assert not report.p.holds
 
 
+def test_a_verdict_is_its_witness():
+    assert [(field.name, field.kw_only) for field in fields(Verdict)] == [("witness", True)]
+    with pytest.raises(TypeError):
+        Verdict(True)  # no positional witness, so a bare truth value cannot pose as one
+    assert Verdict().holds and Verdict().to_dict() == {"holds": True}
+    gap = Verdict(witness=OrderGapWitness(2))
+    assert not gap.holds and gap.to_dict() == {"holds": False, "witness": {"kind": "order_gap", "order": 2}}
+
+
+def test_a_class_report_holds_only_its_minor_data_and_three_verdicts():
+    assert [field.name for field in fields(ClassReport)] == [
+        "minor_sums",
+        "positive_minor_orders",
+        "p",
+        "p0",
+        "anti_sign_symmetric",
+    ]
+
+
+FAILING_P0 = Verdict(witness=PrincipalMinorWitness(IndexSet.of(3, 2), Fraction(-1)))
+
+
+@pytest.mark.parametrize(
+    "sums, positive_orders, p0, p0_plus_witness, q_witness",
+    [
+        ((3, Fraction(1, 2), 2), (True, True, True), Verdict(), None, None),
+        ((3, 0, 0), (True, False, False), Verdict(), OrderGapWitness(2), MinorSumWitness(2, Fraction(0))),
+        ((-1, 2, -4), (True, True, False), FAILING_P0, FAILING_P0.witness, MinorSumWitness(1, Fraction(-1))),
+    ],
+)
+def test_a_class_report_reads_n_p0_plus_and_q_off_its_minor_data(sums, positive_orders, p0, p0_plus_witness, q_witness):
+    report = ClassReport(tuple(map(Fraction, sums)), positive_orders, p0, p0, Verdict())
+    assert report.n == 3
+    assert report.p0_plus == Verdict(witness=p0_plus_witness)
+    assert report.q == Verdict(witness=q_witness)
+
+
 def test_classify_reference_matrix_is_p():
     report = classify(A_REF)
     assert report.p.holds
@@ -125,8 +164,8 @@ def _first_anti_sign_violation(m: RationalMatrix) -> Verdict:
             if forward * backward > 0:
                 row_set = IndexSet(m.n, tuple(i + 1 for i in a))
                 col_set = IndexSet(m.n, tuple(i + 1 for i in b))
-                return Verdict(False, MinorPairWitness(row_set, col_set, forward, backward))
-    return Verdict(True)
+                return Verdict(witness=MinorPairWitness(row_set, col_set, forward, backward))
+    return Verdict()
 
 
 def _order_one_anti_sign(rng: random.Random, n: int) -> RationalMatrix:
@@ -177,7 +216,7 @@ def test_classify_and_standalone_anti_sign_agree():
     cases = [RationalMatrix(((-2, 3, 0, 0), (-2, -2, 0, -1), (1, -2, -1, 0), (2, 2, -3, 0)))]
     for n in range(1, 6):
         upper = [random_upper_triangular_positive_diagonal(rng, n) for _ in range(2)]
-        assert all(is_anti_sign_symmetric(m) == Verdict(True) for m in upper)
+        assert all(is_anti_sign_symmetric(m) == Verdict() for m in upper)
         cases += upper
         cases += [random_int_matrix(rng, n, bound=3) for _ in range(6)]
         cases += [_order_one_anti_sign(rng, n) for _ in range(4)]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscaling import SparsePolynomial
+from qscaling import COUNTEREXAMPLE_MATRIX, SparsePolynomial, verify_refutation
 
 from legacy_routes import evaluate_by_terms
 
@@ -201,3 +203,39 @@ def test_every_operation_stores_its_terms_in_canonical_order(pair, factor):
     for result in (p, -p, p * factor, p + factor, p + r, p - r, p * r):
         assert _in_canonical_order(result)
         assert result.is_zero or result.leading_term() == result.terms()[0]
+
+
+def test_a_polynomial_is_immutable():
+    p = SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25})
+    for name, value in (("n_vars", 3), ("_terms", {}), ("_den", 2), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, value)
+    for name in ("n_vars", "_terms", "_den"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(p, name)
+    assert p.n_vars == 2 and p.evaluate((1, 1)) == 22
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        p.evaluate((1, 1, 1))
+
+
+def test_a_polynomial_survives_pickle_and_deepcopy_and_hashes_as_it_compares():
+    polynomials = [
+        SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25}),
+        SparsePolynomial(3, {(1, 0, 0): Fraction(3, 4), (0, 0, 1): Fraction(-1, 6)}),
+        SparsePolynomial.zero(1),
+    ]
+    for p in polynomials:
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert type(twin) is SparsePolynomial and twin == p and hash(twin) == hash(p)
+            assert twin.to_text() == p.to_text() and twin._den == p._den
+    # equal however they were built: by the public constructor, or by arithmetic
+    assert hash(SparsePolynomial(1, {(1,): Fraction(1, 2)})) == hash(SparsePolynomial(1, {(1,): 1}) * Fraction(1, 2))
+    assert len(set(polynomials + [copy.deepcopy(q) for q in polynomials])) == 3
+
+
+def test_equal_reports_hash_equal():
+    # frozen dataclasses all the way down, polynomials included
+    report, again = verify_refutation(COUNTEREXAMPLE_MATRIX), verify_refutation(COUNTEREXAMPLE_MATRIX)
+    assert report == again and hash(report) == hash(again)
+    assert hash(report.hypothesis) == hash(again.hypothesis)
+    assert {hash(c) for c in report.certificates} == {hash(c) for c in again.certificates}

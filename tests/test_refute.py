@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice, product
 
@@ -12,16 +12,17 @@ from qscaling import (
     CertificateVerdict,
     CertifiedForAll,
     Claim,
+    DiagonalScaling,
     DimensionGuardError,
     EvidenceGrade,
     HuntConfig,
     NoCounterexampleFound,
     RationalMatrix,
     RefutationReport,
+    RefutationVerdict,
     RefutedAt,
     VerdictKind,
     classify,
-    derive_verdict,
     evaluate_hypothesis,
     generate_candidates,
     hunt,
@@ -34,7 +35,12 @@ from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
 
 from helpers import random_int_matrix
-from legacy_routes import generate_candidates_by_matrices, verify_refutation_by_layers
+from legacy_routes import (
+    derive_verdict,
+    generate_candidates_by_matrices,
+    p0_plus_and_q_by_classify,
+    verify_refutation_by_layers,
+)
 from oracles import brute_force_minor, list_matmul
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -175,15 +181,88 @@ def test_a_decided_candidate_clears_its_denominators_once(monkeypatch):
         read.clear()
 
 
-def test_verdict_recomputes_from_report_parts():
-    rng = random.Random(31)
-    matrices = [A_REF, NILPOTENT, RationalMatrix.identity(2)]
-    matrices += [random_int_matrix(rng, 2, bound=4) for _ in range(30)]
-    matrices += [random_int_matrix(rng, 3, bound=3) for _ in range(5)]
-    for m in matrices:
-        report = verify_refutation(m, budget=200, seed=5)
-        rederived = derive_verdict(report.hypothesis, report.conclusion, m.n, report.anti_sign)
-        assert rederived == report.verdict
+def test_a_report_holds_only_its_parts():
+    # the verdict is read off them, so no report can state a verdict its parts do not give
+    assert [field.name for field in fields(RefutationReport)] == [
+        "matrix",
+        "squared",
+        "hypothesis",
+        "conclusion",
+        "anti_sign",
+    ]
+
+
+#: (A^2 is P0+, A is anti-sign symmetric, n): a matrix whose two sides are those
+SIDES = {
+    (True, True, 2): ((1, 0), (0, 1)),
+    (True, False, 2): ((0, 1), (1, 0)),
+    (False, True, 2): ((1, 2), (-1, 5)),  # P0 fails at {1}
+    (False, False, 2): ((1, 1), (1, 1)),  # no positive minor of order 2
+    (True, True, 3): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    (True, False, 3): ((0, 0, 2), (0, 1, 0), (1, 0, 0)),
+    (False, True, 3): ((1, 2, 0), (-1, 5, 0), (0, 0, 1)),  # P0 fails at {1}
+    (False, False, 3): ((1, 1, 0), (1, 1, 0), (0, 0, 1)),  # no positive minor of order 3
+}
+HYPOTHESES = {
+    "refuted": lambda certs, n: RefutedAt(DiagonalScaling((1,) * n), certs),
+    "certified": lambda certs, n: CertifiedForAll(certs),
+    "sampled": lambda certs, n: NoCounterexampleFound(100, certs),
+}
+CONSISTENT, UNDETERMINED, COUNTEREXAMPLE = VerdictKind.CONSISTENT, VerdictKind.UNDETERMINED, VerdictKind.COUNTEREXAMPLE
+GENERAL, TWO_BY_TWO, ANTI = Claim.GENERAL, Claim.TWO_BY_TWO, Claim.ANTI_SIGN_SYMMETRIC
+CERTIFIED, SAMPLING_ONLY = EvidenceGrade.CERTIFIED, EvidenceGrade.SAMPLING_ONLY
+
+
+@pytest.mark.parametrize(
+    "hypothesis, p0_plus, anti_sign, n, kind, claims, grade",
+    [
+        ("refuted", True, True, 2, CONSISTENT, (), None),
+        ("refuted", True, True, 3, CONSISTENT, (), None),
+        ("refuted", True, False, 2, CONSISTENT, (), None),
+        ("refuted", True, False, 3, CONSISTENT, (), None),
+        ("refuted", False, True, 2, CONSISTENT, (), None),
+        ("refuted", False, True, 3, CONSISTENT, (), None),
+        ("refuted", False, False, 2, CONSISTENT, (), None),
+        ("refuted", False, False, 3, CONSISTENT, (), None),
+        ("certified", True, True, 2, CONSISTENT, (), None),
+        ("certified", True, True, 3, CONSISTENT, (), None),
+        ("certified", True, False, 2, CONSISTENT, (), None),
+        ("certified", True, False, 3, CONSISTENT, (), None),
+        ("certified", False, True, 2, COUNTEREXAMPLE, (GENERAL, TWO_BY_TWO, ANTI), CERTIFIED),
+        ("certified", False, True, 3, COUNTEREXAMPLE, (GENERAL, ANTI), CERTIFIED),
+        ("certified", False, False, 2, COUNTEREXAMPLE, (GENERAL, TWO_BY_TWO), CERTIFIED),
+        ("certified", False, False, 3, COUNTEREXAMPLE, (GENERAL,), CERTIFIED),
+        ("sampled", True, True, 2, UNDETERMINED, (), None),
+        ("sampled", True, True, 3, UNDETERMINED, (), None),
+        ("sampled", True, False, 2, UNDETERMINED, (), None),
+        ("sampled", True, False, 3, UNDETERMINED, (), None),
+        ("sampled", False, True, 2, COUNTEREXAMPLE, (GENERAL, TWO_BY_TWO, ANTI), SAMPLING_ONLY),
+        ("sampled", False, True, 3, COUNTEREXAMPLE, (GENERAL, ANTI), SAMPLING_ONLY),
+        ("sampled", False, False, 2, COUNTEREXAMPLE, (GENERAL, TWO_BY_TWO), SAMPLING_ONLY),
+        ("sampled", False, False, 3, COUNTEREXAMPLE, (GENERAL,), SAMPLING_ONLY),
+    ],
+)
+def test_the_verdict_is_read_off_the_two_sides(hypothesis, p0_plus, anti_sign, n, kind, claims, grade):
+    real = verify_refutation(RationalMatrix(SIDES[p0_plus, anti_sign, n]), budget=50)
+    assert (real.conclusion.p0_plus.holds, real.anti_sign.holds, real.matrix.n) == (p0_plus, anti_sign, n)
+    report = replace(real, hypothesis=HYPOTHESES[hypothesis](real.certificates, n))
+    assert report.verdict == RefutationVerdict(kind, claims, grade)
+    assert report.to_dict()["verdict"] == report.verdict.to_dict()
+
+
+@example(A_REF)
+@example(NILPOTENT)
+@example(SAMPLED_3X3)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rational_matrices())
+def test_a_report_reads_its_verdicts_by_the_rules_it_once_stored_them_by(matrix):
+    report = verify_refutation(matrix, budget=40, seed=3)
+    conclusion = report.conclusion
+    assert (conclusion.p0_plus, conclusion.q) == p0_plus_and_q_by_classify(conclusion)
+    for make in HYPOTHESES.values():
+        forged = replace(report, hypothesis=make(report.certificates, matrix.n))
+        assert forged.verdict == derive_verdict(forged.hypothesis, conclusion, matrix.n, report.anti_sign)
+    assert report.verdict == derive_verdict(report.hypothesis, conclusion, matrix.n, report.anti_sign)
 
 
 def test_refuted_hypotheses_reverify():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import (
+    COUNTEREXAMPLE_MATRIX,
     Certificate,
     CertificateVerdict,
     CoefficientEvidence,
@@ -29,6 +30,7 @@ from qscaling import (
     sample_refute,
     scaled_square_symbolic,
     symbolic_q_invariants,
+    verify_refutation,
     zero_rows_outside,
 )
 from qscaling import matrices as matrices_module
@@ -293,6 +295,8 @@ D1, D2 = SparsePolynomial(2, {(1, 0): 1}), SparsePolynomial(2, {(0, 1): 1})
 QUADRATIC = certify_positive_on_orthant(P1_REF)  # (d1 - 2*d2)^2 + 21*d2^2
 WITNESS = certify_positive_on_orthant(SQUARE)  # value 0 at (1, 1)
 COEFFICIENTS = certify_positive_on_orthant(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1}))
+# the reference report's p_1 (a square completion) and p_2 = 49*d1^2*d2^2 (nonnegative coefficients)
+REFERENCE_P1, REFERENCE_P2 = verify_refutation(COUNTEREXAMPLE_MATRIX).certificates
 
 
 def _with(cert, polynomial=None, **changes):
@@ -388,10 +392,21 @@ def _completion(*terms):
             id="quadratic-completion-form-is-a-string",
         ),
         pytest.param(dataclasses.replace(QUADRATIC, evidence="positive"), id="evidence-of-no-kind"),
+        # one rule of shape for every kind: each number an int or a Fraction, each sequence a tuple of the right length
+        pytest.param(_with(REFERENCE_P2, positive_coefficient=49.0), id="coefficients-float-coefficient"),
+        pytest.param(_with(REFERENCE_P2, positive_exponents=5), id="coefficients-exponents-not-a-tuple"),
+        pytest.param(_with(REFERENCE_P2, positive_exponents=None), id="coefficients-no-exponents"),
+        pytest.param(_with(REFERENCE_P2, positive_exponents=(2.0, 2.0)), id="coefficients-float-exponent"),
+        pytest.param(_with(REFERENCE_P1, a=1.0), id="quadratic-float-a"),
+        pytest.param(_with(REFERENCE_P1, completion=5), id="quadratic-completion-not-a-tuple"),
+        pytest.param(_with(REFERENCE_P1, completion=((1,),)), id="quadratic-completion-term-not-a-pair"),
+        pytest.param(
+            dataclasses.replace(REFERENCE_P1, evidence=WitnessEvidence(5, Fraction(0))), id="witness-point-not-a-tuple"
+        ),
     ],
 )
 def test_tampered_evidence_fails_verification_without_raising(cert):
-    assert all(good.verify() for good in (QUADRATIC, WITNESS, COEFFICIENTS))
+    assert all(good.verify() for good in (QUADRATIC, WITNESS, COEFFICIENTS, REFERENCE_P1, REFERENCE_P2))
     assert cert.verify() is False
 
 
