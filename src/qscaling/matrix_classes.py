@@ -266,6 +266,18 @@ def classify(matrix: RationalMatrix, max_dim: int | None = None) -> ClassReport:
     )
 
 
+def _p0_plus_holds(matrix: RationalMatrix) -> bool:
+    """Whether ``classify(matrix).p0_plus`` holds, from the same principal minors of q*A and nothing else.
+
+    Every minor is >= 0 and every order has a positive one; an order-k
+    minor of A is the integer one over q^k > 0, so the signs are those of
+    the integers. No witness, minor sum or anti-sign pair is built, and the
+    caller checks the enumeration bound.
+    """
+    by_order = _principal_minors(_scaled(matrix)[1])
+    return all(min(minors) >= 0 and max(minors) > 0 for minors in by_order[1:])
+
+
 def is_anti_sign_symmetric(matrix: RationalMatrix, max_dim: int | None = None) -> Verdict:
     """Check minor(a|b) * minor(b|a) <= 0 for all distinct equal-size a, b.
 

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import ClassVar, Sequence
 
 from .matrices import RationalMatrix, _bareiss_int, _int_product, check_enumeration_dim, mat_mul, matrix_to_dict
-from .matrix_classes import ClassReport, Verdict, classify, is_anti_sign_symmetric
+from .matrix_classes import ClassReport, Verdict, _p0_plus_holds, classify, is_anti_sign_symmetric
 from .polynomial import SparsePolynomial
 from .scaling import (
     Certificate,
@@ -202,24 +202,33 @@ def verify_refutation(
     """Test whether ``matrix`` refutes the implication (see module docstring).
 
     One call per layer, each by its name in this module:
-    ``evaluate_hypothesis(A)``, then, in ``_report``,
-    ``classify(mat_mul(A, A))`` and ``is_anti_sign_symmetric(A)``.
-    ``max_dim`` overrides every dimension bound of the call, checked in that
-    order. Every layer reads the integer matrix q*A that A stores, so A's
+    ``evaluate_hypothesis(A)``, ``mat_mul(A, A)``, then, in ``_report``,
+    ``classify(A^2)`` and ``is_anti_sign_symmetric(A)``. ``max_dim``
+    overrides every dimension bound of the call, checked in that order.
+    Every layer reads the integer matrix q*A that A stores, so A's
     denominators were cleared once, when it was built; ``mat_mul`` stores
     A^2 as (q*A)^2 over q^2 in lowest terms, and no Fraction of either
-    matrix is made until its entries are read. ``hunt`` makes the same calls
-    but stops after the first when it returns a ``RefutedAt``.
+    matrix is made until its entries are read. The whole report is always
+    built; ``hunt`` makes the same calls but builds a report only for a
+    candidate it returns.
     """
     hypothesis = evaluate_hypothesis(
         matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim
     )
-    return _report(matrix, hypothesis, max_dim)
+    return _report(matrix, mat_mul(matrix, matrix), hypothesis, max_dim)
 
 
-def _report(matrix: RationalMatrix, hypothesis: HypothesisStatus, max_dim: int | None) -> RefutationReport:
-    """The report of ``matrix`` with ``hypothesis``: its conclusion side, from which the verdict is read."""
-    squared = mat_mul(matrix, matrix)
+def _report(
+    matrix: RationalMatrix, squared: RationalMatrix, hypothesis: HypothesisStatus, max_dim: int | None
+) -> RefutationReport:
+    """The report of ``matrix`` with ``hypothesis``, given its square.
+
+    The caller squares ``matrix`` once and passes ``squared`` on, so
+    ``hunt`` can test it for P0+ before deciding to build a report. The
+    conclusion side is ``classify(squared)``, with its witnesses, minor sums
+    and anti-sign pair scan, and ``matrix`` is scanned for anti-sign
+    symmetry; the verdict is read off the report's parts.
+    """
     return RefutationReport(
         matrix=matrix,
         squared=squared,
@@ -305,12 +314,16 @@ def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
 
     Candidates are processed in stream order and each one's sampling seed
     is derived from (cfg.seed, index), so the report list is identical
-    across runs with the same config. A refuted hypothesis ends a
-    candidate: the implication holds vacuously, so its report would be
-    CONSISTENT, and neither A^2 is built and classified nor A scanned for
-    anti-sign symmetry. Every other candidate gets the report
-    ``verify_refutation`` would give, from the same calls. ``max_dim``
-    is passed on to every layer; both bounds a candidate can meet, the
+    across runs with the same config. Only a returned candidate gets a
+    report: two early exits settle the CONSISTENT ones without one. A
+    refuted hypothesis makes the implication vacuous, and A^2 is not built.
+    Otherwise A is squared once with ``mat_mul``; when the hypothesis is
+    certified and ``_p0_plus_holds(A^2)`` (classify's P0+ test without its
+    witnesses, minor sums or pair scan), the implication holds for A, and
+    neither is A^2 classified nor A scanned for anti-sign symmetry. Every
+    other candidate is a COUNTEREXAMPLE or UNDETERMINED and gets the report
+    ``verify_refutation`` would give, from the same calls. ``max_dim`` is
+    passed on to every layer; both bounds a candidate can meet, the
     symbolic-expansion one and the enumeration one, are checked here
     before the first draw.
     """
@@ -327,7 +340,8 @@ def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:
         )
         if isinstance(hypothesis, RefutedAt):
             continue
-        report = _report(candidate, hypothesis, max_dim)
-        if report.verdict.kind is not VerdictKind.CONSISTENT:
-            reports.append(report)
+        squared = mat_mul(candidate, candidate)
+        if isinstance(hypothesis, CertifiedForAll) and _p0_plus_holds(squared):
+            continue
+        reports.append(_report(candidate, squared, hypothesis, max_dim))
     return reports

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import IndexSet, RationalMatrix, determinant, minor
-from .matrix_classes import PrincipalMinorWitness
 from .refute import RefutationReport, VerdictKind, verify_refutation
 from .scaling import (
     CertificateVerdict,
@@ -71,24 +70,20 @@ def _describe_certificate(cert) -> str:
         return "certificate does not verify"
     if cert.verdict is not CertificateVerdict.POSITIVE_ON_ORTHANT:
         return f"verdict {cert.verdict.value}"
-    if isinstance(cert.evidence, CoefficientEvidence):
+    e = cert.evidence
+    if isinstance(e, CoefficientEvidence):
         return "positive via nonnegative coefficients"
-    if isinstance(cert.evidence, QuadraticEvidence):
-        e = cert.evidence
-        return f"positive via two-variable quadratic, b^2 = {e.b_squared} < 4ac = {e.four_ac}"
-    return "positive via unknown evidence"
+    # a POSITIVE_ON_ORTHANT certificate carries one of the two positive evidence kinds
+    return f"positive via two-variable quadratic, b^2 = {e.b_squared} < 4ac = {e.four_ac}"
 
 
 def _describe_p0(report, squared: RationalMatrix) -> str:
-    verdict = report.p0
-    if verdict.holds:
+    witness = report.p0.witness
+    if witness is None:
         return "holds"
-    witness = verdict.witness
-    if isinstance(witness, PrincipalMinorWitness):
-        if not witness.reverify(squared):
-            return "witness does not re-verify"
-        return f"fails at {witness.index_set} with minor {witness.value}"
-    return "fails"
+    if not witness.reverify(squared):
+        return "witness does not re-verify"
+    return f"fails at {witness.index_set} with minor {witness.value}"
 
 
 def _describe_verdict(report: RefutationReport) -> str:

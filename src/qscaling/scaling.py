@@ -490,10 +490,13 @@ class Certificate:
     def verify(self) -> bool:
         """Re-check the evidence against the polynomial from scratch: False, not an error, if malformed.
 
-        One rule of shape for every kind: each number is an ``int`` or a
-        ``Fraction``, and each sequence a tuple of the right length.
+        One rule of shape for every kind: the polynomial is a
+        ``SparsePolynomial``, each number is an ``int`` or a ``Fraction``, and
+        each sequence a tuple of the right length.
         """
         p, e = self.polynomial, self.evidence
+        if not isinstance(p, SparsePolynomial):
+            return False
         if e is None:
             return True
         if isinstance(e, WitnessEvidence):

@@ -176,6 +176,7 @@ def test_the_principal_minor_walker_has_four_readers_and_no_wrapper():
         ("matrix_classes.py", None),
         ("matrix_classes.py", "principal_minor_sums"),
         ("matrix_classes.py", "classify"),
+        ("matrix_classes.py", "_p0_plus_holds"),
         ("scaling.py", None),
         ("scaling.py", "symbolic_q_invariants"),
         ("scaling.py", "sample_refute"),
@@ -263,17 +264,19 @@ def test_refute_reaches_certify_and_sample_refute_only_by_their_module_names():
 
 
 @pytest.mark.parametrize(
-    "name, module, caller",
+    "name, module, callers",
     [
         ("symbolic_q_invariants", "scaling", "evaluate_hypothesis"),
-        ("mat_mul", "matrices", "_report"),
+        # A^2 is made by the caller of _report: once per report, and once per standing hunt candidate
+        ("mat_mul", "matrices", "verify_refutation hunt"),
         ("classify", "matrix_classes", "_report"),
         ("is_anti_sign_symmetric", "matrix_classes", "_report"),
+        ("_p0_plus_holds", "matrix_classes", "hunt"),
     ],
 )
-def test_refute_reaches_each_layer_once_by_its_module_name(name, module, caller):
+def test_refute_reaches_each_layer_once_by_its_module_name(name, module, callers):
     tree = ast.parse((PACKAGE / "refute.py").read_text(encoding="utf-8"))
-    assert list(_reaches(tree, name, module)) == [("import", None), ("call", caller)]
+    assert list(_reaches(tree, name, module)) == [("import", None)] + [("call", caller) for caller in callers.split()]
 
 
 #: every public name ``qscaling`` exports, its submodules aside

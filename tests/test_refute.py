@@ -30,7 +30,7 @@ from qscaling import (
     symbolic_q_invariants,
     verify_refutation,
 )
-from qscaling import matrices, refute
+from qscaling import matrices, matrix_classes, refute
 from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
 
@@ -382,8 +382,18 @@ def test_hunt_keeps_the_non_consistent_reports_of_verify_refutation(cfg):
     assert hunt(cfg) == _non_consistent_reports(cfg)
 
 
+def _spy_on_layers(monkeypatch, *names):
+    """The arguments each named layer of ``refute`` is called with, in call order."""
+    seen = {name: [] for name in names}
+    for name, calls in seen.items():
+        layer = getattr(refute, name)
+        monkeypatch.setattr(refute, name, lambda m, *rest, layer=layer, calls=calls: calls.append(m) or layer(m, *rest))
+    return seen
+
+
 def test_hunt_reads_the_conclusion_only_of_a_candidate_whose_hypothesis_stands(monkeypatch):
-    # a refuted hypothesis makes the implication vacuous, so hunt skips A^2 and the anti-sign scan
+    # a refuted hypothesis makes the implication vacuous, so hunt skips A^2; a certified one
+    # with a P0+ square makes it hold, so hunt skips classify(A^2) and the anti-sign scan
     cfg = HuntConfig(dimension=3, entry_range=5, count=30, budget=50, seed=1)
     candidates = list(generate_candidates(cfg))
     standing = [
@@ -392,13 +402,59 @@ def test_hunt_reads_the_conclusion_only_of_a_candidate_whose_hypothesis_stands(m
         if not isinstance(evaluate_hypothesis(c, budget=cfg.budget, seed=cfg.seed * 1_000_003 + index), RefutedAt)
     ]
     assert 0 < len(standing) < len(candidates)
-    seen = {"mat_mul": [], "classify": [], "is_anti_sign_symmetric": []}
-    for name, calls in seen.items():
-        layer = getattr(refute, name)
-        monkeypatch.setattr(refute, name, lambda m, *rest, layer=layer, calls=calls: calls.append(m) or layer(m, *rest))
-    hunt(cfg)
-    assert seen["mat_mul"] == seen["is_anti_sign_symmetric"] == standing
-    assert seen["classify"] == [mat_mul(c, c) for c in standing]
+    seen = _spy_on_layers(monkeypatch, "mat_mul", "classify", "is_anti_sign_symmetric")
+    reports = hunt(cfg)
+    assert 0 < len(reports) < len(standing)
+    assert seen["mat_mul"] == standing
+    assert seen["is_anti_sign_symmetric"] == [r.matrix for r in reports]
+    assert seen["classify"] == [r.squared for r in reports]
+
+
+def test_hunt_classifies_no_spd_candidate(monkeypatch):
+    # B^T B + I is certified for all D and its square is positive definite, so every candidate is skipped
+    cfg = HuntConfig(dimension=5, entry_range=5, count=6, seed=1, mode="spd")
+    seen = _spy_on_layers(monkeypatch, "mat_mul", "classify", "is_anti_sign_symmetric")
+    assert hunt(cfg) == []
+    assert seen == {"mat_mul": list(generate_candidates(cfg)), "classify": [], "is_anti_sign_symmetric": []}
+
+
+def test_hunt_reports_a_certified_candidate_whose_square_is_not_p0_plus_in_full():
+    cfg = HuntConfig(dimension=2, entry_range=5, count=INDEX_OF_REFERENCE + 1, budget=5, seed=SEED_EMITTING_REFERENCE)
+    last = hunt(cfg)[-1]
+    assert last == verify_refutation(
+        A_REF, budget=5, seed=SEED_EMITTING_REFERENCE * 1_000_003 + INDEX_OF_REFERENCE
+    )
+    assert isinstance(last.hypothesis, CertifiedForAll)
+    assert not last.conclusion.p0_plus.holds
+    assert last.verdict == RefutationVerdict(
+        VerdictKind.COUNTEREXAMPLE,
+        (Claim.GENERAL, Claim.TWO_BY_TWO, Claim.ANTI_SIGN_SYMMETRIC),
+        EvidenceGrade.CERTIFIED,
+    )
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """n = 1..7 with A = A^T, so A^2 is positive semidefinite and P0+ exactly when A is nonsingular."""
+    n = draw(st.integers(1, 7))
+    upper = {(i, j): draw(view_entries) for i in range(n) for j in range(i, n)}
+    return RationalMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n)))
+
+
+@example(A_REF)
+@example(RationalMatrix.identity(7))
+@example(RationalMatrix(((0, 0), (0, 0))))
+# q = 2 at n = 7: A^2 is upper triangular with diagonal 1/4, so P0+
+@example(RationalMatrix(tuple(tuple(Fraction(1 + (i == j), 2) * (i <= j) for j in range(7)) for i in range(7))))
+# q = 2 at n = 7: A is symmetric of rank 4, so A^2 is P0 with no positive minor of order 5
+@example(RationalMatrix(tuple(tuple(Fraction((i == j) + (i + j == 6 and i != j), 2) for j in range(7)) for i in range(7))))
+# A^2 has a zero diagonal entry and is P0+ but not P
+@example(RationalMatrix(((1, 0, Fraction(-1, 2)), (0, 1, Fraction(-1, 2)), (Fraction(-1, 2), 2, 2))))
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.one_of(rational_matrices(), symmetric_matrices()))
+def test_the_p0_plus_test_of_hunt_agrees_with_classify(matrix):
+    squared = mat_mul(matrix, matrix)
+    assert matrix_classes._p0_plus_holds(squared) is classify(squared).p0_plus.holds
 
 
 class _Drew(Exception):

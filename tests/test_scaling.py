@@ -403,6 +403,9 @@ def _completion(*terms):
         pytest.param(
             dataclasses.replace(REFERENCE_P1, evidence=WitnessEvidence(5, Fraction(0))), id="witness-point-not-a-tuple"
         ),
+        pytest.param(dataclasses.replace(REFERENCE_P1, polynomial="x"), id="polynomial-is-a-string"),
+        pytest.param(dataclasses.replace(REFERENCE_P1, polynomial=None), id="no-polynomial"),
+        pytest.param(dataclasses.replace(REFERENCE_P1, polynomial=5), id="polynomial-is-an-int"),
     ],
 )
 def test_tampered_evidence_fails_verification_without_raising(cert):
