@@ -173,8 +173,9 @@ class RationalMatrix:
         self._init(q, qa)
 
     def _init(self, q: int, qa: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_qa", qa)
+        # through the slot descriptors, past the __setattr__ that refuses every assignment
+        _SET_Q(self, q)
+        _SET_QA(self, qa)
 
     @classmethod
     def _from_ints(cls, qa: _IntRows, q: int) -> "RationalMatrix":
@@ -251,6 +252,9 @@ class RationalMatrix:
             [[f.numerator * (m // f.denominator) * v for v in row] for f, row in zip(coerced, self._qa)],
             self._q * m,
         )
+
+
+_SET_Q, _SET_QA = (RationalMatrix.__dict__[name].__set__ for name in RationalMatrix.__slots__)
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

@@ -53,9 +53,10 @@ class SparsePolynomial:
         self._init(n_vars, _canonical({e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}), den)
 
     def _init(self, n_vars: int, terms: dict[tuple[int, ...], int], den: int) -> None:
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_den", den)
+        # through the slot descriptors, past the __setattr__ that refuses every assignment
+        _SET_N_VARS(self, n_vars)
+        _SET_TERMS(self, terms)
+        _SET_DEN(self, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -135,26 +136,28 @@ class SparsePolynomial:
         return min(self._terms.values(), default=1) > 0
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """The exact value at ``point``, summed as one integer over one denominator.
-
-        With the coordinates x_i = X_i / D over a common denominator D, the
-        coefficients c = C / L over the stored denominator L, and ``top`` the
-        highest degree, a term of degree k contributes C * X^e * D^(top-k)
-        to the numerator over L * D^top.
-        """
+        """The exact value at ``point``, summed as one integer over one denominator (see ``_value_at``)."""
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         coords = [_coerce_rational(x) for x in point]
+        d = lcm(*(x.denominator for x in coords))
+        return self._value_at([x.numerator * (d // x.denominator) for x in coords], d)
+
+    def _value_at(self, xs: Sequence[int], d: int = 1) -> Fraction:
+        """The exact value at the point x_i = xs[i] / d, for integers ``xs`` and ``d`` > 0.
+
+        With the coefficients c = C / L over the stored denominator L and
+        ``top`` the highest degree, a term of degree k contributes
+        C * X^e * d^(top-k) to one integer numerator over L * d^top, and one
+        Fraction is made. At d = 1 no power of d is taken.
+        """
         if not self._terms:
             return Fraction(0)
-        d = lcm(*(x.denominator for x in coords))
-        xs = [x.numerator * (d // x.denominator) for x in coords]
-        degrees = [sum(exps) for exps in self._terms]
-        top = max(degrees)
-        lift = {k: d ** (top - k) for k in set(degrees)}
+        top = max(map(sum, self._terms)) if d != 1 else 0
         total = 0
-        for (exps, numerator), k in zip(self._terms.items(), degrees):
-            value = numerator * lift[k]
+        for exps, value in self._terms.items():
+            if top:
+                value *= d ** (top - sum(exps))
             for x, e in zip(xs, exps):
                 if e:
                     value *= x ** e
@@ -253,3 +256,6 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"<SparsePolynomial {self.to_text()}>"
+
+
+_SET_N_VARS, _SET_TERMS, _SET_DEN = (SparsePolynomial.__dict__[name].__set__ for name in SparsePolynomial.__slots__)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Sequence
+from itertools import islice
+from typing import ClassVar, Iterator, Sequence
 
 from .matrices import RationalMatrix, _bareiss_int, _int_product, check_enumeration_dim, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, _p0_plus_holds, classify, is_anti_sign_symmetric
@@ -24,6 +25,7 @@ from .scaling import (
     CertificateVerdict,
     DiagonalScaling,
     WitnessEvidence,
+    _uniform_draws,
     certify_positive_on_orthant,
     check_sampling_args,
     check_symbolic_dim,
@@ -247,9 +249,11 @@ class HuntConfig:
 
     ``entry_range`` bounds the integer entries (for mode "spd" it bounds
     the entries of the factor B in B^T B + I). Candidate draws consume
-    the generator row-major, entry by entry; that order is frozen so a
-    (seed, count) pair always names the same candidate stream. The
-    sampling exponent range is the constant ``exponent_range``.
+    the generator row-major, entry by entry, each entry by rejection on
+    ``getrandbits`` (see ``generate_candidates``); that order and that
+    rule are frozen so a (seed, count) pair always names the same
+    candidate stream. The sampling exponent range is the constant
+    ``exponent_range``.
     """
 
     dimension: int
@@ -283,8 +287,9 @@ class HuntConfig:
         }
 
 
-def _draw_rows(rng: random.Random, n: int, bound: int) -> list[list[int]]:
-    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+def _draw_rows(entries: Iterator[int], n: int) -> list[list[int]]:
+    """The next n x n entries of ``entries``, row-major."""
+    return [list(islice(entries, n)) for _ in range(n)]
 
 
 def generate_candidates(cfg: HuntConfig):
@@ -292,15 +297,20 @@ def generate_candidates(cfg: HuntConfig):
 
     Every mode draws integer rows and builds one matrix from them: "all"
     keeps the draw, "nonsingular" redraws while its Bareiss determinant is
-    0, and "spd" forms B^T B + I from the drawn B in integers.
+    0, and "spd" forms B^T B + I from the drawn B in integers. Each entry
+    is drawn from ``random.Random(cfg.seed)`` by the rule of
+    ``_uniform_draws`` on [-entry_range, entry_range]: rejection on
+    ``getrandbits`` of the width's bit length. The rule is this package's,
+    not ``randint``'s (whose draws it matches on CPython 3.10 to 3.13), so
+    a later Python that changes ``randint`` leaves the stream as it is.
     """
-    rng = random.Random(cfg.seed)
     n, bound = cfg.dimension, cfg.entry_range
+    entries = _uniform_draws(random.Random(cfg.seed), -bound, bound)
     for _ in range(cfg.count):
-        rows = _draw_rows(rng, n, bound)
+        rows = _draw_rows(entries, n)
         if cfg.mode == "nonsingular":
             while not _bareiss_int([row[:] for row in rows]):
-                rows = _draw_rows(rng, n, bound)
+                rows = _draw_rows(entries, n)
         elif cfg.mode == "spd":
             # B^T B + I is symmetric positive definite with integer entries
             rows = _int_product(tuple(zip(*rows)), rows)

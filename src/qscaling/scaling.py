@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations
 from math import gcd, lcm
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterator
 
 from .matrices import (
     DimensionGuardError,
@@ -484,8 +484,8 @@ class Certificate:
 
     @property
     def verdict(self) -> CertificateVerdict:
-        """The verdict that the evidence kind states; INCONCLUSIVE when there is no evidence."""
-        return CertificateVerdict.INCONCLUSIVE if self.evidence is None else self.evidence.verdict
+        """The verdict that the evidence kind states; INCONCLUSIVE when there is no evidence of a known kind."""
+        return self.evidence.verdict if isinstance(self.evidence, Evidence) else CertificateVerdict.INCONCLUSIVE
 
     def verify(self) -> bool:
         """Re-check the evidence against the polynomial from scratch: False, not an error, if malformed.
@@ -546,12 +546,42 @@ class Certificate:
         }
 
 
-def _reduce_direction(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Scale a positive direction to coprime integer coordinates."""
-    denominators = lcm(*(x.denominator for x in point))
-    integers = [x.numerator * (denominators // x.denominator) for x in point]
+def _witness_evidence(p: SparsePolynomial, z: tuple[Fraction, ...], inverse: bool) -> WitnessEvidence:
+    """The witness point d = z, or d = 1/z when ``inverse``, as one coprime integer vector, and p there.
+
+    The coordinates are read off the numerators and denominators of z,
+    swapped for d = 1/z, and cleared by the lcm of the denominators; the
+    value is one integer sum over p's numerators (``_value_at``).
+    """
+    pairs = [(x.denominator, x.numerator) for x in z] if inverse else [(x.numerator, x.denominator) for x in z]
+    common = lcm(*(den for _, den in pairs))
+    integers = [num * (common // den) for num, den in pairs]
     divisor = gcd(*integers)
-    return tuple(Fraction(i // divisor) for i in integers)
+    point = [i // divisor for i in integers]
+    return WitnessEvidence(tuple(map(Fraction, point)), p._value_at(point))
+
+
+#: d2, the second linear form of every two-variable square completion
+_D2 = SparsePolynomial._from_terms(2, {(0, 1): 1}, 1)
+
+
+def _quadratic_evidence(p: SparsePolynomial, form: list[list[int]]) -> QuadraticEvidence:
+    """The square completion a*(d1 + b/(2a)*d2)^2 + (4ac - b^2)/(4a)*d2^2 of a positive two-variable form.
+
+    ``form`` is ``_form_matrix``'s [[2A, B], [B, 2C]] for p = (A*d1^2 +
+    B*d1*d2 + C*d2^2) / L with integers A, B, C. So the first linear form
+    d1 + b/(2a)*d2 is (2A*d1 + B*d2) / (2A), the second is d2, and
+    (4ac - b^2)/(4a) is a * det(form) / (2A)^2. The form is positive and
+    has a negative coefficient, so A > 0, C > 0 and B < 0.
+    """
+    (twice_a, b_numerator), (_, twice_c) = form
+    a = p.coefficient((2, 0))
+    det = twice_a * twice_c - b_numerator * b_numerator
+    completion = (
+        (a, SparsePolynomial._from_terms(2, {(1, 0): twice_a, (0, 1): b_numerator}, twice_a)),
+        (Fraction(a.numerator * det, a.denominator * twice_a * twice_a), _D2),
+    )
+    return QuadraticEvidence(a, p.coefficient((1, 1)), p.coefficient((0, 2)), completion)
 
 
 def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
@@ -559,16 +589,19 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
 
     Exact strategies, in fixed order: (a) all coefficients nonnegative with
     one positive; (b) for a quadratic form in d, or (prod d)^2 times one in
-    1/d, as p_1 and p_{n-1} are, ``_orthant_witness`` on the matrix that
-    ``_form_matrix`` reads. A witness z gives the point d = z or d = 1/z,
-    by the reading ``_form_matrix`` chose. No witness means the form is
-    positive on the orthant; a two-variable form a*d1^2 + b*d1*d2 + c*d2^2
-    then records its weighted square completion as evidence. It reaches
-    (b) only with a negative coefficient, so there no witness means
-    exactly a > 0, c > 0 and b^2 < 4ac. Anything left over is
-    INCONCLUSIVE, which is a legitimate outcome, not an error: that
-    includes a positive form in more than two variables, which no
-    evidence kind records yet, and every other p, which sampling probes.
+    1/d, as p_1 and p_{n-1} are, ``_orthant_witness`` on the integer matrix
+    that ``_form_matrix`` reads. A witness z gives the point d = z or
+    d = 1/z, by the reading ``_form_matrix`` chose, recorded as one coprime
+    integer vector with p's value there (``_witness_evidence``). No witness
+    means the form is positive on the orthant; a two-variable form
+    a*d1^2 + b*d1*d2 + c*d2^2 then records its weighted square completion
+    as evidence, built from the integers of that same matrix
+    (``_quadratic_evidence``). It reaches (b) only with a negative
+    coefficient, so there no witness means exactly a > 0, c > 0 and
+    b^2 < 4ac. Anything left over is INCONCLUSIVE, which is a legitimate
+    outcome, not an error: that includes a positive form in more than two
+    variables, which no evidence kind records yet, and every other p,
+    which sampling probes.
     """
     if p.is_zero:
         point = (Fraction(1),) * p.n_vars
@@ -584,16 +617,10 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     form, inverse = read
     z = _orthant_witness(form)
     if z is not None:
-        point = _reduce_direction(tuple(1 / x for x in z) if inverse else z)
-        return Certificate(p, WitnessEvidence(point, p.evaluate(point)))
+        return Certificate(p, _witness_evidence(p, z, inverse))
     if p.n_vars != 2:
         return Certificate(p, None)
-    a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
-    half = b / (2 * a)
-    first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
-    second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
-    completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
-    return Certificate(p, QuadraticEvidence(a, b, c, completion))
+    return Certificate(p, _quadratic_evidence(p, form))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +635,25 @@ def check_sampling_args(budget: int, exponent_range: int) -> None:
         raise ValueError("exponent_range must be >= 0")
 
 
+def _uniform_draws(rng: random.Random, low: int, high: int) -> Iterator[int]:
+    """Endless integers uniform on [low, high], each drawn from ``rng`` when it is asked for.
+
+    With width = high - low + 1, a draw is low + r for the first
+    r = rng.getrandbits(width.bit_length()) below width. That is the rule
+    ``rng.randint(low, high)`` follows on CPython 3.10 to 3.13, so the two
+    consume the generator alike and yield the same integers; the rule is
+    kept here because Python does not promise to keep ``randint``'s. Two
+    streams of one ``rng`` interleave in the order they are asked.
+    """
+    width = high - low + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        r = getrandbits(bits)
+        if r < width:
+            yield low + r
+
+
 def sample_refute(
     matrix: RationalMatrix,
     budget: int = 10_000,
@@ -620,9 +666,10 @@ def sample_refute(
     Draws ``budget`` scalings deterministically from ``seed``. Each
     diagonal entry is an exact rational m * 10^e with the mantissa m
     drawn uniformly from {8/8, 9/8, ..., 16/8} and the exponent e
-    uniformly from [-exponent_range, exponent_range]; draws are consumed
-    mantissa-then-exponent, coordinate by coordinate, which is part of
-    the determinism contract. Returns the first witness found, or None.
+    uniformly from [-exponent_range, exponent_range], each by the rule of
+    ``_uniform_draws``; draws are consumed mantissa-then-exponent,
+    coordinate by coordinate, which is part of the determinism contract.
+    Returns the first witness found, or None.
 
     Each draw is tested in integers, through the identity described in
     :func:`symbolic_q_invariants`. Every p_j is homogeneous of degree 2j
@@ -654,13 +701,15 @@ def sample_refute(
         for masks, minors in zip(_subset_masks(n), _principal_minors(scaled))
     ]
     rng = random.Random(seed)
-    randint = rng.randint
+    # the mantissa 8*m and the exponent shifted by exponent_range, from one generator
+    mantissas = _uniform_draws(rng, 8, 16)
+    shifted_exponents = _uniform_draws(rng, 0, 2 * exponent_range)
     weights = [_pair_weights(n, j) for j in range(1, n + 1)]
     lowest = [(mask & -mask).bit_length() - 1 for mask in range(1 << n)]
-    powers = {e: 10 ** (e + exponent_range) for e in range(-exponent_range, exponent_range + 1)}
+    powers = [10**k for k in range(2 * exponent_range + 1)]
     products = [1] * (1 << n)
     for _ in range(budget):
-        point = [randint(8, 16) * powers[randint(-exponent_range, exponent_range)] for _ in range(n)]
+        point = [next(mantissas) * powers[next(shifted_exponents)] for _ in range(n)]
         # products[mask] = prod of point[i] over the bits i of mask
         for mask in range(1, 1 << n):
             products[mask] = products[mask & (mask - 1)] * point[lowest[mask]]

@@ -39,6 +39,14 @@ two-variable quadratic, ``_orthant_witness`` only for every other form, and
 a second scan of the terms (``is_homogeneous(2)``) to read a witness back as
 d or 1/d. Its matrix comes from ``form_matrix_by_fractions``, which is what
 ``_form_matrix`` returned then.
+``reduce_direction_by_fractions`` and ``witness_evidence_by_fractions``
+are how ``certify_positive_on_orthant`` recorded a witness z before it
+read the point off z's numerators and denominators: the Fractions 1/z for
+the 1/d reading, scaled to coprime integers, and the value by
+``evaluate``. ``quadratic_evidence_by_fractions`` is how it built the
+square completion of a positive two-variable form before it read it off
+the integer matrix of ``_form_matrix``: b/(2a) and (4ac - b^2)/(4a) in
+Fractions and both linear forms through the checked constructor.
 ``skips_sampling_by_compounds`` is how ``sample_refute`` decided, for
 n <= 3, that no draw can be a witness before it read the certificates:
 ``_orthant_witness`` on each Hadamard compound M_j = C_j(q*A) o C_j(q*A)^T
@@ -51,11 +59,13 @@ system [m on the columns S; 1^T] x = [0; 1], for every support S and the
 first nonsingular rows of it.
 ``generate_candidates_by_matrices`` is how ``generate_candidates`` built
 each hunt candidate before it drew integer rows: a Fraction matrix per
-draw, the Fraction determinant for the nonsingular redraw, and B^T B + I
-as a matrix product plus the identity, summed by what was
-``RationalMatrix.__add__``. The property test holds the integer stream
-to it element for element, since every hunt report and golden depends on
-that stream.
+draw, each entry by ``randint``, the Fraction determinant for the
+nonsingular redraw, and B^T B + I as a matrix product plus the identity,
+summed by what was ``RationalMatrix.__add__``. The property test holds
+the integer stream to it element for element, since every hunt report and
+golden depends on that stream. ``draw_rows_by_randint`` is how
+``_draw_rows`` drew the rows before the rule of ``_uniform_draws`` became
+the package's own: one ``randint`` per entry.
 ``first_positive_pair_by_minors`` is the anti-sign scan without compound
 rows: the two minors of each pair as square Bareiss determinants of q*A,
 in the scan's order of pairs. The property tests hold the package's scan
@@ -118,7 +128,7 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _bareiss_int, _int_compounds, _int_minor, _scaled
-from qscaling.scaling import _orthant_witness, _pair_weights, _reduce_direction, check_sampling_args
+from qscaling.scaling import _orthant_witness, _pair_weights, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
 
@@ -299,6 +309,30 @@ def form_matrix_by_fractions(p: SparsePolynomial) -> list[list[int]] | None:
     return m
 
 
+def reduce_direction_by_fractions(point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Scale a positive direction to coprime integer coordinates."""
+    denominators = lcm(*(x.denominator for x in point))
+    integers = [x.numerator * (denominators // x.denominator) for x in point]
+    divisor = gcd(*integers)
+    return tuple(Fraction(i // divisor) for i in integers)
+
+
+def witness_evidence_by_fractions(p: SparsePolynomial, z: tuple[Fraction, ...], inverse: bool) -> WitnessEvidence:
+    """The witness at d = z, or d = 1/z when ``inverse``: Fraction reciprocals, reduced, and ``evaluate`` there."""
+    point = reduce_direction_by_fractions(tuple(1 / x for x in z) if inverse else z)
+    return WitnessEvidence(point, p.evaluate(point))
+
+
+def quadratic_evidence_by_fractions(p: SparsePolynomial) -> QuadraticEvidence:
+    """The square completion of a positive a*d1^2 + b*d1*d2 + c*d2^2, from its Fraction coefficients."""
+    a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
+    half = b / (2 * a)
+    first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
+    second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
+    completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
+    return QuadraticEvidence(a, b, c, completion)
+
+
 def certify_positive_on_orthant_by_two_rules(p: SparsePolynomial) -> Certificate:
     """``certify_positive_on_orthant`` with the closed-form rule for a positive two-variable quadratic."""
     if p.is_zero:
@@ -313,18 +347,13 @@ def certify_positive_on_orthant_by_two_rules(p: SparsePolynomial) -> Certificate
         a, b, c = p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))
         # a failing quadratic goes to the copositivity route below for its witness
         if a > 0 and c > 0 and b * b < 4 * a * c:
-            half = b / (2 * a)
-            first_form = SparsePolynomial(2, {(1, 0): Fraction(1), (0, 1): half})
-            second_form = SparsePolynomial(2, {(0, 1): Fraction(1)})
-            completion = ((a, first_form), ((4 * a * c - b * b) / (4 * a), second_form))
-            return Certificate(p, QuadraticEvidence(a, b, c, completion))
+            return Certificate(p, quadratic_evidence_by_fractions(p))
 
     form = form_matrix_by_fractions(p)
     z = None if form is None else _orthant_witness(form)
     if z is None:
         return Certificate(p, None)
-    point = _reduce_direction(z if p.is_homogeneous(2) else tuple(1 / x for x in z))
-    return Certificate(p, WitnessEvidence(point, p.evaluate(point)))
+    return Certificate(p, witness_evidence_by_fractions(p, z, not p.is_homogeneous(2)))
 
 
 def _principal_minor_sum(rows, subsets) -> Fraction:
@@ -471,6 +500,11 @@ def _draw_integer_matrix(rng: random.Random, n: int, bound: int) -> RationalMatr
 
 def _matrix_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.rows, b.rows)))
+
+
+def draw_rows_by_randint(rng: random.Random, n: int, bound: int) -> list[list[int]]:
+    """n x n integers on [-bound, bound], row-major, one ``randint`` each."""
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def generate_candidates_by_matrices(cfg: HuntConfig):

@@ -20,6 +20,12 @@ its Fraction coefficients, together with the reading it chose, x = d or
 x = 1/d; ``certify_positive_on_orthant`` turns a witness into a point d by
 that reading, and decides every form through ``_orthant_witness``, which
 ``legacy_routes.certify_positive_on_orthant_by_two_rules`` holds it to.
+The evidence is built from integers: a witness point from the numerators
+and denominators of z, as one coprime vector, with its value from one
+integer sum, and a two-variable completion from the integer matrix that
+``_form_matrix`` read. The Fraction routes they replaced,
+``legacy_routes.witness_evidence_by_fractions`` and
+``legacy_routes.quadratic_evidence_by_fractions``, hold each of them.
 
 For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2, so the
 certificates decide the hypothesis: when none of them is NOT_POSITIVE,
@@ -48,15 +54,17 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _form_matrix, _orthant_witness
+from qscaling.scaling import _form_matrix, _orthant_witness, _quadratic_evidence, _witness_evidence
 
 from legacy_routes import (
     _hadamard,
     certify_positive_on_orthant_by_two_rules,
     form_matrix_by_fractions,
     orthant_witness_by_cramer,
+    quadratic_evidence_by_fractions,
     sample_refute_by_fractions,
     skips_sampling_by_compounds,
+    witness_evidence_by_fractions,
 )
 from oracles import simplex_minimum
 
@@ -354,6 +362,55 @@ def integer_matrices(draw):
 def test_one_form_route_certifies_every_pj_as_the_two_rules_did(matrix):
     for p in symbolic_q_invariants(matrix):
         assert certify_positive_on_orthant(p) == certify_positive_on_orthant_by_two_rules(p)
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def polynomials_and_witness_directions(draw):
+    """(p, z, inverse): a polynomial near a form, a positive z of its arity, and either reading."""
+    p = draw(polynomials_near_forms())
+    z = tuple(draw(st.lists(positive_rationals, min_size=p.n_vars, max_size=p.n_vars)))
+    return p, z, draw(st.booleans())
+
+
+# integer z in either reading, z sharing a factor, and the zero polynomial
+@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (Fraction(3), Fraction(5)), False))
+@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (Fraction(3), Fraction(5)), True))
+@example((SparsePolynomial(3, {(2, 2, 0): -1, (0, 2, 2): 4}), (Fraction(2, 3), Fraction(4, 9), Fraction(6)), True))
+@example((SparsePolynomial(3, {}), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), False))
+@PROPERTY
+@given(polynomials_and_witness_directions())
+def test_witness_read_off_the_integers_of_z_equals_the_fraction_route(case):
+    p, z, inverse = case
+    evidence = _witness_evidence(p, z, inverse)
+    assert evidence == witness_evidence_by_fractions(p, z, inverse)
+    assert all(type(x) is Fraction for x in (*evidence.point, evidence.value))
+
+
+@st.composite
+def positive_two_variable_forms(draw):
+    """a*d1^2 + b*d1*d2 + c*d2^2 with a, c > 0 and -2*sqrt(ac) < b < 0: the completion's forms."""
+    a, c = draw(positive_rationals), draw(positive_rationals)
+    b = -draw(positive_rationals)
+    assume(b * b < 4 * a * c)
+    return SparsePolynomial(2, {(2, 0): a, (1, 1): b, (0, 2): c})
+
+
+# B/(2A) in lowest terms, and a multiplier with a factor to cancel; entries of size 2^600
+@example(SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(3, 4), (1, 1): Fraction(-3, 2), (0, 2): Fraction(5, 6)}))
+@example(SparsePolynomial(2, {(2, 0): Fraction(2**600), (1, 1): Fraction(-(2**600)), (0, 2): Fraction(2**600)}))
+@PROPERTY
+@given(positive_two_variable_forms())
+def test_completion_read_off_the_form_equals_the_fraction_route(p):
+    form, inverse = _form_matrix(p)
+    assert not inverse
+    evidence = _quadratic_evidence(p, form)
+    assert evidence == quadratic_evidence_by_fractions(p)
+    assert all(type(x) is Fraction for x in (evidence.a, evidence.b, evidence.c, *(m for m, _ in evidence.completion)))
+    assert certify_positive_on_orthant(p).evidence == evidence
 
 
 class _Drew(AssertionError):

@@ -26,7 +26,9 @@ passing it the stored q*A.
 The same reach tests keep the storage of ``SparsePolynomial`` inside
 ``polynomial.py``: its integer numerators ``_terms`` over one ``_den`` are
 read elsewhere only through ``_numerators``, by ``_form_matrix``, and
-``symbolic_q_invariants`` builds every p_j without a Fraction. Likewise
+``symbolic_q_invariants`` builds every p_j without a Fraction. One
+integer sum, ``_value_at``, evaluates a polynomial: ``evaluate`` calls it,
+and so does ``_witness_evidence`` for the value at a witness point. Likewise
 the storage of ``RationalMatrix``, the integers q*A over q in its two
 slots ``_q`` and ``_qa`` and nothing else, is read only in
 ``matrices.py``. ``certify_positive_on_orthant`` takes the reading of a
@@ -39,6 +41,11 @@ shortcut of ``sample_refute`` reads; the Hadamard compounds that shortcut
 used to test (``_hadamard``) live on only in the test oracles. Each
 evidence kind states its verdict, so no ``assert`` under ``src/`` tests
 the kind of a certificate's evidence.
+
+Every random draw under ``src/`` follows the package's own rule,
+``_uniform_draws`` in ``scaling.py``: the candidate entries of
+``generate_candidates`` and the mantissas and exponents of
+``sample_refute``. Nothing calls ``randint``.
 
 The public surface of ``qscaling`` is pinned as one sorted list of names,
 so adding or deleting a public name is an explicit edit here. A report's
@@ -187,6 +194,28 @@ def test_only_the_polynomial_module_reads_the_coefficient_storage():
     for name in ("_terms", "_den"):
         assert {module for module, _ in _mentioned_in(name)} == {"polynomial.py"}
     assert _mentioned_in("_numerators") == [("polynomial.py", "_numerators"), ("scaling.py", "_form_matrix")]
+
+
+def test_one_integer_sum_evaluates_a_polynomial():
+    # evaluate and the witness values of the certificates share it
+    assert _mentioned_in("_value_at") == [
+        ("polynomial.py", "evaluate"),
+        ("polynomial.py", "_value_at"),
+        ("scaling.py", "_witness_evidence"),
+    ]
+
+
+def test_every_draw_follows_the_packages_own_rule():
+    # candidate entries, mantissas and exponents; no draw goes through randint, whose rule Python may change
+    assert _mentioned_in("randint") == []
+    assert set(_mentioned_in("getrandbits")) == {("scaling.py", "_uniform_draws")}
+    assert _mentioned_in("_uniform_draws") == [
+        ("refute.py", None),
+        ("refute.py", "generate_candidates"),
+        ("scaling.py", "_uniform_draws"),
+        ("scaling.py", "sample_refute"),
+        ("scaling.py", "sample_refute"),
+    ]
 
 
 def test_only_the_certificate_check_scans_for_homogeneity():

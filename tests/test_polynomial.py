@@ -127,6 +127,28 @@ def test_evaluate_equals_per_term_fraction_loop(case):
 
 
 @st.composite
+def polynomials_and_integer_points(draw):
+    """(p, xs, d): a polynomial, integer coordinates and a common denominator, often 1."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), rationals, max_size=6))
+    xs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n))
+    return SparsePolynomial(n, terms), xs, draw(st.sampled_from((1, 1, 2, 7, 12)))
+
+
+# mixed degrees at d = 1, where no power of d is taken, and at d = 6
+@example((SparsePolynomial(2, {(2, 1): Fraction(2, 3), (0, 1): -5, (0, 0): Fraction(1, 6)}), [3, -4], 1))
+@example((SparsePolynomial(2, {(2, 1): Fraction(2, 3), (0, 1): -5, (0, 0): Fraction(1, 6)}), [3, -4], 6))
+@example((SparsePolynomial.zero(3), [1, 2, 3], 5))
+@PROPERTY
+@given(polynomials_and_integer_points())
+def test_value_at_integers_over_a_denominator_equals_per_term_fraction_loop(case):
+    # the one integer sum behind evaluate, and behind the witness values of the certificates
+    p, xs, d = case
+    value = p._value_at(xs, d)
+    assert type(value) is Fraction and value == evaluate_by_terms(p, [Fraction(x, d) for x in xs])
+
+
+@st.composite
 def numerators_over_a_denominator(draw):
     """(n, numerators, den, point): nonzero ints over den > 0, often sharing a factor with it."""
     n = draw(st.integers(1, 3))

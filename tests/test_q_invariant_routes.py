@@ -35,6 +35,8 @@ from oracles import faddeev_leverrier, list_matmul
 
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
 HITS_AT_DRAW_45 = RationalMatrix(((-3, 5, 1), (-2, 4, Fraction(5, 3)), (-4, Fraction(1, 2), -3)))
+#: HuntConfig(dimension=4, entry_range=4, count=1, seed=58): p_1, p_2 and p_3 are INCONCLUSIVE
+HITS_AT_DRAW_62 = RationalMatrix(((-1, -1, -1, -4), (-1, 3, 2, 1), (0, 0, 3, 2), (0, -3, -4, 3)))
 
 # fixed example order, so a run never depends on a saved example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -208,3 +210,11 @@ def test_sampling_witness_for_rational_three_by_three_is_pinned():
     assert sample_refute(HITS_AT_DRAW_45, budget=44, seed=7) is None
     witness = sample_refute(HITS_AT_DRAW_45, budget=300, seed=7)
     assert witness == DiagonalScaling((Fraction(9, 800), Fraction(9, 800), Fraction(3, 160)))
+
+
+def test_sampling_witness_for_four_by_four_is_pinned():
+    # n = 4 always draws; mantissas (width 9) and exponents (width 7) both meet rejected getrandbits draws
+    assert sample_refute(HITS_AT_DRAW_62, budget=61, seed=7) is None
+    witness = sample_refute(HITS_AT_DRAW_62, budget=62, seed=7)
+    assert witness == DiagonalScaling((Fraction(1500), Fraction(9, 8), Fraction(1, 10), Fraction(2)))
+    assert witness == sample_refute_by_fractions(HITS_AT_DRAW_62, 62, 7, 3)

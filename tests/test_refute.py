@@ -33,10 +33,12 @@ from qscaling import (
 from qscaling import matrices, matrix_classes, refute
 from qscaling.matrices import _scaled
 from qscaling.refute import HUNT_MODES
+from qscaling.scaling import _uniform_draws
 
 from helpers import random_int_matrix
 from legacy_routes import (
     derive_verdict,
+    draw_rows_by_randint,
     generate_candidates_by_matrices,
     p0_plus_and_q_by_classify,
     verify_refutation_by_layers,
@@ -349,6 +351,48 @@ def test_hunt_nonsingular_mode():
 def test_candidate_stream_equals_the_matrix_oracle(mode, dimension, entry_range, count, seed):
     cfg = HuntConfig(dimension=dimension, entry_range=entry_range, count=count, seed=seed, mode=mode)
     assert list(generate_candidates(cfg)) == list(generate_candidates_by_matrices(cfg))
+
+
+#: the first candidate of each mode at seed 2105, written out. The entry widths 11, 5 and 13 are
+#: not 2^k - 1, so some getrandbits draws are rejected, and the nonsingular one is the third
+#: draw of its stream, after two singular ones
+@pytest.mark.parametrize(
+    "cfg, rows",
+    [
+        pytest.param(
+            HuntConfig(dimension=3, entry_range=5, count=1, seed=2105),
+            ((-3, 4, 1), (-5, 1, 5), (2, -4, -4)),
+            id="all",
+        ),
+        pytest.param(
+            HuntConfig(dimension=2, entry_range=2, count=1, seed=2105, mode="nonsingular"),
+            ((1, -2), (2, -2)),
+            id="nonsingular",
+        ),
+        pytest.param(
+            HuntConfig(dimension=3, entry_range=6, count=1, seed=2105, mode="spd"),
+            ((42, 18, -30), (18, 62, -32), (-30, -32, 38)),
+            id="spd",
+        ),
+    ],
+)
+def test_first_candidates_are_pinned(cfg, rows):
+    assert list(generate_candidates(cfg)) == [RationalMatrix(rows)]
+
+
+# width 1 still takes one bit per draw; widths 2^k - 1, 2^k and 2^k + 1; a width past 64 bits
+@example(seed=0, n=3, bound=0)
+@example(seed=1, n=2, bound=3)
+@example(seed=2, n=2, bound=2**40)
+@example(seed=3, n=5, bound=2**70 + 5)
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(), n=st.integers(1, 5), bound=st.one_of(st.integers(0, 9), st.integers(0, 2**80)))
+def test_rows_are_drawn_as_randint_draws_them(seed, n, bound):
+    # randint's rule on CPython 3.10 to 3.13; the pinned candidates above hold the stream on any version
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert refute._draw_rows(_uniform_draws(ours, -bound, bound), n) == draw_rows_by_randint(theirs, n, bound)
+        assert ours.getstate() == theirs.getstate()
 
 
 def _non_consistent_reports(cfg: HuntConfig) -> list[RefutationReport]:

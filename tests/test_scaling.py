@@ -2,6 +2,7 @@ import dataclasses
 import random
 import typing
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,10 +37,9 @@ from qscaling import (
 from qscaling import matrices as matrices_module
 from qscaling import scaling as scaling_module
 from qscaling.matrices import _scaled
-from qscaling.scaling import _reduce_direction
 
 from helpers import positive_points, random_int_matrix, random_rational_matrix
-from legacy_routes import minor_by_fractions
+from legacy_routes import minor_by_fractions, reduce_direction_by_fractions
 from oracles import brute_force_minor
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -224,7 +224,7 @@ def test_two_variable_quadratics_are_decided_with_the_adjugate_witness(a, b, c):
         # adj M >= 0 for M = [[2a, b], [b, 2c]], so the copositivity route fails at M itself when
         # det M = 4ac - b^2 < 0, and adj(M) 1 spans the kernel when it is 0: either way the
         # witness is adj(M) 1, of value (a + c - b)(4ac - b^2) <= 0
-        assert cert.evidence.point == _reduce_direction((2 * c - b, 2 * a - b))
+        assert cert.evidence.point == reduce_direction_by_fractions((2 * c - b, 2 * a - b))
 
 
 def test_certificate_positive_kernel_vector_refutes_higher_arity():
@@ -392,6 +392,11 @@ def _completion(*terms):
             id="quadratic-completion-form-is-a-string",
         ),
         pytest.param(dataclasses.replace(QUADRATIC, evidence="positive"), id="evidence-of-no-kind"),
+        pytest.param(
+            # states a verdict as the evidence kinds do, but is none of them
+            dataclasses.replace(QUADRATIC, evidence=SimpleNamespace(verdict=CertificateVerdict.POSITIVE_ON_ORTHANT)),
+            id="evidence-of-no-known-kind-stating-a-verdict",
+        ),
         # one rule of shape for every kind: each number an int or a Fraction, each sequence a tuple of the right length
         pytest.param(_with(REFERENCE_P2, positive_coefficient=49.0), id="coefficients-float-coefficient"),
         pytest.param(_with(REFERENCE_P2, positive_exponents=5), id="coefficients-exponents-not-a-tuple"),
@@ -411,6 +416,9 @@ def _completion(*terms):
 def test_tampered_evidence_fails_verification_without_raising(cert):
     assert all(good.verify() for good in (QUADRATIC, WITNESS, COEFFICIENTS, REFERENCE_P1, REFERENCE_P2))
     assert cert.verify() is False
+    # the verdict is read without raising too: evidence of no known kind states none
+    if not isinstance(cert.evidence, scaling_module.Evidence):
+        assert cert.verdict is CertificateVerdict.INCONCLUSIVE
 
 
 # -- sampling refutation -----------------------------------------------------------
