@@ -176,8 +176,10 @@ def evaluate_hypothesis(
     certificates leave sampling to do. ``max_dim`` overrides both the
     symbolic-expansion and the sampling bound. ``symbolic_q_invariants``,
     ``certify_positive_on_orthant`` and ``sample_refute`` are called by
-    their names in this module; ``sample_refute`` runs only when some p_j
-    is INCONCLUSIVE and none is NOT_POSITIVE.
+    their names in this module, each once at most; ``sample_refute`` runs
+    only when some p_j is INCONCLUSIVE and none is NOT_POSITIVE, and it is
+    passed the certificates made here, so no p_j is expanded or certified
+    twice.
     """
     check_sampling_args(budget, exponent_range)
     certs = tuple(certify_positive_on_orthant(p) for p in symbolic_q_invariants(matrix, max_dim))
@@ -187,7 +189,7 @@ def evaluate_hypothesis(
     if all(c.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT for c in certs):
         return CertifiedForAll(certs)
     witness = sample_refute(
-        matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim
+        matrix, certs, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim
     )
     if witness is not None:
         return RefutedAt(witness, certs)

@@ -11,7 +11,8 @@ one has f(t)*f(-t) = det(I - t^2 (D*A)^2), so
 p_j = (-1)^j * sum over a+b=2j of (-1)^b c_a c_b. Only the 2^n principal
 minors of A enter, and they are plain numbers: symbolic_q_invariants
 multiplies the c_k out as polynomials, and sample_refute evaluates them
-in integers at each drawn point.
+in integers at each drawn point. sample_refute takes the certificates of
+p_1..p_n from its caller and computes neither the p_j nor a certificate.
 
 That positivity question is handled honestly: exact decisions prove or
 refute it where they apply (nonnegative coefficients, and the quadratic
@@ -24,8 +25,8 @@ of j of the d_i. For p_1 (z_i = d_i) and p_{n-1} (z_i = (prod d)/d_i)
 the map d -> z covers the open orthant, so the form read off the
 polynomial decides p_j exactly: it is positive there, or it gives an
 exact witness point. For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2,
-so the certificates decide the whole hypothesis, and sampling returns
-without a draw when none of them refutes it.
+so the certificates decide the whole hypothesis, and sampling reads their
+verdicts and returns without a draw when none of them refutes it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations
 from math import gcd, lcm
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .matrices import (
     DimensionGuardError,
@@ -78,10 +79,11 @@ class DiagonalScaling:
     diagonal: tuple[Fraction, ...]
 
     def __post_init__(self):
-        diag = tuple(_coerce_rational(d) for d in self.diagonal)
+        diag = tuple(map(_coerce_rational, self.diagonal))
         if not diag:
             raise ValueError("a diagonal scaling needs at least one entry")
-        if any(d <= 0 for d in diag):
+        # a Fraction's denominator is positive, so its numerator carries its sign
+        if any(d.numerator <= 0 for d in diag):
             raise ValueError(f"diagonal entries must be strictly positive, got {diag}")
         object.__setattr__(self, "diagonal", diag)
 
@@ -656,6 +658,7 @@ def _uniform_draws(rng: random.Random, low: int, high: int) -> Iterator[int]:
 
 def sample_refute(
     matrix: RationalMatrix,
+    certificates: Sequence[Certificate],
     budget: int = 10_000,
     seed: int = 0,
     exponent_range: int = 3,
@@ -678,21 +681,27 @@ def sample_refute(
     a positive factor and keeps its sign. The subset products of the point
     are built by bitmask, then c_k, then each p_j.
 
+    ``certificates`` are those of p_1..p_n, in order, as
+    ``certify_positive_on_orthant`` gives them for the polynomials of
+    ``symbolic_q_invariants(matrix, max_dim)``; the caller has made them, and
+    they are read here, not made again. A wrong count, or an entry that is
+    not a ``Certificate``, raises ValueError before any draw, as a bad
+    budget, exponent range or dimension does.
+
     When the certificates prove that no draw can be a witness, None is
     returned without drawing. For n <= 3 every p_j is p_1, p_{n-1} or p_n,
     and ``certify_positive_on_orthant`` finds each of them NOT_POSITIVE
     exactly when it is not positive on the orthant: p_n = det(A)^2 (prod d)^2
     is zero or has a positive coefficient, and p_1 and p_{n-1} are decided
-    through their forms. So when no p_j of ``symbolic_q_invariants`` is
-    NOT_POSITIVE, every p_j is positive and no draw is made.
+    through their forms. So when no certificate is NOT_POSITIVE, every p_j
+    is positive and no draw is made.
     """
     check_sampling_args(budget, exponent_range)
     n = matrix.n
     check_enumeration_dim(n, max_dim)
-    if n <= 3 and not any(
-        certify_positive_on_orthant(p).verdict is CertificateVerdict.NOT_POSITIVE
-        for p in symbolic_q_invariants(matrix, max_dim)
-    ):
+    if len(certificates) != n or not all(isinstance(c, Certificate) for c in certificates):
+        raise ValueError(f"sampling a {n}x{n} matrix needs the {n} certificates of p_1..p_{n}, in order")
+    if n <= 3 and all(c.verdict is not CertificateVerdict.NOT_POSITIVE for c in certificates):
         return None
     _, scaled = _scaled(matrix)
     # the nonzero minors of each order keyed by subset bitmask: the draws skip the zero ones

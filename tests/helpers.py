@@ -1,11 +1,11 @@
-"""Shared test utilities: seeded random matrices and lattice assertions."""
+"""Shared test utilities: seeded random matrices, certificates to sample with, and lattice assertions."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from qscaling import RationalMatrix
+from qscaling import Certificate, RationalMatrix, certify_positive_on_orthant, symbolic_q_invariants
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> RationalMatrix:
@@ -68,3 +68,8 @@ def assert_class_lattice(report) -> None:
     if report.p0_plus.holds:
         assert report.p0.holds, "P0+ must imply P0"
         assert report.q.holds, "P0+ must imply Q"
+
+
+def certificates_of(matrix: RationalMatrix, max_dim: int | None = None) -> tuple[Certificate, ...]:
+    """The certificates of p_1..p_n, in order: what ``sample_refute`` is passed with ``matrix``."""
+    return tuple(certify_positive_on_orthant(p) for p in symbolic_q_invariants(matrix, max_dim))

@@ -72,7 +72,8 @@ in the scan's order of pairs. The property tests hold the package's scan
 to it, witness for witness.
 ``verify_refutation_by_layers`` is ``verify_refutation`` written out as one
 public call per layer, with ``evaluate_hypothesis`` inlined: the hypothesis
-through ``symbolic_q_invariants``, the conclusion through ``classify`` of
+through ``symbolic_q_invariants``, whose certificates it passes on to
+``sample_refute``, the conclusion through ``classify`` of
 ``mat_mul(A, A)``, whose least common denominator can be smaller than
 q^2, and the anti-sign scan through ``is_anti_sign_symmetric``. It was the
 reference while ``verify_refutation`` passed A's integer view to private
@@ -557,7 +558,7 @@ def verify_refutation_by_layers(
     elif all(c.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT for c in certs):
         hypothesis = CertifiedForAll(certs)
     else:
-        witness = sample_refute(matrix, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim)
+        witness = sample_refute(matrix, certs, budget=budget, seed=seed, exponent_range=exponent_range, max_dim=max_dim)
         hypothesis = NoCounterexampleFound(budget, certs) if witness is None else RefutedAt(witness, certs)
     squared = mat_mul(matrix, matrix)
     conclusion = classify(squared, max_dim=max_dim)

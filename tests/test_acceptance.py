@@ -36,6 +36,7 @@ from qscaling.cli import main
 
 from helpers import (
     assert_class_lattice,
+    certificates_of,
     positive_points,
     random_int_matrix,
     random_rational_matrix,
@@ -162,12 +163,14 @@ def test_criterion_6_sampling_soundness_and_silence():
     budget = 10_000
     seed = 20240805
 
-    silent_one = sample_refute(A_REF, budget=budget, seed=seed, exponent_range=3)
-    silent_two = sample_refute(A_REF, budget=budget, seed=seed, exponent_range=3)
+    reference, nilpotent = certificates_of(A_REF), certificates_of(NILPOTENT)
+
+    silent_one = sample_refute(A_REF, reference, budget=budget, seed=seed, exponent_range=3)
+    silent_two = sample_refute(A_REF, reference, budget=budget, seed=seed, exponent_range=3)
     assert silent_one is None and silent_two is None
 
-    witness_one = sample_refute(NILPOTENT, budget=budget, seed=seed, exponent_range=3)
-    witness_two = sample_refute(NILPOTENT, budget=budget, seed=seed, exponent_range=3)
+    witness_one = sample_refute(NILPOTENT, nilpotent, budget=budget, seed=seed, exponent_range=3)
+    witness_two = sample_refute(NILPOTENT, nilpotent, budget=budget, seed=seed, exponent_range=3)
     assert witness_one is not None
     assert witness_one == witness_two
     scaled = witness_one.apply_left(NILPOTENT)

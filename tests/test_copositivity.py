@@ -35,6 +35,7 @@ replaced, ``legacy_routes.skips_sampling_by_compounds``, which tests the form
 of every M_j of q*A; p_n = 0 (M_n = [[0]]) blocks it for a singular A.
 """
 
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -45,10 +46,12 @@ from hypothesis import strategies as st
 from qscaling import (
     CertificateVerdict,
     DimensionGuardError,
+    NoCounterexampleFound,
     RationalMatrix,
     SparsePolynomial,
     certify_positive_on_orthant,
     evaluate_hypothesis,
+    refute,
     sample_refute,
     scaling,
     symbolic_q_invariants,
@@ -56,6 +59,7 @@ from qscaling import (
 from qscaling.matrices import _int_compound, _scaled
 from qscaling.scaling import _form_matrix, _orthant_witness, _quadratic_evidence, _witness_evidence
 
+from helpers import certificates_of
 from legacy_routes import (
     _hadamard,
     certify_positive_on_orthant_by_two_rules,
@@ -425,8 +429,9 @@ def _raise(*args, **kwargs):
 def test_sampling_shortcut_draws_nothing_and_agrees_with_the_fraction_loop(matrix, monkeypatch):
     expected = sample_refute_by_fractions(matrix, budget=60, seed=5, exponent_range=3)
     assert expected is None
+    certs = certificates_of(matrix)
     monkeypatch.setattr(scaling.random, "Random", _raise)
-    assert sample_refute(matrix, budget=500, seed=5) is None
+    assert sample_refute(matrix, certs, budget=500, seed=5) is None
 
 
 def test_singular_matrix_blocks_the_sampling_shortcut():
@@ -436,7 +441,7 @@ def test_singular_matrix_blocks_the_sampling_shortcut():
     # p_3 = det(A)^2 (prod d)^2 vanishes, so the first draw is a witness
     expected = sample_refute_by_fractions(SINGULAR_D3, budget=60, seed=5, exponent_range=3)
     assert expected is not None
-    assert sample_refute(SINGULAR_D3, budget=60, seed=5) == expected
+    assert sample_refute(SINGULAR_D3, certificates_of(SINGULAR_D3), budget=60, seed=5) == expected
 
 
 @st.composite
@@ -460,10 +465,11 @@ ZERO_MATRICES = tuple(RationalMatrix(((0,) * n,) * n) for n in (1, 2, 3))
 @PROPERTY
 @given(small_matrices())
 def test_sampling_shortcut_skips_exactly_where_every_compound_form_is_positive(matrix):
+    certs = certificates_of(matrix)
     # monkeypatch is a function-scoped fixture, which Hypothesis rejects under @given
     with patch.object(scaling.random, "Random", _raise):
         try:
-            skipped = sample_refute(matrix, budget=1) is None
+            skipped = sample_refute(matrix, certs, budget=1) is None
         except _Drew:
             skipped = False
     assert skipped == skips_sampling_by_compounds(matrix)
@@ -507,10 +513,36 @@ def test_copositivity_witness_of_candidate_259_is_pinned():
 
 
 def test_guards_raise_before_the_sampling_shortcut(monkeypatch):
+    certs = certificates_of(Q2_INCONCLUSIVE_D3)
     monkeypatch.setattr(scaling.random, "Random", _raise)
     with pytest.raises(ValueError, match="budget"):
-        sample_refute(Q2_INCONCLUSIVE_D3, budget=0)
+        sample_refute(Q2_INCONCLUSIVE_D3, certs, budget=0)
     with pytest.raises(ValueError, match="exponent_range"):
-        sample_refute(Q2_INCONCLUSIVE_D3, exponent_range=-1)
+        sample_refute(Q2_INCONCLUSIVE_D3, certs, exponent_range=-1)
     with pytest.raises(DimensionGuardError):
-        sample_refute(Q2_INCONCLUSIVE_D3, max_dim=2)
+        sample_refute(Q2_INCONCLUSIVE_D3, certs, max_dim=2)
+    # the shortcut would return None from two positive-or-inconclusive verdicts
+    with pytest.raises(ValueError, match="certificates"):
+        sample_refute(Q2_INCONCLUSIVE_D3, certs[:2])
+    with pytest.raises(ValueError, match="certificates"):
+        sample_refute(Q2_INCONCLUSIVE_D3, tuple(c.polynomial for c in certs))
+
+
+@pytest.mark.parametrize("matrix", (Q2_INCONCLUSIVE_D3, PSD_SINGULAR_D3))
+def test_a_sampled_hypothesis_is_expanded_and_certified_once(matrix, monkeypatch):
+    # each layer counted under both of its names, so a call inside sample_refute counts too
+    calls = Counter()
+
+    def counted(name, layer):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return layer(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("symbolic_q_invariants", "certify_positive_on_orthant", "sample_refute"):
+        wrapper = counted(name, getattr(scaling, name))
+        for module in (refute, scaling):
+            monkeypatch.setattr(module, name, wrapper)
+    assert isinstance(evaluate_hypothesis(matrix), NoCounterexampleFound)
+    assert calls == {"symbolic_q_invariants": 1, "certify_positive_on_orthant": matrix.n, "sample_refute": 1}

@@ -37,8 +37,11 @@ form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``Certificate.verify``. The sign of a p_j is decided in one place:
 ``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
 called only by ``certify_positive_on_orthant``, whose verdicts the sampling
-shortcut of ``sample_refute`` reads; the Hadamard compounds that shortcut
-used to test (``_hadamard``) live on only in the test oracles. Each
+shortcut of ``sample_refute`` reads off the certificates its caller passes;
+the Hadamard compounds that shortcut used to test (``_hadamard``) live on
+only in the test oracles. No function in ``scaling.py`` calls
+``symbolic_q_invariants`` or ``certify_positive_on_orthant``, so a sampled
+hypothesis is expanded and certified once, by its caller. Each
 evidence kind states its verdict, so no ``assert`` under ``src/`` tests
 the kind of a certificate's evidence.
 
@@ -56,9 +59,10 @@ defined under ``src/``.
 namespace, imported under that name and never bound to anything else, so
 a wrapper set on ``qscaling.refute`` sees every call:
 ``evaluate_hypothesis`` calls ``symbolic_q_invariants``,
-``certify_positive_on_orthant`` and ``sample_refute`` (given its budget as
-a keyword), and ``_report``, which ``verify_refutation`` and ``hunt`` call,
-calls ``mat_mul``, ``classify`` and ``is_anti_sign_symmetric``.
+``certify_positive_on_orthant`` and ``sample_refute`` (given the
+certificates it made, and its budget as a keyword), and ``_report``, which
+``verify_refutation`` and ``hunt`` call, calls ``mat_mul``, ``classify``
+and ``is_anti_sign_symmetric``.
 """
 
 import ast
@@ -216,6 +220,12 @@ def test_every_draw_follows_the_packages_own_rule():
         ("scaling.py", "sample_refute"),
         ("scaling.py", "sample_refute"),
     ]
+
+
+@pytest.mark.parametrize("name", ["symbolic_q_invariants", "certify_positive_on_orthant"])
+def test_sampling_reads_the_certificates_it_is_passed(name):
+    # sample_refute's shortcut reads its caller's certificates: scaling.py only defines the two layers
+    assert [m for m in _mentioned_in(name) if m[0] == "scaling.py"] == [("scaling.py", name)]
 
 
 def test_only_the_certificate_check_scans_for_homogeneity():

@@ -31,6 +31,7 @@ from legacy_routes import (
     symbolic_q_invariants_by_expansion,
     symbolic_q_invariants_by_pairs,
 )
+from helpers import certificates_of
 from oracles import faddeev_leverrier, list_matmul
 
 NILPOTENT = RationalMatrix(((0, 1), (0, 0)))
@@ -198,23 +199,26 @@ def test_scaled_square_equals_polynomial_matrix_product(matrix):
 )
 def test_integer_sampling_returns_the_fraction_loops_witness(matrix, budget, seed, exponent_range):
     expected = sample_refute_by_fractions(matrix, budget, seed, exponent_range)
-    assert sample_refute(matrix, budget=budget, seed=seed, exponent_range=exponent_range) == expected
+    certs = certificates_of(matrix)
+    assert sample_refute(matrix, certs, budget=budget, seed=seed, exponent_range=exponent_range) == expected
 
 
 def test_sampling_witness_for_nilpotent_is_pinned():
-    witness = sample_refute(NILPOTENT, budget=10, seed=13)
+    witness = sample_refute(NILPOTENT, certificates_of(NILPOTENT), budget=10, seed=13)
     assert witness == DiagonalScaling((Fraction(3, 20), Fraction(125)))
 
 
 def test_sampling_witness_for_rational_three_by_three_is_pinned():
-    assert sample_refute(HITS_AT_DRAW_45, budget=44, seed=7) is None
-    witness = sample_refute(HITS_AT_DRAW_45, budget=300, seed=7)
+    certs = certificates_of(HITS_AT_DRAW_45)
+    assert sample_refute(HITS_AT_DRAW_45, certs, budget=44, seed=7) is None
+    witness = sample_refute(HITS_AT_DRAW_45, certs, budget=300, seed=7)
     assert witness == DiagonalScaling((Fraction(9, 800), Fraction(9, 800), Fraction(3, 160)))
 
 
 def test_sampling_witness_for_four_by_four_is_pinned():
     # n = 4 always draws; mantissas (width 9) and exponents (width 7) both meet rejected getrandbits draws
-    assert sample_refute(HITS_AT_DRAW_62, budget=61, seed=7) is None
-    witness = sample_refute(HITS_AT_DRAW_62, budget=62, seed=7)
+    certs = certificates_of(HITS_AT_DRAW_62)
+    assert sample_refute(HITS_AT_DRAW_62, certs, budget=61, seed=7) is None
+    witness = sample_refute(HITS_AT_DRAW_62, certs, budget=62, seed=7)
     assert witness == DiagonalScaling((Fraction(1500), Fraction(9, 8), Fraction(1, 10), Fraction(2)))
     assert witness == sample_refute_by_fractions(HITS_AT_DRAW_62, 62, 7, 3)

@@ -38,7 +38,7 @@ from qscaling import matrices as matrices_module
 from qscaling import scaling as scaling_module
 from qscaling.matrices import _scaled
 
-from helpers import positive_points, random_int_matrix, random_rational_matrix
+from helpers import certificates_of, positive_points, random_int_matrix, random_rational_matrix
 from legacy_routes import minor_by_fractions, reduce_direction_by_fractions
 from oracles import brute_force_minor
 
@@ -52,9 +52,22 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 # -- diagonal scalings ---------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "diagonal, error",
+    [
+        ((Fraction(1), Fraction(0)), ValueError),
+        ((2, Fraction(-1, 3)), ValueError),
+        ((1.5, Fraction(2)), TypeError),
+        ((), ValueError),
+    ],
+    ids=["zero", "negative", "float", "empty"],
+)
+def test_diagonal_scaling_rejects(diagonal, error):
+    with pytest.raises(error):
+        DiagonalScaling(diagonal)
+
+
 def test_diagonal_scaling_validation_and_product():
-    with pytest.raises(ValueError):
-        DiagonalScaling((Fraction(1), Fraction(0)))
     with pytest.raises(TypeError):
         DiagonalScaling((True, True))
     scaling = DiagonalScaling((Fraction(2), Fraction(3)))
@@ -425,16 +438,16 @@ def test_tampered_evidence_fails_verification_without_raising(cert):
 
 
 def test_sample_refute_reference_silent():
-    assert sample_refute(A_REF, budget=500, seed=11) is None
+    assert sample_refute(A_REF, certificates_of(A_REF), budget=500, seed=11) is None
 
 
 def test_sample_refute_negated_identity_silent():
     minus_identity = RationalMatrix(((-1, 0), (0, -1)))
-    assert sample_refute(minus_identity, budget=200, seed=12) is None
+    assert sample_refute(minus_identity, certificates_of(minus_identity), budget=200, seed=12) is None
 
 
 def test_sample_refute_finds_nilpotent_witness():
-    witness = sample_refute(NILPOTENT, budget=10, seed=13)
+    witness = sample_refute(NILPOTENT, certificates_of(NILPOTENT), budget=10, seed=13)
     assert witness is not None
     squared = mat_mul(witness.apply_left(NILPOTENT), witness.apply_left(NILPOTENT))
     assert not classify(squared).q.holds
@@ -447,23 +460,26 @@ def test_drawing_above_three_clears_denominators_once(monkeypatch):
         calls.append(matrix)
         return _scaled(matrix)
 
+    m = RationalMatrix(tuple(tuple(Fraction(i - j, 1 + (i + j) % 3) for j in range(4)) for i in range(4)))
+    certs = certificates_of(m)
     monkeypatch.setattr(matrices_module, "_scaled", counted)
     monkeypatch.setattr(scaling_module, "_scaled", counted)
-    m = RationalMatrix(tuple(tuple(Fraction(i - j, 1 + (i + j) % 3) for j in range(4)) for i in range(4)))
-    sample_refute(m, budget=5, seed=3)
+    sample_refute(m, certs, budget=5, seed=3)
     assert calls == [m]
 
 
 def test_sample_refute_deterministic():
-    first = sample_refute(NILPOTENT, budget=10, seed=21)
-    second = sample_refute(NILPOTENT, budget=10, seed=21)
+    nilpotent, reference = certificates_of(NILPOTENT), certificates_of(A_REF)
+    first = sample_refute(NILPOTENT, nilpotent, budget=10, seed=21)
+    second = sample_refute(NILPOTENT, nilpotent, budget=10, seed=21)
     assert first == second
-    assert sample_refute(A_REF, budget=300, seed=21) == sample_refute(A_REF, budget=300, seed=21)
+    silent = sample_refute(A_REF, reference, budget=300, seed=21)
+    assert silent == sample_refute(A_REF, reference, budget=300, seed=21)
 
 
 def test_sample_refute_validates_budget():
     with pytest.raises(ValueError):
-        sample_refute(A_REF, budget=0)
+        sample_refute(A_REF, certificates_of(A_REF), budget=0)
     # the certificates of A_REF are conclusive, so sampling never runs: the
     # arguments are still rejected
     with pytest.raises(ValueError, match="budget"):
