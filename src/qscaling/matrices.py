@@ -439,9 +439,10 @@ def _prefix_kernel(m: int) -> Callable[..., None]:
     every set below the child instead. So the minors reach ``out`` depth
     first by prefix. Nothing is written into ``b``, which at the root is
     q*A itself. The source is made only of integers, and ``_compile`` runs
-    it with empty builtins. ``_principal_minors`` is its one caller: it
-    passes the kernels of every size up to n, and ``below``, at call time,
-    so a kernel holds nothing of one call after it.
+    it with empty builtins. The per-n table ``_prefix_kernels`` is its one
+    caller, and ``_principal_minors`` passes that table's kernels of every
+    size up to n, and ``below``, at call time, so a kernel holds nothing of
+    one call after it.
     """
     body = [f"    {''.join(f'r{i}, ' for i in range(m))}= b"] if m else ["    pass"]
     for a in range(m):
@@ -454,6 +455,15 @@ def _prefix_kernel(m: int) -> Callable[..., None]:
             body += ["    if p:", f"        kernels[{m - 1 - a}]([{child}], p, out, kernels, below)"]
             body += ["    else:", "        below()"]
     return _compile("def visit(b, d, out, kernels, below):\n" + "\n".join(body) + "\n", "visit")
+
+
+@cache
+def _prefix_kernels(n: int) -> tuple[Callable[..., None], ...]:
+    """The tree kernels of sizes 0..n, ``_prefix_kernel(m)`` at entry m, built once per n and process.
+
+    ``_principal_minors`` is its one reader, with one lookup per call.
+    """
+    return tuple(map(_prefix_kernel, range(n + 1)))
 
 
 def _minors_below(scaled: _IntRows, minors: list[int], sets: tuple[tuple[int, ...], ...]) -> None:
@@ -492,15 +502,16 @@ def _principal_minors(scaled: _IntRows) -> list[list[int]]:
     whose Bareiss step is one list display with constant indices, so the
     tree makes one call per node and none per entry. The minors come out
     depth first, and a layout cached per n puts them back by order and
-    lexicographically. The kernels and the layout are built on first use,
-    once per size and process: ~7 ms for n = 7, and ~50 ms and ~3 MB of
+    lexicographically. The kernels of sizes 0..n (``_prefix_kernels``) and
+    the layout are one cache lookup each per call, built on first use once
+    per size and process: ~7 ms for n = 7, and ~50 ms and ~3 MB of
     peak memory for n = 12, the default enumeration bound (2-core Xeon,
     Python 3.11.7).
     """
     n = len(scaled)
     sets, orders = _prefix_layout(n)
     minors: list[int] = []
-    kernels = tuple(map(_prefix_kernel, range(n + 1)))
+    kernels = _prefix_kernels(n)
     kernels[n](scaled, 1, minors.append, kernels, partial(_minors_below, scaled, minors, sets))
     return [[1]] + [[minors[i] for i in order] for order in orders]
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .matrices import (
     IndexSet,
@@ -201,8 +202,14 @@ def _minor_sums(q: int, by_order: list[list[int]]) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(by_order[k]), q**k) for k in range(1, len(by_order)))
 
 
+@cache
 def _index_set(n: int, k: int, a: int) -> IndexSet:
-    """The a-th k-subset of {1..n} in lexicographic order, read from the cached ``_laplace_plan(n, k)``."""
+    """The a-th k-subset of {1..n} in lexicographic order, read from the cached ``_laplace_plan(n, k)``.
+
+    Cached per (n, k, a): an index set is immutable, so every witness that
+    names the same set holds the one object, built and validated once per
+    process. Only the sets some witness names are ever built.
+    """
     return IndexSet(n, tuple(i + 1 for i in _laplace_plan(n, k)[a][0]))
 
 

@@ -305,6 +305,10 @@ def generate_candidates(cfg: HuntConfig):
     ``getrandbits`` of the width's bit length. The rule is this package's,
     not ``randint``'s (whose draws it matches on CPython 3.10 to 3.13), so
     a later Python that changes ``randint`` leaves the stream as it is.
+    The rows are plain ints, drawn here or multiplied from them, so each
+    candidate is stored from them over the denominator 1 directly
+    (``RationalMatrix._from_ints``), equal with an equal hash to the matrix
+    the public constructor would build, without re-checking every entry.
     """
     n, bound = cfg.dimension, cfg.entry_range
     entries = _uniform_draws(random.Random(cfg.seed), -bound, bound)
@@ -318,7 +322,7 @@ def generate_candidates(cfg: HuntConfig):
             rows = _int_product(tuple(zip(*rows)), rows)
             for i, row in enumerate(rows):
                 row[i] += 1
-        yield RationalMatrix(tuple(map(tuple, rows)))
+        yield RationalMatrix._from_ints(rows, 1)
 
 
 def hunt(cfg: HuntConfig, max_dim: int | None = None) -> list[RefutationReport]:

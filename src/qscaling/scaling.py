@@ -142,9 +142,12 @@ def _subset_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(1 << i for i in s) for s in combinations(range(n), k)) for k in range(n + 1))
 
 
-@cache
-def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[list[int]], list[int]]]:
-    """The expansion of p_j over the principal minors, compiled once per (n, j): ``(exponents, pj)``.
+#: per j, the exponents of p_j's terms and the compiled function that gives their coefficients
+_PjKernel = tuple[tuple[tuple[int, ...], ...], Callable[[list[int]], list[int]]]
+
+
+def _pj_kernel(n: int, j: int) -> _PjKernel:
+    """The expansion of p_j over the principal minors, compiled into ``(exponents, pj)``.
 
     ``pj(m)`` takes the 2^n principal minors of q*A as one flat list, order
     after order as ``_principal_minors`` lists them (``m[0]`` is the empty
@@ -160,7 +163,7 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
     exponents in decreasing lexicographic order), the order in which a
     ``SparsePolynomial`` stores its terms. A coefficient may be 0. The source is
     made only of integers, and ``_compile`` runs it with empty builtins;
-    ``symbolic_q_invariants`` is its one caller. Every j of one n is
+    the per-n table ``_pj_kernels`` is its one caller. Every j of one n is
     compiled on first use, once per process, and the source grows as 4^n:
     the first call of ``symbolic_q_invariants`` takes ~15 ms at n = 6,
     ~40 ms at n = 7, ~140 ms and ~41 MB of peak memory at n = 8, and
@@ -193,6 +196,15 @@ def _pj_kernel(n: int, j: int) -> tuple[tuple[tuple[int, ...], ...], Callable[[l
     return tuple(e for e, _ in keyed), pj
 
 
+@cache
+def _pj_kernels(n: int) -> tuple[_PjKernel, ...]:
+    """The kernels of p_1..p_n, in order, built once per n and process.
+
+    ``symbolic_q_invariants`` is its one reader, with one lookup per call.
+    """
+    return tuple(_pj_kernel(n, j) for j in range(1, n + 1))
+
+
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
     """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
 
@@ -200,18 +212,18 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     polynomial sum over |S| = k of det(A[S]) * prod_{i in S} d_i, one has
     f(t)*f(-t) = det(I - t^2 (D*A)^2), so p_j = (-1)^j sum over a+b=2j of
     (-1)^b c_a c_b. Only the 2^n principal minors of A enter. They are taken
-    from the integer matrix q*A that A stores, listed flat, and the kernel
-    of ``_pj_kernel(n, j)`` turns them into the coefficients of
-    q^(2j) * p_j. Each p_j keeps its nonzero ones as integer numerators
-    over q^(2j); no Fraction is made until a coefficient is read.
+    from the integer matrix q*A that A stores, listed flat, and the j-th
+    kernel of the per-n table ``_pj_kernels(n)``, one lookup per call,
+    turns them into the coefficients of q^(2j) * p_j. Each p_j keeps its
+    nonzero ones as integer numerators over q^(2j); no Fraction is made
+    until a coefficient is read.
     """
     n = matrix.n
     check_symbolic_dim(n, max_dim)
     q, scaled = _scaled(matrix)
     minors = list(chain.from_iterable(_principal_minors(scaled)))
     invariants = []
-    for j in range(1, n + 1):
-        exponents, pj = _pj_kernel(n, j)
+    for j, (exponents, pj) in enumerate(_pj_kernels(n), start=1):
         # the exponent tuples are distinct, well formed and in canonical order by construction
         invariants.append(
             SparsePolynomial._from_terms(n, {e: v for e, v in zip(exponents, pj(minors)) if v}, q ** (2 * j))
@@ -232,6 +244,29 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
 # so the converse holds as well.
 
 
+#: one record (s, reads) per k-subset s: reads[l][i] is (row, column, negate), where C_{k-1} holds adj B at (l, i)
+_AdjugateTable = tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, int, bool], ...], ...]], ...]
+
+
+@cache
+def _adjugate_table(n: int, k: int) -> _AdjugateTable:
+    """Where the adjugate of each order-k principal block is read in C_{k-1}, per (n, k).
+
+    One record ``(s, reads)`` per k-subset s of range(n), in the order of
+    ``_laplace_plan(n, k)``, from whose ``below`` it is built. For a
+    symmetric B = m[s, s], adj B at (l, i) is (-1)^(i+l) times the minor of
+    B without row l and column i, which C_{k-1}(m) holds at
+    (below[l], below[i]); ``reads[l][i]`` is that row, that column and
+    whether i + l is odd. It depends on (n, k) alone, so the indices and
+    signs are worked out once per size and process; ``_orthant_witness`` is
+    its one reader.
+    """
+    return tuple(
+        (s, tuple(tuple((jl, ji, bool((i + l) & 1)) for i, ji in enumerate(below)) for l, jl in enumerate(below)))
+        for s, below in _laplace_plan(n, k)
+    )
+
+
 def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
 
@@ -244,8 +279,10 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     from one walk over the compounds of m: det B is the diagonal entry of
     C_k(m) at s, and adj B holds entries of C_{k-1}(m), the order the walk
     yielded before; for a 1x1 B that is adj B = (1), the order-0 minor.
-    So only two orders are held at a time, and a singular B keeps the
-    first nonzero row of its adjugate for the second half.
+    Each entry of adj B is read where the per-size ``_adjugate_table``
+    says, with its sign. So only two orders are held at a time, and a
+    singular B keeps the first nonzero row of its adjugate for the second
+    half.
 
     Copositivity (Cottle-Habetler-Lemke): m fails at the first B with
     det B < 0 and adj B >= 0. x = adj(B) 1, the row sums of adj B, then
@@ -272,16 +309,11 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     singular = []
     for k, rows in enumerate(_int_compounds(m)):
         if k:
-            for a, (s, below) in enumerate(_laplace_plan(n, k)):
+            for a, (s, reads) in enumerate(_adjugate_table(n, k)):
                 det = rows[a][a]
                 if det > 0:
                     continue
-                # adj B at (l, i) is (-1)^(i+l) times the minor of B without row l and column i
-                # (B is symmetric), which C_{k-1}(m) holds at (s - s_l, s - s_i)
-                adj = [
-                    [-lower[jl][ji] if (i + l) & 1 else lower[jl][ji] for i, ji in enumerate(below)]
-                    for l, jl in enumerate(below)
-                ]
+                adj = [[-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in row] for row in reads]
                 if not det:
                     singular.append((s, next(filter(any, adj), None)))
                     continue
@@ -541,10 +573,11 @@ class Certificate:
         return False
 
     def to_dict(self) -> dict:
+        """The polynomial, verdict and evidence; evidence of no known kind is null, as ``verdict`` reads it."""
         return {
             "polynomial": self.polynomial.to_text(),
             "verdict": self.verdict.value,
-            "evidence": None if self.evidence is None else self.evidence.to_dict(),
+            "evidence": self.evidence.to_dict() if isinstance(self.evidence, Evidence) else None,
         }
 
 

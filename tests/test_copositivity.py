@@ -26,6 +26,9 @@ integer sum, and a two-variable completion from the integer matrix that
 ``_form_matrix`` read. The Fraction routes they replaced,
 ``legacy_routes.witness_evidence_by_fractions`` and
 ``legacy_routes.quadratic_evidence_by_fractions``, hold each of them.
+Each adjugate entry is read from the order below where the per-size
+``_adjugate_table`` says, with its sign; every adj(B) read that way equals
+the cofactors of B by ``oracles.brute_force_minor``.
 
 For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2, so the
 certificates decide the hypothesis: when none of them is NOT_POSITIVE,
@@ -37,6 +40,7 @@ of every M_j of q*A; p_n = 0 (M_n = [[0]]) blocks it for a singular A.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -57,7 +61,7 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _form_matrix, _orthant_witness, _quadratic_evidence, _witness_evidence
+from qscaling.scaling import _adjugate_table, _form_matrix, _orthant_witness, _quadratic_evidence, _witness_evidence
 
 from helpers import certificates_of
 from legacy_routes import (
@@ -70,7 +74,7 @@ from legacy_routes import (
     skips_sampling_by_compounds,
     witness_evidence_by_fractions,
 )
-from oracles import simplex_minimum
+from oracles import brute_force_minor, simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -222,6 +226,24 @@ def test_orthant_witness_equals_the_cramer_oracle(m):
 @pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES)
 def test_kernel_branch_witnesses_are_pinned(m, witness):
     assert _orthant_witness(m) == witness
+
+
+@settings(PROPERTY, max_examples=100)
+@given(symmetric_matrices())
+def test_adjugates_read_through_the_table_equal_the_cofactors(m):
+    n = len(m)
+    for k in range(1, n + 1):
+        lower = _int_compound(m, k - 1)
+        table = _adjugate_table(n, k)
+        assert [s for s, _ in table] == list(combinations(range(n), k))
+        for s, reads in table:
+            adj = [[-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in row] for row in reads]
+            # adj B at (l, i) is (-1)^(i+l) times the minor of B = m[s, s] without row i and column l
+            block = [[m[i][j] for j in s] for i in s]
+            others = [[r for r in range(k) if r != i] for i in range(k)]
+            assert adj == [
+                [(-1) ** (i + l) * brute_force_minor(block, others[i], others[l]) for i in range(k)] for l in range(k)
+            ]
 
 
 def _form(m: list[list[int]], inverse: bool) -> SparsePolynomial:

@@ -11,13 +11,17 @@ one allowed is ``_compile`` in ``matrices.py``, which runs source with
 empty builtins. Its only callers are the three kernel builders,
 ``_laplace_kernel`` and ``_prefix_kernel`` in ``matrices.py`` and
 ``_pj_kernel`` in ``scaling.py`` (which imports it), whose source is made
-only of integers, so no outside input reaches generated code. Each
-builder's name appears only in its own definition and in its one caller:
-``_int_compounds``, the one walker over the compounds, ``_principal_minors``,
-the one walker over the principal-minor tree, and ``symbolic_q_invariants``,
-the one expansion of the p_j. All three pass the compiled functions
-integers alone; so generated code is reached through those three callers
-and nowhere else. ``_principal_minors`` itself, which returns the minors
+only of integers, so no outside input reaches generated code. The
+compiled functions are reached through one walker each: ``_int_compounds``,
+the one walker over the compounds, ``_principal_minors``, the one walker
+over the principal-minor tree, and ``symbolic_q_invariants``, the one
+expansion of the p_j. ``_laplace_kernel`` is named only in its definition
+and its walker. The other two builders are named only in their definitions
+and in a table cached per size, ``_prefix_kernels`` and ``_pj_kernels``, and
+each table only in its definition and its walker, which looks up all its
+kernels at once. All three walkers pass the compiled functions integers
+alone; so generated code is reached through those three walkers and nowhere
+else. ``_principal_minors`` itself, which returns the minors
 as plain integers by order, has four readers and no wrapper:
 ``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
 ``symbolic_q_invariants`` and ``sample_refute`` in ``scaling.py``, each
@@ -31,15 +35,19 @@ integer sum, ``_value_at``, evaluates a polynomial: ``evaluate`` calls it,
 and so does ``_witness_evidence`` for the value at a witness point. Likewise
 the storage of ``RationalMatrix``, the integers q*A over q in its two
 slots ``_q`` and ``_qa`` and nothing else, is read only in
-``matrices.py``. ``certify_positive_on_orthant`` takes the reading of a
+``matrices.py``. The cached ``_index_set``, through which a class verdict's
+witness shares one ``IndexSet`` per set, is named only in
+``matrix_classes.py``. ``certify_positive_on_orthant`` takes the reading of a
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
 ``Certificate.verify``. The sign of a p_j is decided in one place:
 ``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
-called only by ``certify_positive_on_orthant``, whose verdicts the sampling
-shortcut of ``sample_refute`` reads off the certificates its caller passes;
-the Hadamard compounds that shortcut used to test (``_hadamard``) live on
-only in the test oracles. No function in ``scaling.py`` calls
+called only by ``certify_positive_on_orthant``, and is the one reader of
+``_adjugate_table``, the per-size table of where and with which sign it
+reads each adjugate entry; the sampling shortcut of ``sample_refute`` reads
+the verdicts of ``certify_positive_on_orthant`` off the certificates its
+caller passes; the Hadamard compounds that shortcut used to test
+(``_hadamard``) live on only in the test oracles. No function in ``scaling.py`` calls
 ``symbolic_q_invariants`` or ``certify_positive_on_orthant``, so a sampled
 hypothesis is expanded and certified once, by its caller. Each
 evidence kind states its verdict, so no ``assert`` under ``src/`` tests
@@ -174,11 +182,23 @@ def test_the_compile_helper_serves_only_the_three_kernel_builders():
 
 
 def test_the_prefix_kernel_is_reached_only_through_principal_minors():
-    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "_principal_minors")]
+    # builder, then its per-n table, then the walker
+    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "_prefix_kernels")]
+    assert _mentioned_in("_prefix_kernels") == [("matrices.py", "_prefix_kernels"), ("matrices.py", "_principal_minors")]
 
 
 def test_the_pj_kernel_is_reached_only_through_q_invariants():
-    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]
+    # builder, then its per-n table, then the walker
+    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "_pj_kernels")]
+    assert _mentioned_in("_pj_kernels") == [("scaling.py", "_pj_kernels"), ("scaling.py", "symbolic_q_invariants")]
+
+
+def test_the_adjugate_table_is_read_only_by_the_orthant_walk():
+    assert _mentioned_in("_adjugate_table") == [("scaling.py", "_adjugate_table"), ("scaling.py", "_orthant_witness")]
+
+
+def test_the_cached_index_sets_are_named_only_in_matrix_classes():
+    assert {module for module, _ in _mentioned_in("_index_set")} == {"matrix_classes.py"}
 
 
 def test_the_principal_minor_walker_has_four_readers_and_no_wrapper():

@@ -22,6 +22,7 @@ from qscaling import (
     matrices,
     principal_minor_sums,
 )
+from qscaling.matrix_classes import _index_set
 
 from helpers import (
     assert_class_lattice,
@@ -233,6 +234,24 @@ def test_classify_and_standalone_anti_sign_agree():
         verdict = is_anti_sign_symmetric(m)
         assert classify(m).anti_sign_symmetric == verdict
         assert verdict == _first_anti_sign_violation(m)
+
+
+def test_each_cached_index_set_is_the_lexicographic_subset():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for a, members in enumerate(combinations(range(1, n + 1), k)):
+                assert _index_set(n, k, a) == IndexSet(n, members)
+                assert _index_set(n, k, a) is _index_set(n, k, a)
+
+
+def test_witnesses_of_one_index_set_share_one_object():
+    # P (and P0) fail at {1} for both; the first anti-sign pair of both is ({1}, {2})
+    first, second = RationalMatrix(((-1, 0), (0, 1))), RationalMatrix(((-3, 1), (1, 2)))
+    assert classify(first).p.witness.index_set is classify(second).p0.witness.index_set
+    pair = is_anti_sign_symmetric(RationalMatrix(((1, 1), (1, 1)))).witness
+    other = classify(RationalMatrix(((1, 2), (3, 4)))).anti_sign_symmetric.witness
+    assert (other.row_set, other.col_set) == (pair.row_set, pair.col_set)
+    assert other.row_set is pair.row_set and other.col_set is pair.col_set
 
 
 def test_witnesses_reverify():

@@ -432,6 +432,8 @@ def test_tampered_evidence_fails_verification_without_raising(cert):
     # the verdict is read without raising too: evidence of no known kind states none
     if not isinstance(cert.evidence, scaling_module.Evidence):
         assert cert.verdict is CertificateVerdict.INCONCLUSIVE
+        # and written as no evidence, next to that verdict
+        assert cert.to_dict() == {"polynomial": cert.polynomial.to_text(), "verdict": "inconclusive", "evidence": None}
 
 
 # -- sampling refutation -----------------------------------------------------------
