@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, islice
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -367,22 +367,28 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     expands along its last row as the sum over i of (-1)^(k-1+i)
     a[c[i]] * b[below[i]], with ``(c, below)`` the plan's record of c.
     Integer products only, so the row holds the same integers as the
-    square determinants of its minors. The row is one list display with an
-    expression per column set, ``a[c[-1]]*b[below[-1]] - a[c[-2]]*b[below[-2]] + ...``
-    with the plan's constants as indices; so building a row makes no call
-    per entry. The source is made only of the plan's integers, and
-    ``_compile`` runs it with empty builtins. It is compiled once per
-    (n, k) and process, on first use: all orders at n = 7 take ~5 ms, and
-    at n = 12 ~0.3 s and ~19 MB. ``_int_compounds`` is its one caller.
+    square determinants of its minors. The function first binds each
+    operand entry to a local, ``a0, a1, ... = a`` and ``b0, b1, ... = b``,
+    so each entry is read once. The row is then one list
+    display with an expression per column set,
+    ``a{c[-1]}*b{below[-1]} - a{c[-2]}*b{below[-2]} + ...``, whose factors
+    are named by the plan's integers; so building a row makes no call per
+    entry. The source is made only of the plan's integers and the fixed
+    operand names, and ``_compile`` runs it with empty builtins. It is
+    compiled once per (n, k) and process, on first use: all orders at
+    n = 7 take ~2 ms, and at n = 12 ~0.1 s and ~8 MB. ``_int_compounds`` is
+    its one caller.
     """
     entries = []
     for c, below in _laplace_plan(n, k):
         # position k-1 carries the sign +, and the signs alternate below it
-        entry = f"a[{c[-1]}]*b[{below[-1]}]"
+        entry = f"a{c[-1]}*b{below[-1]}"
         for i in range(k - 2, -1, -1):
-            entry += f" {'-' if (k - 1 - i) % 2 else '+'} a[{c[i]}]*b[{below[i]}]"
+            entry += f" {'-' if (k - 1 - i) % 2 else '+'} a{c[i]}*b{below[i]}"
         entries.append(entry)
-    return _compile(f"def row(a, b):\n    return [{', '.join(entries)}]\n", "row")
+    a_names = "".join(f"a{i}, " for i in range(n))
+    b_names = "".join(f"b{i}, " for i in range(comb(n, k - 1)))
+    return _compile(f"def row(a, b):\n    {a_names}= a\n    {b_names}= b\n    return [{', '.join(entries)}]\n", "row")
 
 
 def _int_compounds(scaled: _IntRows) -> Iterator[list[list[int]]]:
@@ -392,7 +398,9 @@ def _int_compounds(scaled: _IntRows) -> Iterator[list[list[int]]]:
     on row s[-1] of q*A and row ``below[-1]`` of the order yielded before
     it, so a caller that stops early builds no order above the last one it
     took. The next order reads the rows yielded, so a caller must not
-    change them.
+    change them. The kernels' source is made only of the plans' integers
+    and the fixed operand names, so the entries of q*A reach them only as
+    call arguments.
     """
     n = len(scaled)
     rows = [[1]]

@@ -9,17 +9,31 @@ two square Bareiss determinants per pair, which must give the same verdict
 and witness, and ``_int_minor`` on every row set and column set, which
 every compound must equal integer for integer. Upper-triangular matrices,
 with or without a permutation similarity, make the scan visit every pair;
-zero-heavy entries make singular minors and rows at every order.
+zero-heavy entries make singular minors and rows at every order. Fixed
+matrices at n = 10 and 12, which the default enumeration bound admits,
+check a sample of every order. The row kernel binds each operand entry to
+a local, which its code object's local count pins.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import RationalMatrix, Verdict, classify, is_anti_sign_symmetric
-from qscaling.matrices import _int_compound, _int_minor, _laplace_plan, _scaled
+from qscaling.matrices import (
+    DEFAULT_ENUMERATION_GUARD,
+    _bareiss_int,
+    _int_compound,
+    _int_compounds,
+    _int_minor,
+    _laplace_kernel,
+    _laplace_plan,
+    _scaled,
+)
 
 from legacy_routes import first_positive_pair_by_minors
 
@@ -176,3 +190,56 @@ def test_laplace_rows_equal_bareiss_rows(rows):
             for s, below in plan:
                 assert [lower_sets[j] for j in below] == [s[:i] + s[i + 1 :] for i in range(k)]
         assert _int_compound(rows, k) == [[_int_minor(rows, s, c) for c in sets] for s in sets]
+
+
+def _lcg_entries(seed):
+    """Integers in -3..3 from a fixed linear congruential sequence: the same on every run and interpreter."""
+    while True:
+        seed = (seed * 1103515245 + 12345) % 2**31
+        yield (seed >> 16) % 7 - 3
+
+
+def _dense(n):
+    entries = _lcg_entries(n)
+    return [[next(entries) for _ in range(n)] for _ in range(n)]
+
+
+def _upper(n):
+    entries = _lcg_entries(n + 100)
+    rows = [[next(entries) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = 1 + i % 3
+    return rows
+
+
+def _spread(count):
+    """The first and last of ``count`` indices and about six evenly spaced between."""
+    return sorted({*range(0, count, max(1, count // 6)), count - 1})
+
+
+# the default enumeration bound lets `analyze` build every order at n = 10..12, above the property's n <= 7;
+# a sample of entries per order, since all of them at n = 12 are C(24, 12) ~ 2.7 million determinants
+@pytest.mark.parametrize("n", [10, DEFAULT_ENUMERATION_GUARD])
+@pytest.mark.parametrize("build", [_dense, _upper])
+def test_laplace_rows_at_the_default_bound_equal_square_determinants(build, n):
+    rows = build(n)
+    # _int_compound(rows, k) is order k of this one walk
+    orders = _int_compounds(rows)
+    assert next(orders) == [[1]]
+    for k, compound in enumerate(islice(orders, n), start=1):
+        sets = list(combinations(range(n), k))
+        assert len(compound) == len(sets) and all(len(row) == len(sets) for row in compound)
+        for r in _spread(len(sets)):
+            for c in _spread(len(sets)):
+                assert compound[r][c] == _int_minor(rows, sets[r], sets[c])
+    # every example is nonsingular, so the top order is a nonzero determinant
+    assert compound == [[_bareiss_int([row[:] for row in rows])]] != [[0]]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_row_kernel_binds_every_operand_entry_to_a_local(n):
+    # a row reads each entry of a and b once; the list display names them a0.., b0..
+    for k in range(1, n + 1):
+        code = _laplace_kernel(n, k).__code__
+        assert code.co_varnames[:2] == ("a", "b")
+        assert code.co_nlocals == 2 + n + comb(n, k - 1)
