@@ -40,7 +40,7 @@ from .refute import (
     invariants_to_dict,
 )
 from .reproduction import run_reproduction
-from .scaling import DEFAULT_SYMBOLIC_GUARD, Certificate, CertificateVerdict, QuadraticEvidence
+from .scaling import DEFAULT_SYMBOLIC_GUARD, CertificateVerdict
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -71,23 +71,6 @@ def render_class_report(report: ClassReport) -> str:
     return "\n".join(lines)
 
 
-def render_certificate(cert: Certificate) -> str:
-    e = cert.evidence
-    if isinstance(e, QuadraticEvidence):
-        return (
-            "certified positive on the open positive orthant\n"
-            f"    quadratic check: a = {e.a}, b = {e.b}, c = {e.c}; "
-            f"b^2 = {e.b_squared} < 4ac = {e.four_ac}\n"
-            f"    completion: {e.completion_text()}"
-        )
-    if cert.verdict is CertificateVerdict.POSITIVE_ON_ORTHANT:
-        return "certified positive on the open positive orthant (all coefficients nonnegative)"
-    if cert.verdict is CertificateVerdict.NOT_POSITIVE:
-        point = ", ".join(render_rational(x) for x in e.point)
-        return f"not positive: value {e.value} at d = ({point})"
-    return "inconclusive (no certificate applies)"
-
-
 def render_refutation_report(report: RefutationReport) -> str:
     lines = [f"matrix: {_inline(report.matrix)}"]
     lines.append(f"A^2:    {_inline(report.squared)}")
@@ -114,12 +97,14 @@ def _render_hypothesis(hypothesis: HypothesisStatus) -> list[str]:
     lines = []
     for j, cert in enumerate(hypothesis.certificates, start=1):
         lines.append(f"p{j} = {cert.polynomial.to_text()}")
-        # only NoCounterexampleFound means sampling ran and found no witness; a
-        # refutation came from another p_j's certificate or from a draw
-        if cert.verdict is CertificateVerdict.INCONCLUSIVE and isinstance(hypothesis, NoCounterexampleFound):
+        if cert.verdict is not CertificateVerdict.INCONCLUSIVE:
+            lines.append(f"  {cert.evidence.describe()}")
+        elif isinstance(hypothesis, NoCounterexampleFound):
+            # only NoCounterexampleFound means sampling ran and found no witness; a
+            # refutation came from another p_j's certificate or from a draw
             lines.append("  inconclusive (no certificate applies; sampling found no witness)")
         else:
-            lines.append(f"  {render_certificate(cert)}")
+            lines.append("  inconclusive (no certificate applies)")
     lines.append(f"hypothesis: {_describe_hypothesis(hypothesis)}")
     return lines
 

@@ -414,6 +414,19 @@ class CoefficientEvidence:
     positive_exponents: tuple[int, ...]
     positive_coefficient: Fraction
 
+    def holds_for(self, p: SparsePolynomial) -> bool:
+        return (
+            _is_tuple(self.positive_exponents, p.n_vars)
+            and all(type(k) is int for k in self.positive_exponents)
+            and _is_rational(self.positive_coefficient)
+            and self.positive_coefficient > 0
+            and p.has_positive_coefficients()
+            and p.coefficient(self.positive_exponents) == self.positive_coefficient
+        )
+
+    def describe(self) -> str:
+        return "certified positive on the open positive orthant (all coefficients nonnegative)"
+
     def to_dict(self) -> dict:
         return {
             "kind": "nonnegative_coefficients",
@@ -464,6 +477,35 @@ class QuadraticEvidence:
             parts.append(body)
         return " + ".join(parts)
 
+    def holds_for(self, p: SparsePolynomial) -> bool:
+        return (
+            p.n_vars == 2
+            and p.is_homogeneous(2)
+            and all(_is_rational(x) for x in (self.a, self.b, self.c))
+            and (self.a, self.b, self.c) == (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2)))
+            and self.a > 0
+            and self.c > 0
+            and self.b_squared < self.four_ac
+            and _is_tuple(self.completion)
+            and all(
+                _is_tuple(term, 2)
+                and _is_rational(term[0])
+                and term[0] > 0
+                and isinstance(term[1], SparsePolynomial)
+                and term[1].n_vars == 2
+                for term in self.completion
+            )
+            and self.expanded() == p
+        )
+
+    def describe(self) -> str:
+        return (
+            "certified positive on the open positive orthant\n"
+            f"    quadratic check: a = {self.a}, b = {self.b}, c = {self.c}; "
+            f"b^2 = {self.b_squared} < 4ac = {self.four_ac}\n"
+            f"    completion: {self.completion_text()}"
+        )
+
     def to_dict(self) -> dict:
         return {
             "kind": "two_variable_quadratic",
@@ -487,6 +529,19 @@ class WitnessEvidence:
     verdict: ClassVar[CertificateVerdict] = CertificateVerdict.NOT_POSITIVE
     point: tuple[Fraction, ...]
     value: Fraction
+
+    def holds_for(self, p: SparsePolynomial) -> bool:
+        return (
+            _is_tuple(self.point, p.n_vars)
+            and all(_is_rational(x) and x > 0 for x in self.point)
+            and _is_rational(self.value)
+            and self.value <= 0
+            and p.evaluate(self.point) == self.value
+        )
+
+    def describe(self) -> str:
+        point = ", ".join(render_rational(x) for x in self.point)
+        return f"not positive: value {self.value} at d = ({point})"
 
     def to_dict(self) -> dict:
         return {
@@ -529,48 +584,7 @@ class Certificate:
         each sequence a tuple of the right length.
         """
         p, e = self.polynomial, self.evidence
-        if not isinstance(p, SparsePolynomial):
-            return False
-        if e is None:
-            return True
-        if isinstance(e, WitnessEvidence):
-            return (
-                _is_tuple(e.point, p.n_vars)
-                and all(_is_rational(x) and x > 0 for x in e.point)
-                and _is_rational(e.value)
-                and e.value <= 0
-                and p.evaluate(e.point) == e.value
-            )
-        if isinstance(e, CoefficientEvidence):
-            return (
-                _is_tuple(e.positive_exponents, p.n_vars)
-                and all(type(k) is int for k in e.positive_exponents)
-                and _is_rational(e.positive_coefficient)
-                and e.positive_coefficient > 0
-                and p.has_positive_coefficients()
-                and p.coefficient(e.positive_exponents) == e.positive_coefficient
-            )
-        if isinstance(e, QuadraticEvidence):
-            return (
-                p.n_vars == 2
-                and p.is_homogeneous(2)
-                and all(_is_rational(x) for x in (e.a, e.b, e.c))
-                and (e.a, e.b, e.c) == (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2)))
-                and e.a > 0
-                and e.c > 0
-                and e.b_squared < e.four_ac
-                and _is_tuple(e.completion)
-                and all(
-                    _is_tuple(term, 2)
-                    and _is_rational(term[0])
-                    and term[0] > 0
-                    and isinstance(term[1], SparsePolynomial)
-                    and term[1].n_vars == 2
-                    for term in e.completion
-                )
-                and e.expanded() == p
-            )
-        return False
+        return isinstance(p, SparsePolynomial) and (e is None or isinstance(e, Evidence) and e.holds_for(p))
 
     def to_dict(self) -> dict:
         """The polynomial, verdict and evidence; evidence of no known kind is null, as ``verdict`` reads it."""

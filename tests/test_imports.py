@@ -40,7 +40,7 @@ witness shares one ``IndexSet`` per set, is named only in
 ``matrix_classes.py``. ``certify_positive_on_orthant`` takes the reading of a
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
-``Certificate.verify``. The sign of a p_j is decided in one place:
+``QuadraticEvidence.holds_for``. The sign of a p_j is decided in one place:
 ``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
 called only by ``certify_positive_on_orthant``, and is the one reader of
 ``_adjugate_table``, the per-size table of where and with which sign it
@@ -51,7 +51,9 @@ caller passes; the Hadamard compounds that shortcut used to test
 ``symbolic_q_invariants`` or ``certify_positive_on_orthant``, so a sampled
 hypothesis is expanded and certified once, by its caller. Each
 evidence kind states its verdict, so no ``assert`` under ``src/`` tests
-the kind of a certificate's evidence.
+the kind of a certificate's evidence; each kind also checks itself
+(``holds_for``) and describes itself (``describe``), so neither
+``Certificate.verify`` nor ``cli.py`` names a kind.
 
 Every random draw under ``src/`` follows the package's own rule,
 ``_uniform_draws`` in ``scaling.py``: the candidate entries of
@@ -76,12 +78,13 @@ and ``is_anti_sign_symmetric``.
 import ast
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
 
 import qscaling
-from qscaling import RationalMatrix
+from qscaling import RationalMatrix, scaling
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qscaling"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -249,7 +252,19 @@ def test_sampling_reads_the_certificates_it_is_passed(name):
 
 
 def test_only_the_certificate_check_scans_for_homogeneity():
-    assert _mentioned_in("is_homogeneous") == [("polynomial.py", "is_homogeneous"), ("scaling.py", "verify")]
+    assert _mentioned_in("is_homogeneous") == [("polynomial.py", "is_homogeneous"), ("scaling.py", "holds_for")]
+
+
+def test_neither_the_certificate_check_nor_the_cli_names_an_evidence_kind():
+    # a new kind then needs its class and its strategy, and no edit to either
+    kinds = [kind.__name__ for kind in typing.get_args(scaling.Evidence)]
+    assert kinds
+    module = ast.parse((PACKAGE / "scaling.py").read_text(encoding="utf-8"))
+    (certificate,) = [node for node in module.body if isinstance(node, ast.ClassDef) and node.name == "Certificate"]
+    (verify,) = [node for node in certificate.body if isinstance(node, ast.FunctionDef) and node.name == "verify"]
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    places = {"Certificate.verify": verify, "cli.py": cli}
+    assert [(kind, where) for kind in kinds for where, tree in places.items() if list(_mentions(tree, kind))] == []
 
 
 def test_the_sign_of_a_pj_is_decided_only_through_the_certificates():

@@ -584,6 +584,24 @@ def test_candidate_318_is_not_reported_as_a_counterexample():
     assert report.verdict.kind is not VerdictKind.COUNTEREXAMPLE
 
 
+#: candidate 327 of CANDIDATE_327_STREAM, which reads as a sampling-only counterexample at budget 2000
+#: although p_2 is negative at D_327 (ROADMAP item 10); sampling refutes it at budget 10 000
+CANDIDATE_327_STREAM = HuntConfig(dimension=4, entry_range=3, count=600, seed=0)
+CANDIDATE_327 = RationalMatrix(((-1, 0, -3, -2), (-3, -2, 3, 1), (0, 2, -2, 0), (-1, 3, 0, 3)))
+D_327 = (129, 73, 1, 9417)
+
+
+def test_candidate_327_is_in_its_stream_and_p2_is_negative_there():
+    assert next(islice(generate_candidates(CANDIDATE_327_STREAM), 327, None)) == CANDIDATE_327
+    assert symbolic_q_invariants(CANDIDATE_327)[1].evaluate(D_327) == -3239830920344
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+def test_candidate_327_is_not_reported_as_a_counterexample_at_budget_2000():
+    report = verify_refutation(CANDIDATE_327, budget=2000, seed=327)
+    assert report.verdict.kind is not VerdictKind.COUNTEREXAMPLE
+
+
 # a certified counterexample with entries in {-1, 0, 1}; at n = 2 none exists (below)
 TERNARY_4X4 = RationalMatrix(((1, 1, 0, 1), (1, 1, -1, 1), (1, -1, 1, 0), (0, 1, -1, 1)))
 

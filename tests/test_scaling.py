@@ -302,6 +302,12 @@ def test_a_certificate_holds_its_polynomial_and_evidence_and_reads_the_verdict_o
     assert Certificate(SparsePolynomial(2, {(2, 0): -1}), None).verdict is CertificateVerdict.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("kind", typing.get_args(scaling_module.Evidence), ids=lambda kind: kind.__name__)
+def test_every_evidence_kind_states_checks_describes_and_writes_itself(kind):
+    # in its own class body, so no kind inherits another kind's check or text
+    assert {"verdict", "holds_for", "describe", "to_dict"} <= set(vars(kind))
+
+
 P1_REF = SparsePolynomial(2, {(2, 0): 1, (1, 1): -4, (0, 2): 25})
 SQUARE = SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})  # (d1 - d2)^2
 D1, D2 = SparsePolynomial(2, {(1, 0): 1}), SparsePolynomial(2, {(0, 1): 1})
@@ -434,6 +440,9 @@ def test_tampered_evidence_fails_verification_without_raising(cert):
         assert cert.verdict is CertificateVerdict.INCONCLUSIVE
         # and written as no evidence, next to that verdict
         assert cert.to_dict() == {"polynomial": cert.polynomial.to_text(), "verdict": "inconclusive", "evidence": None}
+    # a known kind checks itself against any polynomial without raising
+    elif isinstance(cert.polynomial, SparsePolynomial):
+        assert cert.evidence.holds_for(cert.polynomial) is False
 
 
 # -- sampling refutation -----------------------------------------------------------

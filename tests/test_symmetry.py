@@ -8,23 +8,41 @@ decided from p_j alone, and every strategy is blind to the order of the
 variables, so its verdict is unchanged too. The principal minors of A^2
 and the minor pairs of the anti-sign scan move into each other, so the
 P0+ verdict of A^2 and anti-sign symmetry are unchanged as well.
+
+Four more identities give known answers by construction. For a positive
+diagonal E, (D E A E^-1)^2 = E (D A)^2 E^-1, so every p_j is equal. A
+positive scalar c scales every p_j by c^(2j). For a nonsingular A,
+det(A)^2 p_j(A^-1)(d) = (prod d)^2 p_{n-j}(A)(1/d), with p_0 = 1. And the
+p_j of a direct sum are the convolution of the p_j of its summands, so
+the bundled 2x2 counterexample plus an identity block is a counterexample:
+each of its p_j is a sum of positive products, and its square fails P0+
+where the 2x2 square does.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qscaling import (
+    COUNTEREXAMPLE_MATRIX,
+    Claim,
+    EvidenceGrade,
     RationalMatrix,
     SparsePolynomial,
+    VerdictKind,
     certify_positive_on_orthant,
     classify,
+    determinant,
     is_anti_sign_symmetric,
     mat_mul,
     symbolic_q_invariants,
+    verify_refutation,
 )
 
 from helpers import permutation_similarity
+from oracles import solve_linear
 
 # fixed example order, so a run never depends on a saved example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -95,3 +113,93 @@ def test_symmetries_keep_every_invariant_and_verdict(name, drawn):
     assert moved_verdicts == verdicts
     assert moved_p0_plus == p0_plus
     assert moved_anti_sign == anti_sign
+
+
+@st.composite
+def integer_matrices(draw, max_n=4):
+    """A matrix with n = 1..max_n and entries in [-3, 3]."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    return RationalMatrix(tuple(map(tuple, rows)))
+
+
+def _with_p0(matrix: RationalMatrix) -> list[SparsePolynomial]:
+    """p_0 = 1, then p_1, ..., p_n of ``matrix``."""
+    return [SparsePolynomial.constant(matrix.n, 1), *symbolic_q_invariants(matrix)]
+
+
+def _direct_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(tuple(row + (0,) * b.n for row in a.rows) + tuple((0,) * a.n + row for row in b.rows))
+
+
+def _embed(p: SparsePolynomial, before: int, after: int) -> SparsePolynomial:
+    """p with ``before`` variables in front of its own and ``after`` behind them."""
+    return SparsePolynomial(before + p.n_vars + after, {(0,) * before + e + (0,) * after: c for e, c in p.terms()})
+
+
+@PROPERTY
+@given(integer_matrices(), st.data())
+def test_the_pj_of_a_direct_sum_convolve_those_of_its_summands(a, data):
+    b = data.draw(integer_matrices(max_n=min(4, 6 - a.n)))
+    n = a.n + b.n
+    pa = [_embed(p, 0, b.n) for p in _with_p0(a)]
+    pb = [_embed(p, a.n, 0) for p in _with_p0(b)]
+    expected = [
+        sum((pa[i] * pb[j - i] for i in range(max(0, j - b.n), min(j, a.n) + 1)), SparsePolynomial.zero(n))
+        for j in range(1, n + 1)
+    ]
+    assert symbolic_q_invariants(_direct_sum(a, b)) == expected
+
+
+@PROPERTY
+@given(integer_matrices(), st.lists(st.integers(1, 5), min_size=4, max_size=4))
+def test_a_positive_diagonal_similarity_keeps_every_pj(a, e):
+    moved = RationalMatrix(
+        tuple(tuple(Fraction(e[i], e[k]) * x for k, x in enumerate(row)) for i, row in enumerate(a.rows))
+    )
+    assert symbolic_q_invariants(moved) == symbolic_q_invariants(a)
+
+
+@PROPERTY
+@given(integer_matrices(), st.integers(1, 5), st.integers(1, 5))
+def test_a_positive_scalar_scales_each_pj_by_its_square_power(a, num, den):
+    c = Fraction(num, den)
+    scaled = RationalMatrix(tuple(tuple(c * x for x in row) for row in a.rows))
+    expected = [p * c ** (2 * j) for j, p in enumerate(symbolic_q_invariants(a), start=1)]
+    assert symbolic_q_invariants(scaled) == expected
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_inversion_mirrors_the_pj(a):
+    det = determinant(a)
+    assume(det != 0)
+    n = a.n
+    columns = [solve_linear(a.rows, [int(i == k) for i in range(n)]) for k in range(n)]
+    inverse = RationalMatrix(tuple(zip(*columns)))
+    # the monomial d^e at 1/d, times (prod d)^2, is d^(2 - e)
+    mirrored = [SparsePolynomial(n, {tuple(2 - x for x in e): c for e, c in p.terms()}) for p in _with_p0(a)]
+    assert [p * det**2 for p in symbolic_q_invariants(inverse)] == [mirrored[n - j] for j in range(1, n + 1)]
+
+
+def _reference_plus_identity(k: int) -> RationalMatrix:
+    return _direct_sum(COUNTEREXAMPLE_MATRIX, RationalMatrix.identity(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_reference_plus_an_identity_block_is_a_counterexample(k):
+    verdict = verify_refutation(_reference_plus_identity(k), budget=200).verdict
+    assert verdict.kind is VerdictKind.COUNTEREXAMPLE
+    assert verdict.refuted_claims == (Claim.GENERAL, Claim.ANTI_SIGN_SYMMETRIC)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        pytest.param(1, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 2")),
+        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 2")),
+    ],
+)
+def test_the_reference_plus_an_identity_block_is_a_certified_counterexample(k):
+    assert verify_refutation(_reference_plus_identity(k), budget=200).verdict.evidence_grade is EvidenceGrade.CERTIFIED
