@@ -375,9 +375,10 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     are named by the plan's integers; so building a row makes no call per
     entry. The source is made only of the plan's integers and the fixed
     operand names, and ``_compile`` runs it with empty builtins. It is
-    compiled once per (n, k) and process, on first use: all orders at
-    n = 7 take ~2 ms, and at n = 12 ~0.1 s and ~8 MB. ``_int_compounds`` is
-    its one caller.
+    compiled once per (n, k) and process, on first use, for the orders
+    k = 2..n: order 1 is the matrix itself, so no kernel builds it. All
+    orders at n = 7 take ~2 ms, and at n = 12 ~0.1 s and ~8 MB.
+    ``_int_compounds`` is its one caller.
     """
     entries = []
     for c, below in _laplace_plan(n, k):
@@ -391,28 +392,33 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     return _compile(f"def row(a, b):\n    {a_names}= a\n    {b_names}= b\n    return [{', '.join(entries)}]\n", "row")
 
 
-def _int_compounds(scaled: _IntRows) -> Iterator[list[list[int]]]:
+def _int_compounds(scaled: _IntRows) -> Iterator[_IntRows]:
     """The integer compounds C_0 = [[1]], C_1, ..., C_n of q*A in turn, each as ``_int_compound`` gives it.
 
-    The one builder of compound rows. Row s of order k is one kernel call
-    on row s[-1] of q*A and row ``below[-1]`` of the order yielded before
-    it, so a caller that stops early builds no order above the last one it
-    took. The next order reads the rows yielded, so a caller must not
-    change them. The kernels' source is made only of the plans' integers
-    and the fixed operand names, so the entries of q*A reach them only as
-    call arguments.
+    The one builder of compound rows. C_1 is q*A itself, yielded as given,
+    since every order-1 minor is an entry. Row s of order k >= 2 is one
+    kernel call on row s[-1] of q*A and row ``below[-1]`` of the order
+    yielded before it, so a caller that stops early builds no order above
+    the last one it took. The next order reads the rows yielded, and C_1
+    is the caller's own matrix, so a caller must not change them. The
+    kernels' source is made only of the plans' integers and the fixed
+    operand names, so the entries of q*A reach them only as call arguments.
     """
     n = len(scaled)
-    rows = [[1]]
+    yield [[1]]
+    rows = scaled
     yield rows
-    for k in range(1, n + 1):
+    for k in range(2, n + 1):
         row = _laplace_kernel(n, k)
         rows = [row(scaled[s[-1]], rows[below[-1]]) for s, below in _laplace_plan(n, k)]
         yield rows
 
 
-def _int_compound(scaled: _IntRows, k: int) -> list[list[int]]:
-    """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order."""
+def _int_compound(scaled: _IntRows, k: int) -> _IntRows:
+    """Every order-k minor of q*A, rows and columns indexed by the k-subsets in lexicographic order.
+
+    Order 1 is ``scaled`` itself, not a copy.
+    """
     return next(islice(_int_compounds(scaled), k, None))
 
 

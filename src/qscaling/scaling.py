@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, ClassVar, Iterator, Sequence
 
 from .matrices import (
@@ -267,8 +268,8 @@ def _adjugate_table(n: int, k: int) -> _AdjugateTable:
     )
 
 
-def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
-    """A z > 0 with z^T m z <= 0, or None when x^T m x > 0 for every x > 0.
+def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
+    """A z > 0 with z^T m z <= 0, as positive integers, or None when x^T m x > 0 for every x > 0.
 
     ``m`` is a symmetric integer matrix. The form is positive on the open
     orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
@@ -280,30 +281,32 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
     C_k(m) at s, and adj B holds entries of C_{k-1}(m), the order the walk
     yielded before; for a 1x1 B that is adj B = (1), the order-0 minor.
     Each entry of adj B is read where the per-size ``_adjugate_table``
-    says, with its sign. So only two orders are held at a time, and a
-    singular B keeps the first nonzero row of its adjugate for the second
-    half.
+    says, with its sign, one row at a time and only as far as the test
+    needs. So only two orders are held at a time, and a singular B keeps
+    the first nonzero row of its adjugate for the second half.
 
     Copositivity (Cottle-Habetler-Lemke): m fails at the first B with
-    det B < 0 and adj B >= 0. x = adj(B) 1, the row sums of adj B, then
-    gives x^T B x = det(B) 1^T adj(B) 1 < 0. Padded with zeros, x is a
-    witness on the boundary. z = 2^t x with every zero entry set to 1 has
-    the value 4^t x^T m x + O(2^t), so counting t up from 0 reaches a
-    negative value.
+    det B < 0 and adj B >= 0; a row with a negative entry ends the read of
+    adj B. x = adj(B) 1, the row sums of adj B, then gives
+    x^T B x = det(B) 1^T adj(B) 1 < 0. Padded with zeros, x is a witness
+    on the boundary. z = 2^t x with every zero entry set to 1 has the
+    value 4^t x^T m x + O(2^t), so counting t up from 0 reaches a negative
+    value, and that z is returned.
 
     Positive kernel vector, for a copositive m with det m = 0: the z >= 0
     with m z = 0 and sum z = 1 form a polytope. Its vertices are the
     x > 0 on a support s with m x = 0 whose solution is unique up to
     scale. A positive z exists exactly when the vertex supports cover
-    every index, and the average of the vertices is then one, of value 0.
-    A vertex x on s lies in ker B, so B is singular. Since m is
-    copositive, every y > 0 in ker B near x, padded with zeros, is a zero
-    of the form on the orthant, so each (m y)_i with i not in s is >= 0
-    near x and 0 at x. These linear functions then vanish on all of
-    ker B, so m y = 0 there, and uniqueness leaves ker B one line:
-    rank B = k - 1. Any nonzero row of adj B spans that line. So s is a
-    vertex support exactly when det B = 0, adj B has a nonzero row z,
-    m z = 0 on all n rows and z is strictly one-signed.
+    every index, and the average of the vertices is then one, of value 0;
+    it is returned as its primitive integer vector. A vertex x on s lies
+    in ker B, so B is singular. Since m is copositive, every y > 0 in
+    ker B near x, padded with zeros, is a zero of the form on the orthant,
+    so each (m y)_i with i not in s is >= 0 near x and 0 at x. These
+    linear functions then vanish on all of ker B, so m y = 0 there, and
+    uniqueness leaves ker B one line: rank B = k - 1. Any nonzero row of
+    adj B spans that line. So s is a vertex support exactly when
+    det B = 0, adj B has a nonzero row z, m z = 0 on all n rows and z is
+    strictly one-signed.
     """
     n = len(m)
     singular = []
@@ -313,38 +316,52 @@ def _orthant_witness(m: list[list[int]]) -> tuple[Fraction, ...] | None:
                 det = rows[a][a]
                 if det > 0:
                     continue
-                adj = [[-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in row] for row in reads]
+                # the rows of adj B, each built when the test reaches it
+                adj = ([-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in read] for read in reads)
                 if not det:
-                    singular.append((s, next(filter(any, adj), None)))
+                    row = next(filter(any, adj), None)
+                    if row is not None:
+                        singular.append((s, row))
                     continue
-                if min(map(min, adj)) < 0:
-                    continue
-                x = [sum(row) for row in adj]
-                divisor = gcd(*x)
-                padded = [0] * n
-                for i, v in zip(s, x):
-                    padded[i] = v // divisor
-                scale = 1
-                while True:
-                    z = [scale * v or 1 for v in padded]
-                    if sum(z[i] * m[i][l] * z[l] for i in range(n) for l in range(n)) < 0:
-                        return tuple(map(Fraction, z))
-                    scale *= 2
+                x = []
+                for row in adj:
+                    if min(row) < 0:
+                        break
+                    x.append(sum(row))
+                else:
+                    divisor = gcd(*x)
+                    padded = [0] * n
+                    for i, v in zip(s, x):
+                        padded[i] = v // divisor
+                    scale = 1
+                    while True:
+                        z = [scale * v or 1 for v in padded]
+                        if sum(map(mul, z, [sum(map(mul, row, z)) for row in m])) < 0:
+                            return tuple(z)
+                        scale *= 2
         lower = rows
     # det is now det m, the last minor visited
     if det:
         return None
     vertices = []
     for s, z in singular:
-        if z is None or any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
+        if any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
             continue
         total = sum(z)
         if any(v * total <= 0 for v in z):
             continue
-        vertices.append(dict(zip(s, (Fraction(v, total) for v in z))))
-    if len({i for v in vertices for i in v}) < n:
+        # the vertex is z / total, whichever sign z has
+        vertices.append((s, z, total))
+    if len({i for s, _, _ in vertices for i in s}) < n:
         return None
-    return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
+    # the sum of the vertices times the lcm of the |total|: a positive integer multiple of their average
+    common = lcm(*(total for _, _, total in vertices))
+    average = [0] * n
+    for s, z, total in vertices:
+        for i, v in zip(s, z):
+            average[i] += v * (common // total)
+    divisor = gcd(*average)
+    return tuple(v // divisor for v in average)
 
 
 @cache
@@ -595,18 +612,19 @@ class Certificate:
         }
 
 
-def _witness_evidence(p: SparsePolynomial, z: tuple[Fraction, ...], inverse: bool) -> WitnessEvidence:
+def _witness_evidence(p: SparsePolynomial, z: tuple[int, ...], inverse: bool) -> WitnessEvidence:
     """The witness point d = z, or d = 1/z when ``inverse``, as one coprime integer vector, and p there.
 
-    The coordinates are read off the numerators and denominators of z,
-    swapped for d = 1/z, and cleared by the lcm of the denominators; the
-    value is one integer sum over p's numerators (``_value_at``).
+    ``z`` is the positive integer vector of ``_orthant_witness``. The point
+    is d = z, or d_i = lcm(z) / z_i for d = 1/z, divided by its gcd, so a
+    positive multiple of z gives the same point; the value is one integer
+    sum over p's numerators (``_value_at``).
     """
-    pairs = [(x.denominator, x.numerator) for x in z] if inverse else [(x.numerator, x.denominator) for x in z]
-    common = lcm(*(den for _, den in pairs))
-    integers = [num * (common // den) for num, den in pairs]
-    divisor = gcd(*integers)
-    point = [i // divisor for i in integers]
+    if inverse:
+        common = lcm(*z)
+        z = [common // v for v in z]
+    divisor = gcd(*z)
+    point = [v // divisor for v in z]
     return WitnessEvidence(tuple(map(Fraction, point)), p._value_at(point))
 
 

@@ -41,12 +41,12 @@ d or 1/d. Its matrix comes from ``form_matrix_by_fractions``, which is what
 ``_form_matrix`` returned then.
 ``reduce_direction_by_fractions`` and ``witness_evidence_by_fractions``
 are how ``certify_positive_on_orthant`` recorded a witness z before it
-read the point off z's numerators and denominators: the Fractions 1/z for
-the 1/d reading, scaled to coprime integers, and the value by
-``evaluate``. ``quadratic_evidence_by_fractions`` is how it built the
-square completion of a positive two-variable form before it read it off
-the integer matrix of ``_form_matrix``: b/(2a) and (4ac - b^2)/(4a) in
-Fractions and both linear forms through the checked constructor.
+read the point off the positive integers of z: the Fractions 1/z for the
+1/d reading, scaled to coprime integers, and the value by ``evaluate``.
+``quadratic_evidence_by_fractions`` is how it built the square completion
+of a positive two-variable form before it read it off the integer matrix
+of ``_form_matrix``: b/(2a) and (4ac - b^2)/(4a) in Fractions and both
+linear forms through the checked constructor.
 ``skips_sampling_by_compounds`` is how ``sample_refute`` decided, for
 n <= 3, that no draw can be a witness before it read the certificates:
 ``_orthant_witness`` on each Hadamard compound M_j = C_j(q*A) o C_j(q*A)^T
@@ -319,8 +319,11 @@ def reduce_direction_by_fractions(point: tuple[Fraction, ...]) -> tuple[Fraction
 
 
 def witness_evidence_by_fractions(p: SparsePolynomial, z: tuple[Fraction, ...], inverse: bool) -> WitnessEvidence:
-    """The witness at d = z, or d = 1/z when ``inverse``: Fraction reciprocals, reduced, and ``evaluate`` there."""
-    point = reduce_direction_by_fractions(tuple(1 / x for x in z) if inverse else z)
+    """The witness at d = z, or d = 1/z when ``inverse``: Fraction reciprocals, reduced, and ``evaluate`` there.
+
+    ``z`` holds positive ints or Fractions; each is read as a Fraction, so 1/z stays exact.
+    """
+    point = reduce_direction_by_fractions(tuple(1 / Fraction(x) for x in z) if inverse else z)
     return WitnessEvidence(point, p.evaluate(point))
 
 

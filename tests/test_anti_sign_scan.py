@@ -1,13 +1,15 @@
 """The anti-sign scan and its order-by-order compound rows, against square determinants.
 
 ``_first_positive_pair`` reads whole orders from ``_int_compounds``, which
-builds every order from order 0 with the kernel compiled from the plan of
-(n, k): the plan holds one record ``(s, below)`` per k-subset s, and row s
-is a Laplace expansion along row s[-1] of q*A, over row ``below[-1]`` of
-the order below. The references are ``legacy_routes.first_positive_pair_by_minors``,
-two square Bareiss determinants per pair, which must give the same verdict
-and witness, and ``_int_minor`` on every row set and column set, which
-every compound must equal integer for integer. Upper-triangular matrices,
+yields order 0, then q*A itself as order 1, so no reader requests a
+kernel for order 1, and builds every order above with the kernel compiled
+from the plan of (n, k): the plan holds one record ``(s, below)`` per
+k-subset s, and row s is a Laplace expansion along row s[-1] of q*A,
+over row ``below[-1]`` of the order below. The references are
+``legacy_routes.first_positive_pair_by_minors``, two square Bareiss
+determinants per pair, which must give the same verdict and witness, and
+``_int_minor`` on every row set and column set, which every compound must
+equal integer for integer. Upper-triangular matrices,
 with or without a permutation similarity, make the scan visit every pair;
 zero-heavy entries make singular minors and rows at every order. Fixed
 matrices at n = 10 and 12, which the default enumeration bound admits,
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscaling import RationalMatrix, Verdict, classify, is_anti_sign_symmetric
+from qscaling import RationalMatrix, Verdict, classify, compound, is_anti_sign_symmetric, matrices
 from qscaling.matrices import (
     DEFAULT_ENUMERATION_GUARD,
     _bareiss_int,
@@ -34,6 +36,7 @@ from qscaling.matrices import (
     _laplace_plan,
     _scaled,
 )
+from qscaling.scaling import _orthant_witness
 
 from legacy_routes import first_positive_pair_by_minors
 
@@ -243,3 +246,29 @@ def test_the_row_kernel_binds_every_operand_entry_to_a_local(n):
         code = _laplace_kernel(n, k).__code__
         assert code.co_varnames[:2] == ("a", "b")
         assert code.co_nlocals == 2 + n + comb(n, k - 1)
+
+
+def test_order_one_is_the_matrix_and_no_reader_requests_its_kernel(monkeypatch):
+    rows = [[2, -1, 3], [0, 1, -2], [0, 0, 4]]
+    scaled = _scaled(RationalMatrix(rows))[1]
+    assert _int_compound(rows, 1) == rows
+    assert _int_compound(scaled, 1) is scaled
+    kernel = _laplace_kernel
+    requested = []
+
+    def counting(n, k):
+        requested.append(k)
+        return kernel(n, k)
+
+    monkeypatch.setattr(matrices, "_laplace_kernel", counting)
+    # upper triangular, so both scans visit every pair; the form is positive definite, so the walk reaches det m
+    readers = (
+        lambda: is_anti_sign_symmetric(RationalMatrix(rows)),
+        lambda: classify(RationalMatrix(rows)),
+        lambda: compound(RationalMatrix(rows), 1),
+        lambda: _orthant_witness([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+    )
+    for read, orders in zip(readers, ([2, 3], [2, 3], [], [2, 3])):
+        requested.clear()
+        read()
+        assert requested == orders

@@ -20,10 +20,13 @@ its Fraction coefficients, together with the reading it chose, x = d or
 x = 1/d; ``certify_positive_on_orthant`` turns a witness into a point d by
 that reading, and decides every form through ``_orthant_witness``, which
 ``legacy_routes.certify_positive_on_orthant_by_two_rules`` holds it to.
-The evidence is built from integers: a witness point from the numerators
-and denominators of z, as one coprime vector, with its value from one
-integer sum, and a two-variable completion from the integer matrix that
-``_form_matrix`` read. The Fraction routes they replaced,
+``_orthant_witness`` returns a witness as a tuple of positive ints: the
+doubled z of the copositivity half, which the Cramer route returns as
+well, and the vertex average as its primitive integer vector.
+The evidence is built from integers: a witness point from the integers of
+z, as one coprime vector, the same for every positive multiple of z, with
+its value from one integer sum, and a two-variable completion from the
+integer matrix that ``_form_matrix`` read. The Fraction routes they replaced,
 ``legacy_routes.witness_evidence_by_fractions`` and
 ``legacy_routes.quadratic_evidence_by_fractions``, hold each of them.
 Each adjugate entry is read from the order below where the per-size
@@ -70,6 +73,7 @@ from legacy_routes import (
     form_matrix_by_fractions,
     orthant_witness_by_cramer,
     quadratic_evidence_by_fractions,
+    reduce_direction_by_fractions,
     sample_refute_by_fractions,
     skips_sampling_by_compounds,
     witness_evidence_by_fractions,
@@ -113,6 +117,15 @@ SINGULAR_D3 = RationalMatrix(((1, 1, -2), (0, -1, 1), (-2, 0, 2)))
 
 def _symmetric(n: int, entry) -> list[list[int]]:
     return [[entry(i, k) for k in range(n)] for i in range(n)]
+
+
+def _form_value(m, z):
+    return sum(x * entry * y for row, x in zip(m, z) for entry, y in zip(row, z))
+
+
+def _is_positive_int_tuple(z) -> bool:
+    """Whether z is what ``_orthant_witness`` returns for a witness: a tuple of positive ``int``s."""
+    return type(z) is tuple and all(type(x) is int and x > 0 for x in z)
 
 
 @st.composite
@@ -161,8 +174,8 @@ def test_orthant_witness_agrees_with_the_simplex_minimum(m):
         assert minimum >= 0
         assert sum(map(sum, m)) > 0
         return
-    value = sum(x * entry * y for row, x in zip(m, z) for entry, y in zip(row, z))
-    assert all(x > 0 for x in z)
+    value = _form_value(m, z)
+    assert _is_positive_int_tuple(z)
     assert value <= 0
     if minimum < 0:
         assert value < 0
@@ -175,13 +188,13 @@ def test_orthant_witness_agrees_with_the_simplex_minimum(m):
 #: M_1 of PSD_SINGULAR_D3, read from its p_1: the kernel (0, 1, 2) touches the boundary
 PSD_SINGULAR_FORM, _ = _form_matrix(symbolic_q_invariants(PSD_SINGULAR_D3)[0])
 
-#: (form, witness) pairs through the kernel branch, recorded with the Cramer route
+#: (form, witness) pairs through the kernel branch, recorded with the Cramer route as its primitive integer vector
 KERNEL_BRANCH_CASES = (
-    # every B is singular; the vertices are e_1, e_2, e_3
-    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (Fraction(1, 3),) * 3),
-    ([[1, -1], [-1, 1]], (Fraction(1, 2),) * 2),
+    # every B is singular; the vertices are e_1, e_2, e_3, whose average is (1/3, 1/3, 1/3)
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 1, 1)),
+    ([[1, -1], [-1, 1]], (1, 1)),
     # v v^T for v = (1, -1, 1, -1): the vertices are (1/2, 1/2) on the pairs of opposite sign
-    ([[a * b for b in (1, -1, 1, -1)] for a in (1, -1, 1, -1)], (Fraction(1, 4),) * 4),
+    ([[a * b for b in (1, -1, 1, -1)] for a in (1, -1, 1, -1)], (1, 1, 1, 1)),
     # B = m[{1,2}, {1,2}] = 0 is singular with adj B = 0, and m has no positive kernel vector
     ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], None),
     # the one vertex e_2 leaves indices 1 and 3 uncovered
@@ -220,7 +233,13 @@ def kernel_leaning_forms(draw):
 @settings(PROPERTY, max_examples=500)
 @given(kernel_leaning_forms())
 def test_orthant_witness_equals_the_cramer_oracle(m):
-    assert _orthant_witness(m) == orthant_witness_by_cramer(m)
+    z, expected = _orthant_witness(m), orthant_witness_by_cramer(m)
+    if expected is not None and _form_value(m, expected) == 0:
+        # the kernel half returns the vertex average as its primitive integer vector
+        expected = reduce_direction_by_fractions(expected)
+    # the copositivity half returns the same doubled z
+    assert z == expected
+    assert z is None or _is_positive_int_tuple(z)
 
 
 @pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES)
@@ -395,23 +414,24 @@ positive_rationals = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 1
 
 @st.composite
 def polynomials_and_witness_directions(draw):
-    """(p, z, inverse): a polynomial near a form, a positive z of its arity, and either reading."""
+    """(p, z, c, inverse): a polynomial near a form, a positive integer z of its arity, a c > 0 and either reading."""
     p = draw(polynomials_near_forms())
-    z = tuple(draw(st.lists(positive_rationals, min_size=p.n_vars, max_size=p.n_vars)))
-    return p, z, draw(st.booleans())
+    z = tuple(draw(st.lists(st.integers(1, 10**6), min_size=p.n_vars, max_size=p.n_vars)))
+    return p, z, draw(positive_rationals), draw(st.booleans())
 
 
-# integer z in either reading, z sharing a factor, and the zero polynomial
-@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (Fraction(3), Fraction(5)), False))
-@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (Fraction(3), Fraction(5)), True))
-@example((SparsePolynomial(3, {(2, 2, 0): -1, (0, 2, 2): 4}), (Fraction(2, 3), Fraction(4, 9), Fraction(6)), True))
-@example((SparsePolynomial(3, {}), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), False))
+# z in either reading, z sharing a factor, c that clears it, and the zero polynomial
+@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (3, 5), Fraction(1), False))
+@example((SparsePolynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), (3, 5), Fraction(1), True))
+@example((SparsePolynomial(3, {(2, 2, 0): -1, (0, 2, 2): 4}), (6, 4, 54), Fraction(1, 9), True))
+@example((SparsePolynomial(3, {}), (3, 2, 1), Fraction(1, 6), False))
 @PROPERTY
 @given(polynomials_and_witness_directions())
 def test_witness_read_off_the_integers_of_z_equals_the_fraction_route(case):
-    p, z, inverse = case
+    # the point is read off z's primitive direction, so any positive multiple c*z gives the same evidence
+    p, z, c, inverse = case
     evidence = _witness_evidence(p, z, inverse)
-    assert evidence == witness_evidence_by_fractions(p, z, inverse)
+    assert evidence == witness_evidence_by_fractions(p, tuple(c * x for x in z), inverse)
     assert all(type(x) is Fraction for x in (*evidence.point, evidence.value))
 
 

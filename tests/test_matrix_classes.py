@@ -204,8 +204,8 @@ def test_anti_sign_scan_stops_at_its_first_pair(monkeypatch):
         witness = scan(m).witness
         assert (witness.row_set.members, witness.col_set.members) == ((1, 2), (1, 3))
         assert (witness.forward, witness.backward) == (-2, -6)
-        # the 4 rows of order 1 and all 6 of order 2 are built; no row of order 3
-        assert [k for k, _ in built] == [1] * 4 + [2] * 6
+        # order 1 is the matrix itself, so only the 6 rows of order 2 are built; no row of order 3
+        assert [k for k, _ in built] == [2] * 6
         assert [row for k, row in built if k == 2] == [
             [brute_force_minor(a, rows, cols) for cols in order_two] for rows in order_two
         ]

@@ -17,6 +17,14 @@ p_j of a direct sum are the convolution of the p_j of its summands, so
 the bundled 2x2 counterexample plus an identity block is a counterexample:
 each of its p_j is a sum of positive products, and its square fails P0+
 where the 2x2 square does.
+
+Inversion also keeps the other two parts of the answer. By Jacobi's
+identity each minor of A^-1 is a complementary minor of A over det A,
+times a sign that its mirrored pair shares, so anti-sign symmetry is
+kept; and (A^-1)^2 = (A^2)^-1, whose principal minors are the
+complementary ones of A^2 over det(A)^2 > 0, so the P0+ verdict of the
+square is kept. At n <= 3 no verdict depends on the sampling budget,
+since nothing draws there.
 """
 
 from fractions import Fraction
@@ -29,12 +37,14 @@ from qscaling import (
     COUNTEREXAMPLE_MATRIX,
     Claim,
     EvidenceGrade,
+    HuntConfig,
     RationalMatrix,
     SparsePolynomial,
     VerdictKind,
     certify_positive_on_orthant,
     classify,
     determinant,
+    generate_candidates,
     is_anti_sign_symmetric,
     mat_mul,
     symbolic_q_invariants,
@@ -169,17 +179,41 @@ def test_a_positive_scalar_scales_each_pj_by_its_square_power(a, num, den):
     assert symbolic_q_invariants(scaled) == expected
 
 
+def _inverse(a: RationalMatrix) -> RationalMatrix:
+    columns = [solve_linear(a.rows, [int(i == k) for i in range(a.n)]) for k in range(a.n)]
+    return RationalMatrix(tuple(zip(*columns)))
+
+
 @PROPERTY
 @given(integer_matrices())
 def test_inversion_mirrors_the_pj(a):
     det = determinant(a)
     assume(det != 0)
     n = a.n
-    columns = [solve_linear(a.rows, [int(i == k) for i in range(n)]) for k in range(n)]
-    inverse = RationalMatrix(tuple(zip(*columns)))
+    inverse = _inverse(a)
     # the monomial d^e at 1/d, times (prod d)^2, is d^(2 - e)
     mirrored = [SparsePolynomial(n, {tuple(2 - x for x in e): c for e, c in p.terms()}) for p in _with_p0(a)]
     assert [p * det**2 for p in symbolic_q_invariants(inverse)] == [mirrored[n - j] for j in range(1, n + 1)]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(integer_matrices())
+def test_inversion_keeps_anti_sign_symmetry_and_p0_plus_of_the_square(a):
+    assume(determinant(a) != 0)
+    inverse = _inverse(a)
+    # Jacobi: each minor of A^-1 is a complementary minor of A over det A, with the sign of the pair
+    assert is_anti_sign_symmetric(inverse).holds == is_anti_sign_symmetric(a).holds
+    # (A^-1)^2 = (A^2)^-1, whose principal minors are the complementary ones of A^2 over det(A)^2 > 0
+    assert classify(mat_mul(inverse, inverse)).p0_plus.holds == classify(mat_mul(a, a)).p0_plus.holds
+
+
+def test_the_verdict_below_dimension_4_does_not_depend_on_the_budget():
+    # every p_j at n <= 3 is decided by a certificate or skipped by sampling, so nothing draws
+    for matrix in generate_candidates(HuntConfig(dimension=3, entry_range=2, count=300, seed=5)):
+        least, most = (verify_refutation(matrix, budget=budget) for budget in (1, 10_000))
+        assert least.verdict == most.verdict
+        assert type(least.hypothesis) is type(most.hypothesis)
+        assert least.hypothesis.certificates == most.hypothesis.certificates
 
 
 def _reference_plus_identity(k: int) -> RationalMatrix:
