@@ -329,10 +329,10 @@ def _int_minor(scaled: _IntRows, row_sel: Sequence[int], col_sel: Sequence[int])
 def _compile(source: str, name: str) -> Callable:
     """The function ``name`` that ``source`` defines, run with empty builtins.
 
-    The one ``exec`` in the package. Its callers, the three kernel builders
-    (``_laplace_kernel`` and ``_prefix_kernel`` here, ``_pj_kernel`` in
-    ``scaling``), write source made only of integers and fixed names, so no
-    input reaches generated code.
+    The one ``exec`` in the package. Its callers, the four kernel builders
+    (``_laplace_kernel`` and ``_prefix_kernel`` here, ``_pj_kernel`` and
+    ``_walk_kernel`` in ``scaling``), write source made only of integers and
+    fixed names, so no input reaches generated code.
     """
     namespace: dict = {"__builtins__": {}}
     exec(source, namespace)

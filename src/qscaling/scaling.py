@@ -259,13 +259,139 @@ def _adjugate_table(n: int, k: int) -> _AdjugateTable:
     B without row l and column i, which C_{k-1}(m) holds at
     (below[l], below[i]); ``reads[l][i]`` is that row, that column and
     whether i + l is odd. It depends on (n, k) alone, so the indices and
-    signs are worked out once per size and process; ``_orthant_witness`` is
-    its one reader.
+    signs are worked out once per size and process. Its two readers are the
+    compound walk of ``_orthant_witness`` and ``_walk_kernel``, which writes
+    the reads into its source.
     """
     return tuple(
         (s, tuple(tuple((jl, ji, bool((i + l) & 1)) for i, ji in enumerate(below)) for l, jl in enumerate(below)))
         for s, below in _laplace_plan(n, k)
     )
+
+
+def _lifted_witness(m: list[list[int]], s: tuple[int, ...], x: Sequence[int]) -> tuple[int, ...]:
+    """The copositivity half's witness: the first z = 2^t x + (1 off s), t = 0, 1, ..., with z^T m z < 0.
+
+    ``x`` = adj(B) 1 > 0 for a failing block B = m[s, s], so x^T B x < 0;
+    it is divided by its gcd first and padded with zeros to all n indices.
+    """
+    divisor = gcd(*x)
+    padded = [0] * len(m)
+    for i, v in zip(s, x):
+        padded[i] = v // divisor
+    scale = 1
+    while True:
+        z = [scale * v or 1 for v in padded]
+        if sum(map(mul, z, [sum(map(mul, row, z)) for row in m])) < 0:
+            return tuple(z)
+        scale *= 2
+
+
+def _vertex_average(
+    m: list[list[int]], singular: Sequence[tuple[tuple[int, ...], Sequence[int]]]
+) -> tuple[int, ...] | None:
+    """The kernel half's witness for a copositive m with det m = 0, or None when m z = 0 has no z > 0.
+
+    ``singular`` holds, for every singular principal block B = m[s, s]
+    with a nonzero adjugate, ``(s, z)`` with z the first nonzero row of
+    adj B. The vertices are the z with m z = 0 on all n rows and one sign;
+    their average is returned as its primitive integer vector when their
+    supports cover every index.
+    """
+    n = len(m)
+    vertices = []
+    for s, z in singular:
+        if any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
+            continue
+        total = sum(z)
+        if any(v * total <= 0 for v in z):
+            continue
+        # the vertex is z / total, whichever sign z has
+        vertices.append((s, z, total))
+    if len({i for s, _, _ in vertices for i in s}) < n:
+        return None
+    # the sum of the vertices times the lcm of the |total|: a positive integer multiple of their average
+    common = lcm(*(total for _, _, total in vertices))
+    average = [0] * n
+    for s, z, total in vertices:
+        for i, v in zip(s, z):
+            average[i] += v * (common // total)
+    divisor = gcd(*average)
+    return tuple(v // divisor for v in average)
+
+
+@cache
+def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
+    """The walk of ``_orthant_witness`` over an n x n form compiled into one straight-line function.
+
+    ``walk(m, lift, average)`` returns what the compound walk returns for
+    the symmetric integer matrix ``m``, given ``lift = _lifted_witness``
+    and ``average = _vertex_average``; the two halves' helpers are passed
+    at each call, so the cached function holds nothing of a call. It binds
+    the entries of m to locals ``m{r}_{c}``, C_1 = m, and names every entry
+    of the order-k compound ``c{k}_{r}_{c}``, built order by order in
+    ``_laplace_plan(n, k)`` order by the same expansion as the row kernels
+    of ``_int_compounds``, so it holds the same integers. After each order
+    comes one test per block B = m[s, s], in ``_adjugate_table(n, k)``
+    order: det B < 0 and every entry of adj B, read with the table's sign
+    from the order below, >= 0, one ``and`` that stops at the first
+    negative entry; it returns ``lift(m, s, adj(B) 1)``. When no block
+    fails, det m != 0 returns None; det m = 0 collects, for every singular
+    B, the first nonzero row of adj B, still held in the locals, and
+    returns ``average(m, singular)``. The source is made only of the
+    plans' integers and fixed names, and ``_compile`` runs it with empty
+    builtins. It is compiled once per n and process, on first use, and
+    only for n <= ``_WALK_KERNEL_MAX``; ``_orthant_witness`` is its one
+    caller.
+    """
+
+    def entry(k: int, r: int, c: int) -> str:
+        # C_0 = [[1]], the order-0 minor, and C_1 = m
+        return "1" if not k else f"m{r}_{c}" if k == 1 else f"c{k}_{r}_{c}"
+
+    rows = "".join(f"({''.join(f'm{r}_{c}, ' for c in range(n))}), " for r in range(n))
+    lines = ["def walk(m, lift, average):", f"    {rows}= m"]
+    blocks = []
+    for k in range(1, n + 1):
+        if k > 1:
+            plan = _laplace_plan(n, k)
+            for r, (s, below_r) in enumerate(plan):
+                for c, (t, below_c) in enumerate(plan):
+                    # the row kernel's expansion along row s[-1] of m: the sign + at position k-1, alternating below it
+                    terms = [f"m{s[-1]}_{t[i]}*{entry(k - 1, below_r[-1], below_c[i])}" for i in range(k)]
+                    expr = terms[-1]
+                    for i in range(k - 2, -1, -1):
+                        expr += f" {'-' if (k - 1 - i) % 2 else '+'} {terms[i]}"
+                    lines.append(f"    {entry(k, r, c)} = {expr}")
+        for a, (s, reads) in enumerate(_adjugate_table(n, k)):
+            det = entry(k, a, a)
+            adj = [[("-" if negate else "", entry(k - 1, jl, ji)) for jl, ji, negate in read] for read in reads]
+            # the order-0 minor 1 needs no test
+            tests = [f"{name} {'<=' if sign else '>='} 0" for row in adj for sign, name in row if name != "1"]
+            sums = ["".join(f"{sign or '+'}{name}" for sign, name in row).lstrip("+") for row in adj]
+            lines.append(f"    if {' and '.join([f'{det} < 0', *tests])}:")
+            lines.append(f"        return lift(m, {s}, ({', '.join(sums)},))")
+            blocks.append((det, s, adj))
+    lines.append(f"    if {entry(n, 0, 0)}:\n        return None\n    singular = []")
+    for det, s, adj in blocks:
+        lines.append(f"    if not {det}:")
+        for l, row in enumerate(adj):
+            read = ", ".join(sign + name for sign, name in row)
+            lines.append(f"        {'elif' if l else 'if'} {' or '.join(name for _, name in row)}:")
+            lines.append(f"            singular.append(({s}, ({read},)))")
+    lines.append("    return average(m, singular)")
+    return _compile("\n".join(lines) + "\n", "walk")
+
+
+#: the largest form that ``_orthant_witness`` decides through ``_walk_kernel``. Compiling one
+#: kernel, once per size and process (Python 3.11.7, median of three processes; peak memory by
+#: tracemalloc): n = 2 ~0.3 ms and 0.13 MB, n = 3 ~0.8 ms and 0.36 MB, n = 4 ~2.2 ms and 1.1 MB.
+#: Above it the kernel holds every compound entry as a local, C(2n, n) - 1 of them (251, 923 and
+#: 3431 at n = 5, 6, 7), and its compile grows to ~7.5 ms and 3.3 MB, ~27 ms and 9.5 MB, and
+#: ~0.1 s and 31 MB; at n = 7 a call on a random form took 41 us against the compound walk's
+#: 28 us. Under the default symbolic guard, larger forms come only from p_1 and p_{n-1} of 5x5 and
+#: 6x6 matrices; they keep the walk, which is also the reference the kernel is held to.
+_WALK_KERNEL_MAX = 4
 
 
 def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
@@ -285,30 +411,40 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
     needs. So only two orders are held at a time, and a singular B keeps
     the first nonzero row of its adjugate for the second half.
 
+    A form of size n <= ``_WALK_KERNEL_MAX`` takes the same walk compiled
+    into one straight-line function, ``_walk_kernel(n)``, which returns
+    the same value: the interpreted walk costs a generator step, a row
+    kernel call per compound row and a loop per block, most of a 3x3
+    form's time. Larger forms take the walk below: the kernel's frame and
+    its compile grow with the number of compound entries, C(2n, n) - 1,
+    and at n = 7 it is slower than the walk.
+
     Copositivity (Cottle-Habetler-Lemke): m fails at the first B with
     det B < 0 and adj B >= 0; a row with a negative entry ends the read of
     adj B. x = adj(B) 1, the row sums of adj B, then gives
     x^T B x = det(B) 1^T adj(B) 1 < 0. Padded with zeros, x is a witness
     on the boundary. z = 2^t x with every zero entry set to 1 has the
     value 4^t x^T m x + O(2^t), so counting t up from 0 reaches a negative
-    value, and that z is returned.
+    value, and that z is returned (``_lifted_witness``).
 
     Positive kernel vector, for a copositive m with det m = 0: the z >= 0
     with m z = 0 and sum z = 1 form a polytope. Its vertices are the
     x > 0 on a support s with m x = 0 whose solution is unique up to
     scale. A positive z exists exactly when the vertex supports cover
     every index, and the average of the vertices is then one, of value 0;
-    it is returned as its primitive integer vector. A vertex x on s lies
-    in ker B, so B is singular. Since m is copositive, every y > 0 in
-    ker B near x, padded with zeros, is a zero of the form on the orthant,
-    so each (m y)_i with i not in s is >= 0 near x and 0 at x. These
-    linear functions then vanish on all of ker B, so m y = 0 there, and
-    uniqueness leaves ker B one line: rank B = k - 1. Any nonzero row of
-    adj B spans that line. So s is a vertex support exactly when
-    det B = 0, adj B has a nonzero row z, m z = 0 on all n rows and z is
-    strictly one-signed.
+    it is returned as its primitive integer vector (``_vertex_average``).
+    A vertex x on s lies in ker B, so B is singular. Since m is
+    copositive, every y > 0 in ker B near x, padded with zeros, is a zero
+    of the form on the orthant, so each (m y)_i with i not in s is >= 0
+    near x and 0 at x. These linear functions then vanish on all of
+    ker B, so m y = 0 there, and uniqueness leaves ker B one line:
+    rank B = k - 1. Any nonzero row of adj B spans that line. So s is a
+    vertex support exactly when det B = 0, adj B has a nonzero row z,
+    m z = 0 on all n rows and z is strictly one-signed.
     """
     n = len(m)
+    if n <= _WALK_KERNEL_MAX:
+        return _walk_kernel(n)(m, _lifted_witness, _vertex_average)
     singular = []
     for k, rows in enumerate(_int_compounds(m)):
         if k:
@@ -329,39 +465,12 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
                         break
                     x.append(sum(row))
                 else:
-                    divisor = gcd(*x)
-                    padded = [0] * n
-                    for i, v in zip(s, x):
-                        padded[i] = v // divisor
-                    scale = 1
-                    while True:
-                        z = [scale * v or 1 for v in padded]
-                        if sum(map(mul, z, [sum(map(mul, row, z)) for row in m])) < 0:
-                            return tuple(z)
-                        scale *= 2
+                    return _lifted_witness(m, s, x)
         lower = rows
     # det is now det m, the last minor visited
     if det:
         return None
-    vertices = []
-    for s, z in singular:
-        if any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
-            continue
-        total = sum(z)
-        if any(v * total <= 0 for v in z):
-            continue
-        # the vertex is z / total, whichever sign z has
-        vertices.append((s, z, total))
-    if len({i for s, _, _ in vertices for i in s}) < n:
-        return None
-    # the sum of the vertices times the lcm of the |total|: a positive integer multiple of their average
-    common = lcm(*(total for _, _, total in vertices))
-    average = [0] * n
-    for s, z, total in vertices:
-        for i, v in zip(s, z):
-            average[i] += v * (common // total)
-    divisor = gcd(*average)
-    return tuple(v // divisor for v in average)
+    return _vertex_average(m, singular)
 
 
 @cache

@@ -2,10 +2,11 @@
 
 ``_first_positive_pair`` reads whole orders from ``_int_compounds``, which
 yields order 0, then q*A itself as order 1, so no reader requests a
-kernel for order 1, and builds every order above with the kernel compiled
-from the plan of (n, k): the plan holds one record ``(s, below)`` per
-k-subset s, and row s is a Laplace expansion along row s[-1] of q*A,
-over row ``below[-1]`` of the order below. The references are
+kernel for order 1 (and ``_orthant_witness`` none for a form of size 4 or
+less, which its compiled walk decides), and builds every order above with
+the kernel compiled from the plan of (n, k): the plan holds one record
+``(s, below)`` per k-subset s, and row s is a Laplace expansion along row
+s[-1] of q*A, over row ``below[-1]`` of the order below. The references are
 ``legacy_routes.first_positive_pair_by_minors``, two square Bareiss
 determinants per pair, which must give the same verdict and witness, and
 ``_int_minor`` on every row set and column set, which every compound must
@@ -239,10 +240,11 @@ def test_laplace_rows_at_the_default_bound_equal_square_determinants(build, n):
     assert compound == [[_bareiss_int([row[:] for row in rows])]] != [[0]]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_the_row_kernel_binds_every_operand_entry_to_a_local(n):
     # a row reads each entry of a and b once; the list display names them a0.., b0..
-    for k in range(1, n + 1):
+    # order 1 is the matrix itself, so the orders built are 2..n
+    for k in range(2, n + 1):
         code = _laplace_kernel(n, k).__code__
         assert code.co_varnames[:2] == ("a", "b")
         assert code.co_nlocals == 2 + n + comb(n, k - 1)
@@ -261,14 +263,17 @@ def test_order_one_is_the_matrix_and_no_reader_requests_its_kernel(monkeypatch):
         return kernel(n, k)
 
     monkeypatch.setattr(matrices, "_laplace_kernel", counting)
-    # upper triangular, so both scans visit every pair; the form is positive definite, so the walk reaches det m
+    # upper triangular, so both scans visit every pair; the forms are positive definite, so the walk reaches det m
+    # a 3x3 form is decided by the compiled walk, which builds no compound row; a 5x5 one walks every order
+    tridiagonal = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
     readers = (
         lambda: is_anti_sign_symmetric(RationalMatrix(rows)),
         lambda: classify(RationalMatrix(rows)),
         lambda: compound(RationalMatrix(rows), 1),
         lambda: _orthant_witness([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+        lambda: _orthant_witness(tridiagonal),
     )
-    for read, orders in zip(readers, ([2, 3], [2, 3], [], [2, 3])):
+    for read, orders in zip(readers, ([2, 3], [2, 3], [], [], [2, 3, 4, 5]), strict=True):
         requested.clear()
         read()
         assert requested == orders

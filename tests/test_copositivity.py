@@ -31,7 +31,10 @@ integer matrix that ``_form_matrix`` read. The Fraction routes they replaced,
 ``legacy_routes.quadratic_evidence_by_fractions``, hold each of them.
 Each adjugate entry is read from the order below where the per-size
 ``_adjugate_table`` says, with its sign; every adj(B) read that way equals
-the cofactors of B by ``oracles.brute_force_minor``.
+the cofactors of B by ``oracles.brute_force_minor``. A form of size 4 or
+less is decided by the same walk compiled into one function,
+``_walk_kernel(n)``, which must return exactly what the compound walk
+returns; larger forms take the compound walk.
 
 For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2, so the
 certificates decide the hypothesis: when none of them is NOT_POSITIVE,
@@ -64,7 +67,16 @@ from qscaling import (
     symbolic_q_invariants,
 )
 from qscaling.matrices import _int_compound, _scaled
-from qscaling.scaling import _adjugate_table, _form_matrix, _orthant_witness, _quadratic_evidence, _witness_evidence
+from qscaling.scaling import (
+    _adjugate_table,
+    _form_matrix,
+    _lifted_witness,
+    _orthant_witness,
+    _quadratic_evidence,
+    _vertex_average,
+    _walk_kernel,
+    _witness_evidence,
+)
 
 from helpers import certificates_of
 from legacy_routes import (
@@ -129,12 +141,12 @@ def _is_positive_int_tuple(z) -> bool:
 
 
 @st.composite
-def symmetric_matrices(draw):
+def symmetric_matrices(draw, largest=6):
     """Symmetric integer matrices: free entries, B^T B (with kernels), B^T B + N with N >= 0, and +-v v^T.
 
-    n <= 6, the largest form the default symbolic guard admits.
+    n <= ``largest``, by default 6, the largest form the default symbolic guard admits.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, largest))
     kind = draw(st.sampled_from(("entries", "gram", "gram_plus_nonnegative", "rank_one")))
     if kind == "entries":
         upper = {(i, k): draw(st.integers(-2, 9) if i == k else st.integers(-6, 6)) for i in range(n) for k in range(i, n)}
@@ -204,14 +216,14 @@ KERNEL_BRANCH_CASES = (
 
 
 @st.composite
-def kernel_leaning_forms(draw):
+def kernel_leaning_forms(draw, largest=6):
     """Symmetric integer matrices, most of them singular and copositive.
 
     B^T B with fewer rows than columns (rank < n), sometimes plus a
-    zero-heavy N >= 0, and zero-heavy free entries; n <= 6, the largest
-    form the default symbolic guard admits.
+    zero-heavy N >= 0, and zero-heavy free entries; n <= ``largest``, by
+    default 6, the largest form the default symbolic guard admits.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, largest))
     small = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
     kind = draw(st.sampled_from(("gram", "gram", "gram_plus_nonnegative", "entries")))
     if kind == "entries":
@@ -245,6 +257,43 @@ def test_orthant_witness_equals_the_cramer_oracle(m):
 @pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES)
 def test_kernel_branch_witnesses_are_pinned(m, witness):
     assert _orthant_witness(m) == witness
+
+
+def _compound_walk(m):
+    """What ``_orthant_witness`` returns through its compound walk, which it takes above the kernel's sizes."""
+    with patch.object(scaling, "_WALK_KERNEL_MAX", 0):
+        return _orthant_witness(m)
+
+
+@example([[0, 1, 1], [1, 2, 1], [1, 1, 2]])
+@example([[4, -6, 1], [-6, 9, 1], [1, 1, 1]])
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+@example([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+@example([[2, 0, 0], [0, 8, -4], [0, -4, 2]])
+@example([[0]])
+@example([[-1, 0], [0, 100]])
+@example(KERNEL_BRANCH_CASES[0][0])
+@example(KERNEL_BRANCH_CASES[1][0])
+@example(KERNEL_BRANCH_CASES[2][0])
+@example(KERNEL_BRANCH_CASES[3][0])
+@example(KERNEL_BRANCH_CASES[4][0])
+@example(KERNEL_BRANCH_CASES[5][0])
+@settings(PROPERTY, max_examples=500)
+@given(st.one_of(symmetric_matrices(largest=4), kernel_leaning_forms(largest=4)))
+def test_the_walk_kernel_returns_what_the_compound_walk_returns(m):
+    z, expected = _walk_kernel(len(m))(m, _lifted_witness, _vertex_average), _compound_walk(m)
+    assert z == expected
+    assert z is None or _is_positive_int_tuple(z)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orthant_witness_takes_the_kernel_up_to_size_4_and_the_compound_walk_above(n, monkeypatch):
+    taken = []
+    kernel, walk = scaling._walk_kernel, scaling._int_compounds
+    monkeypatch.setattr(scaling, "_walk_kernel", lambda size: taken.append("kernel") or kernel(size))
+    monkeypatch.setattr(scaling, "_int_compounds", lambda m: taken.append("walk") or walk(m))
+    assert _orthant_witness([[int(i == j) for j in range(n)] for i in range(n)]) is None
+    assert taken == (["kernel"] if n <= 4 else ["walk"])
 
 
 @settings(PROPERTY, max_examples=100)

@@ -8,20 +8,23 @@ where that package happens to be installed.
 
 The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
 one allowed is ``_compile`` in ``matrices.py``, which runs source with
-empty builtins. Its only callers are the three kernel builders,
-``_laplace_kernel`` and ``_prefix_kernel`` in ``matrices.py`` and
-``_pj_kernel`` in ``scaling.py`` (which imports it), whose source is made
-only of integers, so no outside input reaches generated code. The
-compiled functions are reached through one walker each: ``_int_compounds``,
-the one walker over the compounds, ``_principal_minors``, the one walker
-over the principal-minor tree, and ``symbolic_q_invariants``, the one
-expansion of the p_j. ``_laplace_kernel`` is named only in its definition
-and its walker. The other two builders are named only in their definitions
-and in a table cached per size, ``_prefix_kernels`` and ``_pj_kernels``, and
-each table only in its definition and its walker, which looks up all its
-kernels at once. All three walkers pass the compiled functions integers
-alone; so generated code is reached through those three walkers and nowhere
-else. ``_principal_minors`` itself, which returns the minors
+empty builtins. Its only callers are the four kernel builders,
+``_laplace_kernel`` and ``_prefix_kernel`` in ``matrices.py``, and
+``_pj_kernel`` and ``_walk_kernel`` in ``scaling.py`` (which imports it),
+whose source is made only of integers, so no outside input reaches
+generated code. The compiled functions are reached through one walker
+each: ``_int_compounds``, the one walker over the compounds,
+``_principal_minors``, the one walker over the principal-minor tree,
+``symbolic_q_invariants``, the one expansion of the p_j, and
+``_orthant_witness``, the one decision of a form's sign on the orthant.
+``_laplace_kernel`` and ``_walk_kernel`` are named only in their
+definitions and their walkers. The other two builders are named only in
+their definitions and in a table cached per size, ``_prefix_kernels`` and
+``_pj_kernels``, and each table only in its definition and its walker,
+which looks up all its kernels at once. All four walkers pass the compiled
+functions integers alone, and ``_orthant_witness`` also the two helpers
+its kernel returns through; so generated code is reached through those
+four walkers and nowhere else. ``_principal_minors`` itself, which returns the minors
 as plain integers by order, has four readers and no wrapper:
 ``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
 ``symbolic_q_invariants`` and ``sample_refute`` in ``scaling.py``, each
@@ -42,9 +45,10 @@ form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
 ``QuadraticEvidence.holds_for``. The sign of a p_j is decided in one place:
 ``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
-called only by ``certify_positive_on_orthant``, and is the one reader of
-``_adjugate_table``, the per-size table of where and with which sign it
-reads each adjugate entry; the sampling shortcut of ``sample_refute`` reads
+called only by ``certify_positive_on_orthant``, and it and the kernel
+``_walk_kernel`` compiles for small forms are the two readers of
+``_adjugate_table``, the per-size table of where and with which sign an
+adjugate entry is read; the sampling shortcut of ``sample_refute`` reads
 the verdicts of ``certify_positive_on_orthant`` off the certificates its
 caller passes; the Hadamard compounds that shortcut used to test
 (``_hadamard``) live on only in the test oracles. No function in ``scaling.py`` calls
@@ -174,13 +178,14 @@ def test_the_laplace_kernel_is_reached_only_through_int_compounds():
     assert _mentioned_in("_laplace_kernel") == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]
 
 
-def test_the_compile_helper_serves_only_the_three_kernel_builders():
+def test_the_compile_helper_serves_only_the_four_kernel_builders():
     assert _mentioned_in("_compile") == [
         ("matrices.py", "_compile"),
         ("matrices.py", "_laplace_kernel"),
         ("matrices.py", "_prefix_kernel"),
         ("scaling.py", None),
         ("scaling.py", "_pj_kernel"),
+        ("scaling.py", "_walk_kernel"),
     ]
 
 
@@ -197,7 +202,18 @@ def test_the_pj_kernel_is_reached_only_through_q_invariants():
 
 
 def test_the_adjugate_table_is_read_only_by_the_orthant_walk():
-    assert _mentioned_in("_adjugate_table") == [("scaling.py", "_adjugate_table"), ("scaling.py", "_orthant_witness")]
+    assert _mentioned_in("_adjugate_table") == [
+        ("scaling.py", "_adjugate_table"),
+        ("scaling.py", "_walk_kernel"),
+        ("scaling.py", "_orthant_witness"),
+    ]
+
+
+def test_the_walk_kernel_is_reached_only_through_the_orthant_witness():
+    # the two halves' helpers are called by the compound walk and passed to the kernel, both in _orthant_witness
+    assert _mentioned_in("_walk_kernel") == [("scaling.py", "_walk_kernel"), ("scaling.py", "_orthant_witness")]
+    for helper in ("_lifted_witness", "_vertex_average"):
+        assert _mentioned_in(helper) == [("scaling.py", helper)] + [("scaling.py", "_orthant_witness")] * 2
 
 
 def test_the_cached_index_sets_are_named_only_in_matrix_classes():
