@@ -326,17 +326,34 @@ def _int_minor(scaled: _IntRows, row_sel: Sequence[int], col_sel: Sequence[int])
     return _bareiss_int([[scaled[i][j] for j in col_sel] for i in row_sel])
 
 
-def _compile(source: str, name: str) -> Callable:
-    """The function ``name`` that ``source`` defines, run with empty builtins.
+def _compile(source: str, name: str, **bound: Callable) -> Callable:
+    """The function ``name`` that ``source`` defines, run with empty builtins and the functions ``bound``.
 
     The one ``exec`` in the package. Its callers, the four kernel builders
     (``_laplace_kernel`` and ``_prefix_kernel`` here, ``_pj_kernel`` and
     ``_walk_kernel`` in ``scaling``), write source made only of integers and
-    fixed names, so no input reaches generated code.
+    fixed names, so no input reaches generated code. A kernel that calls
+    other functions, child kernels or the package's witness helpers, finds
+    them under the names in ``bound``, bound once when it is compiled, so
+    every call passes it only its data and its per-call sinks.
     """
-    namespace: dict = {"__builtins__": {}}
+    namespace: dict = {"__builtins__": {}, **bound}
     exec(source, namespace)
     return namespace[name]
+
+
+def _laplace_expansion(k: int, last: Callable[[int], str], lower: Callable[[int], str]) -> str:
+    """The Laplace expansion of an order-k minor along its last row, as source.
+
+    Position i pairs the entry ``last(i)`` of the last row with the minor
+    ``lower(i)`` of the order below that omits column i, with the sign
+    (-1)^(k-1+i): the term at position k-1 comes first with the sign +,
+    then the signs alternate. Its two callers write it into their source:
+    the row kernels of ``_laplace_kernel`` and the compiled walk of
+    ``scaling._walk_kernel``.
+    """
+    terms = [f"{last(i)}*{lower(i)}" for i in range(k)]
+    return terms[-1] + "".join(f" {'-' if (k - 1 - i) % 2 else '+'} {terms[i]}" for i in range(k - 2, -1, -1))
 
 
 #: one record (s, below) per k-subset s: below[i] is the index of s - s_i one order below
@@ -371,25 +388,20 @@ def _laplace_kernel(n: int, k: int) -> Callable[[list[int], list[int]], list[int
     operand entry to a local, ``a0, a1, ... = a`` and ``b0, b1, ... = b``,
     so each entry is read once. The row is then one list
     display with an expression per column set,
-    ``a{c[-1]}*b{below[-1]} - a{c[-2]}*b{below[-2]} + ...``, whose factors
-    are named by the plan's integers; so building a row makes no call per
-    entry. The source is made only of the plan's integers and the fixed
-    operand names, and ``_compile`` runs it with empty builtins. It is
+    ``a{c[-1]}*b{below[-1]} - a{c[-2]}*b{below[-2]} + ...`` as
+    ``_laplace_expansion`` writes it, whose factors are named by the plan's
+    integers; so building a row makes no call per entry. The source is
+    made only of the plan's integers and the fixed operand names, and
+    ``_compile`` runs it with empty builtins. It is
     compiled once per (n, k) and process, on first use, for the orders
     k = 2..n: order 1 is the matrix itself, so no kernel builds it. All
     orders at n = 7 take ~2 ms, and at n = 12 ~0.1 s and ~8 MB.
     ``_int_compounds`` is its one caller.
     """
-    entries = []
-    for c, below in _laplace_plan(n, k):
-        # position k-1 carries the sign +, and the signs alternate below it
-        entry = f"a{c[-1]}*b{below[-1]}"
-        for i in range(k - 2, -1, -1):
-            entry += f" {'-' if (k - 1 - i) % 2 else '+'} a{c[i]}*b{below[i]}"
-        entries.append(entry)
+    sums = [_laplace_expansion(k, lambda i: f"a{c[i]}", lambda i: f"b{below[i]}") for c, below in _laplace_plan(n, k)]
     a_names = "".join(f"a{i}, " for i in range(n))
     b_names = "".join(f"b{i}, " for i in range(comb(n, k - 1)))
-    return _compile(f"def row(a, b):\n    {a_names}= a\n    {b_names}= b\n    return [{', '.join(entries)}]\n", "row")
+    return _compile(f"def row(a, b):\n    {a_names}= a\n    {b_names}= b\n    return [{', '.join(sums)}]\n", "row")
 
 
 def _int_compounds(scaled: _IntRows) -> Iterator[_IntRows]:
@@ -439,26 +451,27 @@ def _prefix_layout(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
 
 @cache
 def _prefix_kernel(m: int) -> Callable[..., None]:
-    """One node of the principal-minor tree with m bordered minors per side, compiled into one function.
+    """One node of the principal-minor tree with m >= 1 bordered minors per side, compiled into one function.
 
-    The function is ``visit(b, d, out, kernels, below)``: ``b`` is the m x m
-    matrix of bordered minors of a node P, b[i][j] = det((q*A)[P+i', P+j'])
-    for the m indices i', j' above max P, and ``d`` is det((q*A)[P]). For
-    each child a in turn it passes the child's minor b[a][a] to ``out``.
-    When that minor p is nonzero, the child's bordered minors are one list
+    The function is ``visit(b, d, out, below)``: ``b`` is the m x m matrix
+    of bordered minors of a node P, b[i][j] = det((q*A)[P+i', P+j']) for
+    the m indices i', j' above max P, and ``d`` is det((q*A)[P]). For each
+    child a in turn it passes the child's minor b[a][a] to ``out``. When
+    that minor p is nonzero, the child's bordered minors are one list
     display of one Bareiss step, (b[i][j]*p - b[i][a]*b[a][j]) // d for
     i, j > a (exact by Sylvester's identity), and the child is visited by
-    ``kernels[m-1-a]``; the last child has nothing above it. When p is 0
-    that step would divide by zero, and ``below()`` appends the minors of
-    every set below the child instead. So the minors reach ``out`` depth
-    first by prefix. Nothing is written into ``b``, which at the root is
-    q*A itself. The source is made only of integers, and ``_compile`` runs
-    it with empty builtins. The per-n table ``_prefix_kernels`` is its one
-    caller, and ``_principal_minors`` passes that table's kernels of every
-    size up to n, and ``below``, at call time, so a kernel holds nothing of
-    one call after it.
+    the kernel of its size m-1-a, bound as ``k{m-1-a}`` when this one is
+    compiled; the last child has nothing above it. When p is 0 that step
+    would divide by zero, and ``below()`` appends the minors of every set
+    below the child instead. So the minors reach ``out`` depth first by
+    prefix. Nothing is written into ``b``, which at the root is q*A itself.
+    The source is made only of integers, and ``_compile`` runs it with
+    empty builtins and the kernels of sizes 1..m-1, built first through
+    this cache. ``_principal_minors`` and the kernels of larger sizes are
+    its callers; the two sinks come with each call, so a kernel holds
+    nothing of one call after it.
     """
-    body = [f"    {''.join(f'r{i}, ' for i in range(m))}= b"] if m else ["    pass"]
+    body = [f"    {''.join(f'r{i}, ' for i in range(m))}= b"]
     for a in range(m):
         body += [f"    p = r{a}[{a}]", "    out(p)"]
         if a < m - 1:
@@ -466,18 +479,10 @@ def _prefix_kernel(m: int) -> Callable[..., None]:
                 "[" + ", ".join(f"(r{i}[{j}]*p - r{i}[{a}]*r{a}[{j}])//d" for j in range(a + 1, m)) + "]"
                 for i in range(a + 1, m)
             )
-            body += ["    if p:", f"        kernels[{m - 1 - a}]([{child}], p, out, kernels, below)"]
+            body += ["    if p:", f"        k{m - 1 - a}([{child}], p, out, below)"]
             body += ["    else:", "        below()"]
-    return _compile("def visit(b, d, out, kernels, below):\n" + "\n".join(body) + "\n", "visit")
-
-
-@cache
-def _prefix_kernels(n: int) -> tuple[Callable[..., None], ...]:
-    """The tree kernels of sizes 0..n, ``_prefix_kernel(m)`` at entry m, built once per n and process.
-
-    ``_principal_minors`` is its one reader, with one lookup per call.
-    """
-    return tuple(map(_prefix_kernel, range(n + 1)))
+    children = {f"k{size}": _prefix_kernel(size) for size in range(1, m)}
+    return _compile("def visit(b, d, out, below):\n" + "\n".join(body) + "\n", "visit", **children)
 
 
 def _minors_below(scaled: _IntRows, minors: list[int], sets: tuple[tuple[int, ...], ...]) -> None:
@@ -516,17 +521,16 @@ def _principal_minors(scaled: _IntRows) -> list[list[int]]:
     whose Bareiss step is one list display with constant indices, so the
     tree makes one call per node and none per entry. The minors come out
     depth first, and a layout cached per n puts them back by order and
-    lexicographically. The kernels of sizes 0..n (``_prefix_kernels``) and
-    the layout are one cache lookup each per call, built on first use once
-    per size and process: ~7 ms for n = 7, and ~50 ms and ~3 MB of
-    peak memory for n = 12, the default enumeration bound (2-core Xeon,
-    Python 3.11.7).
+    lexicographically. The root's kernel ``_prefix_kernel(n)``, which holds
+    the kernels of every smaller size, and the layout are one cache lookup
+    each per call, built on first use once per size and process: ~7 ms for
+    n = 7, and ~50 ms and ~3 MB of peak memory for n = 12, the default
+    enumeration bound (2-core Xeon, Python 3.11.7).
     """
     n = len(scaled)
     sets, orders = _prefix_layout(n)
     minors: list[int] = []
-    kernels = _prefix_kernels(n)
-    kernels[n](scaled, 1, minors.append, kernels, partial(_minors_below, scaled, minors, sets))
+    _prefix_kernel(n)(scaled, 1, minors.append, partial(_minors_below, scaled, minors, sets))
     return [[1]] + [[minors[i] for i in order] for order in orders]
 
 

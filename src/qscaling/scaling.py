@@ -50,6 +50,7 @@ from .matrices import (
     _compile,
     _int_compounds,
     _int_minor,
+    _laplace_expansion,
     _laplace_plan,
     _principal_minors,
     _scaled,
@@ -270,21 +271,30 @@ def _adjugate_table(n: int, k: int) -> _AdjugateTable:
 
 
 def _lifted_witness(m: list[list[int]], s: tuple[int, ...], x: Sequence[int]) -> tuple[int, ...]:
-    """The copositivity half's witness: the first z = 2^t x + (1 off s), t = 0, 1, ..., with z^T m z < 0.
+    """The copositivity half's witness: the first z = 2^t x + e, t = 0, 1, ..., with z^T m z < 0.
 
     ``x`` = adj(B) 1 > 0 for a failing block B = m[s, s], so x^T B x < 0;
-    it is divided by its gcd first and padded with zeros to all n indices.
+    it is divided by its gcd first and padded with zeros to all n indices,
+    and e is 1 where the padded x is 0 and 0 elsewhere. The value of z is
+    4^t a + 2^t b + c with a = x^T m x, b = 2 x^T m e and c = e^T m e, so
+    the three are computed once and only the doublings are counted; a < 0
+    bounds them. An x with a >= 0 is no failing direction, and raises
+    ``ValueError``.
     """
     divisor = gcd(*x)
     padded = [0] * len(m)
     for i, v in zip(s, x):
         padded[i] = v // divisor
+    mx = [sum(map(mul, row, padded)) for row in m]
+    a = sum(map(mul, padded, mx))
+    if a >= 0:
+        raise ValueError(f"x^T m x = {a} >= 0: x is not a failing direction of m")
+    zeros = [i for i, v in enumerate(padded) if not v]
+    b, c = 2 * sum([mx[i] for i in zeros]), sum([m[i][j] for i in zeros for j in zeros])
     scale = 1
-    while True:
-        z = [scale * v or 1 for v in padded]
-        if sum(map(mul, z, [sum(map(mul, row, z)) for row in m])) < 0:
-            return tuple(z)
+    while (scale * a + b) * scale + c >= 0:
         scale *= 2
+    return tuple([scale * v or 1 for v in padded])
 
 
 def _vertex_average(
@@ -324,25 +334,25 @@ def _vertex_average(
 def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
     """The walk of ``_orthant_witness`` over an n x n form compiled into one straight-line function.
 
-    ``walk(m, lift, average)`` returns what the compound walk returns for
-    the symmetric integer matrix ``m``, given ``lift = _lifted_witness``
-    and ``average = _vertex_average``; the two halves' helpers are passed
-    at each call, so the cached function holds nothing of a call. It binds
-    the entries of m to locals ``m{r}_{c}``, C_1 = m, and names every entry
-    of the order-k compound ``c{k}_{r}_{c}``, built order by order in
-    ``_laplace_plan(n, k)`` order by the same expansion as the row kernels
-    of ``_int_compounds``, so it holds the same integers. After each order
-    comes one test per block B = m[s, s], in ``_adjugate_table(n, k)``
-    order: det B < 0 and every entry of adj B, read with the table's sign
-    from the order below, >= 0, one ``and`` that stops at the first
-    negative entry; it returns ``lift(m, s, adj(B) 1)``. When no block
-    fails, det m != 0 returns None; det m = 0 collects, for every singular
-    B, the first nonzero row of adj B, still held in the locals, and
-    returns ``average(m, singular)``. The source is made only of the
-    plans' integers and fixed names, and ``_compile`` runs it with empty
-    builtins. It is compiled once per n and process, on first use, and
-    only for n <= ``_WALK_KERNEL_MAX``; ``_orthant_witness`` is its one
-    caller.
+    ``walk(m)`` returns what the compound walk returns for the symmetric
+    integer matrix ``m``. The two halves' helpers are bound when it is
+    compiled, ``lift = _lifted_witness`` and ``average = _vertex_average``,
+    so a call passes it the form alone and it holds nothing of a call. It
+    binds the entries of m to locals ``m{r}_{c}``, C_1 = m, and names every
+    entry of the order-k compound ``c{k}_{r}_{c}``, built order by order in
+    ``_laplace_plan(n, k)`` order by the expansion that
+    ``_laplace_expansion`` writes for the row kernels of ``_int_compounds``,
+    so it holds the same integers. After each order comes one test per
+    block B = m[s, s], in ``_adjugate_table(n, k)`` order: det B < 0 and
+    every entry of adj B, read with the table's sign from the order below,
+    >= 0, one ``and`` that stops at the first negative entry; it returns
+    ``lift(m, s, adj(B) 1)``. When no block fails, det m != 0 returns None;
+    det m = 0 collects, for every singular B, the first nonzero row of
+    adj B, still held in the locals, and returns ``average(m, singular)``.
+    The source is made only of the plans' integers and fixed names, and
+    ``_compile`` runs it with empty builtins and the two helpers. It is
+    compiled once per n and process, on first use, and only for
+    n <= ``_WALK_KERNEL_MAX``; ``_orthant_witness`` is its one caller.
     """
 
     def entry(k: int, r: int, c: int) -> str:
@@ -350,19 +360,18 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
         return "1" if not k else f"m{r}_{c}" if k == 1 else f"c{k}_{r}_{c}"
 
     rows = "".join(f"({''.join(f'm{r}_{c}, ' for c in range(n))}), " for r in range(n))
-    lines = ["def walk(m, lift, average):", f"    {rows}= m"]
+    lines = ["def walk(m):", f"    {rows}= m"]
     blocks = []
     for k in range(1, n + 1):
         if k > 1:
             plan = _laplace_plan(n, k)
             for r, (s, below_r) in enumerate(plan):
                 for c, (t, below_c) in enumerate(plan):
-                    # the row kernel's expansion along row s[-1] of m: the sign + at position k-1, alternating below it
-                    terms = [f"m{s[-1]}_{t[i]}*{entry(k - 1, below_r[-1], below_c[i])}" for i in range(k)]
-                    expr = terms[-1]
-                    for i in range(k - 2, -1, -1):
-                        expr += f" {'-' if (k - 1 - i) % 2 else '+'} {terms[i]}"
-                    lines.append(f"    {entry(k, r, c)} = {expr}")
+                    # the row kernel's expansion, along row s[-1] of m
+                    expansion = _laplace_expansion(
+                        k, lambda i: f"m{s[-1]}_{t[i]}", lambda i: entry(k - 1, below_r[-1], below_c[i])
+                    )
+                    lines.append(f"    {entry(k, r, c)} = {expansion}")
         for a, (s, reads) in enumerate(_adjugate_table(n, k)):
             det = entry(k, a, a)
             adj = [[("-" if negate else "", entry(k - 1, jl, ji)) for jl, ji, negate in read] for read in reads]
@@ -380,7 +389,7 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
             lines.append(f"        {'elif' if l else 'if'} {' or '.join(name for _, name in row)}:")
             lines.append(f"            singular.append(({s}, ({read},)))")
     lines.append("    return average(m, singular)")
-    return _compile("\n".join(lines) + "\n", "walk")
+    return _compile("\n".join(lines) + "\n", "walk", lift=_lifted_witness, average=_vertex_average)
 
 
 #: the largest form that ``_orthant_witness`` decides through ``_walk_kernel``. Compiling one
@@ -444,7 +453,7 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
     """
     n = len(m)
     if n <= _WALK_KERNEL_MAX:
-        return _walk_kernel(n)(m, _lifted_witness, _vertex_average)
+        return _walk_kernel(n)(m)
     singular = []
     for k, rows in enumerate(_int_compounds(m)):
         if k:

@@ -57,6 +57,11 @@ vertices of {z >= 0, m z = 0, sum z = 1} before it read them from the
 adjugates of singular principal submatrices: Cramer's rule on the bordered
 system [m on the columns S; 1^T] x = [0; 1], for every support S and the
 first nonsingular rows of it.
+``lifted_witness_by_doubling`` is how ``_lifted_witness`` lifted a failing
+direction x off the boundary before it computed the value of
+z = 2^t x + e in closed form: z built and its value summed afresh for each
+t = 0, 1, ..., with no bound, so an x that is no failing direction never
+returns. The property test hands it failing directions only.
 ``generate_candidates_by_matrices`` is how ``generate_candidates`` built
 each hunt candidate before it drew integer rows: a Fraction matrix per
 draw, each entry by ``randint``, the Fraction determinant for the
@@ -91,7 +96,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from qscaling import (
@@ -494,6 +499,20 @@ def orthant_witness_by_cramer(m: list[list[int]]) -> tuple[Fraction, ...] | None
     if len({i for v in vertices for i in v}) < n:
         return None
     return tuple(sum(v.get(i, 0) for v in vertices) / len(vertices) for i in range(n))
+
+
+def lifted_witness_by_doubling(m: list[list[int]], s: tuple[int, ...], x: Sequence[int]) -> tuple[int, ...]:
+    """The first z = 2^t x + (1 off the support of x), t = 0, 1, ..., with z^T m z < 0; x on s, reduced, padded."""
+    divisor = gcd(*x)
+    padded = [0] * len(m)
+    for i, v in zip(s, x):
+        padded[i] = v // divisor
+    scale = 1
+    while True:
+        z = [scale * v or 1 for v in padded]
+        if sum(map(mul, z, [sum(map(mul, row, z)) for row in m])) < 0:
+            return tuple(z)
+        scale *= 2
 
 
 def _draw_integer_matrix(rng: random.Random, n: int, bound: int) -> RationalMatrix:

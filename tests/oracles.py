@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 
 def leibniz_determinant(rows) -> Fraction:
@@ -124,3 +125,22 @@ def simplex_minimum(m) -> Fraction:
             if best is None or value < best:
                 best = value
     return best
+
+
+def hadeler_copositive(m) -> bool:
+    """Whether the symmetric 3x3 integer matrix m with square diagonal entries r_i^2 is copositive.
+
+    Hadeler's criterion (1983), in integers: with t_ij = m_ij + r_i r_j and
+    s = r1 r2 r3 + m12 r3 + m13 r2 + m23 r1, m is copositive exactly when
+    every t_ij >= 0 and s + sqrt(2 t12 t13 t23) >= 0, that is, s >= 0 or
+    2 t12 t13 t23 >= s^2. It reads no minor and no adjugate, so it shares
+    nothing with the walk over principal submatrices it checks.
+    """
+    r = [isqrt(m[i][i]) if m[i][i] >= 0 else -1 for i in range(3)]
+    if any(root < 0 or root * root != m[i][i] for i, root in enumerate(r)):
+        raise ValueError("the criterion takes a diagonal of squares")
+    t12, t13, t23 = (m[i][j] + r[i] * r[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    if min(t12, t13, t23) < 0:
+        return False
+    s = r[0] * r[1] * r[2] + m[0][1] * r[2] + m[0][2] * r[1] + m[1][2] * r[0]
+    return s >= 0 or 2 * t12 * t13 * t23 >= s * s

@@ -34,7 +34,14 @@ Each adjugate entry is read from the order below where the per-size
 the cofactors of B by ``oracles.brute_force_minor``. A form of size 4 or
 less is decided by the same walk compiled into one function,
 ``_walk_kernel(n)``, which must return exactly what the compound walk
-returns; larger forms take the compound walk.
+returns; larger forms take the compound walk. A second reference for
+copositivity, independent of every walk over principal submatrices, is
+Hadeler's 3x3 criterion on forms with square diagonals
+(``oracles.hadeler_copositive``), which M_1 and M_2 of a 3x3 matrix are.
+The copositivity half lifts its boundary witness x by z = 2^t x + e, whose
+value it computes in closed form; ``legacy_routes.lifted_witness_by_doubling``,
+the loop that summed each z afresh, holds it, and an x that is no failing
+direction raises.
 
 For n <= 3 every p_j is p_1, p_{n-1} or p_n = det(A)^2 (prod d)^2, so the
 certificates decide the hypothesis: when none of them is NOT_POSITIVE,
@@ -73,7 +80,6 @@ from qscaling.scaling import (
     _lifted_witness,
     _orthant_witness,
     _quadratic_evidence,
-    _vertex_average,
     _walk_kernel,
     _witness_evidence,
 )
@@ -83,6 +89,7 @@ from legacy_routes import (
     _hadamard,
     certify_positive_on_orthant_by_two_rules,
     form_matrix_by_fractions,
+    lifted_witness_by_doubling,
     orthant_witness_by_cramer,
     quadratic_evidence_by_fractions,
     reduce_direction_by_fractions,
@@ -90,7 +97,7 @@ from legacy_routes import (
     skips_sampling_by_compounds,
     witness_evidence_by_fractions,
 )
-from oracles import brute_force_minor, simplex_minimum
+from oracles import brute_force_minor, hadeler_copositive, simplex_minimum
 
 # fixed example order, so a run never depends on a saved example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -281,9 +288,105 @@ def _compound_walk(m):
 @settings(PROPERTY, max_examples=500)
 @given(st.one_of(symmetric_matrices(largest=4), kernel_leaning_forms(largest=4)))
 def test_the_walk_kernel_returns_what_the_compound_walk_returns(m):
-    z, expected = _walk_kernel(len(m))(m, _lifted_witness, _vertex_average), _compound_walk(m)
+    z, expected = _walk_kernel(len(m))(m), _compound_walk(m)
     assert z == expected
     assert z is None or _is_positive_int_tuple(z)
+
+
+#: copositive 3x3 forms with square diagonals and a z > 0 with m z = 0, so the witness is the kernel half's, of value 0
+ZERO_VALUE_SQUARE_DIAGONAL_FORMS = (
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    # (x1 - x2)^2: the vertices (1/2, 1/2, 0) and e_3
+    [[1, -1, 0], [-1, 1, 0], [0, 0, 0]],
+    # twice [[2, -1, -1], ...]: PSD with the kernel (1, 1, 1), where 2 t12 t13 t23 = s^2
+    [[4, -2, -2], [-2, 4, -2], [-2, -2, 4]],
+    # v v^T for v = (1, -1, 1) and (1, -2, 1)
+    [[1, -1, 1], [-1, 1, -1], [1, -1, 1]],
+    [[1, -2, 1], [-2, 4, -2], [1, -2, 1]],
+)
+
+
+@st.composite
+def square_diagonal_forms(draw):
+    """Symmetric 3x3 integer forms with square diagonals: free entries, or M_1 or M_2 of a 3x3 integer matrix.
+
+    M_j = C_j(A) o C_j(A)^T has the squared minors of A on its diagonal;
+    the forms ``certify_positive_on_orthant`` reads from p_1 and p_2 at n = 3
+    are positive multiples of M_1 and of M_2 reordered.
+    """
+    if draw(st.booleans()):
+        r = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+        upper = {(i, k): draw(st.integers(-12, 12)) for i, k in combinations(range(3), 2)}
+        return _symmetric(3, lambda i, k: r[i] * r[i] if i == k else upper[min(i, k), max(i, k)])
+    a = draw(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3))
+    return _hadamard(_int_compound(a, draw(st.sampled_from((1, 2)))))
+
+
+@example(ZERO_VALUE_SQUARE_DIAGONAL_FORMS[0])
+@example(ZERO_VALUE_SQUARE_DIAGONAL_FORMS[1])
+@example(ZERO_VALUE_SQUARE_DIAGONAL_FORMS[2])
+@example(ZERO_VALUE_SQUARE_DIAGONAL_FORMS[3])
+@example(ZERO_VALUE_SQUARE_DIAGONAL_FORMS[4])
+# every t_ij = 0 and s = -2 < 0: Hadeler's last condition alone fails
+@example([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+@settings(PROPERTY, max_examples=1000)
+@given(square_diagonal_forms())
+def test_orthant_witness_agrees_with_hadelers_criterion(m):
+    # copositive exactly when the form is positive on the open orthant or zero at some z > 0
+    z = _orthant_witness(m)
+    assert hadeler_copositive(m) == (z is None or _form_value(m, z) == 0)
+
+
+@pytest.mark.parametrize("m", ZERO_VALUE_SQUARE_DIAGONAL_FORMS)
+def test_the_zero_value_examples_take_the_kernel_half(m):
+    z = _orthant_witness(m)
+    assert z is not None and _form_value(m, z) == 0 and hadeler_copositive(m)
+
+
+@st.composite
+def failing_directions(draw):
+    """(m, s, x): a symmetric form of size 1..6, an index set s and x >= 0 on s, not 0, with x^T m[s, s] x < 0.
+
+    Where the drawn form is not negative at x, the diagonal entry at x's
+    first nonzero index is lowered until it is.
+    """
+    m = draw(symmetric_matrices())
+    n = len(m)
+    s = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    x = draw(st.lists(st.integers(0, 40), min_size=len(s), max_size=len(s)).filter(any))
+    value = sum(u * m[i][j] * v for i, u in zip(s, x) for j, v in zip(s, x))
+    if value >= 0:
+        i, u = next((i, u) for i, u in zip(s, x) if u)
+        m[i][i] -= -(-(value + 1 + draw(st.integers(0, 20))) // (u * u))
+    return m, s, x
+
+
+# B = [[-1]] gives (1, 0); (2^t, 1) has the value 100 - 4^t, first negative at t = 4
+@example(([[-1, 0], [0, 100]], (0,), [1]))
+# x = (2, 4) reduces to (1, 2), and the zero entry at index 1 is lifted to 1
+@example(([[-1, 5, 0], [5, 30, -1], [0, -1, -1]], (0, 2), [2, 4]))
+@settings(PROPERTY, max_examples=500)
+@given(failing_directions())
+def test_the_lifted_witness_is_the_doubling_loops(case):
+    m, s, x = case
+    z = _lifted_witness(m, s, x)
+    assert z == lifted_witness_by_doubling(m, s, x)
+    assert _is_positive_int_tuple(z) and _form_value(m, z) < 0
+
+
+@pytest.mark.parametrize(
+    "m, s, x",
+    (
+        # x^T m x = 1 > 0
+        ([[1, 0], [0, 1]], (0,), [1]),
+        # x^T m x = 0, though (1, 1) has the value -2: only a negative value bounds the doublings
+        ([[0, -1], [-1, 0]], (0,), [1]),
+        ([[2, -1], [-1, 2]], (0, 1), [1, 1]),
+    ),
+)
+def test_a_direction_that_does_not_fail_raises(m, s, x):
+    with pytest.raises(ValueError, match="not a failing direction"):
+        _lifted_witness(m, s, x)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -18,13 +18,19 @@ each: ``_int_compounds``, the one walker over the compounds,
 ``symbolic_q_invariants``, the one expansion of the p_j, and
 ``_orthant_witness``, the one decision of a form's sign on the orthant.
 ``_laplace_kernel`` and ``_walk_kernel`` are named only in their
-definitions and their walkers. The other two builders are named only in
-their definitions and in a table cached per size, ``_prefix_kernels`` and
-``_pj_kernels``, and each table only in its definition and its walker,
-which looks up all its kernels at once. All four walkers pass the compiled
-functions integers alone, and ``_orthant_witness`` also the two helpers
-its kernel returns through; so generated code is reached through those
-four walkers and nowhere else. ``_principal_minors`` itself, which returns the minors
+definitions and their walkers, and ``_prefix_kernel`` also in itself,
+where a kernel binds those of the smaller sizes as its children.
+``_pj_kernel`` is named only in its definition and in the table cached
+per n, ``_pj_kernels``, and that table only in its definition and its
+walker, which looks up all its kernels at once. Every kernel takes only
+its data, ``row(a, b)``, ``visit(b, d, out, below)`` with the two sinks
+of one call, ``pj(m)`` and ``walk(m)``; what it calls, child kernels or
+the two helpers ``_walk_kernel`` returns through, is bound into its
+namespace when it is compiled, and nothing else is there. The Laplace
+expansion is written in one place, ``_laplace_expansion``, named only by
+the two builders that write it into their source. So generated code is
+reached through those four walkers and nowhere else.
+``_principal_minors`` itself, which returns the minors
 as plain integers by order, has four readers and no wrapper:
 ``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
 ``symbolic_q_invariants`` and ``sample_refute`` in ``scaling.py``, each
@@ -80,6 +86,7 @@ and ``is_anti_sign_symmetric``.
 """
 
 import ast
+import inspect
 import sys
 import types
 import typing
@@ -88,7 +95,7 @@ from pathlib import Path
 import pytest
 
 import qscaling
-from qscaling import RationalMatrix, scaling
+from qscaling import RationalMatrix, matrices, scaling
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qscaling"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -190,9 +197,13 @@ def test_the_compile_helper_serves_only_the_four_kernel_builders():
 
 
 def test_the_prefix_kernel_is_reached_only_through_principal_minors():
-    # builder, then its per-n table, then the walker
-    assert _mentioned_in("_prefix_kernel") == [("matrices.py", "_prefix_kernel"), ("matrices.py", "_prefix_kernels")]
-    assert _mentioned_in("_prefix_kernels") == [("matrices.py", "_prefix_kernels"), ("matrices.py", "_principal_minors")]
+    # builder, then the builder again, binding the kernels of the smaller sizes, then the walker
+    assert _mentioned_in("_prefix_kernel") == [
+        ("matrices.py", "_prefix_kernel"),
+        ("matrices.py", "_prefix_kernel"),
+        ("matrices.py", "_principal_minors"),
+    ]
+    assert _mentioned_in("_prefix_kernels") == []
 
 
 def test_the_pj_kernel_is_reached_only_through_q_invariants():
@@ -210,10 +221,46 @@ def test_the_adjugate_table_is_read_only_by_the_orthant_walk():
 
 
 def test_the_walk_kernel_is_reached_only_through_the_orthant_witness():
-    # the two halves' helpers are called by the compound walk and passed to the kernel, both in _orthant_witness
+    # the two halves' helpers are bound into the kernel when it is compiled, and called by the compound walk
     assert _mentioned_in("_walk_kernel") == [("scaling.py", "_walk_kernel"), ("scaling.py", "_orthant_witness")]
     for helper in ("_lifted_witness", "_vertex_average"):
-        assert _mentioned_in(helper) == [("scaling.py", helper)] + [("scaling.py", "_orthant_witness")] * 2
+        assert _mentioned_in(helper) == [
+            ("scaling.py", helper),
+            ("scaling.py", "_walk_kernel"),
+            ("scaling.py", "_orthant_witness"),
+        ]
+
+
+def test_the_laplace_expansion_is_written_only_by_its_two_builders():
+    assert _mentioned_in("_laplace_expansion") == [
+        ("matrices.py", "_laplace_expansion"),
+        ("matrices.py", "_laplace_kernel"),
+        ("scaling.py", None),
+        ("scaling.py", "_walk_kernel"),
+    ]
+
+
+def _kernels():
+    """(kernel, its parameters, the functions bound into it) for every compiled kernel of sizes 1..5."""
+    for n in range(1, 6):
+        for k in range(2, n + 1):
+            yield matrices._laplace_kernel(n, k), ("a", "b"), {}
+        children = {f"k{size}": matrices._prefix_kernel(size) for size in range(1, n)}
+        yield matrices._prefix_kernel(n), ("b", "d", "out", "below"), children
+        for _, pj in scaling._pj_kernels(n):
+            yield pj, ("m",), {}
+        if n <= scaling._WALK_KERNEL_MAX:
+            yield scaling._walk_kernel(n), ("m",), {"lift": scaling._lifted_witness, "average": scaling._vertex_average}
+
+
+def test_every_kernel_takes_only_its_data_and_its_sinks():
+    # row(a, b), visit(b, d, out, below), pj(m) and walk(m): the data, and for visit the two sinks of one call;
+    # every function a kernel calls is bound into its namespace when it is compiled, and nothing else is
+    for kernel, parameters, bound in _kernels():
+        code = kernel.__code__
+        assert code.co_varnames[: code.co_argcount] == parameters
+        assert not (code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)) and not kernel.__defaults__
+        assert kernel.__globals__ == {"__builtins__": {}, kernel.__name__: kernel, **bound}
 
 
 def test_the_cached_index_sets_are_named_only_in_matrix_classes():
