@@ -26,6 +26,15 @@ formulas up to 3x3, then denominators cleared row by row;
 principal minor before the shared-prefix tree: one kernel call on
 (q*A)[S, S] for each index set S. The pair loop reads its minors there,
 so that oracle shares no code with the tree it checks.
+``int_product_by_columns`` is how ``_int_product`` multiplied two integer
+matrices before the product was compiled once per size: the columns of the
+right operand by ``zip``, and each entry one ``sum(map(mul, row, col))``.
+It matters as an independent reference because ``mat_mul`` itself now runs
+the compiled kernel it would be checked against, and so does
+``generate_candidates_by_matrices``, which builds B^T B through
+``mat_mul``. The references that share no code with the kernel are this
+loop and ``tests/oracles.py:list_matmul``, through which
+``perfbench/check.py`` re-checks every A^2 a benchmark run reports.
 ``evaluate_by_terms`` is how ``SparsePolynomial.evaluate`` summed a
 polynomial before it worked over one common denominator: one Fraction
 product per term and per power.
@@ -277,6 +286,12 @@ def principal_minors_by_subset(matrix: RationalMatrix) -> list[list[int]]:
     n = matrix.n
     _, scaled = _scaled(matrix)
     return [[_int_minor(scaled, s, s) for s in combinations(range(n), k)] for k in range(n + 1)]
+
+
+def int_product_by_columns(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two square integer matrices, one ``sum(map(mul, row, col))`` per entry."""
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fraction:

@@ -8,28 +8,31 @@ where that package happens to be installed.
 
 The same parse finds every use of ``exec``, ``eval`` and ``compile``: the
 one allowed is ``_compile`` in ``matrices.py``, which runs source with
-empty builtins. Its only callers are the four kernel builders,
-``_laplace_kernel`` and ``_prefix_kernel`` in ``matrices.py``, and
-``_pj_kernel`` and ``_walk_kernel`` in ``scaling.py`` (which imports it),
-whose source is made only of integers, so no outside input reaches
-generated code. The compiled functions are reached through one walker
-each: ``_int_compounds``, the one walker over the compounds,
+empty builtins. Its only callers are the five kernel builders,
+``_product_kernel``, ``_laplace_kernel`` and ``_prefix_kernel`` in
+``matrices.py``, and ``_pj_kernel`` and ``_walk_kernel`` in ``scaling.py``
+(which imports it), whose source is made only of integers, so no outside
+input reaches generated code. The compiled functions are reached through
+one walker each: ``_int_product``, the one integer matrix product, which
+``mat_mul`` and ``generate_candidates`` call and nothing else,
+``_int_compounds``, the one walker over the compounds,
 ``_principal_minors``, the one walker over the principal-minor tree,
 ``symbolic_q_invariants``, the one expansion of the p_j, and
 ``_orthant_witness``, the one decision of a form's sign on the orthant.
-``_laplace_kernel`` and ``_walk_kernel`` are named only in their
-definitions and their walkers, and ``_prefix_kernel`` also in itself,
-where a kernel binds those of the smaller sizes as its children.
-``_pj_kernel`` is named only in its definition and in the table cached
-per n, ``_pj_kernels``, and that table only in its definition and its
-walker, which looks up all its kernels at once. Every kernel takes only
-its data, ``row(a, b)``, ``visit(b, d, out, below)`` with the two sinks
-of one call, ``pj(m)`` and ``walk(m)``; what it calls, child kernels or
-the two helpers ``_walk_kernel`` returns through, is bound into its
-namespace when it is compiled, and nothing else is there. The Laplace
+``_product_kernel``, ``_laplace_kernel`` and ``_walk_kernel`` are named
+only in their definitions and their walkers, and ``_prefix_kernel`` also
+in itself, where a kernel binds those of the smaller sizes as its
+children. ``_pj_kernel`` is named only in its definition and in the table
+cached per n, ``_pj_kernels``, and that table only in its definition and
+its walker, which looks up all its kernels at once. Every kernel takes
+only its data, ``product(a, b)``, ``row(a, b)``, ``visit(b, d, out,
+below)`` with the two sinks of one call, ``pj(m)`` and ``walk(m)``; what
+it calls, child kernels or the two helpers ``_walk_kernel`` returns
+through, is bound into its namespace when it is compiled, and nothing
+else is there. The Laplace
 expansion is written in one place, ``_laplace_expansion``, named only by
 the two builders that write it into their source. So generated code is
-reached through those four walkers and nowhere else.
+reached through those five walkers and nowhere else.
 ``_principal_minors`` itself, which returns the minors
 as plain integers by order, has four readers and no wrapper:
 ``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
@@ -185,9 +188,22 @@ def test_the_laplace_kernel_is_reached_only_through_int_compounds():
     assert _mentioned_in("_laplace_kernel") == [("matrices.py", "_laplace_kernel"), ("matrices.py", "_int_compounds")]
 
 
-def test_the_compile_helper_serves_only_the_four_kernel_builders():
+def test_the_product_kernel_is_reached_only_through_the_int_product():
+    # the walker, then the builder, in the order of matrices.py
+    assert _mentioned_in("_product_kernel") == [("matrices.py", "_int_product"), ("matrices.py", "_product_kernel")]
+    # A^2 and B^T B: the product of two stored matrices, and the spd candidates' draw
+    assert _mentioned_in("_int_product") == [
+        ("matrices.py", "mat_mul"),
+        ("matrices.py", "_int_product"),
+        ("refute.py", None),
+        ("refute.py", "generate_candidates"),
+    ]
+
+
+def test_the_compile_helper_serves_only_the_five_kernel_builders():
     assert _mentioned_in("_compile") == [
         ("matrices.py", "_compile"),
+        ("matrices.py", "_product_kernel"),
         ("matrices.py", "_laplace_kernel"),
         ("matrices.py", "_prefix_kernel"),
         ("scaling.py", None),
@@ -243,6 +259,7 @@ def test_the_laplace_expansion_is_written_only_by_its_two_builders():
 def _kernels():
     """(kernel, its parameters, the functions bound into it) for every compiled kernel of sizes 1..5."""
     for n in range(1, 6):
+        yield matrices._product_kernel(n), ("a", "b"), {}
         for k in range(2, n + 1):
             yield matrices._laplace_kernel(n, k), ("a", "b"), {}
         children = {f"k{size}": matrices._prefix_kernel(size) for size in range(1, n)}
@@ -254,7 +271,7 @@ def _kernels():
 
 
 def test_every_kernel_takes_only_its_data_and_its_sinks():
-    # row(a, b), visit(b, d, out, below), pj(m) and walk(m): the data, and for visit the two sinks of one call;
+    # product(a, b), row(a, b), visit(b, d, out, below), pj(m) and walk(m): the data, and for visit the two sinks of one call;
     # every function a kernel calls is bound into its namespace when it is compiled, and nothing else is
     for kernel, parameters, bound in _kernels():
         code = kernel.__code__

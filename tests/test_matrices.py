@@ -26,9 +26,10 @@ from qscaling import (
     zero_rows_outside,
 )
 from qscaling import matrices as matrices_module
-from qscaling.matrices import _bareiss_int, _coerce_rational, _int_minor, _scaled
+from qscaling.matrices import _bareiss_int, _coerce_rational, _int_minor, _int_product, _scaled
 
 from helpers import random_rational_matrix
+from legacy_routes import int_product_by_columns
 from oracles import brute_force_minor, leibniz_determinant, list_matmul, two_by_two_determinant
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -259,6 +260,68 @@ def test_square_clears_denominators_once(monkeypatch):
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_mul(A_REF, RationalMatrix.identity(3))
+
+
+#: integer entries the product kernel must carry exactly: zero, small of either sign, and past 2^64
+_PRODUCT_ENTRIES = st.one_of(
+    st.integers(-9, 9), st.integers(2**64, 2**72), st.integers(-(2**72), -(2**64))
+)
+
+
+@st.composite
+def integer_operand_pairs(draw):
+    """Two n x n integer matrices, n = 1..8, each given as tuple rows or list rows; sometimes one object twice."""
+    n = draw(st.integers(1, 8))
+
+    def operand():
+        rows = [[draw(_PRODUCT_ENTRIES) for _ in range(n)] for _ in range(n)]
+        return rows if draw(st.booleans()) else tuple(map(tuple, rows))
+
+    a = operand()
+    return a, (a if draw(st.booleans()) else operand())
+
+
+def _assert_fresh_product(a, b):
+    """``_int_product(a, b)`` equals the column loop, as n fresh lists that share nothing with the operands."""
+    expected = int_product_by_columns(a, b)
+    product = _int_product(a, b)
+    assert product == expected
+    assert type(product) is list and len(product) == len(a)
+    assert all(type(row) is list for row in product)
+    operands = [row for operand in (a, b) for row in operand]
+    assert not any(row is other for row in product for other in operands)
+    assert len({id(row) for row in product}) == len(product)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_operand_pairs())
+@example(([[0]], [[0]]))
+@example((((2**64 + 1, -3), (0, -(2**70))), [[-(2**65), 7], [1, 0]]))
+def test_the_product_kernel_matches_the_column_loop(pair):
+    _assert_fresh_product(*pair)
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+def test_the_product_kernel_matches_the_column_loop_past_the_strategy(n):
+    # the property stops at n = 8; one kernel serves every n, with no size cap
+    rng = random.Random(n)
+    a = tuple(tuple(rng.randint(-(2**66), 2**66) for _ in range(n)) for _ in range(n))
+    b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    _assert_fresh_product(a, b)
+    _assert_fresh_product(b, b)
+
+
+def test_a_product_row_can_be_changed_without_touching_anything_else():
+    # generate_candidates adds the identity to B^T B in place
+    a = [[1, 2, 0], [-1, 5, 3], [4, 0, -2]]
+    b = tuple(map(tuple, a))
+    before = _int_product(a, b)
+    product = _int_product(a, b)
+    product[0][0] += 1
+    product[2].append(7)
+    assert a == [list(row) for row in b] == [[1, 2, 0], [-1, 5, 3], [4, 0, -2]]
+    assert before == int_product_by_columns(a, b) != product
+    assert _int_product(a, b) == before
 
 
 def test_zero_rows_outside():

@@ -25,6 +25,13 @@ kept; and (A^-1)^2 = (A^2)^-1, whose principal minors are the
 complementary ones of A^2 over det(A)^2 > 0, so the P0+ verdict of the
 square is kept. At n <= 3 no verdict depends on the sampling budget,
 since nothing draws there.
+
+The square A^2 itself, built by ``mat_mul``, obeys the same identities,
+whatever route multiplies: (A+B)^2 = A^2 + B^2 for a direct sum,
+(A^T)^2 = (A^2)^T, (cA)^2 = c^2 A^2, (P A P^T)^2 = P A^2 P^T, and
+(E A E^-1)^2 = E A^2 E^-1, whose principal minors are those of A^2. A
+positive diagonal E with unequal entries makes the operands rational, so
+the product runs with a denominator q != 1.
 """
 
 from fractions import Fraction
@@ -45,8 +52,10 @@ from qscaling import (
     classify,
     determinant,
     generate_candidates,
+    index_sets,
     is_anti_sign_symmetric,
     mat_mul,
+    minor,
     symbolic_q_invariants,
     verify_refutation,
 )
@@ -177,6 +186,52 @@ def test_a_positive_scalar_scales_each_pj_by_its_square_power(a, num, den):
     scaled = RationalMatrix(tuple(tuple(c * x for x in row) for row in a.rows))
     expected = [p * c ** (2 * j) for j, p in enumerate(symbolic_q_invariants(a), start=1)]
     assert symbolic_q_invariants(scaled) == expected
+
+
+def _diagonal_similarity(a: RationalMatrix, e) -> RationalMatrix:
+    """E A E^-1 for the positive diagonal E = diag(e)."""
+    return RationalMatrix(
+        tuple(tuple(Fraction(e[i], e[k]) * x for k, x in enumerate(row)) for i, row in enumerate(a.rows))
+    )
+
+
+def _square(a: RationalMatrix) -> RationalMatrix:
+    return mat_mul(a, a)
+
+
+@PROPERTY
+@given(integer_matrices(), st.data())
+def test_the_square_of_a_direct_sum_is_the_direct_sum_of_the_squares(a, data):
+    b = data.draw(integer_matrices(max_n=min(4, 6 - a.n)))
+    assert _square(_direct_sum(a, b)) == _direct_sum(_square(a), _square(b))
+
+
+@PROPERTY
+@given(matrices_and_symmetries(), st.lists(st.integers(1, 5), min_size=5, max_size=5))
+def test_the_square_commutes_with_transpose_and_permutation_similarity(drawn, e):
+    matrix, _, perm = drawn
+    a = _diagonal_similarity(matrix, e)
+    square = _square(a)
+    assert _square(a.transpose()) == square.transpose()
+    assert _square(permutation_similarity(a, perm)) == permutation_similarity(square, perm)
+
+
+@PROPERTY
+@given(integer_matrices(max_n=5), st.integers(-5, 5), st.integers(1, 5))
+def test_a_scalar_scales_the_square_by_its_square(a, num, den):
+    c = Fraction(num, den)
+    scaled = RationalMatrix(tuple(tuple(c * x for x in row) for row in a.rows))
+    assert _square(scaled) == RationalMatrix(tuple(tuple(c * c * x for x in row) for row in _square(a).rows))
+
+
+@PROPERTY
+@given(integer_matrices(max_n=5), st.lists(st.integers(1, 5), min_size=5, max_size=5))
+def test_a_positive_diagonal_similarity_keeps_every_principal_minor_of_the_square(a, e):
+    square, moved = _square(a), _square(_diagonal_similarity(a, e))
+    assert moved == _diagonal_similarity(square, e)
+    for k in range(1, a.n + 1):
+        for s in index_sets(a.n, k):
+            assert minor(moved, s, s) == minor(square, s, s)
 
 
 def _inverse(a: RationalMatrix) -> RationalMatrix:
