@@ -260,9 +260,10 @@ def _adjugate_table(n: int, k: int) -> _AdjugateTable:
     B without row l and column i, which C_{k-1}(m) holds at
     (below[l], below[i]); ``reads[l][i]`` is that row, that column and
     whether i + l is odd. It depends on (n, k) alone, so the indices and
-    signs are worked out once per size and process. Its two readers are the
-    compound walk of ``_orthant_witness`` and ``_walk_kernel``, which writes
-    the reads into its source.
+    signs are worked out once per size and process. Its readers are the
+    copositivity half, in the compound walk of ``_orthant_witness`` and in
+    ``_walk_kernel``, which writes the reads into its source, and the
+    kernel half, ``_vertex_average``.
     """
     return tuple(
         (s, tuple(tuple((jl, ji, bool((i + l) & 1)) for i, ji in enumerate(below)) for l, jl in enumerate(below)))
@@ -297,27 +298,47 @@ def _lifted_witness(m: list[list[int]], s: tuple[int, ...], x: Sequence[int]) ->
     return tuple([scale * v or 1 for v in padded])
 
 
-def _vertex_average(
-    m: list[list[int]], singular: Sequence[tuple[tuple[int, ...], Sequence[int]]]
-) -> tuple[int, ...] | None:
+def _vertex_average(m: list[list[int]]) -> tuple[int, ...] | None:
     """The kernel half's witness for a copositive m with det m = 0, or None when m z = 0 has no z > 0.
 
-    ``singular`` holds, for every singular principal block B = m[s, s]
-    with a nonzero adjugate, ``(s, z)`` with z the first nonzero row of
-    adj B. The vertices are the z with m z = 0 on all n rows and one sign;
-    their average is returned as its primitive integer vector when their
-    supports cover every index.
+    The z >= 0 with m z = 0 and sum z = 1 form a polytope. Its vertices are
+    the x > 0 on a support s with m x = 0 whose solution is unique up to
+    scale. A positive z exists exactly when the vertex supports cover every
+    index, and the average of the vertices is then one, of value 0; it is
+    returned as its primitive integer vector.
+
+    A vertex x on s lies in ker B for B = m[s, s], so B is singular. Since
+    m is copositive, every y > 0 in ker B near x, padded with zeros, is a
+    zero of the form on the orthant, so each (m y)_i with i not in s is
+    >= 0 near x and 0 at x. These linear functions then vanish on all of
+    ker B, so m y = 0 there, and uniqueness leaves ker B one line:
+    rank B = k - 1. Any nonzero row of adj B spans that line. So s is a
+    vertex support exactly when det B = 0, adj B has a nonzero row z,
+    m z = 0 on all n rows and z is strictly one-signed.
+
+    It walks the compounds of m once, as the copositivity half does: det B
+    is the diagonal entry of C_k(m) at s, and the rows of adj B are read
+    from C_{k-1}(m) through ``_adjugate_table``, up to the first nonzero
+    one. It is the one reader of a singular block's adjugate; both routes
+    of ``_orthant_witness`` call it after a walk in which no block failed.
     """
     n = len(m)
     vertices = []
-    for s, z in singular:
-        if any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
-            continue
-        total = sum(z)
-        if any(v * total <= 0 for v in z):
-            continue
-        # the vertex is z / total, whichever sign z has
-        vertices.append((s, z, total))
+    for k, rows in enumerate(_int_compounds(m)):
+        if k:
+            for a, (s, reads) in enumerate(_adjugate_table(n, k)):
+                if rows[a][a]:
+                    continue
+                adj = ([-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in read] for read in reads)
+                z = next(filter(any, adj), None)
+                if z is None or any(sum(m[i][j] * v for j, v in zip(s, z)) for i in range(n)):
+                    continue
+                total = sum(z)
+                if any(v * total <= 0 for v in z):
+                    continue
+                # the vertex is z / total, whichever sign z has
+                vertices.append((s, z, total))
+        lower = rows
     if len({i for s, _, _ in vertices for i in s}) < n:
         return None
     # the sum of the vertices times the lcm of the |total|: a positive integer multiple of their average
@@ -335,8 +356,8 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
     """The walk of ``_orthant_witness`` over an n x n form compiled into one straight-line function.
 
     ``walk(m)`` returns what the compound walk returns for the symmetric
-    integer matrix ``m``. The two halves' helpers are bound when it is
-    compiled, ``lift = _lifted_witness`` and ``average = _vertex_average``,
+    integer matrix ``m``. The two halves' witness helpers are bound when it
+    is compiled, ``lift = _lifted_witness`` and ``average = _vertex_average``,
     so a call passes it the form alone and it holds nothing of a call. It
     binds the entries of m to locals ``m{r}_{c}``, C_1 = m, and names every
     entry of the order-k compound ``c{k}_{r}_{c}``, built order by order in
@@ -346,9 +367,9 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
     block B = m[s, s], in ``_adjugate_table(n, k)`` order: det B < 0 and
     every entry of adj B, read with the table's sign from the order below,
     >= 0, one ``and`` that stops at the first negative entry; it returns
-    ``lift(m, s, adj(B) 1)``. When no block fails, det m != 0 returns None;
-    det m = 0 collects, for every singular B, the first nonzero row of
-    adj B, still held in the locals, and returns ``average(m, singular)``.
+    ``lift(m, s, adj(B) 1)``. So the source holds the copositivity half
+    alone. When no block fails, det m != 0 returns None and det m = 0
+    returns ``average(m)``, which finds a positive kernel vector itself.
     The source is made only of the plans' integers and fixed names, and
     ``_compile`` runs it with empty builtins and the two helpers. It is
     compiled once per n and process, on first use, and only for
@@ -361,7 +382,6 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
 
     rows = "".join(f"({''.join(f'm{r}_{c}, ' for c in range(n))}), " for r in range(n))
     lines = ["def walk(m):", f"    {rows}= m"]
-    blocks = []
     for k in range(1, n + 1):
         if k > 1:
             plan = _laplace_plan(n, k)
@@ -380,24 +400,16 @@ def _walk_kernel(n: int) -> Callable[..., tuple[int, ...] | None]:
             sums = ["".join(f"{sign or '+'}{name}" for sign, name in row).lstrip("+") for row in adj]
             lines.append(f"    if {' and '.join([f'{det} < 0', *tests])}:")
             lines.append(f"        return lift(m, {s}, ({', '.join(sums)},))")
-            blocks.append((det, s, adj))
-    lines.append(f"    if {entry(n, 0, 0)}:\n        return None\n    singular = []")
-    for det, s, adj in blocks:
-        lines.append(f"    if not {det}:")
-        for l, row in enumerate(adj):
-            read = ", ".join(sign + name for sign, name in row)
-            lines.append(f"        {'elif' if l else 'if'} {' or '.join(name for _, name in row)}:")
-            lines.append(f"            singular.append(({s}, ({read},)))")
-    lines.append("    return average(m, singular)")
+    lines.append(f"    if {entry(n, 0, 0)}:\n        return None\n    return average(m)")
     return _compile("\n".join(lines) + "\n", "walk", lift=_lifted_witness, average=_vertex_average)
 
 
 #: the largest form that ``_orthant_witness`` decides through ``_walk_kernel``. Compiling one
-#: kernel, once per size and process (Python 3.11.7, median of three processes; peak memory by
-#: tracemalloc): n = 2 ~0.3 ms and 0.13 MB, n = 3 ~0.8 ms and 0.36 MB, n = 4 ~2.2 ms and 1.1 MB.
+#: kernel, once per size and process (Python 3.11.7, median of five processes; peak memory by
+#: tracemalloc): n = 2 ~0.25 ms and 0.08 MB, n = 3 ~0.7 ms and 0.19 MB, n = 4 ~1.6 ms and 0.57 MB.
 #: Above it the kernel holds every compound entry as a local, C(2n, n) - 1 of them (251, 923 and
-#: 3431 at n = 5, 6, 7), and its compile grows to ~7.5 ms and 3.3 MB, ~27 ms and 9.5 MB, and
-#: ~0.1 s and 31 MB; at n = 7 a call on a random form took 41 us against the compound walk's
+#: 3431 at n = 5, 6, 7), and its compile grows to ~4.9 ms and 1.9 MB, ~20 ms and 6.6 MB, and
+#: ~80 ms and 25 MB; at n = 7 a call on a random form took 41 us against the compound walk's
 #: 28 us. Under the default symbolic guard, larger forms come only from p_1 and p_{n-1} of 5x5 and
 #: 6x6 matrices; they keep the walk, which is also the reference the kernel is held to.
 _WALK_KERNEL_MAX = 4
@@ -409,16 +421,17 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
     ``m`` is a symmetric integer matrix. The form is positive on the open
     orthant exactly when m is copositive and no z > 0 has m z = 0: a zero
     of a copositive form at some z > 0 is an interior minimum, where the
-    gradient 2 m z vanishes. Each failure gives its own witness. Both
-    halves read the determinants and adjugates of the principal
-    submatrices B = m[s, s] of order k = |s|, visited in increasing order,
-    from one walk over the compounds of m: det B is the diagonal entry of
-    C_k(m) at s, and adj B holds entries of C_{k-1}(m), the order the walk
-    yielded before; for a 1x1 B that is adj B = (1), the order-0 minor.
-    Each entry of adj B is read where the per-size ``_adjugate_table``
-    says, with its sign, one row at a time and only as far as the test
-    needs. So only two orders are held at a time, and a singular B keeps
-    the first nonzero row of its adjugate for the second half.
+    gradient 2 m z vanishes. Each failure gives its own witness. The
+    copositivity half reads the determinants and adjugates of the
+    principal submatrices B = m[s, s] of order k = |s|, visited in
+    increasing order, from one walk over the compounds of m: det B is the
+    diagonal entry of C_k(m) at s, and adj B holds entries of C_{k-1}(m),
+    the order the walk yielded before; for a 1x1 B that is adj B = (1),
+    the order-0 minor. Each entry of adj B is read where the per-size
+    ``_adjugate_table`` says, with its sign, one row at a time and only as
+    far as the test needs, so only two orders are held at a time. When no
+    block fails and det m = 0, the kernel half is ``_vertex_average(m)``,
+    which walks the compounds again and reads the singular blocks.
 
     A form of size n <= ``_WALK_KERNEL_MAX`` takes the same walk compiled
     into one straight-line function, ``_walk_kernel(n)``, which returns
@@ -436,38 +449,21 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
     value 4^t x^T m x + O(2^t), so counting t up from 0 reaches a negative
     value, and that z is returned (``_lifted_witness``).
 
-    Positive kernel vector, for a copositive m with det m = 0: the z >= 0
-    with m z = 0 and sum z = 1 form a polytope. Its vertices are the
-    x > 0 on a support s with m x = 0 whose solution is unique up to
-    scale. A positive z exists exactly when the vertex supports cover
-    every index, and the average of the vertices is then one, of value 0;
-    it is returned as its primitive integer vector (``_vertex_average``).
-    A vertex x on s lies in ker B, so B is singular. Since m is
-    copositive, every y > 0 in ker B near x, padded with zeros, is a zero
-    of the form on the orthant, so each (m y)_i with i not in s is >= 0
-    near x and 0 at x. These linear functions then vanish on all of
-    ker B, so m y = 0 there, and uniqueness leaves ker B one line:
-    rank B = k - 1. Any nonzero row of adj B spans that line. So s is a
-    vertex support exactly when det B = 0, adj B has a nonzero row z,
-    m z = 0 on all n rows and z is strictly one-signed.
+    Positive kernel vector, for a copositive m with det m = 0: the average
+    of the vertices of {z >= 0, m z = 0, sum z = 1} when their supports
+    cover every index (``_vertex_average``, which proves the rule).
     """
     n = len(m)
     if n <= _WALK_KERNEL_MAX:
         return _walk_kernel(n)(m)
-    singular = []
     for k, rows in enumerate(_int_compounds(m)):
         if k:
             for a, (s, reads) in enumerate(_adjugate_table(n, k)):
                 det = rows[a][a]
-                if det > 0:
+                if det >= 0:
                     continue
                 # the rows of adj B, each built when the test reaches it
                 adj = ([-lower[jl][ji] if negate else lower[jl][ji] for jl, ji, negate in read] for read in reads)
-                if not det:
-                    row = next(filter(any, adj), None)
-                    if row is not None:
-                        singular.append((s, row))
-                    continue
                 x = []
                 for row in adj:
                     if min(row) < 0:
@@ -479,7 +475,7 @@ def _orthant_witness(m: list[list[int]]) -> tuple[int, ...] | None:
     # det is now det m, the last minor visited
     if det:
         return None
-    return _vertex_average(m, singular)
+    return _vertex_average(m)
 
 
 @cache

@@ -34,10 +34,13 @@ Each adjugate entry is read from the order below where the per-size
 the cofactors of B by ``oracles.brute_force_minor``. A form of size 4 or
 less is decided by the same walk compiled into one function,
 ``_walk_kernel(n)``, which must return exactly what the compound walk
-returns; larger forms take the compound walk. A second reference for
-copositivity, independent of every walk over principal submatrices, is
-Hadeler's 3x3 criterion on forms with square diagonals
-(``oracles.hadeler_copositive``), which M_1 and M_2 of a 3x3 matrix are.
+returns; larger forms take the compound walk. Both end in the one kernel
+half, ``_vertex_average``, which walks the compounds itself, and its
+witnesses are pinned on forms below and above the compiled sizes. A
+second reference for copositivity, independent of every walk over
+principal submatrices, is Hadeler's 3x3 criterion on forms with square
+diagonals (``oracles.hadeler_copositive``), which M_1 and M_2 of a 3x3
+matrix are.
 The copositivity half lifts its boundary witness x by z = 2^t x + e, whose
 value it computes in closed form; ``legacy_routes.lifted_witness_by_doubling``,
 the loop that summed each z afresh, holds it, and an x that is no failing
@@ -261,9 +264,33 @@ def test_orthant_witness_equals_the_cramer_oracle(m):
     assert z is None or _is_positive_int_tuple(z)
 
 
-@pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES)
+def _rank_one(v):
+    return [[a * b for b in v] for a in v]
+
+
+#: (form, witness) pairs through the kernel half above the compiled sizes, so from the compound walk's call of
+#: ``_vertex_average``; each recorded with the Cramer route as its primitive integer vector
+WALKED_KERNEL_CASES = (
+    # every B is singular; the vertices are e_1, ..., e_5
+    ([[0] * 5 for _ in range(5)], (1, 1, 1, 1, 1)),
+    # v v^T: the vertices lie on the pairs of opposite sign
+    (_rank_one((1, -1, 1, -1, 1)), (2, 3, 2, 3, 2)),
+    (_rank_one((1, -1, 2, -1, 1, -2)), (10, 10, 7, 10, 10, 7)),
+    # the Gram matrix of the row (1, -1, 0, 2, -2): the zero row and column make e_3 a vertex
+    (_rank_one((1, -1, 0, 2, -2)), (7, 7, 6, 5, 5)),
+    # the vertices e_2, e_3, e_4 leave indices 1 and 5 uncovered
+    ([[2, 0, 0, 0, 0], [0] * 5, [0] * 5, [0] * 5, [0, 0, 0, 0, 3]], None),
+    # m[1, 1] = m[2, 2] = 0, yet m e_1 and m e_2 are not 0: the one vertex (1/2, 1/2) on {4, 5} leaves 1, 2, 3 uncovered
+    ([[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 1, -1], [0, 0, 0, -1, 1]], None),
+)
+
+
+@pytest.mark.parametrize("m, witness", KERNEL_BRANCH_CASES + WALKED_KERNEL_CASES)
 def test_kernel_branch_witnesses_are_pinned(m, witness):
-    assert _orthant_witness(m) == witness
+    expected = orthant_witness_by_cramer(m)
+    if expected is not None:
+        expected = reduce_direction_by_fractions(expected)
+    assert _orthant_witness(m) == witness == expected
 
 
 def _compound_walk(m):

@@ -27,9 +27,11 @@ cached per n, ``_pj_kernels``, and that table only in its definition and
 its walker, which looks up all its kernels at once. Every kernel takes
 only its data, ``product(a, b)``, ``row(a, b)``, ``visit(b, d, out,
 below)`` with the two sinks of one call, ``pj(m)`` and ``walk(m)``; what
-it calls, child kernels or the two helpers ``_walk_kernel`` returns
-through, is bound into its namespace when it is compiled, and nothing
-else is there. The Laplace
+it calls, child kernels or the two witness helpers ``_walk_kernel``
+returns through, is bound into its namespace when it is compiled, and
+nothing else is there. The compiled walk holds the copositivity half
+alone: its source collects no singular block and calls
+``average(m)`` once, at its end. The Laplace
 expansion is written in one place, ``_laplace_expansion``, named only by
 the two builders that write it into their source. So generated code is
 reached through those five walkers and nowhere else.
@@ -53,11 +55,12 @@ witness shares one ``IndexSet`` per set, is named only in
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
 ``is_homogeneous`` has one caller, the independent check in
 ``QuadraticEvidence.holds_for``. The sign of a p_j is decided in one place:
-``_orthant_witness``, the one reader of the compounds in ``scaling.py``, is
-called only by ``certify_positive_on_orthant``, and it and the kernel
-``_walk_kernel`` compiles for small forms are the two readers of
-``_adjugate_table``, the per-size table of where and with which sign an
-adjugate entry is read; the sampling shortcut of ``sample_refute`` reads
+``_orthant_witness`` is called only by ``certify_positive_on_orthant``;
+it and its kernel half ``_vertex_average``, which reads a singular
+block's adjugate, are the two readers of the compounds in ``scaling.py``,
+and they and the kernel ``_walk_kernel`` compiles for small forms are the
+three readers of ``_adjugate_table``, the per-size table of where and
+with which sign an adjugate entry is read; the sampling shortcut of ``sample_refute`` reads
 the verdicts of ``certify_positive_on_orthant`` off the certificates its
 caller passes; the Hadamard compounds that shortcut used to test
 (``_hadamard``) live on only in the test oracles. No function in ``scaling.py`` calls
@@ -94,6 +97,7 @@ import sys
 import types
 import typing
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -229,8 +233,10 @@ def test_the_pj_kernel_is_reached_only_through_q_invariants():
 
 
 def test_the_adjugate_table_is_read_only_by_the_orthant_walk():
+    # the kernel half, then the copositivity half, compiled and walked
     assert _mentioned_in("_adjugate_table") == [
         ("scaling.py", "_adjugate_table"),
+        ("scaling.py", "_vertex_average"),
         ("scaling.py", "_walk_kernel"),
         ("scaling.py", "_orthant_witness"),
     ]
@@ -245,6 +251,17 @@ def test_the_walk_kernel_is_reached_only_through_the_orthant_witness():
             ("scaling.py", "_walk_kernel"),
             ("scaling.py", "_orthant_witness"),
         ]
+
+
+def test_the_walk_kernel_holds_only_the_copositivity_half():
+    # the kernel half is _vertex_average's alone: the compiled walk collects no singular block and ends in one call of it
+    for n in range(1, scaling._WALK_KERNEL_MAX + 1):
+        with patch.object(scaling, "_compile", lambda source, name, **bound: source):
+            tree = ast.parse(scaling._walk_kernel.__wrapped__(n))
+        assert "singular" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call) and node.func.id == "average"]
+        assert calls == ["average(m)"]
+        assert ast.unparse(tree.body[0].body[-1]) == "return average(m)"
 
 
 def test_the_laplace_expansion_is_written_only_by_its_two_builders():
@@ -351,6 +368,7 @@ def test_the_sign_of_a_pj_is_decided_only_through_the_certificates():
     assert _mentioned_in("_hadamard") == []
     assert [m for m in _mentioned_in("_int_compounds") if m[0] == "scaling.py"] == [
         ("scaling.py", None),
+        ("scaling.py", "_vertex_average"),
         ("scaling.py", "_orthant_witness"),
     ]
     assert _mentioned_in("_orthant_witness") == [
