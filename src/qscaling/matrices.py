@@ -260,26 +260,15 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product; both operands must share the same dimension.
 
     Each operand's denominators are cleared once: (q_a*A)(q_b*B) is an
-    integer product (``_int_product``, one call of the product kernel
-    compiled for the size), and each entry is divided by q_a*q_b. A square
-    A*A clears them once in all.
+    integer product (one call of the kernel ``_product_kernel`` compiled
+    for the size), and each entry is divided by q_a*q_b. A square A*A
+    clears them once in all.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n}x{a.n} times {b.n}x{b.n}")
     qa, int_a = _scaled(a)
     qb, int_b = (qa, int_a) if b is a else _scaled(b)
-    return RationalMatrix._from_ints(_int_product(int_a, int_b), qa * qb)
-
-
-def _int_product(a: _IntRows, b: _IntRows) -> list[list[int]]:
-    """The product of two square integer matrices of one size n >= 1, in integers.
-
-    One call of the kernel compiled for n (``_product_kernel``). The rows
-    are fresh lists, which no operand and no other product shares, so a
-    caller may change them: ``generate_candidates`` adds the identity to
-    B^T B in place. Its two callers are ``mat_mul`` and that generator.
-    """
-    return _product_kernel(len(a))(a, b)
+    return RationalMatrix._from_ints(_product_kernel(a.n)(int_a, int_b), qa * qb)
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -358,7 +347,9 @@ def _product_kernel(n: int) -> Callable[[_IntRows, _IntRows], list[list[int]]]:
     each one list display of n unrolled dot products,
     ``x0*b0_j + x1*b1_j + ... + x{n-1}*b{n-1}_j``. So a product makes no
     call per entry, reads each entry of ``b`` once, and returns fresh list
-    rows; the operands may be tuples or lists. The source writes the n^2
+    rows, which no operand and no other product shares, so a caller may
+    change them: ``generate_candidates`` adds the identity to B^T B in
+    place. The operands may be tuples or lists. The source writes the n^2
     products of one row once, and the loop runs them for every row of
     ``a``, so it grows as n^2, not n^3; one path serves every n, with no
     size cap and no second route above one: compiling takes ~0.3 ms and
@@ -366,8 +357,8 @@ def _product_kernel(n: int) -> Callable[[_IntRows, _IntRows], list[list[int]]]:
     ~14 ms and 3.7 MB at n = 40 (median of three processes, Python 3.11.7;
     the peak by tracemalloc, in a separate compile). The source is made
     only of integers and fixed names, and ``_compile`` runs it with empty
-    builtins; it is compiled once per n and process, on first use.
-    ``_int_product`` is its one caller.
+    builtins; it is compiled once per n and process, on first use. Its
+    two readers are ``mat_mul`` and that generator.
     """
     b_rows = ", ".join("(" + "".join(f"b{r}_{c}, " for c in range(n)) + ")" for r in range(n))
     x_names = "".join(f"x{k}, " for k in range(n))
@@ -647,31 +638,17 @@ def zero_rows_outside(matrix: RationalMatrix, alpha: IndexSet) -> RationalMatrix
 def parse_matrix(text: str) -> RationalMatrix:
     """Parse the matrix text format, reporting 1-based line/column on errors."""
     lines = text.splitlines()
-    pos = 0
-
-    def next_content_line() -> int | None:
-        nonlocal pos
-        while pos < len(lines) and lines[pos].strip() == "":
-            pos += 1
-        if pos >= len(lines):
-            return None
-        here = pos
-        pos += 1
-        return here
-
-    header_idx = next_content_line()
-    if header_idx is None:
+    # the indices of the non-blank lines: the header, then n rows, then nothing
+    content = [i for i, line in enumerate(lines) if line.strip()]
+    if not content:
         raise MatrixParseError("empty input, expected a dimension line", line=1, column=1)
-    header = lines[header_idx].strip()
+    header = lines[content[0]].strip()
     if not _DIMENSION_TOKEN.match(header) or int(header) < 1:
-        raise MatrixParseError(f"expected a positive dimension, found {header!r}", line=header_idx + 1, column=1)
+        raise MatrixParseError(f"expected a positive dimension, found {header!r}", line=content[0] + 1, column=1)
     n = int(header)
 
     rows = []
-    for r in range(n):
-        row_idx = next_content_line()
-        if row_idx is None:
-            raise MatrixParseError(f"expected {n} rows, found only {r}", line=len(lines) + 1, column=1)
+    for r, row_idx in enumerate(content[1 : n + 1]):
         raw = lines[row_idx]
         tokens = list(re.finditer(r"\S+", raw))
         if len(tokens) != n:
@@ -687,10 +664,10 @@ def parse_matrix(text: str) -> RationalMatrix:
             except ValueError as exc:
                 raise MatrixParseError(str(exc), line=row_idx + 1, column=match.start() + 1) from None
         rows.append(tuple(row))
-
-    trailing = next_content_line()
-    if trailing is not None:
-        raise MatrixParseError("unexpected content after the last matrix row", line=trailing + 1, column=1)
+    if len(rows) < n:
+        raise MatrixParseError(f"expected {n} rows, found only {len(rows)}", line=len(lines) + 1, column=1)
+    if len(content) > n + 1:
+        raise MatrixParseError("unexpected content after the last matrix row", line=content[n + 1] + 1, column=1)
     return RationalMatrix(tuple(rows))
 
 

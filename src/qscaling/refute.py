@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import islice
 from typing import ClassVar, Iterator, Sequence
 
-from .matrices import RationalMatrix, _bareiss_int, _int_product, check_enumeration_dim, mat_mul, matrix_to_dict
+from .matrices import RationalMatrix, _bareiss_int, _product_kernel, check_enumeration_dim, mat_mul, matrix_to_dict
 from .matrix_classes import ClassReport, Verdict, _p0_plus_holds, classify, is_anti_sign_symmetric
 from .polynomial import SparsePolynomial
 from .scaling import (
@@ -319,7 +319,7 @@ def generate_candidates(cfg: HuntConfig):
                 rows = _draw_rows(entries, n)
         elif cfg.mode == "spd":
             # B^T B + I is symmetric positive definite with integer entries
-            rows = _int_product(tuple(zip(*rows)), rows)
+            rows = _product_kernel(n)(tuple(zip(*rows)), rows)
             for i, row in enumerate(rows):
                 row[i] += 1
         yield RationalMatrix._from_ints(rows, 1)

@@ -148,6 +148,7 @@ def _subset_masks(n: int) -> tuple[tuple[int, ...], ...]:
 _PjKernel = tuple[tuple[tuple[int, ...], ...], Callable[[list[int]], list[int]]]
 
 
+@cache
 def _pj_kernel(n: int, j: int) -> _PjKernel:
     """The expansion of p_j over the principal minors, compiled into ``(exponents, pj)``.
 
@@ -165,8 +166,8 @@ def _pj_kernel(n: int, j: int) -> _PjKernel:
     exponents in decreasing lexicographic order), the order in which a
     ``SparsePolynomial`` stores its terms. A coefficient may be 0. The source is
     made only of integers, and ``_compile`` runs it with empty builtins;
-    the per-n table ``_pj_kernels`` is its one caller. Every j of one n is
-    compiled on first use, once per process, and the source grows as 4^n:
+    ``symbolic_q_invariants`` is its one reader. Each (n, j) is compiled
+    on first use, once per process, and the source grows as 4^n:
     the first call of ``symbolic_q_invariants`` takes ~15 ms at n = 6,
     ~40 ms at n = 7, ~140 ms and ~41 MB of peak memory at n = 8, and
     ~650 ms and ~109 MB at n = 9, against ~3, ~10, ~16 and ~57 ms and 19
@@ -198,15 +199,6 @@ def _pj_kernel(n: int, j: int) -> _PjKernel:
     return tuple(e for e, _ in keyed), pj
 
 
-@cache
-def _pj_kernels(n: int) -> tuple[_PjKernel, ...]:
-    """The kernels of p_1..p_n, in order, built once per n and process.
-
-    ``symbolic_q_invariants`` is its one reader, with one lookup per call.
-    """
-    return tuple(_pj_kernel(n, j) for j in range(1, n + 1))
-
-
 def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) -> list[SparsePolynomial]:
     """The polynomials p_1..p_n: p_j sums all order-j principal minors of (D*A)^2.
 
@@ -214,18 +206,18 @@ def symbolic_q_invariants(matrix: RationalMatrix, max_dim: int | None = None) ->
     polynomial sum over |S| = k of det(A[S]) * prod_{i in S} d_i, one has
     f(t)*f(-t) = det(I - t^2 (D*A)^2), so p_j = (-1)^j sum over a+b=2j of
     (-1)^b c_a c_b. Only the 2^n principal minors of A enter. They are taken
-    from the integer matrix q*A that A stores, listed flat, and the j-th
-    kernel of the per-n table ``_pj_kernels(n)``, one lookup per call,
-    turns them into the coefficients of q^(2j) * p_j. Each p_j keeps its
-    nonzero ones as integer numerators over q^(2j); no Fraction is made
-    until a coefficient is read.
+    from the integer matrix q*A that A stores, listed flat, and the
+    kernel ``_pj_kernel(n, j)`` turns them into the coefficients of
+    q^(2j) * p_j. Each p_j keeps its nonzero ones as integer numerators
+    over q^(2j); no Fraction is made until a coefficient is read.
     """
     n = matrix.n
     check_symbolic_dim(n, max_dim)
     q, scaled = _scaled(matrix)
     minors = list(chain.from_iterable(_principal_minors(scaled)))
     invariants = []
-    for j, (exponents, pj) in enumerate(_pj_kernels(n), start=1):
+    for j in range(1, n + 1):
+        exponents, pj = _pj_kernel(n, j)
         # the exponent tuples are distinct, well formed and in canonical order by construction
         invariants.append(
             SparsePolynomial._from_terms(n, {e: v for e, v in zip(exponents, pj(minors)) if v}, q ** (2 * j))

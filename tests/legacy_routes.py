@@ -26,11 +26,12 @@ formulas up to 3x3, then denominators cleared row by row;
 principal minor before the shared-prefix tree: one kernel call on
 (q*A)[S, S] for each index set S. The pair loop reads its minors there,
 so that oracle shares no code with the tree it checks.
-``int_product_by_columns`` is how ``_int_product`` multiplied two integer
-matrices before the product was compiled once per size: the columns of the
-right operand by ``zip``, and each entry one ``sum(map(mul, row, col))``.
-It matters as an independent reference because ``mat_mul`` itself now runs
-the compiled kernel it would be checked against, and so does
+``int_product_by_columns`` is how ``mat_mul`` and the spd candidates'
+draw multiplied two integer matrices before the product was compiled once
+per size (``_product_kernel``): the columns of the right operand by
+``zip``, and each entry one ``sum(map(mul, row, col))``. It matters as an
+independent reference because ``mat_mul`` itself now runs the compiled
+kernel it would be checked against, and so does
 ``generate_candidates_by_matrices``, which builds B^T B through
 ``mat_mul``. The references that share no code with the kernel are this
 loop and ``tests/oracles.py:list_matmul``, through which
@@ -97,11 +98,18 @@ Q verdicts of a ``ClassReport`` and the verdict of a ``RefutationReport``
 were computed and stored before each report read them off its own data:
 the block at the end of ``classify``, and the function ``_report`` called
 with the two sides, the matrix's size and its anti-sign verdict.
+``parse_matrix_by_cursor`` is how ``parse_matrix`` walked the lines of a
+text before it listed the indices of its non-blank lines once: a cursor
+that skips blank lines and hands out the next line on each call, for the
+header, each row and the check for trailing content. The property test
+holds the parser to it, matrix for matrix and error position for error
+position.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import gcd, lcm
@@ -120,6 +128,7 @@ from qscaling import (
     HuntConfig,
     HypothesisStatus,
     IndexSet,
+    MatrixParseError,
     MinorPairWitness,
     MinorSumWitness,
     NoCounterexampleFound,
@@ -139,10 +148,11 @@ from qscaling import (
     determinant,
     is_anti_sign_symmetric,
     mat_mul,
+    parse_rational,
     sample_refute,
     symbolic_q_invariants,
 )
-from qscaling.matrices import _bareiss_int, _int_compounds, _int_minor, _scaled
+from qscaling.matrices import _DIMENSION_TOKEN, _bareiss_int, _int_compounds, _int_minor, _scaled
 from qscaling.scaling import _orthant_witness, _pair_weights, check_sampling_args
 
 PolyMatrix = tuple[tuple[SparsePolynomial, ...], ...]
@@ -292,6 +302,56 @@ def int_product_by_columns(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]
     """The product of two square integer matrices, one ``sum(map(mul, row, col))`` per entry."""
     cols = tuple(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def parse_matrix_by_cursor(text: str) -> RationalMatrix:
+    """The matrix text format read by a cursor over the lines, reporting 1-based line/column on errors."""
+    lines = text.splitlines()
+    pos = 0
+
+    def next_content_line() -> int | None:
+        nonlocal pos
+        while pos < len(lines) and lines[pos].strip() == "":
+            pos += 1
+        if pos >= len(lines):
+            return None
+        here = pos
+        pos += 1
+        return here
+
+    header_idx = next_content_line()
+    if header_idx is None:
+        raise MatrixParseError("empty input, expected a dimension line", line=1, column=1)
+    header = lines[header_idx].strip()
+    if not _DIMENSION_TOKEN.match(header) or int(header) < 1:
+        raise MatrixParseError(f"expected a positive dimension, found {header!r}", line=header_idx + 1, column=1)
+    n = int(header)
+
+    rows = []
+    for r in range(n):
+        row_idx = next_content_line()
+        if row_idx is None:
+            raise MatrixParseError(f"expected {n} rows, found only {r}", line=len(lines) + 1, column=1)
+        raw = lines[row_idx]
+        tokens = list(re.finditer(r"\S+", raw))
+        if len(tokens) != n:
+            raise MatrixParseError(
+                f"expected {n} entries in row {r + 1}, found {len(tokens)}",
+                line=row_idx + 1,
+                column=(tokens[-1].start() + 1 if tokens else 1),
+            )
+        row = []
+        for match in tokens:
+            try:
+                row.append(parse_rational(match.group()))
+            except ValueError as exc:
+                raise MatrixParseError(str(exc), line=row_idx + 1, column=match.start() + 1) from None
+        rows.append(tuple(row))
+
+    trailing = next_content_line()
+    if trailing is not None:
+        raise MatrixParseError("unexpected content after the last matrix row", line=trailing + 1, column=1)
+    return RationalMatrix(tuple(rows))
 
 
 def evaluate_by_terms(p: SparsePolynomial, point: Sequence[Fraction]) -> Fraction:

@@ -12,29 +12,28 @@ empty builtins. Its only callers are the five kernel builders,
 ``_product_kernel``, ``_laplace_kernel`` and ``_prefix_kernel`` in
 ``matrices.py``, and ``_pj_kernel`` and ``_walk_kernel`` in ``scaling.py``
 (which imports it), whose source is made only of integers, so no outside
-input reaches generated code. The compiled functions are reached through
-one walker each: ``_int_product``, the one integer matrix product, which
-``mat_mul`` and ``generate_candidates`` call and nothing else,
-``_int_compounds``, the one walker over the compounds,
+input reaches generated code. Each builder is cached per size and its
+readers call it directly: the one integer matrix product,
+``_product_kernel``, is called by ``mat_mul`` and ``generate_candidates``
+and nothing else, and the other compiled functions are reached through
+one walker each: ``_int_compounds``, the one walker over the compounds,
 ``_principal_minors``, the one walker over the principal-minor tree,
 ``symbolic_q_invariants``, the one expansion of the p_j, and
 ``_orthant_witness``, the one decision of a form's sign on the orthant.
-``_product_kernel``, ``_laplace_kernel`` and ``_walk_kernel`` are named
-only in their definitions and their walkers, and ``_prefix_kernel`` also
-in itself, where a kernel binds those of the smaller sizes as its
-children. ``_pj_kernel`` is named only in its definition and in the table
-cached per n, ``_pj_kernels``, and that table only in its definition and
-its walker, which looks up all its kernels at once. Every kernel takes
-only its data, ``product(a, b)``, ``row(a, b)``, ``visit(b, d, out,
-below)`` with the two sinks of one call, ``pj(m)`` and ``walk(m)``; what
-it calls, child kernels or the two witness helpers ``_walk_kernel``
-returns through, is bound into its namespace when it is compiled, and
-nothing else is there. The compiled walk holds the copositivity half
-alone: its source collects no singular block and calls
+``_laplace_kernel``, ``_pj_kernel`` and ``_walk_kernel`` are named only
+in their definitions and their walkers, and ``_prefix_kernel`` also in
+itself, where a kernel binds those of the smaller sizes as its children;
+no per-size table or wrapper stands between a builder and its readers.
+Every kernel takes only its data, ``product(a, b)``, ``row(a, b)``,
+``visit(b, d, out, below)`` with the two sinks of one call, ``pj(m)`` and
+``walk(m)``; what it calls, child kernels or the two witness helpers
+``_walk_kernel`` returns through, is bound into its namespace when it is
+compiled, and nothing else is there. The compiled walk holds the
+copositivity half alone: its source collects no singular block and calls
 ``average(m)`` once, at its end. The Laplace
 expansion is written in one place, ``_laplace_expansion``, named only by
 the two builders that write it into their source. So generated code is
-reached through those five walkers and nowhere else.
+reached through those six readers and nowhere else.
 ``_principal_minors`` itself, which returns the minors
 as plain integers by order, has four readers and no wrapper:
 ``principal_minor_sums`` and ``classify`` in ``matrix_classes.py``, and
@@ -193,12 +192,10 @@ def test_the_laplace_kernel_is_reached_only_through_int_compounds():
 
 
 def test_the_product_kernel_is_reached_only_through_the_int_product():
-    # the walker, then the builder, in the order of matrices.py
-    assert _mentioned_in("_product_kernel") == [("matrices.py", "_int_product"), ("matrices.py", "_product_kernel")]
-    # A^2 and B^T B: the product of two stored matrices, and the spd candidates' draw
-    assert _mentioned_in("_int_product") == [
+    # A^2 and B^T B: the product of two stored matrices, the builder, and the spd candidates' draw
+    assert _mentioned_in("_product_kernel") == [
         ("matrices.py", "mat_mul"),
-        ("matrices.py", "_int_product"),
+        ("matrices.py", "_product_kernel"),
         ("refute.py", None),
         ("refute.py", "generate_candidates"),
     ]
@@ -227,9 +224,22 @@ def test_the_prefix_kernel_is_reached_only_through_principal_minors():
 
 
 def test_the_pj_kernel_is_reached_only_through_q_invariants():
-    # builder, then its per-n table, then the walker
-    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "_pj_kernels")]
-    assert _mentioned_in("_pj_kernels") == [("scaling.py", "_pj_kernels"), ("scaling.py", "symbolic_q_invariants")]
+    # builder, then the walker
+    assert _mentioned_in("_pj_kernel") == [("scaling.py", "_pj_kernel"), ("scaling.py", "symbolic_q_invariants")]
+
+
+def test_every_kernel_builder_is_cached_and_called_without_a_layer_between():
+    # one cache per builder and size, read directly: no per-n table, product wrapper or parser line cursor
+    for builder in (
+        matrices._product_kernel,
+        matrices._laplace_kernel,
+        matrices._prefix_kernel,
+        scaling._pj_kernel,
+        scaling._walk_kernel,
+    ):
+        assert callable(builder.cache_info)
+    for name in ("_pj_kernels", "_int_product", "next_content_line"):
+        assert _mentioned_in(name) == []
 
 
 def test_the_adjugate_table_is_read_only_by_the_orthant_walk():
@@ -281,8 +291,8 @@ def _kernels():
             yield matrices._laplace_kernel(n, k), ("a", "b"), {}
         children = {f"k{size}": matrices._prefix_kernel(size) for size in range(1, n)}
         yield matrices._prefix_kernel(n), ("b", "d", "out", "below"), children
-        for _, pj in scaling._pj_kernels(n):
-            yield pj, ("m",), {}
+        for j in range(1, n + 1):
+            yield scaling._pj_kernel(n, j)[1], ("m",), {}
         if n <= scaling._WALK_KERNEL_MAX:
             yield scaling._walk_kernel(n), ("m",), {"lift": scaling._lifted_witness, "average": scaling._vertex_average}
 

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 
 import pytest
@@ -26,10 +27,10 @@ from qscaling import (
     zero_rows_outside,
 )
 from qscaling import matrices as matrices_module
-from qscaling.matrices import _bareiss_int, _coerce_rational, _int_minor, _int_product, _scaled
+from qscaling.matrices import _bareiss_int, _coerce_rational, _int_minor, _product_kernel, _scaled
 
 from helpers import random_rational_matrix
-from legacy_routes import int_product_by_columns
+from legacy_routes import int_product_by_columns, parse_matrix_by_cursor
 from oracles import brute_force_minor, leibniz_determinant, list_matmul, two_by_two_determinant
 
 A_REF = RationalMatrix(((1, 2), (-1, 5)))
@@ -282,9 +283,9 @@ def integer_operand_pairs(draw):
 
 
 def _assert_fresh_product(a, b):
-    """``_int_product(a, b)`` equals the column loop, as n fresh lists that share nothing with the operands."""
+    """``_product_kernel(n)(a, b)`` equals the column loop, as n fresh lists that share nothing with the operands."""
     expected = int_product_by_columns(a, b)
-    product = _int_product(a, b)
+    product = _product_kernel(len(a))(a, b)
     assert product == expected
     assert type(product) is list and len(product) == len(a)
     assert all(type(row) is list for row in product)
@@ -315,13 +316,13 @@ def test_a_product_row_can_be_changed_without_touching_anything_else():
     # generate_candidates adds the identity to B^T B in place
     a = [[1, 2, 0], [-1, 5, 3], [4, 0, -2]]
     b = tuple(map(tuple, a))
-    before = _int_product(a, b)
-    product = _int_product(a, b)
+    before = _product_kernel(len(a))(a, b)
+    product = _product_kernel(len(a))(a, b)
     product[0][0] += 1
     product[2].append(7)
     assert a == [list(row) for row in b] == [[1, 2, 0], [-1, 5, 3], [4, 0, -2]]
     assert before == int_product_by_columns(a, b) != product
-    assert _int_product(a, b) == before
+    assert _product_kernel(len(a))(a, b) == before
 
 
 def test_zero_rows_outside():
@@ -386,6 +387,77 @@ def test_parse_matrix_errors_carry_positions():
         with pytest.raises(MatrixParseError) as err:
             parse_matrix(f"{header}\n1 2 3\n4 5 6\n7 8 9\n")
         assert (err.value.line, err.value.column) == (1, 1)
+
+
+# the three positions of a parse error that only the line cursor once reached
+PARSE_ERROR_POSITIONS = [
+    # rows missing after interleaved blank lines: reported one line past the text
+    ("3\n\n1 2 3\n \n4 5 6\n\t\n", "expected 3 rows, found only 2", 7, 1),
+    # a short row before the missing ones is reported first, at its last token
+    ("3\n1 2\n", "expected 3 entries in row 1, found 2", 2, 3),
+    # trailing content after blank lines is reported at its own line
+    ("1\n5\n\n  \nextra\n", "unexpected content after the last matrix row", 5, 1),
+]
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, parse_matrix_by_cursor])
+@pytest.mark.parametrize("text,message,line,column", PARSE_ERROR_POSITIONS)
+def test_parse_errors_after_blank_lines_carry_their_positions(parse, text, message, line, column):
+    with pytest.raises(MatrixParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+# one header in three is not a positive dimension, one token in ten not a rational
+_HEADERS = st.sampled_from(["1", "2", "3", "1", "2", "3", " 2 ", "\t3", "0", "x", "1/2", "2 2"])
+_TOKENS = ["0", "7", "-3", "1/2", "-9/6", "12", "-1", "5/3", "-8/5", "x"]
+_TOKENS += ["0", "7", "-2", "1/4", "9", "3/0", "5", "-7", "2/3", "4"]
+_BLANK_LINES = ["", " ", "\t", "\x0c", " \t\x0c "]
+
+
+def _row_lines(width):
+    """Sixty row lines of ``width`` tokens, each token followed by a space or tab gap, some indented."""
+    rng = random.Random(width)
+    gaps = [" ", "  ", "\t", " \t "]
+    rows = ("".join(rng.choice(_TOKENS) + rng.choice(gaps) for _ in range(width)) for _ in range(60))
+    return [rng.choice(["", " "]) + row for row in rows]
+
+
+@cache
+def _lines_under(n):
+    """The lines under header n: two in five blank, the rest rows, three in five of them n tokens wide."""
+    # each line is one draw from one list, which keeps 2000 texts to a few seconds
+    rows = _row_lines(n) * 3 + _row_lines(n - 1) + _row_lines(n + 1)
+    return st.sampled_from(rows + _BLANK_LINES * 40)
+
+
+@st.composite
+def matrix_texts(draw):
+    """A header, then row, blank and whitespace-only lines in any mix, joined by \\n or \\r\\n."""
+    header = draw(_HEADERS)
+    n = int(header) if header.strip() in ("1", "2", "3") else 2
+    lines = [header] + draw(st.lists(_lines_under(n), max_size=7))
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _parse_outcome(parse, text):
+    """The matrix ``parse`` reads from ``text``, or the message, line and column of its MatrixParseError."""
+    try:
+        return parse(text)
+    except MatrixParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+@given(matrix_texts())
+@example("")
+@example("2\r\n1 2\r\n\x0c\r\n-1 5")
+def test_parse_matrix_agrees_with_the_line_cursor(text):
+    assert _parse_outcome(parse_matrix, text) == _parse_outcome(parse_matrix_by_cursor, text)
 
 
 def test_matrix_from_dict_errors():
