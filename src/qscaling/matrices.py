@@ -50,14 +50,24 @@ class MatrixParseError(ValueError):
         super().__init__(message)
 
 
-def check_enumeration_dim(n: int, max_dim: int | None = None) -> None:
-    """Raise DimensionGuardError if n exceeds the minor-enumeration bound."""
-    limit = DEFAULT_ENUMERATION_GUARD if max_dim is None else max_dim
+def _check_dim(n: int, max_dim: int | None, default: int, bound: str) -> None:
+    """Raise DimensionGuardError if n exceeds ``max_dim``, or ``default`` when it is None.
+
+    Every dimension bound of the package is enforced here; ``bound`` names
+    it in the message.
+    """
+    limit = default if max_dim is None else max_dim
     if n > limit:
-        raise DimensionGuardError(
-            f"dimension {n} exceeds the minor-enumeration bound {limit}; "
-            "pass a larger max_dim to override"
-        )
+        raise DimensionGuardError(f"dimension {n} exceeds the {bound} bound {limit}; pass a larger max_dim to override")
+
+
+def check_enumeration_dim(n: int, max_dim: int | None = None) -> None:
+    """Raise DimensionGuardError if n exceeds the minor-enumeration bound.
+
+    The bound is ``max_dim``, or ``DEFAULT_ENUMERATION_GUARD`` as it reads
+    at the call when ``max_dim`` is None.
+    """
+    _check_dim(n, max_dim, DEFAULT_ENUMERATION_GUARD, "minor-enumeration")
 
 
 _RATIONAL_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
@@ -141,7 +151,19 @@ def index_sets(n: int, k: int) -> Iterator[IndexSet]:
         yield IndexSet(n, combo)
 
 
-class RationalMatrix:
+class _Immutable:
+    """Refuses every assignment and deletion; a subclass writes its slots once, through their descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+
+class RationalMatrix(_Immutable):
     """Immutable square matrix of exact rationals.
 
     Stored as integer numerators over one positive denominator q in lowest
@@ -191,12 +213,6 @@ class RationalMatrix:
         matrix = cls.__new__(cls)
         matrix._init(q, tuple(map(tuple, qa)))
         return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: RationalMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: RationalMatrix is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the stored integers; the default would set the slots
@@ -643,9 +659,13 @@ def parse_matrix(text: str) -> RationalMatrix:
     if not content:
         raise MatrixParseError("empty input, expected a dimension line", line=1, column=1)
     header = lines[content[0]].strip()
-    if not _DIMENSION_TOKEN.match(header) or int(header) < 1:
+    try:
+        n = int(header) if _DIMENSION_TOKEN.match(header) else 0
+    except ValueError:  # more digits than the interpreter converts to an int
+        message = f"dimension of {len(header)} digits is too large"
+        raise MatrixParseError(message, line=content[0] + 1, column=1) from None
+    if n < 1:
         raise MatrixParseError(f"expected a positive dimension, found {header!r}", line=content[0] + 1, column=1)
-    n = int(header)
 
     rows = []
     for r, row_idx in enumerate(content[1 : n + 1]):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import ItemsView, Mapping, Sequence
 
-from .matrices import _coerce_rational
+from .matrices import _coerce_rational, _Immutable
 
 
 def _canonical(numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
@@ -29,7 +29,7 @@ def _canonical(numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], 
     return {e: numerators[e] for _, e in sorted(zip(map(sum, numerators), numerators), reverse=True) if numerators[e]}
 
 
-class SparsePolynomial:
+class SparsePolynomial(_Immutable):
     """Polynomial with Fraction coefficients in a fixed number of variables."""
 
     __slots__ = ("n_vars", "_terms", "_den")
@@ -81,12 +81,6 @@ class SparsePolynomial:
         poly = cls.__new__(cls)
         poly._init(n_vars, numerators, den)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: SparsePolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: SparsePolynomial is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the stored integers; the default would set the slots

@@ -267,6 +267,10 @@ class HuntConfig:
     exponent_range: ClassVar[int] = 3
 
     def __post_init__(self):
+        for name in ("dimension", "entry_range", "count", "budget", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.entry_range < 1:

@@ -42,9 +42,9 @@ from operator import mul
 from typing import Callable, ClassVar, Iterator, Sequence
 
 from .matrices import (
-    DimensionGuardError,
     IndexSet,
     RationalMatrix,
+    _check_dim,
     _check_in_range,
     _coerce_rational,
     _compile,
@@ -66,12 +66,12 @@ from .polynomial import SparsePolynomial
 DEFAULT_SYMBOLIC_GUARD = 6
 
 def check_symbolic_dim(n: int, max_dim: int | None = None) -> None:
-    limit = DEFAULT_SYMBOLIC_GUARD if max_dim is None else max_dim
-    if n > limit:
-        raise DimensionGuardError(
-            f"dimension {n} exceeds the symbolic-expansion bound {limit}; "
-            "pass a larger max_dim to override"
-        )
+    """Raise DimensionGuardError if n exceeds the symbolic-expansion bound.
+
+    The bound is ``max_dim``, or ``DEFAULT_SYMBOLIC_GUARD`` as it reads at
+    the call when ``max_dim`` is None.
+    """
+    _check_dim(n, max_dim, DEFAULT_SYMBOLIC_GUARD, "symbolic-expansion")
 
 
 @dataclass(frozen=True)
@@ -562,9 +562,13 @@ class CoefficientEvidence:
 class QuadraticEvidence:
     """a*x^2 + b*x*y + c*y^2 with a, c > 0 and b^2 < 4ac, plus its completion.
 
-    ``completion`` is a list of (multiplier, linear form) pairs with
-    positive multipliers whose weighted squares re-expand to the
-    polynomial exactly.
+    ``completion`` is the tuple of (multiplier, linear form) pairs
+    a*(x + b/(2a)*y)^2 + (4ac - b^2)/(4a)*y^2, each multiplier an ``int``
+    or a ``Fraction``. ``holds_for`` rebuilds that completion from the
+    polynomial's form, requires the stored one to equal it, and re-expands
+    it: the weighted squares must give the polynomial exactly. So a valid
+    but different completion, such as (1/4)*(2*x - 4*y)^2 + 21*y^2 for
+    x^2 - 4*x*y + 25*y^2, does not verify.
     """
 
     verdict: ClassVar[CertificateVerdict] = CertificateVerdict.POSITIVE_ON_ORTHANT
@@ -601,6 +605,8 @@ class QuadraticEvidence:
         return " + ".join(parts)
 
     def holds_for(self, p: SparsePolynomial) -> bool:
+        # the completion is the one certify builds, its multipliers exact (a float equals its Fraction),
+        # and it re-expands to p, which the builder cannot confirm for itself
         return (
             p.n_vars == 2
             and p.is_homogeneous(2)
@@ -610,14 +616,8 @@ class QuadraticEvidence:
             and self.c > 0
             and self.b_squared < self.four_ac
             and _is_tuple(self.completion)
-            and all(
-                _is_tuple(term, 2)
-                and _is_rational(term[0])
-                and term[0] > 0
-                and isinstance(term[1], SparsePolynomial)
-                and term[1].n_vars == 2
-                for term in self.completion
-            )
+            and self.completion == _quadratic_evidence(p, _form_matrix(p)[0]).completion
+            and all(_is_rational(multiplier) for multiplier, _ in self.completion)
             and self.expanded() == p
         )
 
@@ -744,8 +744,12 @@ def _quadratic_evidence(p: SparsePolynomial, form: list[list[int]]) -> Quadratic
     ``form`` is ``_form_matrix``'s [[2A, B], [B, 2C]] for p = (A*d1^2 +
     B*d1*d2 + C*d2^2) / L with integers A, B, C. So the first linear form
     d1 + b/(2a)*d2 is (2A*d1 + B*d2) / (2A), the second is d2, and
-    (4ac - b^2)/(4a) is a * det(form) / (2A)^2. The form is positive and
-    has a negative coefficient, so A > 0, C > 0 and B < 0.
+    (4ac - b^2)/(4a) is a * det(form) / (2A)^2. It is the one rule of the
+    completion: ``certify_positive_on_orthant`` builds the evidence with
+    it, from a positive form with a negative coefficient (A > 0, C > 0,
+    B < 0), and ``QuadraticEvidence.holds_for`` rebuilds the completion
+    with it to compare, for any form with A > 0. There B = 0 leaves a zero
+    term in the first linear form, which equals no stored completion.
     """
     (twice_a, b_numerator), (_, twice_c) = form
     a = p.coefficient((2, 0))
@@ -769,7 +773,8 @@ def certify_positive_on_orthant(p: SparsePolynomial) -> Certificate:
     means the form is positive on the orthant; a two-variable form
     a*d1^2 + b*d1*d2 + c*d2^2 then records its weighted square completion
     as evidence, built from the integers of that same matrix
-    (``_quadratic_evidence``). It reaches (b) only with a negative
+    (``_quadratic_evidence``, which ``verify()`` calls again to rebuild
+    it, then re-expands it). It reaches (b) only with a negative
     coefficient, so there no witness means exactly a > 0, c > 0 and
     b^2 < 4ac. Anything left over is INCONCLUSIVE, which is a legitimate
     outcome, not an error: that includes a positive form in more than two

@@ -78,6 +78,15 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert "line 2, column 3" in err
 
 
+def test_analyze_header_past_the_int_digit_limit(tmp_path, capsys):
+    # 5000 digits are past int()'s default limit: a parse error at the header, not a bare ValueError
+    path = write(tmp_path, "wide.txt", "1" * 5000 + "\n")
+    code, _, err = run_cli(capsys, "analyze", path)
+    assert code == 2
+    assert err.startswith("error: line 1, column 1:")
+    assert "1" * 50 not in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/matrix.txt")
     assert code == 2

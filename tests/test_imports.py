@@ -48,12 +48,19 @@ integer sum, ``_value_at``, evaluates a polynomial: ``evaluate`` calls it,
 and so does ``_witness_evidence`` for the value at a witness point. Likewise
 the storage of ``RationalMatrix``, the integers q*A over q in its two
 slots ``_q`` and ``_qa`` and nothing else, is read only in
-``matrices.py``. The cached ``_index_set``, through which a class verdict's
+``matrices.py``. Both integer-backed values refuse assignment through one
+private base, ``_Immutable`` in ``matrices.py``, the one definition of
+``__setattr__`` and ``__delattr__`` under ``src/``, which names the class
+through ``type(self).__name__``. Every dimension bound is enforced in one
+function, ``_check_dim``, the one place that raises
+``DimensionGuardError``; ``check_enumeration_dim`` and
+``check_symbolic_dim`` are its two callers. The cached ``_index_set``, through which a class verdict's
 witness shares one ``IndexSet`` per set, is named only in
 ``matrix_classes.py``. ``certify_positive_on_orthant`` takes the reading of a
 form (x = d or x = 1/d) from ``_form_matrix``, so the scan
-``is_homogeneous`` has one caller, the independent check in
-``QuadraticEvidence.holds_for``. The sign of a p_j is decided in one place:
+``is_homogeneous`` has one caller, ``QuadraticEvidence.holds_for``,
+which rebuilds the completion through the builder certify uses and
+re-expands it. The sign of a p_j is decided in one place:
 ``_orthant_witness`` is called only by ``certify_positive_on_orthant``;
 it and its kernel half ``_vertex_average``, which reads a singular
 block's adjugate, are the two readers of the compounds in ``scaling.py``,
@@ -384,6 +391,35 @@ def test_the_sign_of_a_pj_is_decided_only_through_the_certificates():
     assert _mentioned_in("_orthant_witness") == [
         ("scaling.py", "_orthant_witness"),
         ("scaling.py", "certify_positive_on_orthant"),
+    ]
+
+
+def test_assignment_is_refused_in_one_base():
+    # RationalMatrix and SparsePolynomial share _Immutable's two methods, which name the class they refuse for;
+    # object.__setattr__ in a dataclass's __post_init__ is a call, not a definition
+    for method in ("__setattr__", "__delattr__"):
+        assert [m for m in _mentioned_in(method) if m[1] == method] == [("matrices.py", method)]
+        assert getattr(RationalMatrix, method) is getattr(qscaling.SparsePolynomial, method)
+        assert getattr(RationalMatrix, method) is getattr(matrices._Immutable, method)
+    for value in (RationalMatrix.identity(2), qscaling.SparsePolynomial.zero(1)):
+        kind = type(value).__name__
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError) as err:
+            value.rows = None
+        assert str(err.value) == f"cannot assign to field 'rows': {kind} is immutable"
+        with pytest.raises(AttributeError) as err:
+            del value.n_vars
+        assert str(err.value) == f"cannot delete field 'n_vars': {kind} is immutable"
+
+
+def test_every_dimension_bound_is_enforced_in_one_function():
+    # the one raise of DimensionGuardError; the two public checks read their DEFAULT_*_GUARD at each call and pass it on
+    assert _mentioned_in("DimensionGuardError") == [("__init__.py", None), ("matrices.py", "_check_dim")]
+    assert _mentioned_in("_check_dim") == [
+        ("matrices.py", "_check_dim"),
+        ("matrices.py", "check_enumeration_dim"),
+        ("scaling.py", None),
+        ("scaling.py", "check_symbolic_dim"),
     ]
 
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
@@ -387,6 +388,28 @@ def test_parse_matrix_errors_carry_positions():
         with pytest.raises(MatrixParseError) as err:
             parse_matrix(f"{header}\n1 2 3\n4 5 6\n7 8 9\n")
         assert (err.value.line, err.value.column) == (1, 1)
+
+
+@pytest.mark.parametrize("blank", ["", "\n", "\n \n\t\n"], ids=["alone", "after-a-blank-line", "after-blank-lines"])
+def test_a_header_past_the_int_digit_limit_is_reported_at_its_line(blank):
+    # int() refuses more than 4300 digits by default; the header is reported like any other bad one, without its digits
+    line = blank.count("\n") + 1
+    with pytest.raises(MatrixParseError) as err:
+        parse_matrix(blank + "1" * 5000 + "\n1\n")
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert str(err.value) == f"line {line}, column 1: dimension of 5000 digits is too large"
+
+
+def test_a_header_past_a_lowered_digit_limit_is_reported_at_its_line():
+    # whatever the interpreter's limit is: 640 is the lowest it accepts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix("\n" + "2" * 641 + "\n1\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (err.value.line, err.value.column) == (2, 1)
 
 
 # the three positions of a parse error that only the line cursor once reached

@@ -542,6 +542,14 @@ def test_hunt_config_validation():
         HuntConfig(dimension=2, entry_range=5, count=1, budget=0)
     with pytest.raises(ValueError):
         HuntConfig(dimension=2, entry_range=5, count=1, mode="weird")
+    # a bool, or anything else that is not an int, in a numeric field: refused with the field's name
+    valid = {"dimension": 2, "entry_range": 5, "count": 1, "budget": 10, "seed": 0}
+    for field in valid:
+        for value in (True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"^{field} must be an int"):
+                HuntConfig(**{**valid, field: value})
+    with pytest.raises(ValueError, match="^dimension must be an int, got True$"):
+        HuntConfig(dimension=True, entry_range=2, count=3, budget=True)
 
 
 def test_report_serialization_shape():

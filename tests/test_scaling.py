@@ -410,6 +410,11 @@ def _completion(*terms):
             _with(QUADRATIC, completion=_completion((1, "d1 - 2*d2"), (21, D2))),
             id="quadratic-completion-form-is-a-string",
         ),
+        pytest.param(
+            # (1/4)*(2*d1 - 4*d2)^2 + 21*d2^2 expands to p_1 too, but it is not the completion certify builds
+            _with(REFERENCE_P1, completion=_completion((Fraction(1, 4), 2 * D1 - 4 * D2), (21, D2))),
+            id="quadratic-valid-completion-certify-does-not-build",
+        ),
         pytest.param(dataclasses.replace(QUADRATIC, evidence="positive"), id="evidence-of-no-kind"),
         pytest.param(
             # states a verdict as the evidence kinds do, but is none of them
@@ -443,6 +448,26 @@ def test_tampered_evidence_fails_verification_without_raising(cert):
     # a known kind checks itself against any polynomial without raising
     elif isinstance(cert.polynomial, SparsePolynomial):
         assert cert.evidence.holds_for(cert.polynomial) is False
+
+
+def test_a_builder_bug_cannot_confirm_its_own_completion(monkeypatch):
+    # verify() rebuilds the completion with the builder certify used, so only the re-expansion catches a bad builder
+    build, calls = scaling_module._quadratic_evidence, []
+
+    def doubled(p, form):
+        calls.append(p)
+        evidence = build(p, form)
+        first, (multiplier, d2) = evidence.completion
+        return dataclasses.replace(evidence, completion=(first, (2 * multiplier, d2)))
+
+    monkeypatch.setattr(scaling_module, "_quadratic_evidence", doubled)
+    cert = certify_positive_on_orthant(P1_REF)
+    assert isinstance(cert.evidence, QuadraticEvidence) and calls == [P1_REF]
+    assert cert.evidence.completion[1][0] == 42
+    assert cert.verify() is False
+    # verify() rebuilt the same wrong completion, which the stored one equals; the re-expansion refused it
+    assert calls == [P1_REF, P1_REF]
+    assert cert.evidence.expanded() != P1_REF
 
 
 # -- sampling refutation -----------------------------------------------------------
